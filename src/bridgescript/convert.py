@@ -193,10 +193,6 @@ class Converter:
             out.append(r.value)
         return score, out
 
-    def score_candidate(self, m: MethodDescriptor, args: list):
-        r = self.convert_args(m, args)
-        return None if r is None else r[0]
-
     def select_overload(self, cands: list, args: list) -> OverloadDecision:
         best_score = -1
         best = None

@@ -1,4 +1,4 @@
-"""Interpreter: a global environment, core builtins, and bridge wiring.
+"""Interpreter: a globals dict, core builtins, and bridge wiring.
 
 The core installs print/type/tostring/dostring.  Attaching a frozen
 registry adds the bridge builtins:
@@ -18,22 +18,26 @@ import sys
 from .convert import Converter
 from .errors import NotFrozen, ScriptRuntimeError
 from .inbound import InboundBridge
-from .objects import NIL, Environment, NativeFunction, render, type_name
+from .objects import NIL, NativeFunction, render, type_name
 from .outbound import OutboundBridge
 from .parser import parse_source
 
 
-def eval_chunk(chunk, env):
-    """Execute a parsed chunk against env; returns the chunk's return
-    values as a list (empty when it just falls off the end).  The chunk
-    compiles on first use and keeps its compiled form."""
-    r = chunk.code()(env)
+def eval_chunk(chunk, globals: dict):
+    """Execute a parsed chunk against a globals dict; returns the chunk's
+    return values as a list (empty when it just falls off the end).  The
+    chunk compiles on first use and keeps its compiled form."""
+    try:
+        r = chunk.code()(globals)
+    except RecursionError:
+        # nesting too deep to compile or evaluate outside any call
+        raise ScriptRuntimeError("stack overflow") from None
     return [] if not r else r
 
 
 class Interpreter:
     def __init__(self, registry=None, out=None):
-        self.globals = Environment()
+        self.globals: dict = {}
         self.out = out if out is not None else sys.stdout
         self.registry = None
         self.outbound = None
@@ -47,10 +51,10 @@ class Interpreter:
         return eval_chunk(parse_source(source), self.globals)
 
     def define_global(self, name: str, value) -> None:
-        self.globals.define(name, value)
+        self.globals[name] = value
 
     def global_value(self, name: str):
-        return self.globals.get(name)
+        return self.globals.get(name, NIL)
 
     # ----------------------------------------------------------- builtins
 

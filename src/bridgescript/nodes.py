@@ -1,14 +1,22 @@
 """AST nodes and their compilation to Python closures.
 
 Nodes do not evaluate themselves directly.  Each expression compiles
-once into a closure env -> value, and each statement into a closure
-env -> None | list, where a list is the in-flight result of a return
-statement; block runners propagate it upward.  Compiling ahead of
-execution keeps the hot path free of per-visit dispatch and lets shapes
-the parser produces often (constant operands, x = x + k, bare-receiver
-method calls) collapse into single specialized closures.  The
-specializations never change observable behaviour: fused forms read
-variables once, but variable reads are side-effect free.
+once into a closure frame -> value, and each statement into a closure
+frame -> None | list, where a list is the in-flight result of a return
+statement; block runners propagate it upward.
+
+Variables are resolved while compiling, by a Scope per function body.
+A frame is the list [globals, upvals, slot, slot, ...] (see objects):
+each local, parameter and for variable gets a slot, which later blocks
+reuse once its own block has ended.  A name that no enclosing scope
+declares is a global, read and written straight in the globals dict.
+The parser tells each function body which names its nested functions
+use; a local with such a name lives in its slot as a cell, a
+one-element list, and a nested function copies the cells it needs into
+its closure's upvals when the closure is made.  A local is in scope
+from the statement after its declaration, except that a local whose
+initializer is a function literal is already in scope inside it, so
+local functions can recurse.
 
 Every node carries the line of its first token.  unparse() emits source
 that parses back to a structurally identical tree (lines aside).
@@ -16,13 +24,13 @@ Statement sequences are joined with semicolons so that adjacent
 statements cannot merge when reparsed.
 """
 
+import operator
 from math import copysign
 
 from .errors import BridgeScriptError, KeyIsNil, NotCallable, ScriptRuntimeError
 from .objects import (
     NIL,
     Closure,
-    Environment,
     NativeFunction,
     Table,
     format_number,
@@ -36,6 +44,10 @@ _EMPTY: list = []
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+# where Scope.resolve finds a name
+LOCAL, CELL, UPVAL, GLOBAL = range(4)
+_GLOBAL = (GLOBAL, None)
 
 
 def quote_string(s: str) -> str:
@@ -56,6 +68,73 @@ def _wrap_postfixable(node) -> str:
     return "(" + text + ")"
 
 
+class Scope:
+    """Compile-time view of one function body: its slots and upvalues.
+
+    names maps each name the body has met so far to where it lives, as
+    resolve returns it; shadowed records what a declaration hid, so the
+    end of a block can restore it.  captured holds the names the body's
+    nested functions use; a local with one of those names is kept in a
+    cell.  sources has one entry per upvalue: the slot of the enclosing
+    body's cell, or ~j for the enclosing body's own upvalue j.
+    """
+
+    __slots__ = ("parent", "captured", "names", "shadowed", "top", "size",
+                 "sources")
+
+    def __init__(self, parent, captured: set):
+        self.parent = parent
+        self.captured = captured
+        self.names: dict = {}
+        self.shadowed: list = []  # (name, earlier entry or None)
+        self.top = self.size = 2  # frame[0] is globals, frame[1] upvals
+        self.sources: list = []
+
+    def open(self):
+        return self.top, len(self.shadowed)
+
+    def close(self, mark) -> None:
+        self.top, n = mark
+        names = self.names
+        shadowed = self.shadowed
+        while len(shadowed) > n:
+            name, earlier = shadowed.pop()
+            if earlier is None:
+                del names[name]
+            else:
+                names[name] = earlier
+
+    def declare(self, name: str):
+        """Bind name to a fresh slot until the current block ends."""
+        slot = self.top
+        self.top = slot + 1
+        if self.top > self.size:
+            self.size = self.top
+        entry = (CELL if name in self.captured else LOCAL), slot
+        self.shadowed.append((name, self.names.get(name)))
+        self.names[name] = entry
+        return entry
+
+    def resolve(self, name: str):
+        """(LOCAL or CELL, slot), (UPVAL, index) or (GLOBAL, None)."""
+        entry = self.names.get(name)
+        if entry is None:
+            if self.parent is None:
+                entry = _GLOBAL
+            else:
+                kind, i = self.parent.resolve(name)
+                if kind == GLOBAL:
+                    entry = _GLOBAL
+                else:
+                    # the parser put name in the parent's captured set,
+                    # so the parent holds it in a cell or an upvalue
+                    self.sources.append(~i if kind == UPVAL else i)
+                    entry = UPVAL, len(self.sources) - 1
+            # globals and upvalues hold for the whole body
+            self.names[name] = entry
+        return entry
+
+
 class Node:
     __slots__ = ("line",)
 
@@ -69,9 +148,9 @@ class NumberLit(Node):
         self.value = value
         self.line = line
 
-    def compile(self):
+    def compile(self, scope):
         v = self.value
-        return lambda env: v
+        return lambda fr: v
 
     def unparse(self) -> str:
         return repr(self.value)
@@ -84,9 +163,9 @@ class StringLit(Node):
         self.value = value
         self.line = line
 
-    def compile(self):
+    def compile(self, scope):
         v = self.value
-        return lambda env: v
+        return lambda fr: v
 
     def unparse(self) -> str:
         return quote_string(self.value)
@@ -99,9 +178,9 @@ class BoolLit(Node):
         self.value = value
         self.line = line
 
-    def compile(self):
+    def compile(self, scope):
         v = self.value
-        return lambda env: v
+        return lambda fr: v
 
     def unparse(self) -> str:
         return "true" if self.value else "false"
@@ -113,11 +192,15 @@ class NilLit(Node):
     def __init__(self, line: int):
         self.line = line
 
-    def compile(self):
-        return lambda env: NIL
+    def compile(self, scope):
+        return _nil
 
     def unparse(self) -> str:
         return "nil"
+
+
+def _nil(fr):
+    return NIL
 
 
 class VarExpr(Node):
@@ -127,19 +210,16 @@ class VarExpr(Node):
         self.name = name
         self.line = line
 
-    def compile(self):
+    def compile(self, scope):
+        kind, i = scope.resolve(self.name)
+        if kind == LOCAL:
+            return operator.itemgetter(i)
+        if kind == CELL:
+            return lambda fr: fr[i][0]
+        if kind == UPVAL:
+            return lambda fr: fr[1][i][0]
         name = self.name
-
-        def read(env):
-            e = env
-            while e is not None:
-                v = e.vars.get(name, _MISS)
-                if v is not _MISS:
-                    return v
-                e = e.parent
-            return NIL
-
-        return read
+        return lambda fr: fr[0].get(name, NIL)
 
     def unparse(self) -> str:
         return self.name
@@ -166,14 +246,14 @@ class IndexExpr(Node):
         self.key = key
         self.line = line
 
-    def compile(self):
-        obj_c = self.obj.compile()
+    def compile(self, scope):
+        obj_c = self.obj.compile(scope)
         line = self.line
         if self.key.__class__ is StringLit:
             key = self.key.value
 
-            def index_const(env):
-                t = obj_c(env)
+            def index_const(fr):
+                t = obj_c(fr)
                 if t.__class__ is not Table:
                     raise ScriptRuntimeError(
                         f"attempt to index a {type_name(t)} value", line)
@@ -183,14 +263,14 @@ class IndexExpr(Node):
                 return _index_fallback(t, key, line)
 
             return index_const
-        key_c = self.key.compile()
+        key_c = self.key.compile(scope)
 
-        def index(env):
-            t = obj_c(env)
+        def index(fr):
+            t = obj_c(fr)
             if t.__class__ is not Table:
                 raise ScriptRuntimeError(
                     f"attempt to index a {type_name(t)} value", line)
-            key = key_c(env)
+            key = key_c(fr)
             if key.__class__ is str or key.__class__ is float:
                 v = t.entries.get(key, _MISS)
                 if v is not _MISS:
@@ -212,6 +292,9 @@ class IndexExpr(Node):
 
 
 class CallExpr(Node):
+    """A call.  Python running out of stack inside it, as unbounded
+    script recursion does, becomes a ScriptRuntimeError at its line."""
+
     __slots__ = ("callee", "args")
 
     def __init__(self, callee, args: list, line: int):
@@ -219,7 +302,7 @@ class CallExpr(Node):
         self.args = args
         self.line = line
 
-    def compile(self):
+    def compile(self, scope):
         line = self.line
         callee = self.callee
         # recv.name(recv, ...) with a bare-name receiver is what colon
@@ -230,12 +313,12 @@ class CallExpr(Node):
                 and self.args
                 and self.args[0].__class__ is VarExpr
                 and self.args[0].name == callee.obj.name):
-            recv_c = callee.obj.compile()
+            recv_c = callee.obj.compile(scope)
             mname = callee.key.value
-            rest_c = tuple(a.compile() for a in self.args[1:])
+            rest_c = tuple(a.compile(scope) for a in self.args[1:])
 
-            def method_call(env):
-                recv = recv_c(env)
+            def method_call(fr):
+                recv = recv_c(fr)
                 if recv.__class__ is not Table:
                     raise ScriptRuntimeError(
                         f"attempt to index a {type_name(recv)} value", line)
@@ -244,65 +327,75 @@ class CallExpr(Node):
                     f = _index_fallback(recv, mname, line)
                 args = [recv]
                 for c in rest_c:
-                    args.append(c(env))
+                    args.append(c(fr))
                 cls = f.__class__
-                if cls is Closure:
-                    vals = f.invoke(args)
-                elif cls is NativeFunction:
-                    try:
-                        vals = f.fn(args)
-                    except BridgeScriptError as e:
-                        if e.line is None:
-                            e.line = line
-                        raise
-                else:
-                    raise NotCallable(
-                        f"attempt to call a {type_name(f)} value", line)
-                return vals[0] if vals else NIL
-
-            return method_call
-
-        callee_c = callee.compile()
-        if not self.args:
-            def call0(env):
-                f = callee_c(env)
-                cls = f.__class__
-                if cls is Closure:
-                    # bodies that bind nothing run straight in their
-                    # captured scope, no frame needed
-                    vals = (f.invoke(_EMPTY) if f.needs_scope
-                            else f.body(f.env))
-                elif cls is NativeFunction:
-                    try:
-                        vals = f.fn([])
-                    except BridgeScriptError as e:
-                        if e.line is None:
-                            e.line = line
-                        raise
-                else:
-                    raise NotCallable(
-                        f"attempt to call a {type_name(f)} value", line)
-                return vals[0] if vals else NIL
-
-            return call0
-        args_c = tuple(a.compile() for a in self.args)
-
-        def call(env):
-            f = callee_c(env)
-            args = [c(env) for c in args_c]
-            cls = f.__class__
-            if cls is Closure:
-                vals = f.invoke(args)
-            elif cls is NativeFunction:
                 try:
-                    vals = f.fn(args)
+                    if cls is Closure:
+                        vals = f.invoke(args)
+                    elif cls is NativeFunction:
+                        vals = f.fn(args)
+                    else:
+                        raise NotCallable(
+                            f"attempt to call a {type_name(f)} value", line)
                 except BridgeScriptError as e:
                     if e.line is None:
                         e.line = line
                     raise
-            else:
-                raise NotCallable(
-                    f"attempt to call a {type_name(f)} value", line)
+                except RecursionError:
+                    raise ScriptRuntimeError("stack overflow", line) from None
+                return vals[0] if vals else NIL
+
+            return method_call
+
+        callee_c = callee.compile(scope)
+        if not self.args:
+            def call0(fr):
+                f = callee_c(fr)
+                cls = f.__class__
+                try:
+                    if cls is Closure:
+                        # the frame invoke would build, minus one Python
+                        # call; bench.py's native loop times this call
+                        if not f.nparams:
+                            vals = f.body([f.globals, f.upvals, *f.pad])
+                        else:
+                            vals = f.invoke(_EMPTY)
+                    elif cls is NativeFunction:
+                        vals = f.fn([])
+                    else:
+                        raise NotCallable(
+                            f"attempt to call a {type_name(f)} value", line)
+                except BridgeScriptError as e:
+                    if e.line is None:
+                        e.line = line
+                    raise
+                except RecursionError:
+                    raise ScriptRuntimeError("stack overflow", line) from None
+                return vals[0] if vals else NIL
+
+            return call0
+        args_c = tuple(a.compile(scope) for a in self.args)
+
+        def call(fr):
+            f = callee_c(fr)
+            args = []
+            for c in args_c:
+                args.append(c(fr))
+            cls = f.__class__
+            try:
+                if cls is Closure:
+                    vals = f.invoke(args)
+                elif cls is NativeFunction:
+                    vals = f.fn(args)
+                else:
+                    raise NotCallable(
+                        f"attempt to call a {type_name(f)} value", line)
+            except BridgeScriptError as e:
+                if e.line is None:
+                    e.line = line
+                raise
+            except RecursionError:
+                raise ScriptRuntimeError("stack overflow", line) from None
             return vals[0] if vals else NIL
 
         return call
@@ -313,22 +406,45 @@ class CallExpr(Node):
 
 
 class FunctionExpr(Node):
-    __slots__ = ("params", "body")
+    """A function literal.  captured is the set of names that functions
+    nested in its body use, recorded by the parser."""
 
-    def __init__(self, params: list[str], body: "Block", line: int):
+    __slots__ = ("params", "body", "captured")
+
+    def __init__(self, params: list[str], body: "Block", line: int,
+                 captured: set):
         self.params = params
         self.body = body
         self.line = line
+        self.captured = captured
 
-    def compile(self):
-        params = tuple(self.params)
-        body_c = self.body.compile_inline()
-        # a body with no params and no top-level locals binds nothing,
-        # so it can run straight in the captured scope
-        needs_scope = bool(params) or self.body.has_local
+    def compile(self, scope):
+        inner = Scope(scope, self.captured)
+        cells = []
+        for name in self.params:
+            kind, slot = inner.declare(name)
+            if kind == CELL:
+                cells.append(slot)
+        body_c = self.body.compile(inner)
+        n = len(self.params)
+        pad = (NIL,) * (inner.size - 2 - n)
+        if cells:
+            # parameters that nested functions use are boxed on entry
+            run_body = body_c
 
-        def make(env):
-            return Closure(params, body_c, env, needs_scope)
+            def body_c(fr):
+                for i in cells:
+                    fr[i] = [fr[i]]
+                return run_body(fr)
+
+        sources = inner.sources
+
+        def make(fr):
+            upvals = ()
+            if sources:
+                up = fr[1]
+                upvals = tuple([fr[i] if i >= 0 else up[~i] for i in sources])
+            return Closure(body_c, n, pad, upvals, fr[0])
 
         return make
 
@@ -343,14 +459,15 @@ class TableCtor(Node):
         self.fields = fields  # list of (name, expr)
         self.line = line
 
-    def compile(self):
-        fields_c = tuple((name, expr.compile()) for name, expr in self.fields)
+    def compile(self, scope):
+        fields_c = tuple((name, expr.compile(scope))
+                         for name, expr in self.fields)
 
-        def make(env):
+        def make(fr):
             t = Table()
             entries = t.entries
             for name, c in fields_c:
-                v = c(env)
+                v = c(fr)
                 if v is not NIL:
                     entries[name] = v
             return t
@@ -374,19 +491,15 @@ class ColonCall(Node):
         self.line = line
 
 
-def _read_name(env, name):
-    while env is not None:
-        v = env.vars.get(name, _MISS)
-        if v is not _MISS:
-            return v
-        env = env.parent
-    return NIL
-
-
 def _arith_error(l, r, line):
     bad = l if l.__class__ is not float else r
     return ScriptRuntimeError(
         f"attempt to perform arithmetic on a {type_name(bad)} value", line)
+
+
+def _compare_error(l, r, line):
+    return ScriptRuntimeError(
+        f"attempt to compare {type_name(l)} with {type_name(r)}", line)
 
 
 def _divide(l, r):
@@ -399,6 +512,62 @@ def _divide(l, r):
     return float("inf") if same_sign else float("-inf")
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _divide}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge}
+
+
+def _arith(fn, lc, right, scope, line):
+    """Numbers only; a literal number on the right is read once here."""
+    if right.__class__ is NumberLit:
+        k = right.value
+
+        def arith_k(fr):
+            l = lc(fr)
+            if l.__class__ is float:
+                return fn(l, k)
+            raise _arith_error(l, k, line)
+
+        return arith_k
+    rc = right.compile(scope)
+
+    def arith(fr):
+        l = lc(fr)
+        r = rc(fr)
+        if l.__class__ is float and r.__class__ is float:
+            return fn(l, r)
+        raise _arith_error(l, r, line)
+
+    return arith
+
+
+def _order(fn, lc, right, scope, line):
+    """Two numbers or two strings; a literal on the right is read once."""
+    if right.__class__ is NumberLit or right.__class__ is StringLit:
+        k = right.value
+        kc = k.__class__
+
+        def order_k(fr):
+            l = lc(fr)
+            if l.__class__ is kc:
+                return fn(l, k)
+            raise _compare_error(l, k, line)
+
+        return order_k
+    rc = right.compile(scope)
+
+    def order(fr):
+        l = lc(fr)
+        r = rc(fr)
+        c = l.__class__
+        if c is r.__class__ and (c is float or c is str):
+            return fn(l, r)
+        raise _compare_error(l, r, line)
+
+    return order
+
+
 class BinOp(Node):
     __slots__ = ("op", "left", "right")
 
@@ -408,170 +577,37 @@ class BinOp(Node):
         self.right = right
         self.line = line
 
-    def compile(self):
+    def compile(self, scope):
         op = self.op
         line = self.line
-        left = self.left
-        right = self.right
-        # x <op> k with a bare variable and a literal number collapses
-        # into one closure; loop conditions and counters are this shape
-        if (op in ("+", "-", "*", "<", "<=", ">", ">=")
-                and left.__class__ is VarExpr
-                and right.__class__ is NumberLit):
-            name = left.name
-            k = right.value
-            return _var_op_const(op, name, k, line)
-        lc = left.compile()
-        rc = right.compile()
-        if op == "+":
-            def add(env):
-                l = lc(env)
-                r = rc(env)
-                if l.__class__ is float and r.__class__ is float:
-                    return l + r
-                raise _arith_error(l, r, line)
-            return add
-        if op == "-":
-            def sub(env):
-                l = lc(env)
-                r = rc(env)
-                if l.__class__ is float and r.__class__ is float:
-                    return l - r
-                raise _arith_error(l, r, line)
-            return sub
-        if op == "*":
-            def mul(env):
-                l = lc(env)
-                r = rc(env)
-                if l.__class__ is float and r.__class__ is float:
-                    return l * r
-                raise _arith_error(l, r, line)
-            return mul
-        if op == "/":
-            def div(env):
-                l = lc(env)
-                r = rc(env)
-                if l.__class__ is float and r.__class__ is float:
-                    return _divide(l, r)
-                raise _arith_error(l, r, line)
-            return div
+        lc = self.left.compile(scope)
+        if op in _ARITH:
+            return _arith(_ARITH[op], lc, self.right, scope, line)
+        if op in _ORDER:
+            return _order(_ORDER[op], lc, self.right, scope, line)
+        rc = self.right.compile(scope)
         if op == "==":
-            return lambda env: script_equals(lc(env), rc(env))
+            return lambda fr: script_equals(lc(fr), rc(fr))
         if op == "~=":
-            return lambda env: not script_equals(lc(env), rc(env))
-        if op == "..":
-            def concat(env):
-                l = lc(env)
-                r = rc(env)
-                lt = l if l.__class__ is str else (
-                    format_number(l) if l.__class__ is float else None)
-                rt = r if r.__class__ is str else (
-                    format_number(r) if r.__class__ is float else None)
-                if lt is not None and rt is not None:
-                    return lt + rt
-                bad = l if lt is None else r
-                raise ScriptRuntimeError(
-                    f"attempt to concatenate a {type_name(bad)} value", line)
-            return concat
-        return _compare(op, lc, rc, line)
+            return lambda fr: not script_equals(lc(fr), rc(fr))
+
+        def concat(fr):
+            l = lc(fr)
+            r = rc(fr)
+            lt = l if l.__class__ is str else (
+                format_number(l) if l.__class__ is float else None)
+            rt = r if r.__class__ is str else (
+                format_number(r) if r.__class__ is float else None)
+            if lt is not None and rt is not None:
+                return lt + rt
+            bad = l if lt is None else r
+            raise ScriptRuntimeError(
+                f"attempt to concatenate a {type_name(bad)} value", line)
+
+        return concat
 
     def unparse(self) -> str:
         return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
-
-
-def _compare(op, lc, rc, line):
-    def check(l, r):
-        if l.__class__ is float and r.__class__ is float:
-            return
-        if l.__class__ is str and r.__class__ is str:
-            return
-        raise ScriptRuntimeError(
-            f"attempt to compare {type_name(l)} with {type_name(r)}", line)
-
-    if op == "<":
-        def lt(env):
-            l = lc(env)
-            r = rc(env)
-            check(l, r)
-            return l < r
-        return lt
-    if op == "<=":
-        def le(env):
-            l = lc(env)
-            r = rc(env)
-            check(l, r)
-            return l <= r
-        return le
-    if op == ">":
-        def gt(env):
-            l = lc(env)
-            r = rc(env)
-            check(l, r)
-            return l > r
-        return gt
-
-    def ge(env):
-        l = lc(env)
-        r = rc(env)
-        check(l, r)
-        return l >= r
-    return ge
-
-
-def _var_op_const(op, name, k, line):
-    if op == "+":
-        def add(env):
-            v = _read_name(env, name)
-            if v.__class__ is float:
-                return v + k
-            raise _arith_error(v, k, line)
-        return add
-    if op == "-":
-        def sub(env):
-            v = _read_name(env, name)
-            if v.__class__ is float:
-                return v - k
-            raise _arith_error(v, k, line)
-        return sub
-    if op == "*":
-        def mul(env):
-            v = _read_name(env, name)
-            if v.__class__ is float:
-                return v * k
-            raise _arith_error(v, k, line)
-        return mul
-    if op == "<":
-        def lt(env):
-            v = _read_name(env, name)
-            if v.__class__ is float:
-                return v < k
-            raise ScriptRuntimeError(
-                f"attempt to compare {type_name(v)} with number", line)
-        return lt
-    if op == "<=":
-        def le(env):
-            v = _read_name(env, name)
-            if v.__class__ is float:
-                return v <= k
-            raise ScriptRuntimeError(
-                f"attempt to compare {type_name(v)} with number", line)
-        return le
-    if op == ">":
-        def gt(env):
-            v = _read_name(env, name)
-            if v.__class__ is float:
-                return v > k
-            raise ScriptRuntimeError(
-                f"attempt to compare {type_name(v)} with number", line)
-        return gt
-
-    def ge(env):
-        v = _read_name(env, name)
-        if v.__class__ is float:
-            return v >= k
-        raise ScriptRuntimeError(
-            f"attempt to compare {type_name(v)} with number", line)
-    return ge
 
 
 class UnaryOp(Node):
@@ -582,12 +618,12 @@ class UnaryOp(Node):
         self.operand = operand
         self.line = line
 
-    def compile(self):
-        c = self.operand.compile()
+    def compile(self, scope):
+        c = self.operand.compile(scope)
         line = self.line
 
-        def neg(env):
-            v = c(env)
+        def neg(fr):
+            v = c(fr)
             if v.__class__ is float:
                 return -v
             raise ScriptRuntimeError(
@@ -603,50 +639,40 @@ class UnaryOp(Node):
 # -------------------------------------------------------------- statements
 
 class Block:
-    __slots__ = ("stmts", "has_local")
+    __slots__ = ("stmts",)
 
     def __init__(self, stmts: list):
         self.stmts = stmts
-        self.has_local = any(s.__class__ is LocalDecl for s in stmts)
 
-    def compile_inline(self):
-        """Sequence closure running the statements in the given env."""
-        codes = [s.compile_stmt() for s in self.stmts]
+    def compile(self, scope):
+        """Sequence closure; the block's locals go out of scope at its end."""
+        mark = scope.open()
+        codes = [s.compile_stmt(scope) for s in self.stmts]
+        scope.close(mark)
         if not codes:
-            return lambda env: None
+            return lambda fr: None
         if len(codes) == 1:
             return codes[0]
         if len(codes) == 2:
             c0, c1 = codes
 
-            def run2(env):
-                r = c0(env)
+            def run2(fr):
+                r = c0(fr)
                 if r is not None:
                     return r
-                return c1(env)
+                return c1(fr)
 
             return run2
         codes_t = tuple(codes)
 
-        def run(env):
+        def run(fr):
             for c in codes_t:
-                r = c(env)
+                r = c(fr)
                 if r is not None:
                     return r
             return None
 
         return run
-
-    def compile_scoped(self):
-        """Like compile_inline, but locals get their own scope."""
-        run = self.compile_inline()
-        if not self.has_local:
-            return run
-
-        def scoped(env):
-            return run(Environment(env))
-
-        return scoped
 
     def unparse(self) -> str:
         return "; ".join(s.unparse() for s in self.stmts)
@@ -659,12 +685,11 @@ class ExprStat(Node):
         self.expr = expr
         self.line = line
 
-    def compile_stmt(self):
-        c = self.expr.compile()
+    def compile_stmt(self, scope):
+        c = self.expr.compile(scope)
 
-        def run(env):
-            c(env)
-            return None
+        def run(fr):
+            c(fr)
 
         return run
 
@@ -680,56 +705,23 @@ class AssignName(Node):
         self.expr = expr
         self.line = line
 
-    def compile_stmt(self):
-        name = self.name
-        expr = self.expr
-        # x = x <op> k updates in place: one walk finds the binding and
-        # stores through it (an unbound x still reads as nil and fails
-        # the arithmetic the same way the unfused form does)
-        if (expr.__class__ is BinOp and expr.op in ("+", "-")
-                and expr.left.__class__ is VarExpr
-                and expr.left.name == name
-                and expr.right.__class__ is NumberLit):
-            k = expr.right.value
-            line = expr.line
-            if expr.op == "-":
-                k = -k
+    def compile_stmt(self, scope):
+        expr_c = self.expr.compile(scope)
+        kind, i = scope.resolve(self.name)
+        if kind == LOCAL:
+            def assign(fr):
+                fr[i] = expr_c(fr)
+        elif kind == CELL:
+            def assign(fr):
+                fr[i][0] = expr_c(fr)
+        elif kind == UPVAL:
+            def assign(fr):
+                fr[1][i][0] = expr_c(fr)
+        else:
+            name = self.name
 
-            def bump(env):
-                e = env
-                while True:
-                    vars = e.vars
-                    v = vars.get(name, _MISS)
-                    if v is not _MISS:
-                        if v.__class__ is float:
-                            vars[name] = v + k
-                            return None
-                        raise _arith_error(v, k, line)
-                    p = e.parent
-                    if p is None:
-                        raise ScriptRuntimeError(
-                            "attempt to perform arithmetic on a nil value",
-                            line)
-                    e = p
-
-            return bump
-
-        expr_c = expr.compile()
-
-        def assign(env):
-            v = expr_c(env)
-            e = env
-            while True:
-                vars = e.vars
-                if name in vars:
-                    vars[name] = v
-                    return None
-                p = e.parent
-                if p is None:
-                    vars[name] = v
-                    return None
-                e = p
-
+            def assign(fr):
+                fr[0][name] = expr_c(fr)
         return assign
 
     def unparse(self) -> str:
@@ -745,29 +737,29 @@ class AssignIndex(Node):
         self.expr = expr
         self.line = line
 
-    def compile_stmt(self):
-        obj_c = self.obj.compile()
-        expr_c = self.expr.compile()
+    def compile_stmt(self, scope):
+        obj_c = self.obj.compile(scope)
         line = self.line
         const_key = self.key.value if self.key.__class__ is StringLit else None
-        key_c = None if const_key is not None else self.key.compile()
+        key_c = None if const_key is not None else self.key.compile(scope)
+        expr_c = self.expr.compile(scope)
 
-        def store(env):
-            t = obj_c(env)
+        def store(fr):
+            t = obj_c(fr)
             if t.__class__ is not Table:
                 raise ScriptRuntimeError(
                     f"attempt to index a {type_name(t)} value", line)
             if const_key is not None:
                 key = const_key
             else:
-                key = key_c(env)
+                key = key_c(fr)
                 if not (key.__class__ is str or key.__class__ is float):
                     if key is NIL:
                         raise KeyIsNil("table key is nil", line)
                     raise ScriptRuntimeError(
                         f"table key must be a string or number, "
                         f"got {type_name(key)}", line)
-            v = expr_c(env)
+            v = expr_c(fr)
             handler = t.newindex_handler
             if handler is not None:
                 try:
@@ -800,20 +792,28 @@ class LocalDecl(Node):
         self.expr = expr  # may be None
         self.line = line
 
-    def compile_stmt(self):
-        name = self.name
-        if self.expr is None:
-            def declare(env):
-                env.vars[name] = NIL
-                return None
-            return declare
-        expr_c = self.expr.compile()
+    def compile_stmt(self, scope):
+        expr = self.expr
+        if expr.__class__ is FunctionExpr:
+            # in scope inside its own initializer, so it can recurse
+            kind, slot = scope.declare(self.name)
+            expr_c = expr.compile(scope)
+        else:
+            expr_c = _nil if expr is None else expr.compile(scope)
+            kind, slot = scope.declare(self.name)
+        if kind == CELL:
+            # a fresh cell every time the declaration runs, made before
+            # the initializer so a function literal can capture it
+            def declare_cell(fr):
+                fr[slot] = box = [NIL]
+                box[0] = expr_c(fr)
 
-        def declare_init(env):
-            env.vars[name] = expr_c(env)
-            return None
+            return declare_cell
 
-        return declare_init
+        def declare(fr):
+            fr[slot] = expr_c(fr)
+
+        return declare
 
     def unparse(self) -> str:
         if self.expr is None:
@@ -829,38 +829,36 @@ class IfStat(Node):
         self.else_block = else_block  # Block or None
         self.line = line
 
-    def compile_stmt(self):
-        else_c = (self.else_block.compile_scoped()
+    def compile_stmt(self, scope):
+        clauses_c = tuple(
+            (cond.compile(scope), block.compile(scope))
+            for cond, block in self.clauses)
+        else_c = (self.else_block.compile(scope)
                   if self.else_block is not None else None)
-        if len(self.clauses) == 1:
-            cond_c = self.clauses[0][0].compile()
-            block_c = self.clauses[0][1].compile_scoped()
+        if len(clauses_c) == 1:
+            (cond_c, block_c), = clauses_c
             if else_c is None:
-                def run_if(env):
-                    c = cond_c(env)
+                def run_if(fr):
+                    c = cond_c(fr)
                     if c is not NIL and c is not False:
-                        return block_c(env)
+                        return block_c(fr)
                     return None
                 return run_if
 
-            def run_if_else(env):
-                c = cond_c(env)
+            def run_if_else(fr):
+                c = cond_c(fr)
                 if c is not NIL and c is not False:
-                    return block_c(env)
-                return else_c(env)
+                    return block_c(fr)
+                return else_c(fr)
             return run_if_else
 
-        clauses_c = tuple(
-            (cond.compile(), block.compile_scoped())
-            for cond, block in self.clauses)
-
-        def run(env):
+        def run(fr):
             for cond_c, block_c in clauses_c:
-                c = cond_c(env)
+                c = cond_c(fr)
                 if c is not NIL and c is not False:
-                    return block_c(env)
+                    return block_c(fr)
             if else_c is not None:
-                return else_c(env)
+                return else_c(fr)
             return None
 
         return run
@@ -883,99 +881,18 @@ class WhileStat(Node):
         self.body = body
         self.line = line
 
-    def compile_stmt(self):
-        fused = self._compile_counter_loop()
-        if fused is not None:
-            return fused
-        cond_c = self.cond.compile()
-        body_c = self.body.compile_inline()
-        if self.body.has_local:
-            def run_scoped(env):
-                while True:
-                    c = cond_c(env)
-                    if c is NIL or c is False:
-                        return None
-                    r = body_c(Environment(env))
-                    if r is not None:
-                        return r
-            return run_scoped
+    def compile_stmt(self, scope):
+        cond_c = self.cond.compile(scope)
+        body_c = self.body.compile(scope)
 
-        def run(env):
+        def run(fr):
             while True:
-                c = cond_c(env)
+                c = cond_c(fr)
                 if c is NIL or c is False:
                     return None
-                r = body_c(env)
+                r = body_c(fr)
                 if r is not None:
                     return r
-
-        return run
-
-    def _compile_counter_loop(self):
-        """while i < K do ... i = i + s end resolves i's binding once.
-
-        Sound because a binding, once found from a given scope, cannot
-        move: nothing deletes bindings, and per-iteration child scopes
-        sit below the resolved one.  Not applied when the body's own
-        locals include the counter name, since those shadow it.
-        """
-        cond = self.cond
-        stmts = self.body.stmts
-        if not (cond.__class__ is BinOp and cond.op in ("<", "<=")
-                and cond.left.__class__ is VarExpr
-                and cond.right.__class__ is NumberLit
-                and stmts):
-            return None
-        last = stmts[-1]
-        if not (last.__class__ is AssignName
-                and last.name == cond.left.name
-                and last.expr.__class__ is BinOp
-                and last.expr.op in ("+", "-")
-                and last.expr.left.__class__ is VarExpr
-                and last.expr.left.name == last.name
-                and last.expr.right.__class__ is NumberLit):
-            return None
-        name = cond.left.name
-        rest = Block(stmts[:-1])
-        if any(s.__class__ is LocalDecl and s.name == name
-               for s in rest.stmts):
-            return None
-        limit = cond.right.value
-        inclusive = cond.op == "<="
-        step = last.expr.right.value
-        if last.expr.op == "-":
-            step = -step
-        cond_line = cond.line
-        incr_line = last.expr.line
-        body_c = rest.compile_inline()
-        scoped = rest.has_local
-
-        def run(env):
-            e = env
-            while e is not None:
-                vars = e.vars
-                if name in vars:
-                    break
-                e = e.parent
-            else:
-                raise ScriptRuntimeError(
-                    "attempt to compare nil with number", cond_line)
-            v = vars[name]
-            while True:
-                if v.__class__ is not float:
-                    raise ScriptRuntimeError(
-                        f"attempt to compare {type_name(v)} with number",
-                        cond_line)
-                if not (v <= limit if inclusive else v < limit):
-                    return None
-                r = body_c(Environment(env) if scoped else env)
-                if r is not None:
-                    return r
-                v = vars[name]
-                if v.__class__ is not float:
-                    raise _arith_error(v, step, incr_line)
-                v = v + step
-                vars[name] = v
 
         return run
 
@@ -994,38 +911,45 @@ class ForNum(Node):
         self.body = body
         self.line = line
 
-    def compile_stmt(self):
-        name = self.name
+    def compile_stmt(self, scope):
         line = self.line
-        start_c = self.start.compile()
-        stop_c = self.stop.compile()
-        step_c = None if self.step is None else self.step.compile()
-        body_c = self.body.compile_inline()
-        needs_scope = self.body.has_local
+        start_c = self.start.compile(scope)
+        stop_c = self.stop.compile(scope)
+        step_c = None if self.step is None else self.step.compile(scope)
+        mark = scope.open()
+        kind, slot = scope.declare(self.name)
+        cell = kind == CELL
+        body_c = self.body.compile(scope)
+        scope.close(mark)
 
-        def run(env):
-            start = start_c(env)
-            stop = stop_c(env)
-            step = 1.0 if step_c is None else step_c(env)
+        def run(fr):
+            start = start_c(fr)
+            stop = stop_c(fr)
+            step = 1.0 if step_c is None else step_c(fr)
             if not (start.__class__ is float and stop.__class__ is float
                     and step.__class__ is float):
                 raise ScriptRuntimeError("for bounds must be numbers", line)
             if step == 0.0:
                 raise ScriptRuntimeError("for step is zero", line)
-            scope = Environment(env)
-            svars = scope.vars
+            # one variable per run of the loop: closures made in its
+            # iterations share it
+            if cell:
+                fr[slot] = box = [NIL]
+                at = 0
+            else:
+                box, at = fr, slot
             i = start
             if step > 0.0:
                 while i <= stop:
-                    svars[name] = i
-                    r = body_c(Environment(scope) if needs_scope else scope)
+                    box[at] = i
+                    r = body_c(fr)
                     if r is not None:
                         return r
                     i += step
             else:
                 while i >= stop:
-                    svars[name] = i
-                    r = body_c(Environment(scope) if needs_scope else scope)
+                    box[at] = i
+                    r = body_c(fr)
                     if r is not None:
                         return r
                     i += step
@@ -1047,14 +971,14 @@ class ReturnStat(Node):
         self.exprs = exprs
         self.line = line
 
-    def compile_stmt(self):
+    def compile_stmt(self, scope):
         if not self.exprs:
-            return lambda env: _EMPTY
+            return lambda fr: _EMPTY
         if len(self.exprs) == 1:
-            c0 = self.exprs[0].compile()
-            return lambda env: [c0(env)]
-        codes = tuple(e.compile() for e in self.exprs)
-        return lambda env: [c(env) for c in codes]
+            c0 = self.exprs[0].compile(scope)
+            return lambda fr: [c0(fr)]
+        codes = tuple(e.compile(scope) for e in self.exprs)
+        return lambda fr: [c(fr) for c in codes]
 
     def unparse(self) -> str:
         if not self.exprs:
@@ -1063,18 +987,27 @@ class ReturnStat(Node):
 
 
 class Chunk:
-    """A parsed program: the top-level statement block."""
+    """A parsed program: the top-level statement block.  captured is the
+    set of names that functions defined in it use."""
 
-    __slots__ = ("block", "_code")
+    __slots__ = ("block", "captured", "_code")
 
-    def __init__(self, block: Block):
+    def __init__(self, block: Block, captured: set):
         self.block = block
+        self.captured = captured
         self._code = None
 
     def code(self):
+        """The compiled chunk, a closure globals -> None | list."""
         c = self._code
         if c is None:
-            c = self.block.compile_scoped()
+            scope = Scope(None, self.captured)
+            body = self.block.compile(scope)
+            pad = (NIL,) * (scope.size - 2)
+
+            def c(globals):
+                return body([globals, (), *pad])
+
             self._code = c
         return c
 

@@ -5,6 +5,16 @@ are bool, numbers are float (one number type, double precision), strings
 are str, and tables, closures and native functions are the classes below.
 Storing nil into a table removes the key, so a present key is never nil.
 
+A running script function works on a frame, a Python list laid out as
+
+    [globals, upvals, slot, slot, ...]
+
+globals is the interpreter's plain dict of global variables, upvals is
+the running closure's tuple of captured cells, and each local variable,
+parameter and for variable has a slot fixed at compile time.  A local
+that a nested function names lives in its slot as a cell, a one-element
+list, so the closure and the frame share it.
+
 Tables carry two optional fallback handlers.  The index handler fires when
 a read misses; the newindex handler, once installed, intercepts every
 script-level write to the table.  Handler implementations and bridge
@@ -46,70 +56,31 @@ class Table:
         return f"table: 0x{self.uid:08x}"
 
 
-class Environment:
-    """A scope in the lexical chain. The root holds the globals."""
-
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, parent: "Environment | None" = None):
-        self.vars: dict = {}
-        self.parent = parent
-
-    def get(self, name: str):
-        env = self
-        while env is not None:
-            v = env.vars.get(name, _MISS)
-            if v is not _MISS:
-                return v
-            env = env.parent
-        return NIL
-
-    def assign(self, name: str, value) -> None:
-        """Rebind the nearest existing binding; fall back to a new global."""
-        env = self
-        while True:
-            if name in env.vars:
-                env.vars[name] = value
-                return
-            if env.parent is None:
-                env.vars[name] = value
-                return
-            env = env.parent
-
-    def define(self, name: str, value) -> None:
-        self.vars[name] = value
-
-
 class Closure:
-    """A script function: parameter names, compiled body, captured scope.
+    """A script function: compiled body, frame shape and captured cells.
 
-    body is a closure env -> None | list (a list being return values).
-    needs_scope is false only when the function binds nothing at the top
-    level, in which case the body runs straight in the captured scope.
+    body is a closure frame -> None | list (a list being return values).
+    The first nparams slots take the arguments and pad fills the others
+    with nil.  upvals holds the cells of enclosing locals the body uses.
     """
 
-    __slots__ = ("params", "body", "env", "needs_scope", "uid", "__weakref__")
+    __slots__ = ("body", "nparams", "pad", "upvals", "globals", "uid",
+                 "__weakref__")
 
-    def __init__(self, params, body, env: Environment,
-                 needs_scope: bool = True):
-        self.params = params
+    def __init__(self, body, nparams: int, pad: tuple, upvals: tuple,
+                 globals: dict):
         self.body = body
-        self.env = env
-        self.needs_scope = needs_scope
+        self.nparams = nparams
+        self.pad = pad
+        self.upvals = upvals
+        self.globals = globals
         self.uid = _uid()
 
     def invoke(self, args: list) -> list:
-        if self.needs_scope:
-            env = Environment(self.env)
-            scope = env.vars
-            n = len(args)
-            i = 0
-            for name in self.params:
-                scope[name] = args[i] if i < n else NIL
-                i += 1
-        else:
-            env = self.env
-        r = self.body(env)
+        n = self.nparams
+        if len(args) != n:
+            args = args[:n] + [NIL] * (n - len(args))
+        r = self.body([self.globals, self.upvals, *args, *self.pad])
         return _EMPTY if r is None else r
 
     def __repr__(self) -> str:
@@ -238,10 +209,6 @@ def render(v) -> str:
             return f"hostobject: {ref!r}"
         return repr(v)
     return str(v)
-
-
-def is_truthy(v) -> bool:
-    return v is not NIL and v is not False
 
 
 def script_equals(l, r) -> bool:

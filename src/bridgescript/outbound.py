@@ -49,9 +49,6 @@ class DispatchStats:
     def fires(self, proxy: Table, key) -> int:
         return self.fallback_fires.get((proxy.uid, key), 0)
 
-    def total_fires(self) -> int:
-        return sum(self.fallback_fires.values())
-
 
 class OutboundBridge:
     def __init__(self, registry):

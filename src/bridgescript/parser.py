@@ -12,6 +12,13 @@ Colon calls and method definitions are sugar and never survive parsing:
 When the receiver of a colon call is not a bare name it is evaluated
 exactly once, by binding it to the parameter of an immediately applied
 closure.  Generated parameter names use the reserved __recv prefix.
+
+While it builds a function body the parser collects the variable names
+used anywhere inside it.  Each FunctionExpr and the Chunk record the
+names used by the functions nested in their body (captured), which is
+all the compiler needs to know which locals to keep in cells.  The
+closure a colon call desugars to counts as a nested body, since its
+arguments move into it.
 """
 
 import itertools
@@ -52,19 +59,26 @@ _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 def parse(tokens: list[Token]) -> Chunk:
     """Parse a token stream into a fully desugared Chunk."""
-    return _Parser(tokens).parse_chunk()
+    p = _Parser(tokens)
+    try:
+        return p.parse_chunk()
+    except RecursionError:
+        # nesting deep enough to exhaust Python's stack
+        pass
+    p._error("less deeply nested code")
 
 
 def parse_source(source: str) -> Chunk:
     return parse(tokenize(source))
 
 
-def desugar_colon_call(node: ColonCall) -> CallExpr:
+def desugar_colon_call(node: ColonCall, captured: set) -> CallExpr:
     """Rewrite a colon call into core form, evaluating the receiver once.
 
     A bare-name receiver is referenced twice directly, which is safe; any
     other receiver is passed into a one-parameter closure so that side
-    effects of computing it happen a single time.
+    effects of computing it happen a single time.  captured is the set
+    of names used by functions nested in the arguments.
     """
     line = node.line
     key = StringLit(node.name, line)
@@ -78,7 +92,8 @@ def desugar_colon_call(node: ColonCall) -> CallExpr:
         [VarExpr(tmp, line)] + node.args,
         line,
     )
-    fn = FunctionExpr([tmp], Block([ReturnStat([inner], line)]), line)
+    fn = FunctionExpr([tmp], Block([ReturnStat([inner], line)]), line,
+                      captured)
     return CallExpr(fn, [recv], line)
 
 
@@ -105,6 +120,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.used: set = set()  # names used in the innermost open body
+        self.nested: set = set()  # names used by functions nested in it
+        self.outer: list = []  # (used, nested) of the enclosing bodies
 
     # ------------------------------------------------------------ plumbing
 
@@ -148,13 +166,26 @@ class _Parser:
             return tok.line
         return self.tokens[-1].line if self.tokens else 1
 
+    def _open_body(self) -> None:
+        self.outer.append((self.used, self.nested))
+        self.used = set()
+        self.nested = set()
+
+    def _close_body(self) -> set:
+        """End a nested body; returns the names its own nested bodies use."""
+        used, captured = self.used, self.nested
+        self.used, self.nested = self.outer.pop()
+        self.used |= used
+        self.nested |= used
+        return captured
+
     # ----------------------------------------------------------- statements
 
     def parse_chunk(self) -> Chunk:
         block = self._block(frozenset())
         if self._peek() is not None:
             self._error("a statement")
-        return Chunk(block)
+        return Chunk(block, self.nested)
 
     def _block(self, terminators: frozenset) -> Block:
         stmts = []
@@ -248,6 +279,7 @@ class _Parser:
     def _function_stat(self):
         line = self._advance().line
         first = self._expect(IDENT)
+        self.used.add(first.lexeme)
         target = VarExpr(first.lexeme, first.line)
         dotted: list[str] = []
         method_name = None
@@ -258,10 +290,10 @@ class _Parser:
             if self._accept(PUNCT, ":"):
                 method_name = self._expect(IDENT).lexeme
             break
-        params, body = self._funcbody()
+        params, body, captured = self._funcbody()
         if method_name is not None:
             params = ["self"] + params
-        fn = FunctionExpr(params, body, line)
+        fn = FunctionExpr(params, body, line, captured)
         if method_name is not None:
             obj = target
             for name in dotted:
@@ -287,6 +319,7 @@ class _Parser:
         return ReturnStat(exprs, line)
 
     def _funcbody(self):
+        self._open_body()
         self._expect(PUNCT, "(")
         params = []
         if not self._check(PUNCT, ")"):
@@ -296,7 +329,7 @@ class _Parser:
         self._expect(PUNCT, ")")
         body = self._block(frozenset(("end",)))
         self._expect(KEYWORD, "end")
-        return params, body
+        return params, body, self._close_body()
 
     # ---------------------------------------------------------- expressions
 
@@ -368,8 +401,13 @@ class _Parser:
             elif mark == ":":
                 self._advance()
                 name = self._expect(IDENT).lexeme
+                bare = isinstance(expr, VarExpr)
+                if not bare:
+                    self._open_body()
                 args = self._call_args()
-                expr = desugar_colon_call(ColonCall(expr, name, args, tok.line))
+                captured = set() if bare else self._close_body()
+                expr = desugar_colon_call(
+                    ColonCall(expr, name, args, tok.line), captured)
             elif mark == "(":
                 expr = CallExpr(expr, self._call_args(), tok.line)
             else:
@@ -398,6 +436,7 @@ class _Parser:
             return StringLit(_decode_string(tok.lexeme, tok.line), tok.line)
         if kind == IDENT:
             self._advance()
+            self.used.add(tok.lexeme)
             return VarExpr(tok.lexeme, tok.line)
         if kind == KEYWORD:
             if tok.lexeme == "nil":
@@ -411,8 +450,8 @@ class _Parser:
                 return BoolLit(False, tok.line)
             if tok.lexeme == "function":
                 self._advance()
-                params, body = self._funcbody()
-                return FunctionExpr(params, body, tok.line)
+                params, body, captured = self._funcbody()
+                return FunctionExpr(params, body, tok.line, captured)
             self._error("an expression")
         if kind == PUNCT:
             if tok.lexeme == "(":

@@ -185,9 +185,6 @@ class HostRegistry:
     def frozen(self) -> bool:
         return self._frozen
 
-    def has_class(self, name: str) -> bool:
-        return name in self._classes
-
     # ------------------------------------------------------------ lifecycle
 
     def register_class(self, d: HostClassDescriptor) -> None:

@@ -41,6 +41,16 @@ def test_run_script_error_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("bs: ")
 
 
+def test_run_runaway_recursion_exits_one(tmp_path, capsys):
+    script = tmp_path / "deep.bs"
+    script.write_text("function f(n)\n  return f(n + 1)\nend\nf(1)\n",
+                      encoding="utf-8")
+    assert main(["run", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bs: ScriptRuntimeError (line 2)")
+    assert "stack overflow" in err
+
+
 def test_run_parse_error_exits_one(tmp_path, capsys):
     script = tmp_path / "bad.bs"
     script.write_text("while true\n", encoding="utf-8")

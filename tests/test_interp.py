@@ -1,8 +1,8 @@
 """Evaluator semantics: scoping, tables, fallbacks, control flow.
 
 Several loops here exist in two spellings of the same computation, one
-matching the shape the compiler specializes and one just outside it;
-both must agree in results and in error messages.
+with a literal on the right of its loop condition and one with it on
+the left; both must agree in results and in error messages.
 """
 
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from bridgescript.errors import (
     KeyIsNil,
     NotCallable,
+    ParseError,
     ScriptRuntimeError,
 )
 from bridgescript.objects import (
@@ -110,6 +111,83 @@ c2 = make()
 print(c1(), c1(), c2())
 """
     assert run(bare_interp, out, src) == "1\t2\t1\n"
+
+
+def test_local_function_literal_can_recurse(bare_interp):
+    src = """
+local fact = function(n)
+  if n <= 1 then return 1 end
+  return n * fact(n - 1)
+end
+return fact(5)
+"""
+    assert bare_interp.run(src) == [120.0]
+
+
+def test_loop_iterations_keep_separate_body_locals(bare_interp, out):
+    src = """
+fs = {}
+local i = 1
+while i <= 3 do
+  local v = i * 10
+  fs[i] = function() return v end
+  i = i + 1
+end
+for j = 4, 5 do
+  local w = j * 10
+  fs[j] = function() return w end
+end
+print(fs[1](), fs[2](), fs[3](), fs[4](), fs[5]())
+"""
+    assert run(bare_interp, out, src) == "10\t20\t30\t40\t50\n"
+
+
+def test_closures_of_one_for_run_share_its_variable(bare_interp, out):
+    src = """
+fs = {}
+for i = 1, 3 do
+  fs[i] = function() return i end
+end
+print(fs[1](), fs[2](), fs[3]())
+"""
+    assert run(bare_interp, out, src) == "3\t3\t3\n"
+
+
+def test_captured_parameter_is_shared_with_inner_closure(bare_interp, out):
+    src = """
+function counter(n)
+  local bump = function() n = n + 1 end
+  bump()
+  bump()
+  return n, function() return n end
+end
+local now = counter(5)
+local later = counter(7)
+print(now, later)
+"""
+    assert run(bare_interp, out, src) == "7\t9\n"
+
+
+def test_closure_does_not_see_a_later_local(bare_interp, out):
+    # the local is declared after the closure, so the closure names the
+    # global of the same name
+    src = """
+x = 'global'
+local f = function() return x end
+local x = 'local'
+print(f(), x)
+"""
+    assert run(bare_interp, out, src) == "global\tlocal\n"
+
+
+def test_redeclared_local_is_a_new_variable(bare_interp, out):
+    src = """
+local x = 1
+local f = function() return x end
+local x = 2
+print(f(), x)
+"""
+    assert run(bare_interp, out, src) == "1\t2\n"
 
 
 def test_missing_args_are_nil(bare_interp, out):
@@ -269,13 +347,13 @@ print(f())
     assert run(bare_interp, out, src) == "4\n"
 
 
-# ----------------------------------------- specialized vs general loops
+# ---------------------------------------- literal-right vs general loops
 
 def test_counter_loop_matches_manual_sum(bare_interp, out):
-    # same computation, one shape the compiler fuses and one it does not
-    fused = "local i = 0 local s = 0 while i < 7 do s = s + i i = i + 1 end return s"
+    # same computation, the literal once on each side of the comparison
+    literal_right = "local i = 0 local s = 0 while i < 7 do s = s + i i = i + 1 end return s"
     general = "local i = 0 local s = 0 while 7 > i do s = s + i i = i + 1 end return s"
-    assert bare_interp.run(fused) == bare_interp.run(general) == [21.0]
+    assert bare_interp.run(literal_right) == bare_interp.run(general) == [21.0]
 
 
 def test_counter_rebound_inside_body(bare_interp):
@@ -284,7 +362,7 @@ def test_counter_rebound_inside_body(bare_interp):
 
 
 def test_shadowing_local_defeats_counter(bare_interp):
-    # the inner local must not be mistaken for the loop counter
+    # the body's own local k is not the loop counter k
     src = """
 local n = 0
 local k = 0
@@ -342,6 +420,29 @@ def test_arith_error_reports_nil(bare_interp):
 def test_unary_minus_type_error(bare_interp):
     with pytest.raises(ScriptRuntimeError):
         bare_interp.run("x = -'s'")
+
+
+# ------------------------------------------------------- stack exhaustion
+
+def test_unbounded_recursion_is_a_script_error(bare_interp):
+    with pytest.raises(ScriptRuntimeError) as e:
+        bare_interp.run("function f(n)\n  return f(n + 1)\nend\nf(1)")
+    assert "stack overflow" in str(e.value)
+    assert e.value.line == 2
+
+
+def test_deep_expression_is_a_script_error(bare_interp):
+    # parses flat, but compiles to a tree too deep for Python's stack
+    with pytest.raises(ScriptRuntimeError) as e:
+        bare_interp.run("x = " + "1 + " * 5000 + "1")
+    assert "stack overflow" in str(e.value)
+
+
+def test_deep_nesting_is_a_parse_error(bare_interp):
+    src = "x = 1\ny = " + "(" * 2000 + "1" + ")" * 2000
+    with pytest.raises(ParseError) as e:
+        bare_interp.run(src)
+    assert e.value.line == 2
 
 
 # -------------------------------------------------- colon-call evaluation
