@@ -1,12 +1,12 @@
-"""Conversion between script and host values, and overload resolution.
+"""Conversion between script and host values.
 
 to_host scores each conversion: 2 for an exact match, 1 for a coercion
 (integral number into an integer slot, nil into any reference slot, a
 proxy of a strict subclass, a plain table wrapped as an interface or
 class).  Everything else is Incompatible, which is a result rather than
-an error.  A candidate's score is the sum over its parameters and
-select_overload picks the strict maximum: no viable candidate is NoMatch,
-a tied maximum is Ambiguous.
+an error.  to_host is the script-value front end of the overload rule,
+registry.resolve_overload.  A plain table is wrapped only when its
+converted value is read, so scoring overloads wraps nothing.
 
 This module also owns the proxy identity cache: one proxy table per live
 host object, held weakly so unused proxies can be collected.
@@ -14,8 +14,9 @@ host object, held weakly so unused proxies can be collected.
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import ClassNotFound, NotFrozen
+from .errors import Ambiguous, ClassNotFound, NoMatch, NotFrozen
 from .objects import NIL, Table, type_name
 from .registry import (
     BOOLEAN,
@@ -24,33 +25,15 @@ from .registry import (
     TEXT,
     ArrayTag,
     ClassTag,
+    Converted,
     HostArray,
     HostClassRef,
     HostObject,
+    Incompatible,
     InterfaceTag,
     MethodDescriptor,
+    resolve_overload,
 )
-
-
-class Converted:
-    __slots__ = ("value", "score")
-
-    def __init__(self, value, score: int):
-        self.value = value
-        self.score = score
-
-    def __repr__(self) -> str:
-        return f"Converted({self.value!r}, score={self.score})"
-
-
-class Incompatible:
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        return f"Incompatible({self.reason!r})"
 
 
 @dataclass(frozen=True)
@@ -59,6 +42,22 @@ class OverloadDecision:
     method: MethodDescriptor | None = None
     args: tuple | None = None
     tied: tuple = ()
+
+
+class _Wrapping(Converted):
+    """A plain table's conversion to an interface or class slot.  Reading
+    value wraps it, which caches a wrapper and, for a class, creates a
+    backing instance and sets "__base"."""
+
+    __slots__ = ("wrap",)
+
+    def __init__(self, wrap):
+        self.score = 1
+        self.wrap = wrap  # () -> ScriptWrapper
+
+    @property
+    def value(self):
+        return self.wrap()
 
 
 class Converter:
@@ -97,7 +96,7 @@ class Converter:
                 ref = v.entries.get("__hostref")
                 if ref is None:
                     if self._wrappable(tag.name, "class"):
-                        return Converted(self.auto_wrap(v, tag.name), 1)
+                        return _Wrapping(partial(self.auto_wrap, v, tag.name))
                     return Incompatible(
                         f"{tag.name!r} cannot back a plain table")
                 if ref.__class__ is HostObject:
@@ -115,7 +114,7 @@ class Converter:
                 return Converted(None, 1)
             if v.__class__ is Table and "__hostref" not in v.entries:
                 if self._wrappable(tag.name, "interface"):
-                    return Converted(self.auto_wrap(v, tag.name), 1)
+                    return _Wrapping(partial(self.auto_wrap, v, tag.name))
                 return Incompatible(f"{tag.name!r} is not a known interface")
             return Incompatible(
                 f"expected a {tag.name!r} implementation, got {_script_kind(v)}")
@@ -139,7 +138,7 @@ class Converter:
         if flat.kind != want_kind:
             return False
         if want_kind == "class":
-            return any(len(c.params) == 0 for c in flat.constructors)
+            return self.registry.has_default_constructor(name)
         return True
 
     # ------------------------------------------------------- host to script
@@ -174,45 +173,15 @@ class Converter:
 
     # --------------------------------------------------- overload resolution
 
-    def convert_args(self, m: MethodDescriptor, args: list):
-        """All-or-nothing conversion against one candidate's parameters.
-
-        Returns (score, converted list) or None when the candidate is not
-        viable (wrong arity or any incompatible argument).
-        """
-        params = m.params
-        if len(args) != len(params):
-            return None
-        score = 0
-        out = []
-        for v, tag in zip(args, params):
-            r = self.to_host(v, tag)
-            if r.__class__ is Incompatible:
-                return None
-            score += r.score
-            out.append(r.value)
-        return score, out
-
     def select_overload(self, cands: list, args: list) -> OverloadDecision:
-        best_score = -1
-        best = None
-        tied: list = []
-        for m in cands:
-            r = self.convert_args(m, args)
-            if r is None:
-                continue
-            score, conv = r
-            if score > best_score:
-                best_score = score
-                best = (m, conv)
-                tied = [m]
-            elif score == best_score:
-                tied.append(m)
-        if best is None:
+        """The overload rule's verdict on script values, as a value."""
+        try:
+            m, conv = resolve_overload(cands, args, self.to_host, "")
+        except NoMatch:
             return OverloadDecision("no_match")
-        if len(tied) > 1:
-            return OverloadDecision("ambiguous", tied=tuple(tied))
-        return OverloadDecision("selected", best[0], tuple(best[1]))
+        except Ambiguous as e:
+            return OverloadDecision("ambiguous", tied=e.tied)
+        return OverloadDecision("selected", m, tuple(conv))
 
 
 def _script_kind(v) -> str:

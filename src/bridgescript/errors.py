@@ -111,7 +111,9 @@ class NoMatch(BridgeScriptError):
 
 
 class Ambiguous(BridgeScriptError):
-    pass
+    def __init__(self, message: str, tied: tuple):
+        super().__init__(message)
+        self.tied = tied  # the candidates sharing the best score
 
 
 class NoSuchMember(BridgeScriptError):

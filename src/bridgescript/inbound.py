@@ -3,9 +3,9 @@
 hostExport(t, "demo.ActionListener") produces a wrapper the host side can
 call methods on.  Each invocation looks the method up in the table at
 call time, so a script can add or replace methods after exporting and the
-host sees the change.  The wrapper converts arguments host-to-script,
-calls the function with the table itself as the leading self argument,
-and converts the single result back against the declared return type.
+host sees the change.  The host arguments pick the declared overload by
+the rule scripts use; the wrapper calls the function with the table as
+self and converts the single result to that overload's return type.
 
 Exporting against a class additionally creates a backing instance with
 the zero-argument constructor.  Methods the table does not define fall
@@ -40,21 +40,22 @@ from .objects import (
     table_get,
     type_name,
 )
-from .registry import VOID
+from .registry import VOID, resolve_overload
 
 
 class ScriptWrapper:
     is_script_wrapper = True
 
-    __slots__ = ("target_type", "script_object", "backing", "_bridge",
-                 "__weakref__")
+    __slots__ = ("target_type", "script_object", "backing", "methods",
+                 "_bridge", "__weakref__")
 
     def __init__(self, bridge, target_type: str, script_object: Table,
-                 backing):
+                 backing, methods: dict):
         self._bridge = bridge
         self.target_type = target_type
         self.script_object = script_object
         self.backing = backing  # HostObject for class targets, else None
+        self.methods = methods  # the target's flattened overloads by name
 
     def invoke_method(self, name: str, host_args: list):
         return self._bridge.wrapper_invoke(self, name, host_args)
@@ -88,7 +89,7 @@ class InboundBridge:
                     f"{target_type!r} has no zero-argument constructor "
                     f"to back the table")
             backing = self.registry.instantiate(target_type, [])
-        w = ScriptWrapper(self, target_type, t, backing)
+        w = ScriptWrapper(self, target_type, t, backing, flat.methods)
         self._wrappers[key] = w
         if backing is not None:
             raw_set(t, "__base", self.converter.to_script(backing))
@@ -99,9 +100,8 @@ class InboundBridge:
         return self.host_export(t, target_type)
 
     def wrapper_invoke(self, w: ScriptWrapper, name: str, host_args: list):
-        flat = self.registry.lookup_class(w.target_type)
-        cands = flat.methods.get(name)
-        if not cands:
+        cands = w.methods.get(name)
+        if not cands or cands[0].static:
             raise NoSuchMember(w.target_type, name)
         fn = table_get(w.script_object, name)  # live: every call looks again
         if fn is NIL:
@@ -115,16 +115,14 @@ class InboundBridge:
             raise NotCallable(
                 f"{name!r} on the table exported as {w.target_type!r} "
                 f"is a {type_name(fn)}, not a function")
+        # the overload fixes the return tag; choose it before the call
+        m, host_args = resolve_overload(
+            cands, host_args, self.registry.score_host, w.target_type)
         conv = self.converter
         args = [w.script_object]
         for h in host_args:
             args.append(conv.to_script(h))
         vals = call_value(fn, args)
-        m = cands[0]
-        for c in cands:
-            if len(c.params) == len(host_args):
-                m = c
-                break
         if m.returns is VOID:
             return None
         result = vals[0] if vals else NIL

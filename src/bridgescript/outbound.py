@@ -20,7 +20,6 @@ proxies expose instance members.
 """
 
 from .errors import (
-    Ambiguous,
     BridgeScriptError,
     HostException,
     InterfaceNotInstantiable,
@@ -32,7 +31,13 @@ from .errors import (
 )
 from .convert import Incompatible
 from .objects import NativeFunction, Table
-from .registry import VOID, HostArray, HostClassRef, HostObject
+from .registry import (
+    VOID,
+    HostArray,
+    HostClassRef,
+    HostObject,
+    resolve_overload,
+)
 
 _EMPTY: list = []
 
@@ -73,16 +78,10 @@ class OutboundBridge:
         if flat.kind != "class":
             raise InterfaceNotInstantiable(
                 f"{name!r} is an interface and cannot be instantiated")
-        decision = self.converter.select_overload(
-            flat.constructors, script_args)
-        if decision.status == "no_match":
-            raise NoMatch(
-                f"no constructor of {name!r} accepts the given arguments")
-        if decision.status == "ambiguous":
-            raise Ambiguous(f"constructor call of {name!r} is ambiguous")
-        obj = self.registry.instantiate(
-            name, list(decision.args), ctor=decision.method)
-        return self.converter.to_script(obj)
+        ctor, args = resolve_overload(
+            flat.constructors, script_args, self.converter.to_host, name)
+        return self.converter.to_script(
+            self.registry.instantiate(name, args, ctor=ctor))
 
     def host_bind_class(self, name: str) -> Table:
         return self.converter.class_proxy(name)
@@ -153,6 +152,7 @@ class OutboundBridge:
         conv = self.converter
         reg = self.registry
         stats = self.stats
+        to_host = conv.to_host
         entries = proxy.entries
         single = cands[0] if len(cands) == 1 else None
         # nullary void methods skip conversion and result handling whole
@@ -199,32 +199,8 @@ class OutboundBridge:
                     raise HostException(f"{name}: {e}") from e
                 entries[name] = nf
                 return _EMPTY
-            call_args = args if static else args[1:]
-            if single is not None:
-                m = single
-                if not m.params:
-                    if call_args:
-                        raise NoMatch(
-                            f"{owner}.{name} takes no arguments")
-                    conv_args = call_args
-                else:
-                    r = conv.convert_args(m, call_args)
-                    if r is None:
-                        raise NoMatch(
-                            f"arguments do not match {owner}.{name}")
-                    conv_args = r[1]
-            else:
-                d = conv.select_overload(cands, call_args)
-                if d.status == "selected":
-                    m = d.method
-                    conv_args = d.args
-                elif d.status == "no_match":
-                    raise NoMatch(
-                        f"no overload of {owner}.{name} accepts "
-                        f"the given arguments")
-                else:
-                    raise Ambiguous(
-                        f"call of {owner}.{name} is ambiguous")
+            m, conv_args = resolve_overload(
+                cands, args if static else args[1:], to_host, owner)
             result = reg.invoke(m, receiver, conv_args)
             entries[name] = nf
             if m.returns is VOID:

@@ -13,10 +13,15 @@ HostObject as their first argument, static bodies receive the declared
 parameters only.  Host values are Python values: int, float, str, bool,
 None, HostObject, HostArray, or an inbound wrapper for interface and
 class typed slots.
+
+resolve_overload is the one overload rule, for calls from either side:
+each argument scores 2 (exact) or 1 (coercion) and the unique maximum
+sum wins.  Converter.to_host scores script values, score_host host ones.
 """
 
 import inspect
 import itertools
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -39,6 +44,7 @@ from .errors import (
 )
 
 _uid = itertools.count(1).__next__
+_FLOAT_MAX = sys.float_info.max
 
 
 # ------------------------------------------------------------------ type tags
@@ -164,8 +170,69 @@ def _is_wrapper(v) -> bool:
     return getattr(v, "is_script_wrapper", False)
 
 
-def _signature_key(m: MethodDescriptor) -> tuple:
-    return (m.name, m.params)
+class Converted:
+    __slots__ = ("value", "score")
+
+    def __init__(self, value, score: int):
+        self.value = value
+        self.score = score
+
+    def __repr__(self) -> str:
+        return f"Converted({self.value!r}, score={self.score})"
+
+
+class Incompatible:
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __repr__(self) -> str:
+        return f"Incompatible({self.reason!r})"
+
+
+def resolve_overload(cands, args, front, owner: str):
+    """(method, converted args) for the one of cands, the overloads of a
+    method or constructors of class owner, that front(value, tag) scores
+    highest on args, else NoMatch or Ambiguous.  Only the winner's
+    converted values are read, so a table is wrapped for it alone."""
+    n = len(args)
+    best = None
+    best_score = -1
+    tied = ()
+    for m in cands:
+        params = m.params
+        if len(params) != n:
+            continue
+        score = 0
+        convs = []
+        i = 0
+        while i < n:
+            r = front(args[i], params[i])
+            if r.__class__ is Incompatible:
+                break
+            score += r.score
+            convs.append(r)
+            i += 1
+        else:
+            if score > best_score:
+                best, best_score, best_convs, tied = m, score, convs, ()
+            elif score == best_score:
+                tied = (tied or (best,)) + (m,)
+    if best is None or tied:
+        name = cands[0].name
+        what = (f"constructor of {owner!r}" if name == "<init>"
+                else f"overload of {owner}.{name}")
+        if tied:
+            raise Ambiguous(
+                f"more than one {what} fits these arguments equally well",
+                tied)
+        raise NoMatch(f"no {what} accepts these arguments")
+    i = 0
+    while i < n:  # read the winner's values only now
+        best_convs[i] = best_convs[i].value
+        i += 1
+    return best, best_convs
 
 
 class HostRegistry:
@@ -239,7 +306,7 @@ class HostRegistry:
                 if not isinstance(initial, (int, float, str, bool, type(None))):
                     raise DescriptorError(
                         f"initial value of {d.name}.{name} must be a primitive or null")
-                if not _prim_conforms(initial, spec.tag):
+                if not self.conforms(initial, spec.tag):
                     raise DescriptorError(
                         f"initial value of {d.name}.{name} does not match its tag")
             out[name] = FieldSpec(spec.tag, spec.static, initial)
@@ -445,31 +512,20 @@ class HostRegistry:
     # ------------------------------------------------------------ instances
 
     def instantiate(self, name: str, args: list, ctor: MethodDescriptor | None = None):
+        """Construct name: with ctor, args are converted for it; without,
+        they are host values and the overload rule picks the ctor."""
         flat = self.lookup_class(name)
         if flat.kind != "class":
             raise InterfaceNotInstantiable(f"{name!r} is an interface")
         if ctor is None:
-            ctor = self._pick_constructor(flat, args)
+            ctor, args = resolve_overload(
+                flat.constructors, args, self.score_host, name)
         obj = HostObject(name, dict(self._instance_inits[name]))
         if ctor.body is not None:
             _run_native(ctor.body, (obj, *args), f"constructor of {name}")
         if self.validate_invokes:
             self._validate_object(obj)
         return obj
-
-    def _pick_constructor(self, flat, args: list) -> MethodDescriptor:
-        matches = [
-            c for c in flat.constructors
-            if len(c.params) == len(args)
-            and all(self.conforms(a, t) for a, t in zip(args, c.params))
-        ]
-        if not matches:
-            raise NoMatch(
-                f"no constructor of {flat.name!r} accepts {len(args)} "
-                f"argument(s) of these types")
-        if len(matches) > 1:
-            raise Ambiguous(f"constructor call on {flat.name!r} is ambiguous")
-        return matches[0]
 
     def invoke(self, m: MethodDescriptor, receiver, args: list):
         """Run a native body with already converted host arguments."""
@@ -493,21 +549,37 @@ class HostRegistry:
 
     def call_method(self, target, name: str, args: list):
         """Host-side dynamic dispatch: works on host objects and wrappers."""
-        if target is None:
-            raise HostException(f"call of {name!r} on a null reference")
+        if target.__class__ is HostObject:
+            cands = self.lookup_class(target.class_name).methods.get(name)
+            if not cands or cands[0].static:
+                raise NoSuchMember(target.class_name, name)
+            m, args = resolve_overload(
+                cands, args, self.score_host, target.class_name)
+            return self.invoke(m, target, args)
         if _is_wrapper(target):
             return target.invoke_method(name, args)
-        if isinstance(target, HostObject):
-            flat = self.lookup_class(target.class_name)
-            cands = flat.methods.get(name)
-            if not cands:
-                raise NoSuchMember(target.class_name, name)
-            for m in cands:
-                if len(m.params) == len(args):
-                    return self.invoke(m, target, args)
-            raise NoMatch(
-                f"{target.class_name}.{name} has no overload of arity {len(args)}")
         raise HostException(f"cannot call {name!r} on {target!r}")
+
+    def score_host(self, v, tag):
+        """Host-value front end of resolve_overload.  Numbers score as
+        script numbers; anything else that conforms is exact on its own
+        type and a coercion as None, a subclass instance or a wrapper."""
+        cls = v.__class__
+        if cls is HostObject:  # tested first: the commonest host argument
+            if tag.__class__ is ClassTag:
+                if v.class_name == tag.name:
+                    return Converted(v, 2)
+                if self.is_subclass(v.class_name, tag.name):
+                    return Converted(v, 1)
+        elif cls is int or cls is float:  # both are numbers to a script
+            # an int beyond the float range becomes no script number
+            if tag is FLOAT and (cls is float or abs(v) <= _FLOAT_MAX):
+                return Converted(float(v), 2)
+            if tag is INTEGER and (cls is int or v.is_integer()):
+                return Converted(int(v), 1)
+        elif self.conforms(v, tag):
+            return Converted(v, 1 if v is None or _is_wrapper(v) else 2)
+        return Incompatible("no conversion to this slot")
 
     # --------------------------------------------------------------- fields
 
@@ -620,18 +692,6 @@ def _normalize(tag, v):
     if tag is FLOAT and type(v) is int:
         return float(v)
     return v
-
-
-def _prim_conforms(v, tag) -> bool:
-    if tag is FLOAT:
-        return type(v) is float
-    if tag is INTEGER:
-        return type(v) is int
-    if tag is TEXT:
-        return type(v) is str
-    if tag is BOOLEAN:
-        return type(v) is bool
-    return v is None  # reference tags accept only null as a literal initial
 
 
 def _check_body_arity(class_name: str, m: MethodDescriptor) -> None:

@@ -4,12 +4,15 @@ Builds a small class world (a three-deep chain, a class without a
 default constructor, one interface), draws random candidate sets and
 argument lists, and counts agreements between select_overload and the
 brute-force referee in oracle.py.  Used by both the unit suite and the
-acceptance gate.
+acceptance gate.  run_host_trials does the same for host values: the
+registry's choice for them must equal the referee's choice for the
+script values to_script makes of them.
 """
 
 import random
 
 from bridgescript.convert import Converter
+from bridgescript.errors import Ambiguous, NoMatch
 from bridgescript.inbound import InboundBridge
 from bridgescript.objects import NIL, Table
 from bridgescript.outbound import OutboundBridge
@@ -25,6 +28,7 @@ from bridgescript.registry import (
     HostRegistry,
     InterfaceTag,
     MethodDescriptor,
+    resolve_overload,
 )
 
 import oracle
@@ -108,4 +112,58 @@ def run_trials(trials: int, seed: int = 20260814, extended: bool = False):
             agree += 1
         elif example is None:
             example = (cands, args, want_status, got.status)
+    return agree, trials, example
+
+
+def host_value_pool(reg):
+    """Host values covering every host-side rule row except wrappers
+    (whose scores differ from a plain table's by design)."""
+    return [
+        3, -1, 0,                  # ints
+        3.0, 1e9,                  # integral floats
+        2.5, -0.75,                # fractional floats
+        "s", "",
+        True, False,
+        None,
+        reg.instantiate("ora.Base", []),
+        reg.instantiate("ora.Derived", []),
+        reg.instantiate("ora.Leaf", []),
+        reg.array_new(INTEGER, 2),
+        reg.array_new(FLOAT, 2),
+    ]
+
+
+def host_decide(reg, cands, args):
+    """The overload rule's verdict on host values: (status, method)."""
+    try:
+        m, _ = resolve_overload(cands, args, reg.score_host, "ora")
+    except NoMatch:
+        return "no_match", None
+    except Ambiguous:
+        return "ambiguous", None
+    return "selected", m
+
+
+def run_host_trials(trials: int, seed: int = 20261018):
+    """run_trials for the overload rule over host values (score_host)."""
+    reg, conv = build_world()
+    pool = host_value_pool(reg)
+    tags = CORE_TAGS + EXTRA_TAGS
+    rng = random.Random(seed)
+    agree = 0
+    example = None
+    for _ in range(trials):
+        cands = []
+        for _ in range(rng.randint(1, 4)):
+            params = tuple(rng.choice(tags)
+                           for _ in range(rng.randint(0, 3)))
+            cands.append(MethodDescriptor("f", params, VOID, False, None))
+        args = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        want_status, want_method = oracle.decide(
+            reg, cands, [conv.to_script(h) for h in args])
+        got = host_decide(reg, cands, args)
+        if got == (want_status, want_method):
+            agree += 1
+        elif example is None:
+            example = (cands, args, want_status, got[0])
     return agree, trials, example

@@ -1,16 +1,18 @@
 """Conversion rules, the proxy cache, and overload selection.
 
 The selection tests lean on two randomized harnesses: overload_trials
-compares select_overload with the brute-force referee, and the
+compares the overload rule on script values (select_overload) and on
+host values (score_host) with the brute-force referee, and the
 round-trip properties draw fresh primitive values every run.
 """
 
+import math
 import random
 
 import pytest
 
 from bridgescript.convert import Converted, Incompatible
-from bridgescript.errors import ClassNotFound
+from bridgescript.errors import ClassNotFound, NoMatch
 from bridgescript.objects import NIL, Table
 from bridgescript.registry import (
     BOOLEAN,
@@ -22,9 +24,15 @@ from bridgescript.registry import (
     ClassTag,
     InterfaceTag,
     MethodDescriptor,
+    resolve_overload,
 )
 
-from overload_trials import build_world, run_trials
+from overload_trials import (
+    build_world,
+    host_decide,
+    run_host_trials,
+    run_trials,
+)
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +266,48 @@ def test_overload_agreement_with_referee():
 def test_overload_agreement_extended_tags():
     agree, total, example = run_trials(2_000, seed=7, extended=True)
     assert (agree, total) == (2_000, 2_000), example
+
+
+# ------------------------------------------- host-side overload selection
+
+def test_host_overload_agreement_with_referee():
+    agree, total, example = run_host_trials(3_000)
+    assert (agree, total) == (3_000, 3_000), example
+
+
+def test_host_selection_converts_to_the_chosen_tags(world):
+    reg, conv = world
+    f_int, f_float = md([INTEGER]), md([FLOAT])
+    m, args = resolve_overload([f_int], [4.0], reg.score_host, "ora")
+    assert args == [4] and type(args[0]) is int
+    m, args = resolve_overload([f_int, f_float], [4], reg.score_host, "ora")
+    assert m is f_float and type(args[0]) is float
+    for bad in ([f_int], [4.5]), ([f_float], [True]):
+        with pytest.raises(NoMatch):
+            resolve_overload(*bad, reg.score_host, "ora")
+    # x/0 gives a script these numbers, so host code may pass them too
+    for special in (math.inf, -math.inf, math.nan):
+        m, args = resolve_overload(
+            [f_int, f_float], [special], reg.score_host, "ora")
+        assert m is f_float and type(args[0]) is float
+        assert args[0] == special or math.isnan(special) == math.isnan(args[0])
+        assert conv.select_overload([f_int, f_float], [special]).method is f_float
+
+
+def test_host_wrappers_score_by_conformance(world):
+    """A wrapper counts 1 where conforms() accepts it and is incompatible
+    elsewhere; the plain table it wraps would fit any wrappable slot."""
+    reg, conv = world
+    ear = conv.auto_wrap(Table(), "ora.Ear")
+    derived = conv.auto_wrap(Table(), "ora.Derived")
+    f_ear, f_base = md([InterfaceTag("ora.Ear")]), md([ClassTag("ora.Base")])
+    f_derived = md([ClassTag("ora.Derived")])
+    f_leaf = md([ClassTag("ora.Leaf")])
+    assert host_decide(reg, [f_ear, f_base], [ear]) == ("selected", f_ear)
+    assert host_decide(reg, [f_ear, f_leaf], [derived]) == ("no_match", None)
+    assert host_decide(reg, [f_ear, f_base], [derived]) == ("selected", f_base)
+    # a wrapper is never exact: its own class and a base tie
+    assert host_decide(reg, [f_derived, f_base], [derived])[0] == "ambiguous"
+    # the script side sees the table, which fits both slots
+    assert conv.select_overload([f_ear, f_base],
+                                [ear.script_object]).status == "ambiguous"

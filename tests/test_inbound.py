@@ -7,12 +7,14 @@ late additions and swaps are visible.
 """
 
 import itertools
+import math
 
 import pytest
 
 from bridgescript.errors import (
     ClassNotFound,
     NoDefaultConstructor,
+    NoMatch,
     NoSuchMember,
     NotCallable,
     ProxyNotExportable,
@@ -22,10 +24,12 @@ from bridgescript.errors import (
 )
 from bridgescript.convert import Converter
 from bridgescript.inbound import InboundBridge, ScriptWrapper
-from bridgescript.objects import Table
+from bridgescript.interp import Interpreter
+from bridgescript.objects import NIL, Table
 from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
     FLOAT,
+    TEXT,
     VOID,
     HostClassDescriptor,
     HostRegistry,
@@ -270,3 +274,39 @@ def test_host_export_builtin_returns_the_table(interp, out):
                'r = hostExport(t, "demo.Greeter")\n'
                "print(r == t, javaExport == hostExport)")
     assert out.getvalue() == "true\ttrue\n"
+
+
+# ------------------------------------------------------ overloads on wrappers
+
+
+def _echo_interp(out):
+    """An interface whose one method has float and text overloads."""
+    reg = HostRegistry()
+    reg.register_class(HostClassDescriptor(
+        name="Echo", kind="interface", methods={"g": [
+            MethodDescriptor("g", (FLOAT,), FLOAT),
+            MethodDescriptor("g", (TEXT,), TEXT)]}))
+    reg.freeze()
+    return Interpreter(reg, out=out)
+
+
+def test_wrapper_return_tag_follows_the_chosen_overload(out):
+    interp = _echo_interp(out)
+    t = _table_from(interp, "t = {} function t:g(x) return x end")
+    w = interp.inbound.host_export(t, "Echo")
+    assert w.invoke_method("g", ["hi"]) == "hi"
+    assert w.invoke_method("g", [2.0]) == 2.0
+    assert w.invoke_method("g", [math.inf]) == math.inf
+
+
+def test_wrapper_rejects_arguments_before_calling_the_script(interp):
+    t = _table_from(interp,
+                    "t = {}\n"
+                    'function t:hello() called = true return "x" end')
+    w = interp.inbound.host_export(t, "demo.Greeter")
+    with pytest.raises(NoMatch):
+        w.invoke_method("hello", [1.0])
+    assert interp.global_value("called") is NIL
+    with pytest.raises(NoMatch):
+        interp.inbound.host_export(Table(), "demo.Greeter") \
+            .invoke_method("bye", ["extra"])

@@ -29,11 +29,13 @@ from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
     FLOAT,
     INTEGER,
+    TEXT,
     VOID,
     ClassTag,
     HostClassDescriptor,
     HostObject,
     HostRegistry,
+    InterfaceTag,
     MethodDescriptor,
 )
 
@@ -280,6 +282,27 @@ def test_ambiguous_call_reports_ambiguity():
     # nil converts to either class reference at the same score
     with pytest.raises(Ambiguous):
         dispatcher.fn([proxy, NIL])
+
+
+def test_losing_overload_does_not_wrap_the_table():
+    """Selection scores a plain table without wrapping it: only the
+    chosen overload's arguments are converted."""
+    ctor = MethodDescriptor("<init>", (), VOID, False, None)
+    base = HostClassDescriptor(name="Base", constructors=[ctor])
+    iface = HostClassDescriptor(name="I", kind="interface", methods={
+        "run": [MethodDescriptor("run", (), VOID)]})
+    got = []
+    sink = HostClassDescriptor(name="Sink", methods={"take": [
+        MethodDescriptor("take", (ClassTag("Base"), FLOAT), VOID, True,
+                         lambda b, x: got.append(("Base", b))),
+        MethodDescriptor("take", (InterfaceTag("I"), TEXT), VOID, True,
+                         lambda i, s: got.append(("I", i)))]})
+    reg, outb, conv = _world(base, iface, sink)
+    t = Table()
+    outb.proxy_index(conv.class_proxy("Sink"), "take").fn([t, "s"])
+    assert [(k, w.target_type) for k, w in got] == [("I", "I")]
+    assert got[0][1].script_object is t
+    assert "__base" not in t.entries
 
 
 # ------------------------------------------------------- host-body exceptions

@@ -1,5 +1,7 @@
 """Registry lifecycle, base-chain flattening, fields, arrays, manifests."""
 
+import math
+
 import pytest
 
 from bridgescript.demo import build_demo_registry, demo_bodies, load_demo_manifest
@@ -15,6 +17,7 @@ from bridgescript.errors import (
     ManifestError,
     NoMatch,
     NoSuchField,
+    NoSuchMember,
     NotFrozen,
     RegistryFrozen,
     TypeMismatch,
@@ -307,6 +310,62 @@ def test_validating_registry_accepts_demo_flow():
     p = reg.instantiate("demo.Point", [1.0, 2.0])
     reg.call_method(p, "move", [1.0, 1.0])
     assert p.fields == {"x": 2.0, "y": 3.0}
+
+
+# ------------------------------------------------ host-side overload choice
+
+def test_host_call_picks_overload_by_argument_type():
+    """Same arity, different types: the scored rule, not the first
+    overload of that arity, decides."""
+    reg = HostRegistry()
+    reg.register_class(desc("Two", methods={"f": [
+        method("f", (FLOAT,), TEXT, body=lambda s, x: "float"),
+        method("f", (TEXT,), TEXT, body=lambda s, x: "text")]}))
+    reg.freeze()
+    o = reg.instantiate("Two", [])
+    assert reg.call_method(o, "f", ["hello"]) == "text"
+    assert reg.call_method(o, "f", [2]) == "float"
+    assert reg.call_method(o, "f", [2.5]) == "float"
+
+
+def test_host_call_with_tied_overloads_is_ambiguous():
+    reg = HostRegistry()
+    reg.register_class(desc("A", constructors=[method("<init>")]))
+    reg.register_class(desc("B", constructors=[method("<init>")]))
+    reg.register_class(desc("Amb", methods={"pick": [
+        method("pick", (ClassTag("A"),), VOID, body=lambda s, x: None),
+        method("pick", (ClassTag("B"),), VOID, body=lambda s, x: None)]}))
+    reg.freeze()
+    with pytest.raises(Ambiguous):
+        reg.call_method(reg.instantiate("Amb", []), "pick", [None])
+
+
+def test_instantiate_converts_to_the_chosen_constructor(demo):
+    p = demo.instantiate("demo.Point", [1, 2])
+    assert p.fields["x"] == 1.0 and type(p.fields["x"]) is float
+    assert p.fields["y"] == 2.0 and type(p.fields["y"]) is float
+
+
+def test_call_method_checks_argument_types_before_the_body(demo):
+    p = demo.instantiate("demo.Point", [])
+    with pytest.raises(NoMatch):
+        demo.call_method(p, "move", ["a", "b"])
+    with pytest.raises(NoMatch):  # no script number holds it
+        demo.call_method(p, "move", [10**400, 1.0])
+    assert p.fields == {"x": 0.0, "y": 0.0}
+
+
+def test_host_calls_accept_infinite_and_nan_floats(demo):
+    p = demo.instantiate("demo.Point", [math.nan, 0.0])
+    assert math.isnan(p.fields["x"])
+    demo.call_method(p, "move", [math.inf, -math.inf])
+    assert math.isnan(p.fields["x"]) and p.fields["y"] == -math.inf
+
+
+def test_call_method_rejects_static_names(demo):
+    m = demo.instantiate("demo.MathUtil", [])
+    with pytest.raises(NoSuchMember):
+        demo.call_method(m, "twice", [2.0])
 
 
 # ------------------------------------------------------------------ arrays
