@@ -16,9 +16,10 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import Ambiguous, ClassNotFound, NoMatch, NotFrozen
+from .errors import Ambiguous, ClassNotFound, NoMatch, NotFrozen, TypeMismatch
 from .objects import NIL, Table, type_name
 from .registry import (
+    AS_IS,
     BOOLEAN,
     FLOAT,
     INTEGER,
@@ -32,6 +33,7 @@ from .registry import (
     Incompatible,
     InterfaceTag,
     MethodDescriptor,
+    PrimTag,
     resolve_overload,
 )
 
@@ -141,6 +143,40 @@ class Converter:
             return self.registry.has_default_constructor(name)
         return True
 
+    def converter_for(self, v, tag):
+        """What to_host does to every value of v's shape (see shape) in a
+        slot of tag that accepts v, as a function of the value; None when
+        such values pass as they are."""
+        if tag is INTEGER:
+            return int
+        if tag.__class__ is PrimTag:
+            return None
+        if v is NIL:
+            return _to_none
+        if "__hostref" in v.entries:
+            return _hostref
+        wrap = self.auto_wrap
+        name = tag.name
+        return lambda t: wrap(t, name)
+
+    def storer(self, tag, where: str):
+        """store(v) -> what a slot of tag holds for the script value v, as
+        to_host converts it (the primitive cases inline); TypeMismatch
+        naming where when v does not convert."""
+        to_host = self.to_host
+        as_is = AS_IS.get(tag)
+
+        def store(v):
+            if v.__class__ is as_is:
+                return v
+            if tag is INTEGER and v.__class__ is float and v.is_integer():
+                return int(v)
+            r = to_host(v, tag)
+            if r.__class__ is Incompatible:
+                raise TypeMismatch(f"cannot store into {where}: {r.reason}")
+            return r.value
+        return store
+
     # ------------------------------------------------------- host to script
 
     def to_script(self, h):
@@ -150,7 +186,11 @@ class Converter:
         if cls is float or cls is str or cls is bool:
             return h
         if cls is int:
-            return float(h)
+            try:
+                return float(h)
+            except OverflowError:
+                raise TypeMismatch(
+                    "host integer too large for a script number") from None
         if cls is HostObject or cls is HostArray:
             proxy = self._proxies.get(h.uid)
             if proxy is None:
@@ -182,6 +222,39 @@ class Converter:
         except Ambiguous as e:
             return OverloadDecision("ambiguous", tied=e.tied)
         return OverloadDecision("selected", m, tuple(conv))
+
+
+def shape(v):
+    """v's row in to_host's rule: integral number, fractional number,
+    string, boolean, nil, host class name, array element tag or plain
+    table.  Values of one shape get the same score in every slot, and the
+    same converter_for.  Class proxies fit no slot and share the shape
+    None; other values, closures say, fit none either."""
+    cls = v.__class__
+    if cls is float:
+        return _INTEGRAL if v.is_integer() else float
+    if cls is Table:
+        ref = v.entries.get("__hostref")
+        if ref is None:
+            return Table
+        if ref.__class__ is HostObject:
+            return ref.class_name
+        if ref.__class__ is HostArray:
+            return ref.elem_tag
+        return None
+    return cls
+
+
+# The shape of an integral number; a fractional number's is float.
+_INTEGRAL = object()
+
+
+def _to_none(v):
+    return None
+
+
+def _hostref(v):
+    return v.entries["__hostref"]
 
 
 def _script_kind(v) -> str:

@@ -15,7 +15,9 @@ backing write bypasses the newindex fallback: "__base" is bridge
 plumbing, not a script-level store.
 
 Wrappers are cached per (table, target type), so converting the same
-table twice yields the same host identity.
+table twice yields the same host identity.  The cache holds wrappers
+weakly; a table exported again after its wrapper was collected gets a
+new wrapper over the instance its "__base" already holds.
 """
 
 import weakref
@@ -40,7 +42,7 @@ from .objects import (
     table_get,
     type_name,
 )
-from .registry import VOID, resolve_overload
+from .registry import VOID, HostObject, resolve_overload
 
 
 class ScriptWrapper:
@@ -84,15 +86,16 @@ class InboundBridge:
             return w
         backing = None
         if flat.kind == "class":
-            if not self.registry.has_default_constructor(target_type):
-                raise NoDefaultConstructor(
-                    f"{target_type!r} has no zero-argument constructor "
-                    f"to back the table")
-            backing = self.registry.instantiate(target_type, [])
+            backing = _base_instance(t, target_type)
+            if backing is None:
+                if not self.registry.has_default_constructor(target_type):
+                    raise NoDefaultConstructor(
+                        f"{target_type!r} has no zero-argument constructor "
+                        f"to back the table")
+                backing = self.registry.instantiate(target_type, [])
+                raw_set(t, "__base", self.converter.to_script(backing))
         w = ScriptWrapper(self, target_type, t, backing, flat.methods)
         self._wrappers[key] = w
-        if backing is not None:
-            raw_set(t, "__base", self.converter.to_script(backing))
         return w
 
     def auto_wrap(self, t: Table, target_type: str) -> ScriptWrapper:
@@ -132,3 +135,14 @@ class InboundBridge:
                 f"result of {w.target_type}.{name} does not convert "
                 f"to the declared return type: {r.reason}")
         return r.value
+
+
+def _base_instance(t: Table, target_type: str):
+    """The target_type instance t's "__base" proxy stands for, if any: a
+    table exported again after its wrapper was collected keeps it."""
+    base = t.entries.get("__base")
+    if base.__class__ is Table:
+        ref = base.entries.get("__hostref")
+        if ref.__class__ is HostObject and ref.class_name == target_type:
+            return ref
+    return None

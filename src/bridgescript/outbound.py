@@ -2,22 +2,44 @@
 
 A proxy is an ordinary table whose "__hostref" entry holds the host
 reference; everything else about it is supplied lazily by fallbacks.
-Reading an absent key fires the index fallback, which resolves fields
-live against the host and, for methods, builds a dispatcher closure over
-the full candidate list.  Dispatch is therefore two steps: the fallback
-returns the dispatcher, the call invokes it.  On the way out of each
+
+Member tables.  The index and newindex fallbacks find a key in a member
+table: one for the instance members and one for the static members of
+each class, shared by every proxy of that class.  A member is built on
+its first use after freeze(), once per (class, member).  A field gets a
+bound getter and a bound setter, the setter with its tag's conversion
+and check fixed when it is built; a method gets one call site.  Host
+arrays get one element setter per element tag.  Getters read the host on
+every access: field values and array elements are never cached, so
+scripts always see current host state.  A key that names no member is
+refused and not remembered.
+
+Dispatch is two steps: the fallback returns a per-proxy dispatcher over
+the method's call site, the call invokes it.  On the way out of each
 invocation the dispatcher stores itself into the proxy under the method
 name, so later reads find it directly and the fallback never fires again
 for that name on that proxy.
 
-Field reads are never cached (they must see current host state), and the
-newindex fallback writes fields through to the host immediately.  Method
-names reject assignment, as does "__hostref" itself.
+Call sites.  A call site keeps a bounded cache in front of
+resolve_overload, keyed by the shapes of the arguments (convert.shape:
+integral number, fractional number, string, boolean, nil, host class
+name, array element tag, plain table).  Values of one shape score alike
+on every tag, so they get the same verdict.  An entry holds one
+converter per argument (Converter.converter_for) and the chosen method's
+registry invoker, which runs the body, wraps host errors as
+HostException and checks the result against the return tag; the call
+site converts the result to a script value.  A miss goes through
+resolve_overload, as does every call the rule refuses: NoMatch and
+Ambiguous are never cached.  The cache skips selection, never
+conversion: a plain table is auto-wrapped on every call, hit or miss.
 
-Arrays expose 1-based numeric indexing and a read-only "length".  Class
-proxies expose static fields and static methods the same way instance
-proxies expose instance members.
+Method names reject assignment, as does "__hostref" itself.  Arrays
+expose 1-based numeric indexing and a read-only "length".  Class proxies
+expose static fields and static methods the same way instance proxies
+expose instance members.
 """
+
+import weakref
 
 from .errors import (
     BridgeScriptError,
@@ -29,30 +51,65 @@ from .errors import (
     ReservedField,
     TypeMismatch,
 )
-from .convert import Incompatible
+from .convert import shape
 from .objects import NativeFunction, Table
 from .registry import (
+    AS_IS,
     VOID,
     HostArray,
-    HostClassRef,
     HostObject,
+    index_error,
     resolve_overload,
 )
 
 _EMPTY: list = []
+# The fallback_fires key of collected proxies' fires; no proxy has uid 0.
+RETIRED = (0, None)
+# Argument shapes one call site remembers; calls of further shapes
+# resolve every time.  The busiest sites of the perfbench workloads see
+# at most 4 shapes (Point.move: two numbers, each integral or
+# fractional), all of them remembered; 8 leaves room for twice that.
+SHAPES_PER_SITE = 8
 
 
 class DispatchStats:
-    """Counters used by tests to pin down when fallbacks fire."""
+    """Counters used by tests to pin down when fallbacks fire.  When a
+    proxy is collected its fire counts move into one RETIRED entry, so
+    the entries are bounded by the live proxies and the counts still
+    sum to every fire."""
 
-    __slots__ = ("fallback_fires", "dispatches")
+    __slots__ = ("fallback_fires", "dispatches", "_watched")
 
     def __init__(self):
         self.fallback_fires: dict = {}  # (proxy uid, key) -> count
         self.dispatches = 0
+        self._watched: dict = {}  # proxy uid -> (weak ref, keys fired)
 
     def fires(self, proxy: Table, key) -> int:
         return self.fallback_fires.get((proxy.uid, key), 0)
+
+    def watch(self, proxy: Table, key) -> None:
+        """Note a first fire of key on proxy, to forget with the proxy."""
+        uid = proxy.uid
+        watched = self._watched.get(uid)
+        if watched is None:
+            def forget(_):
+                fires = self.fallback_fires
+                n = sum(fires.pop((uid, k)) for k in self._watched.pop(uid)[1])
+                fires[RETIRED] = fires.get(RETIRED, 0) + n
+            watched = self._watched[uid] = (weakref.ref(proxy, forget), [])
+        watched[1].append(key)
+
+
+class _Member:
+    """One member of one class: read(proxy, ref) -> script value and
+    write(ref, value)."""
+
+    __slots__ = ("read", "write")
+
+    def __init__(self, read, write):
+        self.read = read
+        self.write = write
 
 
 class OutboundBridge:
@@ -60,6 +117,10 @@ class OutboundBridge:
         self.registry = registry
         self.converter = None  # wired by the interpreter
         self.stats = DispatchStats()
+        # (class name, key) -> _Member, built on first use
+        self._members: dict = {}         # instance members
+        self._static_members: dict = {}  # static members
+        self._element_stores: dict = {}  # array element tag -> setter
         self._index_handler = NativeFunction(self._on_index, "proxy_index")
         self._newindex_handler = NativeFunction(
             self._on_newindex, "proxy_newindex")
@@ -98,69 +159,171 @@ class OutboundBridge:
         return _EMPTY
 
     def proxy_index(self, proxy: Table, key):
-        stats = self.stats.fallback_fires
+        fires = self.stats.fallback_fires
         sk = (proxy.uid, key)
-        stats[sk] = stats.get(sk, 0) + 1
+        n = fires.get(sk)
+        if n is None:
+            self.stats.watch(proxy, key)
+            n = 0
+        fires[sk] = n + 1
         ref = proxy.entries["__hostref"]
-        cls = ref.__class__
-        if cls is HostObject:
-            return self._object_index(proxy, ref, key)
-        if cls is HostArray:
-            return self._array_index(ref, key)
-        return self._class_index(proxy, ref, key)
-
-    def _object_index(self, proxy: Table, obj: HostObject, key):
-        if key.__class__ is not str:
-            raise NoSuchMember(obj.class_name, str(key))
-        flat = self.registry.lookup_class(obj.class_name)
-        spec = flat.fields.get(key)
-        if spec is not None and not spec.static:
-            return self.converter.to_script(obj.fields[key])
-        cands = flat.methods.get(key)
-        if cands is not None and not cands[0].static:
-            return self._make_dispatcher(
-                proxy, obj.class_name, key, cands, static=False)
-        raise NoSuchMember(obj.class_name, key)
-
-    def _array_index(self, arr: HostArray, key):
-        if key.__class__ is float:
-            if key.is_integer():
-                return self.converter.to_script(
-                    self.registry.array_get(arr, int(key) - 1))
+        if ref.__class__ is HostArray:
+            if key.__class__ is float:
+                if key.is_integer():
+                    i = int(key) - 1
+                    elements = ref.elements
+                    if 0 <= i < len(elements):
+                        return self.converter.to_script(elements[i])
+                    raise index_error(i, len(elements))
+            elif key == "length":
+                return float(len(ref.elements))
             raise NoSuchMember("array", str(key))
-        if key == "length":
-            return float(len(arr.elements))
-        raise NoSuchMember("array", str(key))
+        return self._member(ref, key).read(proxy, ref)
 
-    def _class_index(self, proxy: Table, ref: HostClassRef, key):
+    def proxy_newindex(self, proxy: Table, key, value) -> None:
+        if key == "__hostref":
+            raise ReservedField("'__hostref' is reserved")
+        ref = proxy.entries["__hostref"]
+        if ref.__class__ is HostArray:
+            if key.__class__ is float and key.is_integer():
+                store = self._element_stores.get(ref.elem_tag)
+                if store is None:
+                    store = self._element_stores[ref.elem_tag] = \
+                        self.converter.storer(ref.elem_tag, "the array")
+                h = store(value)
+                i = int(key) - 1
+                elements = ref.elements
+                if not 0 <= i < len(elements):
+                    raise index_error(i, len(elements))
+                elements[i] = h
+                return
+            if key == "length":
+                raise TypeMismatch("array length is read-only")
+            raise NoSuchMember("array", str(key))
+        try:
+            m = self._member(ref, key)
+        except NoSuchMember:
+            # an instance proxy refuses a store to a static method's name
+            # as it does to an instance method's
+            if ref.__class__ is HostObject and key in self.registry \
+                    .lookup_class(ref.class_name).methods:
+                raise _unassignable(key, ref.class_name, False) from None
+            raise
+        m.write(ref, value)
+
+    # --------------------------------------------------------- member tables
+
+    def _member(self, ref, key) -> _Member:
+        """The member key of ref's class (instance members for a host
+        object, statics for a class reference), built on first use."""
+        if ref.__class__ is HostObject:
+            members, cname, static = self._members, ref.class_name, False
+        else:
+            members, cname, static = self._static_members, ref.name, True
+        m = members.get((cname, key))
+        if m is None:
+            m = members[(cname, key)] = self._build_member(cname, key, static)
+        return m
+
+    def _build_member(self, cname: str, key, static: bool) -> _Member:
         if key.__class__ is not str:
-            raise NoSuchMember(ref.name, str(key))
-        flat = self.registry.lookup_class(ref.name)
+            raise NoSuchMember(cname, str(key))
+        flat = self.registry.lookup_class(cname)
         spec = flat.fields.get(key)
-        if spec is not None and spec.static:
-            return self.converter.to_script(
-                self.registry.get_field(ref.name, key))
+        if spec is not None and spec.static == static:
+            return self._field(cname, key, spec.tag, static)
         cands = flat.methods.get(key)
-        if cands is not None and cands[0].static:
-            return self._make_dispatcher(
-                proxy, ref.name, key, cands, static=True)
-        raise NoSuchMember(ref.name, key)
+        if cands is not None and cands[0].static == static:
+            return self._method(cname, key, cands, static)
+        raise NoSuchMember(cname, key)
+
+    def _field(self, cname: str, key: str, tag, static: bool) -> _Member:
+        to_script = self.converter.to_script
+        store = self.converter.storer(tag, f"{cname}.{key}")
+        if static:
+            _, values = self.registry.resolve_field(cname, key)
+
+            def read(proxy, ref):
+                return to_script(values[key])
+
+            def write(ref, v):
+                values[key] = store(v)
+        else:
+            def read(proxy, ref):
+                return to_script(ref.fields[key])
+
+            def write(ref, v):
+                ref.fields[key] = store(v)
+        return _Member(read, write)
+
+    def _method(self, cname: str, key: str, cands, static: bool) -> _Member:
+        call = self._call_site(cname, cands)
+        m = cands[0]
+        # nullary void methods skip conversion and result handling whole
+        fast_body = None
+        if (len(cands) == 1 and not m.params and m.returns is VOID
+                and m.body is not None
+                and not self.registry.validate_invokes):
+            fast_body = m.body
+
+        def read(proxy, ref):
+            return self._dispatcher(
+                proxy, cname, key, static, call, fast_body)
+
+        def write(ref, v):
+            raise _unassignable(key, cname, static)
+        return _Member(read, write)
+
+    # ------------------------------------------------------------ call sites
+
+    def _call_site(self, owner: str, cands):
+        """call(receiver, args) -> script results for the overloads
+        cands of owner: a bounded shape cache in front of
+        resolve_overload."""
+        to_host = self.converter.to_host
+        to_script = self.converter.to_script
+        converter_for = self.converter.converter_for
+        invoker = self.registry.invoker
+        # method -> (its invoker, is it void, the class of results that
+        # pass back as they are)
+        runs = {m: (invoker(m), m.returns is VOID, AS_IS.get(m.returns))
+                for m in cands}
+        cache: dict = {}  # argument shapes -> (converters or None, run)
+
+        def call(receiver, args: list) -> list:
+            n = len(args)  # short calls spelt out: map() costs more
+            if n == 1:
+                key = (shape(args[0]),)
+            elif n == 2:
+                key = (shape(args[0]), shape(args[1]))
+            else:
+                key = tuple(map(shape, args))
+            hit = cache.get(key)
+            if hit is None:
+                m, host_args = resolve_overload(cands, args, to_host, owner)
+                run = runs[m]
+                if len(cache) < SHAPES_PER_SITE:
+                    convs = tuple(map(converter_for, args, m.params))
+                    cache[key] = (convs if any(convs) else None, run)
+                args = host_args
+            else:
+                convs, run = hit
+                if convs is not None:
+                    args = [v if c is None else c(v)
+                            for c, v in zip(convs, args)]
+            invoke, void, as_is = run
+            r = invoke(receiver, args)
+            if void:
+                return _EMPTY
+            return [r if r.__class__ is as_is else to_script(r)]
+        return call
 
     # ----------------------------------------------------------- dispatcher
 
-    def _make_dispatcher(self, proxy, owner, name, cands, static):
-        conv = self.converter
+    def _dispatcher(self, proxy, owner, name, static, call, fast_body):
         reg = self.registry
         stats = self.stats
-        to_host = conv.to_host
         entries = proxy.entries
-        single = cands[0] if len(cands) == 1 else None
-        # nullary void methods skip conversion and result handling whole
-        fast_body = None
-        if (single is not None and not single.params
-                and single.returns is VOID and single.body is not None
-                and not reg.validate_invokes):
-            fast_body = single.body
         nf = NativeFunction(None, name)
 
         def dispatch(args: list) -> list:
@@ -199,68 +362,16 @@ class OutboundBridge:
                     raise HostException(f"{name}: {e}") from e
                 entries[name] = nf
                 return _EMPTY
-            m, conv_args = resolve_overload(
-                cands, args if static else args[1:], to_host, owner)
-            result = reg.invoke(m, receiver, conv_args)
+            vals = call(receiver, args if static else args[1:])
             entries[name] = nf
-            if m.returns is VOID:
-                return _EMPTY
-            return [conv.to_script(result)]
+            return vals
 
         nf.fn = dispatch
         return nf
 
-    # ---------------------------------------------------------------- writes
 
-    def proxy_newindex(self, proxy: Table, key, value) -> None:
-        if key == "__hostref":
-            raise ReservedField("'__hostref' is reserved")
-        conv = self.converter
-        ref = proxy.entries["__hostref"]
-        cls = ref.__class__
-        if cls is HostObject:
-            if key.__class__ is not str:
-                raise NoSuchMember(ref.class_name, str(key))
-            flat = self.registry.lookup_class(ref.class_name)
-            spec = flat.fields.get(key)
-            if spec is not None and not spec.static:
-                r = conv.to_host(value, spec.tag)
-                if r.__class__ is Incompatible:
-                    raise TypeMismatch(
-                        f"cannot store into {ref.class_name}.{key}: "
-                        f"{r.reason}")
-                self.registry.set_field(ref, key, r.value)
-                return
-            if key in flat.methods:
-                raise TypeMismatch(
-                    f"{key!r} is a method of {ref.class_name!r} "
-                    f"and cannot be assigned")
-            raise NoSuchMember(ref.class_name, key)
-        if cls is HostArray:
-            if key.__class__ is float and key.is_integer():
-                r = conv.to_host(value, ref.elem_tag)
-                if r.__class__ is Incompatible:
-                    raise TypeMismatch(
-                        f"cannot store into the array: {r.reason}")
-                self.registry.array_set(ref, int(key) - 1, r.value)
-                return
-            if key == "length":
-                raise TypeMismatch("array length is read-only")
-            raise NoSuchMember("array", str(key))
-        # class proxy: statics only
-        if key.__class__ is not str:
-            raise NoSuchMember(ref.name, str(key))
-        flat = self.registry.lookup_class(ref.name)
-        spec = flat.fields.get(key)
-        if spec is not None and spec.static:
-            r = conv.to_host(value, spec.tag)
-            if r.__class__ is Incompatible:
-                raise TypeMismatch(
-                    f"cannot store into {ref.name}.{key}: {r.reason}")
-            self.registry.set_field(ref.name, key, r.value)
-            return
-        if key in flat.methods and flat.methods[key][0].static:
-            raise TypeMismatch(
-                f"{key!r} is a static method of {ref.name!r} "
-                f"and cannot be assigned")
-        raise NoSuchMember(ref.name, key)
+def _unassignable(key: str, cname: str, static: bool) -> TypeMismatch:
+    return TypeMismatch(
+        f"{key!r} is a {'static method' if static else 'method'} "
+        f"of {cname!r} and cannot be assigned")
+

@@ -17,6 +17,10 @@ class typed slots.
 resolve_overload is the one overload rule, for calls from either side:
 each argument scores 2 (exact) or 1 (coercion) and the unique maximum
 sum wins.  Converter.to_host scores script values, score_host host ones.
+
+invoker(m) is the one way a native method body runs, for calls from
+either side: host errors become HostException, the result is checked
+against the return tag, and validate_invokes re-checks the receiver.
 """
 
 import inspect
@@ -64,6 +68,9 @@ INTEGER = PrimTag("integer")
 FLOAT = PrimTag("float")
 TEXT = PrimTag("text")
 VOID = PrimTag("void")
+# Primitive tags whose slots hold values of one class, a class scripts
+# share: such a value conforms, and is a script value, as it is.
+AS_IS = {FLOAT: float, TEXT: str, BOOLEAN: bool}
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,7 @@ class HostRegistry:
         self._static_home: dict[str, dict] = {}
         self._instance_inits: dict[str, dict] = {}
         self._frozen = False
+        self._invokers: dict = {}  # MethodDescriptor -> invoker(m)
         # Conformance re-check of receiver fields after every invoke.
         # Costly, so off by default; the test suite turns it on.
         self.validate_invokes = validate_invokes
@@ -302,7 +310,7 @@ class HostRegistry:
             if initial is _UNSET:
                 initial = zero_value(spec.tag)
             else:
-                initial = _normalize(spec.tag, initial)
+                initial = normalize(spec.tag, initial)
                 if not isinstance(initial, (int, float, str, bool, type(None))):
                     raise DescriptorError(
                         f"initial value of {d.name}.{name} must be a primitive or null")
@@ -524,28 +532,50 @@ class HostRegistry:
         if ctor.body is not None:
             _run_native(ctor.body, (obj, *args), f"constructor of {name}")
         if self.validate_invokes:
-            self._validate_object(obj)
+            self.validate_object(obj)
         return obj
 
     def invoke(self, m: MethodDescriptor, receiver, args: list):
         """Run a native body with already converted host arguments."""
-        if m.body is None:
-            raise HostException(f"method {m.name!r} has no native body")
-        if m.static:
-            result = _run_native(m.body, args, m.name)
-        else:
-            result = _run_native(m.body, (receiver, *args), m.name)
-        if m.returns is VOID:
-            result = None
-        else:
-            result = _normalize(m.returns, result)
-            if not self.conforms(result, m.returns):
-                raise HostException(
-                    f"native body of {m.name!r} returned a value that does "
-                    f"not conform to {m.returns!r}")
-        if self.validate_invokes and receiver is not None:
-            self._validate_object(receiver)
-        return result
+        invoke = self._invokers.get(m)
+        if invoke is None:
+            invoke = self.invoker(m)
+        return invoke(receiver, args)
+
+    def invoker(self, m: MethodDescriptor):
+        """invoke(receiver, host args) -> host result of m, built once per
+        method: the body run with host errors wrapped as HostException,
+        the result normalized and checked against the return tag (None
+        for void), and the receiver checked when validate_invokes is on."""
+        invoke = self._invokers.get(m)
+        if invoke is not None:
+            return invoke
+        body, name, tag, static = m.body, m.name, m.returns, m.static
+        as_is = AS_IS.get(tag)
+        conforms = self.conforms
+
+        def invoke(receiver, args: list):
+            if body is None:
+                raise HostException(f"method {name!r} has no native body")
+            try:  # _run_native spelt out: the extra call costs more
+                r = body(*args) if static else body(receiver, *args)
+            except BridgeScriptError:
+                raise
+            except Exception as e:  # noqa: BLE001 - host code
+                raise HostException(f"{name}: {e}") from e
+            if tag is VOID:
+                r = None
+            elif r.__class__ is not as_is:
+                r = normalize(tag, r)
+                if not conforms(r, tag):
+                    raise HostException(
+                        f"native body of {name!r} returned a value that "
+                        f"does not conform to {tag!r}")
+            if self.validate_invokes and receiver is not None:
+                self.validate_object(receiver)
+            return r
+        self._invokers[m] = invoke
+        return invoke
 
     def call_method(self, target, name: str, args: list):
         """Host-side dynamic dispatch: works on host objects and wrappers."""
@@ -584,14 +614,14 @@ class HostRegistry:
     # --------------------------------------------------------------- fields
 
     def get_field(self, owner, name: str):
-        spec, stash = self._resolve_field(owner, name)
+        spec, stash = self.resolve_field(owner, name)
         if spec.static:
             return stash[name]
         return owner.fields[name]
 
     def set_field(self, owner, name: str, value) -> None:
-        spec, stash = self._resolve_field(owner, name)
-        value = _normalize(spec.tag, value)
+        spec, stash = self.resolve_field(owner, name)
+        value = normalize(spec.tag, value)
         if not self.conforms(value, spec.tag):
             raise TypeMismatch(
                 f"cannot store {value!r} into field {name!r} of tag {spec.tag!r}")
@@ -600,7 +630,10 @@ class HostRegistry:
         else:
             owner.fields[name] = value
 
-    def _resolve_field(self, owner, name: str):
+    def resolve_field(self, owner, name: str):
+        """(spec, the dict holding the value) for a static field of the
+        class named owner; (spec, None) for an instance field of the
+        HostObject owner."""
         if isinstance(owner, str):
             flat = self.lookup_class(owner)
             spec = flat.fields.get(name)
@@ -617,7 +650,9 @@ class HostRegistry:
             return spec, None
         raise NoSuchField(f"cannot resolve field {name!r} on {owner!r}")
 
-    def _validate_object(self, obj: HostObject) -> None:
+    def validate_object(self, obj: HostObject) -> None:
+        """HostException unless obj's fields are its class's, each
+        conforming to its tag (the validate_invokes check)."""
         inits = self._instance_inits.get(obj.class_name)
         flat = self._flat[obj.class_name]
         if inits is None or set(obj.fields) != set(inits):
@@ -641,14 +676,12 @@ class HostRegistry:
     def array_get(self, arr: HostArray, index: int):
         if 0 <= index < len(arr.elements):
             return arr.elements[index]
-        raise IndexOutOfBounds(
-            f"index {index} out of bounds for length {len(arr.elements)}")
+        raise index_error(index, len(arr.elements))
 
     def array_set(self, arr: HostArray, index: int, value) -> None:
         if not 0 <= index < len(arr.elements):
-            raise IndexOutOfBounds(
-                f"index {index} out of bounds for length {len(arr.elements)}")
-        value = _normalize(arr.elem_tag, value)
+            raise index_error(index, len(arr.elements))
+        value = normalize(arr.elem_tag, value)
         if not self.conforms(value, arr.elem_tag):
             raise TypeMismatch(
                 f"cannot store {value!r} into an array of {arr.elem_tag!r}")
@@ -688,10 +721,18 @@ class HostRegistry:
         return False
 
 
-def _normalize(tag, v):
-    if tag is FLOAT and type(v) is int:
+def normalize(tag, v):
+    """v as a slot of tag holds it: an int in a float slot becomes a
+    float.  An int beyond the float range stays an int, which the slot
+    then refuses."""
+    if tag is FLOAT and type(v) is int and abs(v) <= _FLOAT_MAX:
         return float(v)
     return v
+
+
+def index_error(index: int, length: int) -> IndexOutOfBounds:
+    return IndexOutOfBounds(
+        f"index {index} out of bounds for length {length}")
 
 
 def _check_body_arity(class_name: str, m: MethodDescriptor) -> None:

@@ -6,7 +6,9 @@ argument lists, and counts agreements between select_overload and the
 brute-force referee in oracle.py.  Used by both the unit suite and the
 acceptance gate.  run_host_trials does the same for host values: the
 registry's choice for them must equal the referee's choice for the
-script values to_script makes of them.
+script values to_script makes of them.  run_site_trials drives calls
+through the outbound bridge's warm call sites, whose shape caches must
+not change any verdict.
 """
 
 import random
@@ -14,7 +16,7 @@ import random
 from bridgescript.convert import Converter
 from bridgescript.errors import Ambiguous, NoMatch
 from bridgescript.inbound import InboundBridge
-from bridgescript.objects import NIL, Table
+from bridgescript.objects import NIL, Table, table_get
 from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
     BOOLEAN,
@@ -38,9 +40,10 @@ def _ctor(params=()):
     return MethodDescriptor("<init>", tuple(params), VOID, False, None)
 
 
-def build_world():
-    """Registry plus a wired converter, no interpreter needed."""
-    reg = HostRegistry()
+def build_world(*extra, validate_invokes=False):
+    """Registry plus a wired converter, no interpreter needed.  extra
+    descriptors are registered beside the ora classes."""
+    reg = HostRegistry(validate_invokes=validate_invokes)
     reg.register_class(HostClassDescriptor(
         name="ora.Base", constructors=[_ctor()]))
     reg.register_class(HostClassDescriptor(
@@ -52,6 +55,8 @@ def build_world():
     reg.register_class(HostClassDescriptor(
         name="ora.Ear", kind="interface",
         methods={"hear": [MethodDescriptor("hear", (TEXT,), VOID)]}))
+    for d in extra:
+        reg.register_class(d)
     reg.freeze()
     outb = OutboundBridge(reg)
     inb = InboundBridge(reg)
@@ -167,3 +172,89 @@ def run_host_trials(trials: int, seed: int = 20261018):
         elif example is None:
             example = (cands, args, want_status, got[0])
     return agree, trials, example
+
+
+def site_class(name: str, sites: dict, seen: list) -> HostClassDescriptor:
+    """A class of static methods, one per site name, each overload of
+    which returns a label naming itself, "name[tags]", and appends its
+    tags and the host arguments it got to seen."""
+    def body(label, sig):
+        def run(*args):
+            seen.append((sig, args))
+            return label
+        return run
+    return HostClassDescriptor(name=name, methods={
+        f: [MethodDescriptor(f, sig, TEXT, True, body(f"{f}{list(sig)!r}",
+                                                      sig))
+            for sig in sigs]
+        for f, sigs in sites.items()})
+
+
+def converted_as_declared(reg, seen: list) -> bool:
+    """Did the body that ran last get host values fitting its tags?"""
+    sig, args = seen.pop()
+    return all(reg.conforms(h, tag) for h, tag in zip(args, sig))
+
+
+def site_decide(reg, owner: str, name: str, args) -> tuple:
+    """The referee's verdict on a call of owner.name, as the label the
+    chosen overload returns, or the status of a refused call."""
+    cands = reg.lookup_class(owner).methods[name]
+    status, m = oracle.decide(reg, cands, args)
+    if status != "selected":
+        return status, None
+    return status, f"{name}{list(m.params)!r}"
+
+
+def site_call(dispatcher, args) -> tuple:
+    """A call through a call site's dispatcher, as site_decide reports."""
+    try:
+        vals = dispatcher.fn(args)
+    except NoMatch:
+        return "no_match", None
+    except Ambiguous:
+        return "ambiguous", None
+    return "selected", vals[0]
+
+
+def run_site_trials(calls: int, seed: int = 20261019, sites: int = 6):
+    """Drive calls with arguments from value_pool through the call sites
+    of `sites` random static methods, warm after their first call.  Each
+    site sees many argument shapes, repeated and alternating, some of
+    them more than the site caches; every call must do what the referee
+    decides, and pass the chosen body values that fit its tags.
+    Returns (agreements, calls, first disagreement)."""
+    rng = random.Random(seed)
+    tags = CORE_TAGS + EXTRA_TAGS
+    overloads = {}
+    for i in range(sites):
+        sigs = {tuple(rng.choice(tags) for _ in range(rng.randint(0, 2)))
+                for _ in range(rng.randint(1, 4))}
+        overloads[f"f{i}"] = sorted(sigs, key=repr)
+    seen = []
+    reg, conv = build_world(site_class("ora.Sites", overloads, seen))
+    pool = value_pool(reg, conv)
+    # values each tag accepts, so that most calls find an overload
+    fits = {tag: [v for v in pool
+                  if oracle.score_value(reg, v, tag) is not None]
+            for tag in tags}
+    proxy = conv.class_proxy("ora.Sites")
+    names = sorted(overloads)
+    agree = 0
+    example = None
+    for _ in range(calls):
+        name = rng.choice(names)
+        sig = rng.choice(overloads[name])
+        if rng.random() < 0.1:  # any arity, any values
+            sig = (None,) * rng.randint(0, 2)
+        args = [rng.choice(fits[tag] if tag in fits and rng.random() < 0.75
+                           else pool)
+                for tag in sig]
+        want = site_decide(reg, "ora.Sites", name, args)
+        got = site_call(table_get(proxy, name), args)
+        if got == want and (got[0] != "selected"
+                            or converted_as_declared(reg, seen)):
+            agree += 1
+        elif example is None:
+            example = (name, args, want, got)
+    return agree, calls, example

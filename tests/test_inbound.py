@@ -6,8 +6,10 @@ instance per method, and method lookup happens at every invocation so
 late additions and swaps are visible.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -244,6 +246,24 @@ def test_auto_wrap_shares_the_export_cache(interp):
     t = _table_from(interp, "t = {}")
     w = interp.inbound.host_export(t, "demo.Greeter")
     assert interp.inbound.auto_wrap(t, "demo.Greeter") is w
+
+
+def test_reexport_after_collection_keeps_the_backing(interp, out):
+    t = _table_from(interp, "t = {}")
+    w = interp.inbound.host_export(t, "demo.TextArea")
+    base = t.entries["__base"]
+    backing = w.backing
+    interp.run('t.__base:setText("kept")')
+    gone = weakref.ref(w)
+    del w
+    gc.collect()
+    assert gone() is None
+    again = interp.inbound.host_export(t, "demo.TextArea")
+    assert t.entries["__base"] is base
+    assert again.backing is backing
+    assert backing.fields["text"] == "kept"
+    interp.run("print(t.__base:getText())")
+    assert out.getvalue() == "kept\n"
 
 
 def test_distinct_tables_get_distinct_wrappers(interp):

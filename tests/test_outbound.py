@@ -2,17 +2,21 @@
 
 The load-bearing claims live here: the index fallback fires exactly once
 per (proxy, method) no matter how many calls follow, field reads are
-never cached, and array indices shift between the script's 1-based view
-and the host's 0-based storage.
+never cached, array indices shift between the script's 1-based view
+and the host's 0-based storage, and a warm call site chooses what the
+overload rule would.
 """
 
+import gc
 import random
 
 import pytest
 
+from bridgescript import Interpreter, outbound
 from bridgescript.convert import Converter
 from bridgescript.errors import (
     Ambiguous,
+    BridgeScriptError,
     ClassNotFound,
     HostException,
     IndexOutOfBounds,
@@ -24,19 +28,30 @@ from bridgescript.errors import (
     TypeMismatch,
 )
 from bridgescript.inbound import InboundBridge
-from bridgescript.objects import NIL, NativeFunction, Table
-from bridgescript.outbound import OutboundBridge
+from bridgescript.objects import NIL, NativeFunction, Table, table_get
+from bridgescript.outbound import RETIRED, SHAPES_PER_SITE, OutboundBridge
 from bridgescript.registry import (
     FLOAT,
     INTEGER,
     TEXT,
     VOID,
+    ArrayTag,
     ClassTag,
+    FieldSpec,
     HostClassDescriptor,
     HostObject,
     HostRegistry,
     InterfaceTag,
     MethodDescriptor,
+)
+
+from overload_trials import (
+    build_world,
+    converted_as_declared,
+    run_site_trials,
+    site_call,
+    site_class,
+    site_decide,
 )
 
 
@@ -529,3 +544,152 @@ def test_constructed_object_starts_with_field_defaults(interp):
     assert obj.fields["title"] == ""
     assert obj.fields["packed"] is False
     assert obj.fields["north"] is None
+
+
+# ------------------------------------------------------------- fire counts
+
+
+def test_dropped_proxies_fold_into_one_fire_count(interp):
+    interp.run('local i = 0\n'
+               'while i < 2000 do\n'
+               '  local p = hostNewInstance("Point")\n'
+               '  local x = p.x\n'
+               '  i = i + 1\n'
+               'end')
+    gc.collect()
+    assert interp.outbound.stats.fallback_fires == {RETIRED: 2000}
+
+
+def test_live_proxies_keep_their_fire_counts(interp):
+    interp.run('p = hostNewInstance("Point")\n'
+               'local i = 0\n'
+               'while i < 50 do\n'
+               '  local q = hostNewInstance("Point")\n'
+               '  local x = q.x + p.x\n'
+               '  i = i + 1\n'
+               'end')
+    gc.collect()
+    p = interp.global_value("p")
+    stats = interp.outbound.stats
+    assert stats.fires(p, "x") == 50
+    assert stats.fallback_fires == {(p.uid, "x"): 50, RETIRED: 50}
+
+
+# ---------------------------------------------------------- host integers
+
+
+def test_host_integer_beyond_script_numbers_is_a_script_error(out):
+    reg = HostRegistry()
+    reg.register_class(HostClassDescriptor(
+        name="Big",
+        fields={"n": FieldSpec(INTEGER), "ns": FieldSpec(ArrayTag(INTEGER))},
+        methods={
+            "big": [MethodDescriptor("big", (), INTEGER, False,
+                                     lambda self: 10**400)],
+            "bigf": [MethodDescriptor("bigf", (), FLOAT, False,
+                                      lambda self: 10**400)]}))
+    reg.freeze()
+    it = Interpreter(reg, out=out)
+    it.run('b = hostNewInstance("Big")')
+    obj = it.global_value("b").entries["__hostref"]
+    obj.fields["n"] = 10**400
+    obj.fields["ns"] = reg.array_new(INTEGER, 1)
+    obj.fields["ns"].elements[0] = 10**400
+    for line, source in ((2, "x = b:big()"), (3, "x = b.n"),
+                         (4, "x = b.ns[1]"), (5, "x = b:bigf()")):
+        with pytest.raises(BridgeScriptError) as e:
+            it.run("\n" * (line - 1) + source)
+        assert e.value.line == line
+    with pytest.raises(TypeMismatch, match="too large"):
+        it.run("x = b:big()")
+    with pytest.raises(HostException, match="does not conform"):
+        it.run("x = b:bigf()")
+
+
+# -------------------------------------------------------------- call sites
+
+
+def test_call_sites_agree_with_referee():
+    agree, total, example = run_site_trials(3_000)
+    assert (agree, total) == (3_000, 3_000), example
+
+
+def test_warm_site_wraps_each_plain_table():
+    got = []
+    sink = HostClassDescriptor(name="Sink", methods={"take": [
+        MethodDescriptor("take", (ClassTag("ora.Base"),), VOID, True,
+                         got.append)]})
+    reg, conv = build_world(sink)
+    take = table_get(conv.class_proxy("Sink"), "take")
+    t1, t2 = Table(), Table()
+    for t in (t1, t2, t1):
+        take.fn([t])
+    w1, w2, w3 = got
+    assert w1.script_object is t1 and w2.script_object is t2
+    assert w3 is w1
+    assert w1.backing is not w2.backing
+    assert t1.entries["__base"].entries["__hostref"] is w1.backing
+    assert t2.entries["__base"].entries["__hostref"] is w2.backing
+
+
+def test_site_beyond_its_cache_still_chooses():
+    base, derived, leaf = (ClassTag(n) for n in
+                           ("ora.Base", "ora.Derived", "ora.Leaf"))
+    seen = []
+    reg, conv = build_world(site_class("Many", {"g": [
+        (FLOAT,), (base,), (base, INTEGER), (derived, INTEGER),
+        (leaf, FLOAT), (TEXT, INTEGER)]}, seen))
+    proxies = [conv.to_script(reg.instantiate(n, []))
+               for n in ("ora.Base", "ora.Derived", "ora.Leaf")]
+    objects = [NIL, *proxies, Table(), "s"]
+    calls = [[n] for n in (3.0, 2.5)] + [[o] for o in objects] \
+        + [[o, n] for o in objects for n in (3.0, 2.5)]
+    g = table_get(conv.class_proxy("Many"), "g")
+    verdicts = [site_decide(reg, "Many", "g", args) for args in calls]
+    chosen = {label for status, label in verdicts if status == "selected"}
+    assert sum(status == "selected" for status, _ in verdicts) \
+        > SHAPES_PER_SITE
+    assert len(chosen) == 6  # every overload wins some shape
+    for _ in range(2):
+        for args, want in zip(calls, verdicts):
+            assert site_call(g, args) == want, args
+            if want[0] == "selected":
+                assert converted_as_declared(reg, seen), args
+
+
+def test_site_remembers_at_most_its_bound(monkeypatch):
+    reg, conv = build_world(site_class(
+        "Two", {"g": [(ClassTag("ora.Base"), FLOAT)]}, []))
+    objects = [NIL, Table()] + [conv.to_script(reg.instantiate(n, []))
+                                for n in ("ora.Base", "ora.Derived",
+                                          "ora.Leaf")]
+    calls = [[o, n] for o in objects for n in (3.0, 2.5)]
+    assert len(calls) > SHAPES_PER_SITE  # one call per shape
+    resolved = []
+    real = outbound.resolve_overload
+    monkeypatch.setattr(outbound, "resolve_overload",
+                        lambda *a: resolved.append(a) or real(*a))
+    g = table_get(conv.class_proxy("Two"), "g")
+    for _ in range(3):
+        for args in calls:
+            assert g.fn(args) == ["g[class:ora.Base, float]"]
+    # the first SHAPES_PER_SITE shapes resolve once, later ones every time
+    beyond = len(calls) - SHAPES_PER_SITE
+    assert len(resolved) == SHAPES_PER_SITE + 3 * beyond
+
+
+def test_warm_site_still_validates_receivers():
+    def set_n(self, x):
+        self.fields["n"] = int(x) if x < 100 else x  # breaks the tag
+
+    cell = HostClassDescriptor(
+        name="Cell", fields={"n": FieldSpec(INTEGER)},
+        methods={"set": [MethodDescriptor("set", (FLOAT,), VOID, False,
+                                          set_n)]})
+    reg, conv = build_world(cell, validate_invokes=True)
+    p = conv.to_script(reg.instantiate("Cell", []))
+    for x in (5.5, 6.5):
+        table_get(p, "set").fn([p, x])
+    assert p.entries["__hostref"].fields["n"] == 6
+    with pytest.raises(HostException, match="violates its tag"):
+        table_get(p, "set").fn([p, 100.5])
