@@ -21,7 +21,8 @@ and per-call cost, not total, is what the report carries.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from statistics import median
 
 from .demo import build_demo_interpreter
@@ -29,26 +30,23 @@ from .errors import BenchmarkError, IterationsTooSmall
 from .interp import eval_chunk
 from .parser import parse_source
 
-# Receivers are hoisted into locals so the loops time the call itself,
-# not repeated global lookup.  Every flavor declares the same local to
-# keep the empty-loop baseline structurally identical.
-_EMPTY_LOOP = ("local c = __bench_counter local i = 0 "
-               "while i < {n} do i = i + 1 end")
-_ONE_CALL = ("local c = __bench_counter local i = 0 "
-             "while i < {n} do c:empty() i = i + 1 end")
-_TWO_CALLS = ("local c = __bench_counter local i = 0 "
-              "while i < {n} do c:empty() c:empty() i = i + 1 end")
-_NATIVE_ONE = ("local c = __bench_fn local i = 0 "
-               "while i < {n} do c() i = i + 1 end")
-_NATIVE_TWO = ("local c = __bench_fn local i = 0 "
-               "while i < {n} do c() c() i = i + 1 end")
-
 _SETUP = """
 __bench_counter = hostNewInstance("bench.Counter")
 __bench_fn = function() end
 __bench_t = {}
 function __bench_t:hello() return "x" end
 """
+
+# Each flavour times an empty loop and loops making one and two calls per
+# iteration: (name, report heading, BenchReport field prefix, field with
+# its iteration count).  The three times are <prefix>empty_loop_s,
+# <prefix>one_call_s and <prefix>two_calls_s; the result per_call_<name>_s.
+_FLAVOURS = (
+    ("outbound", "script -> host proxy", "", "iterations"),
+    ("native", "script closure", "native_", "iterations"),
+    ("inbound", "host -> script wrapper", "inbound_", "inbound_iterations"),
+)
+_LOOPS = ("empty loop", "one call", "two calls")
 
 
 @dataclass
@@ -81,27 +79,29 @@ def _reduced(n: int) -> int:
     return min(n, max(1000, n // 100))
 
 
-def _measure_script(interp, template: str, n: int,
-                    warmups: int, repeats: int) -> float:
-    warm = parse_source(template.format(n=_reduced(n)))
+def _field(prefix: str, label: str) -> str:
+    return prefix + label.replace(" ", "_") + "_s"
+
+
+def _loop(recv: str, body: str, n: int) -> str:
+    """A script loop of n iterations running body on the local c.
+    Receivers are hoisted into that local so the loops time the call
+    itself, not repeated global lookup."""
+    return (f"local c = {recv} local i = 0 "
+            f"while i < {n} do {body}i = i + 1 end")
+
+
+def _time(prepare, n: int, warmups: int, repeats: int) -> float:
+    """Median time of prepare(n)(); prepare(k) does its setup (parsing,
+    for a script loop) outside the timed region."""
+    warm = prepare(_reduced(n))
     for _ in range(warmups):
-        eval_chunk(warm, interp.globals)
-    chunk = parse_source(template.format(n=n))
+        warm()
+    run = prepare(n)
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        eval_chunk(chunk, interp.globals)
-        samples.append(time.perf_counter() - t0)
-    return median(samples)
-
-
-def _measure_host(loop, n: int, warmups: int, repeats: int) -> float:
-    for _ in range(warmups):
-        loop(_reduced(n))
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        loop(n)
+        run()
         samples.append(time.perf_counter() - t0)
     return median(samples)
 
@@ -117,20 +117,15 @@ def run_bench(iterations: int = 1_000_000, interp=None,
     if inbound_iterations is None:
         inbound_iterations = max(1000, iterations // 10)
     interp.run(_SETUP)
-
-    n = iterations
-    empty = _measure_script(interp, _EMPTY_LOOP, n, warmups, repeats)
-    one = _measure_script(interp, _ONE_CALL, n, warmups, repeats)
-    two = _measure_script(interp, _TWO_CALLS, n, warmups, repeats)
-    per_out = per_call_seconds(empty, one, two, n)
-
-    nat_empty = _measure_script(interp, _EMPTY_LOOP, n, warmups, repeats)
-    nat_one = _measure_script(interp, _NATIVE_ONE, n, warmups, repeats)
-    nat_two = _measure_script(interp, _NATIVE_TWO, n, warmups, repeats)
-    per_nat = per_call_seconds(nat_empty, nat_one, nat_two, n)
-
     w = interp.inbound.host_export(
         interp.global_value("__bench_t"), "demo.Greeter")
+
+    def script(recv: str, body: str):
+        return lambda k: partial(
+            eval_chunk, parse_source(_loop(recv, body, k)), interp.globals)
+
+    def host(loop):
+        return lambda k: partial(loop, k)
 
     def in_empty(k: int) -> None:
         for _ in range(k):
@@ -147,28 +142,32 @@ def run_bench(iterations: int = 1_000_000, interp=None,
             invoke("hello", [])
             invoke("hello", [])
 
-    m = inbound_iterations
-    ib_empty = _measure_host(in_empty, m, warmups, repeats)
-    ib_one = _measure_host(in_one, m, warmups, repeats)
-    ib_two = _measure_host(in_two, m, warmups, repeats)
-    per_in = per_call_seconds(ib_empty, ib_one, ib_two, m)
+    # Every script flavour's empty loop declares the same local, so the
+    # native flavour times the outbound empty loop again.
+    empty = script("__bench_counter", "")
+    loops = (
+        (empty, script("__bench_counter", "c:empty() "),
+         script("__bench_counter", "c:empty() c:empty() ")),
+        (empty, script("__bench_fn", "c() "),
+         script("__bench_fn", "c() c() ")),
+        (host(in_empty), host(in_one), host(in_two)),
+    )
+    values = {"iterations": iterations,
+              "inbound_iterations": inbound_iterations}
+    for (name, _, prefix, count), prepares in zip(_FLAVOURS, loops):
+        n = values[count]
+        times = [_time(p, n, warmups, repeats) for p in prepares]
+        for label, t in zip(_LOOPS, times):
+            values[_field(prefix, label)] = t
+        values[f"per_call_{name}_s"] = per_call_seconds(*times, n)
 
+    per_out = values["per_call_outbound_s"]
+    per_nat = values["per_call_native_s"]
     if not per_out > per_nat > 0:
         raise BenchmarkError(
             f"expected perCallOutbound > perCallNative > 0, got "
             f"{per_out:.3e} vs {per_nat:.3e}")
-
-    return BenchReport(
-        iterations=n,
-        empty_loop_s=empty, one_call_s=one, two_calls_s=two,
-        per_call_outbound_s=per_out,
-        native_empty_loop_s=nat_empty, native_one_call_s=nat_one,
-        native_two_calls_s=nat_two, per_call_native_s=per_nat,
-        ratio=per_out / per_nat,
-        inbound_iterations=m,
-        inbound_empty_loop_s=ib_empty, inbound_one_call_s=ib_one,
-        inbound_two_calls_s=ib_two, per_call_inbound_s=per_in,
-    )
+    return BenchReport(ratio=per_out / per_nat, **values)
 
 
 def measure_first_vs_rest(interp=None, calls: int = 10_000,
@@ -179,12 +178,8 @@ def measure_first_vs_rest(interp=None, calls: int = 10_000,
         interp = build_demo_interpreter()
     k = calls - 1
     first_chunk = parse_source("__fvr_c:empty()")
-    rest_chunk = parse_source(
-        f"local c = __fvr_c local i = 0 "
-        f"while i < {k} do c:empty() i = i + 1 end")
-    empty_chunk = parse_source(
-        f"local c = __fvr_c local i = 0 "
-        f"while i < {k} do i = i + 1 end")
+    rest_chunk = parse_source(_loop("__fvr_c", "c:empty() ", k))
+    empty_chunk = parse_source(_loop("__fvr_c", "", k))
     firsts, rests = [], []
     for run in range(runs + 1):
         interp.run('__fvr_c = hostNewInstance("bench.Counter")')
@@ -206,49 +201,26 @@ def measure_first_vs_rest(interp=None, calls: int = 10_000,
 
 def to_record(r: BenchReport) -> dict:
     """Flat key-value form with times in integer nanoseconds."""
-
-    def ns(s: float) -> int:
-        return int(round(s * 1e9))
-
-    return {
-        "iterations": r.iterations,
-        "empty_loop_ns": ns(r.empty_loop_s),
-        "one_call_ns": ns(r.one_call_s),
-        "two_calls_ns": ns(r.two_calls_s),
-        "per_call_outbound_ns": ns(r.per_call_outbound_s),
-        "native_empty_loop_ns": ns(r.native_empty_loop_s),
-        "native_one_call_ns": ns(r.native_one_call_s),
-        "native_two_calls_ns": ns(r.native_two_calls_s),
-        "per_call_native_ns": ns(r.per_call_native_s),
-        "ratio": r.ratio,
-        "inbound_iterations": r.inbound_iterations,
-        "inbound_empty_loop_ns": ns(r.inbound_empty_loop_s),
-        "inbound_one_call_ns": ns(r.inbound_one_call_s),
-        "inbound_two_calls_ns": ns(r.inbound_two_calls_s),
-        "per_call_inbound_ns": ns(r.per_call_inbound_s),
-    }
+    record = {}
+    for f in fields(r):
+        value = getattr(r, f.name)
+        if f.name.endswith("_s"):
+            record[f.name[:-2] + "_ns"] = int(round(value * 1e9))
+        else:
+            record[f.name] = value
+    return record
 
 
 def format_report(r: BenchReport) -> str:
-    def us(s: float) -> str:
-        return f"{s * 1e6:.3f} us"
-
-    lines = [
-        f"outbound (script -> host proxy, N={r.iterations})",
-        f"  empty loop  {r.empty_loop_s:.4f} s",
-        f"  one call    {r.one_call_s:.4f} s",
-        f"  two calls   {r.two_calls_s:.4f} s",
-        f"  per call    {us(r.per_call_outbound_s)}",
-        f"native (script closure, N={r.iterations})",
-        f"  empty loop  {r.native_empty_loop_s:.4f} s",
-        f"  one call    {r.native_one_call_s:.4f} s",
-        f"  two calls   {r.native_two_calls_s:.4f} s",
-        f"  per call    {us(r.per_call_native_s)}",
-        f"inbound (host -> script wrapper, N={r.inbound_iterations})",
-        f"  empty loop  {r.inbound_empty_loop_s:.4f} s",
-        f"  one call    {r.inbound_one_call_s:.4f} s",
-        f"  two calls   {r.inbound_two_calls_s:.4f} s",
-        f"  per call    {us(r.per_call_inbound_s)}",
+    lines = []
+    for name, heading, prefix, count in _FLAVOURS:
+        lines.append(f"{name} ({heading}, N={getattr(r, count)})")
+        for label in _LOOPS:
+            value = getattr(r, _field(prefix, label))
+            lines.append(f"  {label:<12}{value:.4f} s")
+        per_call = getattr(r, f"per_call_{name}_s")
+        lines.append(f"  per call    {per_call * 1e6:.3f} us")
+    lines += [
         f"outbound/native ratio: {r.ratio:.1f}x",
         "reference point (1999 hardware): outbound 49 us, native 3 us"
         " (~16x), inbound 64 us",

@@ -36,6 +36,10 @@ TOKEN_SPEC = [
 
 _MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in TOKEN_SPEC))
 
+# match group -> token kind; groups not listed make no token
+_KINDS = {"NUMBER": NUMBER, "STRING": STRING, "IDENT": IDENT, "OP": OP,
+          "PUNCT": PUNCT}
+
 
 class Token:
     __slots__ = ("kind", "lexeme", "line")
@@ -60,24 +64,16 @@ def tokenize(source: str) -> list[Token]:
     line = 1
     for m in _MASTER.finditer(source):
         group = m.lastgroup
-        text = m.group()
-        if group == "NEWLINE":
-            line += 1
-        elif group == "SKIP" or group == "COMMENT":
-            continue
-        elif group == "NUMBER":
-            tokens.append(Token(NUMBER, text, line))
-        elif group == "STRING":
-            tokens.append(Token(STRING, text, line))
-        elif group == "IDENT":
-            kind = KEYWORD if text in KEYWORDS else IDENT
+        kind = _KINDS.get(group)
+        if kind is not None:
+            text = m.group()
+            if kind is IDENT and text in KEYWORDS:
+                kind = KEYWORD
             tokens.append(Token(kind, text, line))
-        elif group == "OP":
-            tokens.append(Token(OP, text, line))
-        elif group == "PUNCT":
-            tokens.append(Token(PUNCT, text, line))
+        elif group == "NEWLINE":
+            line += 1
         elif group == "UNTERMINATED":
             raise LexError("unterminated string", line)
-        else:
-            raise LexError(f"illegal character {text!r}", line)
+        elif group == "MISMATCH":
+            raise LexError(f"illegal character {m.group()!r}", line)
     return tokens

@@ -1,10 +1,18 @@
-"""Recursive descent parser.
+"""Recursive descent parser with precedence climbing for expressions.
 
 The grammar is a small table-and-closure language: assignments, local
 declarations, table constructors with named fields, function and method
 definitions, if/while/numeric-for, return, and expressions over the
-arithmetic, comparison and concatenation operators (comparison binds
-loosest, then .., then + -, then * /, then unary minus).
+arithmetic, comparison and concatenation operators.
+
+The parser reads through one cursor, self.tok, over a copy of the token
+list that ends in a sentinel token whose lexeme is <eof>, a text the
+lexer never produces; the caller's list is left as it is.  Keywords,
+operators and marks are matched by their text alone: no identifier,
+number or string lexeme can equal one.  All binary operators are parsed
+by one loop, _expression, over the binding strengths in _BINARY:
+comparison 1, .. 2 (right associative), + - 3, * / 4; unary minus binds
+tighter than all of them.
 
 Colon calls and method definitions are sugar and never survive parsing:
     recv:name(args)        becomes recv["name"](recv, args...)
@@ -24,7 +32,7 @@ arguments move into it.
 import itertools
 
 from .errors import ParseError
-from .lexer import IDENT, KEYWORD, NUMBER, OP, PUNCT, STRING, Token, tokenize
+from .lexer import IDENT, NUMBER, STRING, Token, tokenize
 from .nodes import (
     AssignIndex,
     AssignName,
@@ -52,7 +60,21 @@ from .nodes import (
 
 _temp_id = itertools.count().__next__
 
-_COMPARISON_OPS = {"==", "~=", "<", ">", "<=", ">="}
+_EOF = "<eof>"
+
+# binary operator -> binding strength; .. is the right-associative one,
+# and unary minus binds tighter than all of them
+_BINARY = {
+    "==": 1, "~=": 1, "<": 1, ">": 1, "<=": 1, ">=": 1,
+    "..": 2,
+    "+": 3, "-": 3,
+    "*": 4, "/": 4,
+}
+_UNARY = 5
+
+_BLOCK_ENDS = frozenset(("end",))
+_IF_ENDS = frozenset(("elseif", "else", "end"))
+_RETURN_ENDS = frozenset(("end", "else", "elseif", ";", _EOF))
 
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
@@ -118,53 +140,40 @@ def _decode_string(lexeme: str, line: int) -> str:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        line = tokens[-1].line if tokens else 1
+        self.end = Token(_EOF, _EOF, line)
+        self._next = iter([*tokens, self.end]).__next__
+        self.tok = self._next()  # the cursor: the next unconsumed token
         self.used: set = set()  # names used in the innermost open body
         self.nested: set = set()  # names used by functions nested in it
         self.outer: list = []  # (used, nested) of the enclosing bodies
 
     # ------------------------------------------------------------ plumbing
 
-    def _peek(self) -> Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
     def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = self._next()
         return tok
 
-    def _check(self, kind: str, lexeme: str | None = None) -> bool:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            return False
-        return lexeme is None or tok.lexeme == lexeme
-
-    def _accept(self, kind: str, lexeme: str | None = None) -> Token | None:
-        if self._check(kind, lexeme):
+    def _accept(self, text: str) -> Token | None:
+        if self.tok.lexeme == text:
             return self._advance()
         return None
 
-    def _expect(self, kind: str, lexeme: str | None = None) -> Token:
-        tok = self._accept(kind, lexeme)
-        if tok is None:
-            self._error(f"'{lexeme}'" if lexeme else kind)
-        return tok
+    def _expect(self, text: str) -> Token:
+        if self.tok.lexeme != text:
+            self._error(f"'{text}'")
+        return self._advance()
+
+    def _name(self) -> str:
+        if self.tok.kind != IDENT:
+            self._error(IDENT)
+        return self._advance().lexeme
 
     def _error(self, expected: str):
-        tok = self._peek()
-        if tok is None:
-            line = self.tokens[-1].line if self.tokens else 1
-            raise ParseError(line, expected, "end of input")
-        raise ParseError(tok.line, expected, f"'{tok.lexeme}'")
-
-    def _line(self) -> int:
-        tok = self._peek()
-        if tok is not None:
-            return tok.line
-        return self.tokens[-1].line if self.tokens else 1
+        tok = self.tok
+        found = "end of input" if tok is self.end else f"'{tok.lexeme}'"
+        raise ParseError(tok.line, expected, found)
 
     def _open_body(self) -> None:
         self.outer.append((self.used, self.nested))
@@ -182,45 +191,24 @@ class _Parser:
     # ----------------------------------------------------------- statements
 
     def parse_chunk(self) -> Chunk:
-        block = self._block(frozenset())
-        if self._peek() is not None:
-            self._error("a statement")
-        return Chunk(block, self.nested)
+        return Chunk(self._block(frozenset((_EOF,))), self.nested)
 
     def _block(self, terminators: frozenset) -> Block:
         stmts = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                if terminators:
-                    self._error("'" + "' or '".join(sorted(terminators)) + "'")
-                break
-            if tok.kind == KEYWORD and tok.lexeme in terminators:
-                break
-            if tok.kind == PUNCT and tok.lexeme == ";":
-                self._advance()
-                continue
-            stmts.append(self._statement())
+        while self.tok.lexeme not in terminators:
+            if self.tok is self.end:
+                self._error("'" + "' or '".join(sorted(terminators)) + "'")
+            if not self._accept(";"):
+                stmts.append(self._statement())
         return Block(stmts)
 
     def _statement(self):
-        tok = self._peek()
-        if tok.kind == KEYWORD:
-            word = tok.lexeme
-            if word == "local":
-                return self._local_stat()
-            if word == "if":
-                return self._if_stat()
-            if word == "while":
-                return self._while_stat()
-            if word == "for":
-                return self._for_stat()
-            if word == "function":
-                return self._function_stat()
-            if word == "return":
-                return self._return_stat()
+        tok = self.tok
+        keyword = _STATEMENTS.get(tok.lexeme)
+        if keyword is not None:
+            return keyword(self)
         expr = self._expression()
-        if self._accept(OP, "="):
+        if self._accept("="):
             line = tok.line
             value = self._expression()
             if isinstance(expr, VarExpr):
@@ -232,175 +220,127 @@ class _Parser:
 
     def _local_stat(self):
         line = self._advance().line
-        name = self._expect(IDENT).lexeme
-        expr = self._expression() if self._accept(OP, "=") else None
+        name = self._name()
+        expr = self._expression() if self._accept("=") else None
         return LocalDecl(name, expr, line)
 
     def _if_stat(self):
         line = self._advance().line
         clauses = []
-        cond = self._expression()
-        self._expect(KEYWORD, "then")
-        clauses.append((cond, self._block(frozenset(("elseif", "else", "end")))))
-        else_block = None
         while True:
-            if self._accept(KEYWORD, "elseif"):
-                cond = self._expression()
-                self._expect(KEYWORD, "then")
-                clauses.append(
-                    (cond, self._block(frozenset(("elseif", "else", "end")))))
-                continue
-            if self._accept(KEYWORD, "else"):
-                else_block = self._block(frozenset(("end",)))
-            self._expect(KEYWORD, "end")
-            return IfStat(clauses, else_block, line)
+            cond = self._expression()
+            self._expect("then")
+            clauses.append((cond, self._block(_IF_ENDS)))
+            if not self._accept("elseif"):
+                break
+        else_block = self._block(_BLOCK_ENDS) if self._accept("else") else None
+        self._expect("end")
+        return IfStat(clauses, else_block, line)
 
     def _while_stat(self):
         line = self._advance().line
         cond = self._expression()
-        self._expect(KEYWORD, "do")
-        body = self._block(frozenset(("end",)))
-        self._expect(KEYWORD, "end")
-        return WhileStat(cond, body, line)
+        self._expect("do")
+        return WhileStat(cond, self._do_block(), line)
 
     def _for_stat(self):
         line = self._advance().line
-        name = self._expect(IDENT).lexeme
-        self._expect(OP, "=")
+        name = self._name()
+        self._expect("=")
         start = self._expression()
-        self._expect(PUNCT, ",")
+        self._expect(",")
         stop = self._expression()
-        step = self._expression() if self._accept(PUNCT, ",") else None
-        self._expect(KEYWORD, "do")
-        body = self._block(frozenset(("end",)))
-        self._expect(KEYWORD, "end")
-        return ForNum(name, start, stop, step, body, line)
+        step = self._expression() if self._accept(",") else None
+        self._expect("do")
+        return ForNum(name, start, stop, step, self._do_block(), line)
+
+    def _do_block(self) -> Block:
+        body = self._block(_BLOCK_ENDS)
+        self._expect("end")
+        return body
 
     def _function_stat(self):
         line = self._advance().line
-        first = self._expect(IDENT)
-        self.used.add(first.lexeme)
+        first = self.tok
+        self.used.add(self._name())
         target = VarExpr(first.lexeme, first.line)
         dotted: list[str] = []
-        method_name = None
-        while True:
-            if self._accept(PUNCT, "."):
-                dotted.append(self._expect(IDENT).lexeme)
-                continue
-            if self._accept(PUNCT, ":"):
-                method_name = self._expect(IDENT).lexeme
-            break
+        while self._accept("."):
+            dotted.append(self._name())
+        method_name = self._name() if self._accept(":") else None
         params, body, captured = self._funcbody()
         if method_name is not None:
             params = ["self"] + params
+            dotted.append(method_name)
         fn = FunctionExpr(params, body, line, captured)
-        if method_name is not None:
-            obj = target
-            for name in dotted:
-                obj = IndexExpr(obj, StringLit(name, line), line)
-            return AssignIndex(obj, StringLit(method_name, line), fn, line)
-        if dotted:
-            obj = target
-            for name in dotted[:-1]:
-                obj = IndexExpr(obj, StringLit(name, line), line)
-            return AssignIndex(obj, StringLit(dotted[-1], line), fn, line)
-        return AssignName(first.lexeme, fn, line)
+        if not dotted:
+            return AssignName(first.lexeme, fn, line)
+        obj = target
+        for name in dotted[:-1]:
+            obj = IndexExpr(obj, StringLit(name, line), line)
+        return AssignIndex(obj, StringLit(dotted[-1], line), fn, line)
 
     def _return_stat(self):
         line = self._advance().line
-        tok = self._peek()
-        if (tok is None
-                or (tok.kind == KEYWORD and tok.lexeme in ("end", "else", "elseif"))
-                or (tok.kind == PUNCT and tok.lexeme == ";")):
+        if self.tok.lexeme in _RETURN_ENDS:
             return ReturnStat([], line)
-        exprs = [self._expression()]
-        while self._accept(PUNCT, ","):
-            exprs.append(self._expression())
-        return ReturnStat(exprs, line)
+        return ReturnStat(self._expression_list(), line)
 
     def _funcbody(self):
         self._open_body()
-        self._expect(PUNCT, "(")
+        self._expect("(")
         params = []
-        if not self._check(PUNCT, ")"):
-            params.append(self._expect(IDENT).lexeme)
-            while self._accept(PUNCT, ","):
-                params.append(self._expect(IDENT).lexeme)
-        self._expect(PUNCT, ")")
-        body = self._block(frozenset(("end",)))
-        self._expect(KEYWORD, "end")
-        return params, body, self._close_body()
+        if self.tok.lexeme != ")":
+            params.append(self._name())
+            while self._accept(","):
+                params.append(self._name())
+        self._expect(")")
+        return params, self._do_block(), self._close_body()
 
     # ---------------------------------------------------------- expressions
 
-    def _expression(self):
-        return self._comparison()
-
-    def _comparison(self):
-        left = self._concat()
+    def _expression(self, limit: int = 0):
+        """Parse operators binding tighter than limit, then stop."""
+        tok = self.tok
+        if tok.lexeme == "-":
+            self._advance()
+            left = UnaryOp("-", self._expression(_UNARY), tok.line)
+        else:
+            left = self._postfix()
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind != OP or tok.lexeme not in _COMPARISON_OPS:
+            op = self.tok
+            strength = _BINARY.get(op.lexeme, 0)
+            if strength <= limit:
                 return left
-            op = self._advance()
-            right = self._concat()
+            self._advance()
+            right = self._expression(
+                strength - 1 if op.lexeme == ".." else strength)
             left = BinOp(op.lexeme, left, right, op.line)
 
-    def _concat(self):
-        left = self._additive()
-        tok = self._peek()
-        if tok is not None and tok.kind == OP and tok.lexeme == "..":
-            op = self._advance()
-            right = self._concat()  # right associative
-            return BinOp("..", left, right, op.line)
-        return left
-
-    def _additive(self):
-        left = self._multiplicative()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != OP or tok.lexeme not in ("+", "-"):
-                return left
-            op = self._advance()
-            right = self._multiplicative()
-            left = BinOp(op.lexeme, left, right, op.line)
-
-    def _multiplicative(self):
-        left = self._unary()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != OP or tok.lexeme not in ("*", "/"):
-                return left
-            op = self._advance()
-            right = self._unary()
-            left = BinOp(op.lexeme, left, right, op.line)
-
-    def _unary(self):
-        tok = self._peek()
-        if tok is not None and tok.kind == OP and tok.lexeme == "-":
-            line = self._advance().line
-            return UnaryOp("-", self._unary(), line)
-        return self._postfix()
+    def _expression_list(self) -> list:
+        exprs = [self._expression()]
+        while self._accept(","):
+            exprs.append(self._expression())
+        return exprs
 
     def _postfix(self):
         expr = self._primary()
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind != PUNCT:
-                return expr
+            tok = self.tok
             mark = tok.lexeme
             if mark == ".":
                 self._advance()
-                name = self._expect(IDENT)
-                expr = IndexExpr(expr, StringLit(name.lexeme, name.line), tok.line)
+                name = self.tok
+                expr = IndexExpr(expr, StringLit(self._name(), name.line),
+                                 tok.line)
             elif mark == "[":
                 self._advance()
                 key = self._expression()
-                self._expect(PUNCT, "]")
+                self._expect("]")
                 expr = IndexExpr(expr, key, tok.line)
             elif mark == ":":
                 self._advance()
-                name = self._expect(IDENT).lexeme
+                name = self._name()
                 bare = isinstance(expr, VarExpr)
                 if not bare:
                     self._open_body()
@@ -414,19 +354,13 @@ class _Parser:
                 return expr
 
     def _call_args(self) -> list:
-        self._expect(PUNCT, "(")
-        args = []
-        if not self._check(PUNCT, ")"):
-            args.append(self._expression())
-            while self._accept(PUNCT, ","):
-                args.append(self._expression())
-        self._expect(PUNCT, ")")
+        self._expect("(")
+        args = self._expression_list() if self.tok.lexeme != ")" else []
+        self._expect(")")
         return args
 
     def _primary(self):
-        tok = self._peek()
-        if tok is None:
-            self._error("an expression")
+        tok = self.tok
         kind = tok.kind
         if kind == NUMBER:
             self._advance()
@@ -438,39 +372,44 @@ class _Parser:
             self._advance()
             self.used.add(tok.lexeme)
             return VarExpr(tok.lexeme, tok.line)
-        if kind == KEYWORD:
-            if tok.lexeme == "nil":
-                self._advance()
-                return NilLit(tok.line)
-            if tok.lexeme == "true":
-                self._advance()
-                return BoolLit(True, tok.line)
-            if tok.lexeme == "false":
-                self._advance()
-                return BoolLit(False, tok.line)
-            if tok.lexeme == "function":
-                self._advance()
-                params, body, captured = self._funcbody()
-                return FunctionExpr(params, body, tok.line, captured)
-            self._error("an expression")
-        if kind == PUNCT:
-            if tok.lexeme == "(":
-                self._advance()
-                expr = self._expression()
-                self._expect(PUNCT, ")")
-                return expr
-            if tok.lexeme == "{":
-                return self._table_ctor()
+        word = tok.lexeme
+        if word == "nil":
+            self._advance()
+            return NilLit(tok.line)
+        if word == "true" or word == "false":
+            self._advance()
+            return BoolLit(word == "true", tok.line)
+        if word == "function":
+            self._advance()
+            params, body, captured = self._funcbody()
+            return FunctionExpr(params, body, tok.line, captured)
+        if word == "(":
+            self._advance()
+            expr = self._expression()
+            self._expect(")")
+            return expr
+        if word == "{":
+            return self._table_ctor()
         self._error("an expression")
 
     def _table_ctor(self):
         line = self._advance().line  # consumes '{'
         fields = []
-        while not self._check(PUNCT, "}"):
-            name = self._expect(IDENT).lexeme
-            self._expect(OP, "=")
+        while self.tok.lexeme != "}":
+            name = self._name()
+            self._expect("=")
             fields.append((name, self._expression()))
-            if not self._accept(PUNCT, ","):
+            if not self._accept(","):
                 break
-        self._expect(PUNCT, "}")
+        self._expect("}")
         return TableCtor(fields, line)
+
+
+_STATEMENTS = {
+    "local": _Parser._local_stat,
+    "if": _Parser._if_stat,
+    "while": _Parser._while_stat,
+    "for": _Parser._for_stat,
+    "function": _Parser._function_stat,
+    "return": _Parser._return_stat,
+}

@@ -535,13 +535,6 @@ class HostRegistry:
             self.validate_object(obj)
         return obj
 
-    def invoke(self, m: MethodDescriptor, receiver, args: list):
-        """Run a native body with already converted host arguments."""
-        invoke = self._invokers.get(m)
-        if invoke is None:
-            invoke = self.invoker(m)
-        return invoke(receiver, args)
-
     def invoker(self, m: MethodDescriptor):
         """invoke(receiver, host args) -> host result of m, built once per
         method: the body run with host errors wrapped as HostException,
@@ -585,7 +578,7 @@ class HostRegistry:
                 raise NoSuchMember(target.class_name, name)
             m, args = resolve_overload(
                 cands, args, self.score_host, target.class_name)
-            return self.invoke(m, target, args)
+            return self.invoker(m)(target, args)
         if _is_wrapper(target):
             return target.invoke_method(name, args)
         raise HostException(f"cannot call {name!r} on {target!r}")

@@ -75,6 +75,46 @@ def test_report_text_carries_the_reference_point():
     assert "per call    2.000 us" in text
 
 
+def test_record_and_report_are_unchanged():
+    r = _synthetic_report()
+    assert to_record(r) == {
+        "iterations": 1000, "empty_loop_ns": 1000000,
+        "one_call_ns": 3000000, "two_calls_ns": 5000000,
+        "per_call_outbound_ns": 2000, "native_empty_loop_ns": 1000000,
+        "native_one_call_ns": 2000000, "native_two_calls_ns": 3000000,
+        "per_call_native_ns": 1000, "ratio": 2.0,
+        "inbound_iterations": 1000, "inbound_empty_loop_ns": 100000,
+        "inbound_one_call_ns": 4000000, "inbound_two_calls_ns": 8000000,
+        "per_call_inbound_ns": 3950,
+    }
+    assert list(to_record(r)) == [
+        "iterations", "empty_loop_ns", "one_call_ns", "two_calls_ns",
+        "per_call_outbound_ns", "native_empty_loop_ns",
+        "native_one_call_ns", "native_two_calls_ns", "per_call_native_ns",
+        "ratio", "inbound_iterations", "inbound_empty_loop_ns",
+        "inbound_one_call_ns", "inbound_two_calls_ns", "per_call_inbound_ns",
+    ]
+    assert format_report(r) == (
+        "outbound (script -> host proxy, N=1000)\n"
+        "  empty loop  0.0010 s\n"
+        "  one call    0.0030 s\n"
+        "  two calls   0.0050 s\n"
+        "  per call    2.000 us\n"
+        "native (script closure, N=1000)\n"
+        "  empty loop  0.0010 s\n"
+        "  one call    0.0020 s\n"
+        "  two calls   0.0030 s\n"
+        "  per call    1.000 us\n"
+        "inbound (host -> script wrapper, N=1000)\n"
+        "  empty loop  0.0001 s\n"
+        "  one call    0.0040 s\n"
+        "  two calls   0.0080 s\n"
+        "  per call    3.950 us\n"
+        "outbound/native ratio: 2.0x\n"
+        "reference point (1999 hardware): outbound 49 us, native 3 us"
+        " (~16x), inbound 64 us")
+
+
 def test_small_real_run_orders_the_costs():
     r = run_bench(3000)
     assert r.iterations == 3000

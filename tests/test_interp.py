@@ -445,6 +445,11 @@ def test_deep_nesting_is_a_parse_error(bare_interp):
     assert e.value.line == 2
 
 
+def test_hundred_nested_parentheses_parse(bare_interp):
+    bare_interp.run("x = " + "(" * 100 + "1" + ")" * 100)
+    assert bare_interp.global_value("x") == 1
+
+
 # -------------------------------------------------- colon-call evaluation
 
 def test_colon_receiver_evaluated_once(bare_interp, out):

@@ -146,6 +146,13 @@ def test_precedence_by_unparse():
         "x = -2 * 2": "x = ((-2.0) * 2.0)",
         "x = 'a' .. 'b' .. 'c'": 'x = ("a" .. ("b" .. "c"))',
         "x = 1 .. 2 < 'b'": 'x = ((1.0 .. 2.0) < "b")',
+        "x = a .. b + c": "x = (a .. (b + c))",
+        "x = a + b .. c": "x = ((a + b) .. c)",
+        "x = a < b .. c": "x = (a < (b .. c))",
+        "x = a < b < c": "x = ((a < b) < c)",
+        "x = 1 - 2 - 3": "x = ((1.0 - 2.0) - 3.0)",
+        "x = 8 / 4 / 2": "x = ((8.0 / 4.0) / 2.0)",
+        "x = - - 1": "x = (-(-1.0))",
     }
     for src, expected in cases.items():
         assert parse_source(src).unparse() == expected
@@ -233,3 +240,32 @@ def test_parse_error_carries_line():
 def test_rejected_forms(src):
     with pytest.raises(ParseError):
         parse_source(src)
+
+
+@pytest.mark.parametrize("src, line, message", [
+    ("while i < 10 do i = i + 1", 1, "expected 'end', found end of input"),
+    ("a = 1\nb = ", 2, "expected an expression, found end of input"),
+    ("x = 1 +\n\n", 1, "expected an expression, found end of input"),
+    ("for i = 1 do end", 1, "expected ',', found 'do'"),
+    ("if x then", 1,
+     "expected 'else' or 'elseif' or 'end', found end of input"),
+    ("if x then elseif y", 1, "expected 'then', found end of input"),
+    ("x = f(1, 2", 1, "expected ')', found end of input"),
+    ("x = t[1", 1, "expected ']', found end of input"),
+    ("local", 1, "expected ident, found end of input"),
+    ("function f(a,) end", 1, "expected ident, found ')'"),
+    ("t = {a = 1", 1, "expected '}', found end of input"),
+    ("t = {1}", 1, "expected ident, found '1'"),
+    ("x = a:b", 1, "expected '(', found end of input"),
+    ("return 1,", 1, "expected an expression, found end of input"),
+    ("x = -", 1, "expected an expression, found end of input"),
+    ("for i = 1, 2", 1, "expected 'do', found end of input"),
+    ("a\nb = 3 )", 2, "expected an expression, found ')'"),
+    ("x = not y", 1, "expected an expression, found 'not'"),
+    ("1 = 2", 1, "expected an assignable target, found an expression"),
+])
+def test_parse_error_text_and_line(src, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_source(src)
+    assert str(e.value) == f"ParseError (line {line}): {message}"
+    assert e.value.line == line
