@@ -14,10 +14,12 @@ so loop bookkeeping cancels out.  The same structure runs three ways:
 
 Absolute numbers are hardware-bound and not comparable across decades;
 the only asserted property is perCallOutbound > perCallNative > 0.  Each
-loop is warmed up 3 times at a reduced iteration count, then timed 5
-times with a monotonic clock, and the median is reported.  Inbound runs
-at a tenth of the iterations by default: it is a supplementary figure
-and per-call cost, not total, is what the report carries.
+loop is warmed up 3 times at a reduced iteration count.  Then 5 rounds
+each time every loop once with a monotonic clock, so that a burst of
+machine load spreads over all flavours, and each loop's median is
+reported.  Inbound runs at a tenth of the iterations by default: it is
+a supplementary figure and per-call cost, not total, is what the report
+carries.
 """
 
 import time
@@ -91,19 +93,23 @@ def _loop(recv: str, body: str, n: int) -> str:
             f"while i < {n} do {body}i = i + 1 end")
 
 
-def _time(prepare, n: int, warmups: int, repeats: int) -> float:
-    """Median time of prepare(n)(); prepare(k) does its setup (parsing,
-    for a script loop) outside the timed region."""
-    warm = prepare(_reduced(n))
-    for _ in range(warmups):
-        warm()
-    run = prepare(n)
-    samples = []
+def _time(loops, warmups: int, repeats: int) -> list:
+    """Median time of prepare(n)() for each (prepare, n) of loops, timed
+    round-robin; prepare(k) does its setup (parsing, for a script loop)
+    outside the timed region."""
+    runs = []
+    for prepare, n in loops:
+        warm = prepare(_reduced(n))
+        for _ in range(warmups):
+            warm()
+        runs.append(prepare(n))
+    samples = [[] for _ in runs]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        samples.append(time.perf_counter() - t0)
-    return median(samples)
+        for run, times in zip(runs, samples):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+    return [median(times) for times in samples]
 
 
 def run_bench(iterations: int = 1_000_000, interp=None,
@@ -154,9 +160,11 @@ def run_bench(iterations: int = 1_000_000, interp=None,
     )
     values = {"iterations": iterations,
               "inbound_iterations": inbound_iterations}
-    for (name, _, prefix, count), prepares in zip(_FLAVOURS, loops):
-        n = values[count]
-        times = [_time(p, n, warmups, repeats) for p in prepares]
+    sizes = [values[count] for *_, count in _FLAVOURS]
+    timed = iter(_time([(p, n) for prepares, n in zip(loops, sizes)
+                        for p in prepares], warmups, repeats))
+    for (name, _, prefix, _), n in zip(_FLAVOURS, sizes):
+        times = [next(timed) for _ in _LOOPS]
         for label, t in zip(_LOOPS, times):
             values[_field(prefix, label)] = t
         values[f"per_call_{name}_s"] = per_call_seconds(*times, n)

@@ -23,6 +23,7 @@ from .registry import (
     BOOLEAN,
     FLOAT,
     INTEGER,
+    INTEGRAL,
     TEXT,
     ArrayTag,
     ClassTag,
@@ -232,7 +233,7 @@ def shape(v):
     None; other values, closures say, fit none either."""
     cls = v.__class__
     if cls is float:
-        return _INTEGRAL if v.is_integer() else float
+        return INTEGRAL if v.is_integer() else float
     if cls is Table:
         ref = v.entries.get("__hostref")
         if ref is None:
@@ -243,10 +244,6 @@ def shape(v):
             return ref.elem_tag
         return None
     return cls
-
-
-# The shape of an integral number; a fractional number's is float.
-_INTEGRAL = object()
 
 
 def _to_none(v):

@@ -3,9 +3,9 @@
 hostExport(t, "demo.ActionListener") produces a wrapper the host side can
 call methods on.  Each invocation looks the method up in the table at
 call time, so a script can add or replace methods after exporting and the
-host sees the change.  The host arguments pick the declared overload by
-the rule scripts use; the wrapper calls the function with the table as
-self and converts the single result to that overload's return type.
+host sees the change.  The registry's call site for the method picks the
+overload from the host arguments; the wrapper calls the function with
+the table as self and converts the single result to its return type.
 
 Exporting against a class additionally creates a backing instance with
 the zero-argument constructor.  Methods the table does not define fall
@@ -25,7 +25,6 @@ import weakref
 from .convert import Incompatible
 from .errors import (
     NoDefaultConstructor,
-    NoSuchMember,
     NotCallable,
     ProxyNotExportable,
     ReturnTypeMismatch,
@@ -42,22 +41,20 @@ from .objects import (
     table_get,
     type_name,
 )
-from .registry import VOID, HostObject, resolve_overload
+from .registry import VOID, HostObject
 
 
 class ScriptWrapper:
     is_script_wrapper = True
 
-    __slots__ = ("target_type", "script_object", "backing", "methods",
-                 "_bridge", "__weakref__")
+    __slots__ = ("target_type", "script_object", "backing", "_bridge",
+                 "__weakref__")
 
-    def __init__(self, bridge, target_type: str, script_object: Table,
-                 backing, methods: dict):
+    def __init__(self, bridge, target_type: str, script_object: Table, backing):
         self._bridge = bridge
         self.target_type = target_type
         self.script_object = script_object
         self.backing = backing  # HostObject for class targets, else None
-        self.methods = methods  # the target's flattened overloads by name
 
     def invoke_method(self, name: str, host_args: list):
         return self._bridge.wrapper_invoke(self, name, host_args)
@@ -94,7 +91,7 @@ class InboundBridge:
                         f"to back the table")
                 backing = self.registry.instantiate(target_type, [])
                 raw_set(t, "__base", self.converter.to_script(backing))
-        w = ScriptWrapper(self, target_type, t, backing, flat.methods)
+        w = ScriptWrapper(self, target_type, t, backing)
         self._wrappers[key] = w
         return w
 
@@ -103,9 +100,7 @@ class InboundBridge:
         return self.host_export(t, target_type)
 
     def wrapper_invoke(self, w: ScriptWrapper, name: str, host_args: list):
-        cands = w.methods.get(name)
-        if not cands or cands[0].static:
-            raise NoSuchMember(w.target_type, name)
+        select = self.registry.site(w.target_type, name)  # NoSuchMember
         fn = table_get(w.script_object, name)  # live: every call looks again
         if fn is NIL:
             if w.backing is None:
@@ -119,8 +114,7 @@ class InboundBridge:
                 f"{name!r} on the table exported as {w.target_type!r} "
                 f"is a {type_name(fn)}, not a function")
         # the overload fixes the return tag; choose it before the call
-        m, host_args = resolve_overload(
-            cands, host_args, self.registry.score_host, w.target_type)
+        m, host_args = select(host_args)
         conv = self.converter
         args = [w.script_object]
         for h in host_args:

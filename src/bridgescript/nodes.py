@@ -27,12 +27,13 @@ statements cannot merge when reparsed.
 import operator
 from math import copysign
 
-from .errors import BridgeScriptError, KeyIsNil, NotCallable, ScriptRuntimeError
+from .errors import BridgeScriptError, NotCallable, ScriptRuntimeError
 from .objects import (
     NIL,
     Closure,
     NativeFunction,
     Table,
+    check_key,
     format_number,
     script_equals,
     type_name,
@@ -276,11 +277,7 @@ class IndexExpr(Node):
                 if v is not _MISS:
                     return v
                 return _index_fallback(t, key, line)
-            if key is NIL:
-                raise KeyIsNil("table key is nil", line)
-            raise ScriptRuntimeError(
-                f"table key must be a string or number, got {type_name(key)}",
-                line)
+            check_key(key, line)  # raises: nil or not a string or number
 
         return index
 
@@ -753,12 +750,9 @@ class AssignIndex(Node):
                 key = const_key
             else:
                 key = key_c(fr)
-                if not (key.__class__ is str or key.__class__ is float):
-                    if key is NIL:
-                        raise KeyIsNil("table key is nil", line)
-                    raise ScriptRuntimeError(
-                        f"table key must be a string or number, "
-                        f"got {type_name(key)}", line)
+                if not (key.__class__ is str
+                        or key.__class__ is float) or key != key:
+                    check_key(key, line)  # raises: nil, NaN or neither
             v = expr_c(fr)
             handler = t.newindex_handler
             if handler is not None:

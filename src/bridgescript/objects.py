@@ -112,7 +112,7 @@ def call_value(f, args: list) -> list:
     raise NotCallable(f"attempt to call a {type_name(f)} value")
 
 
-def _check_key(key, line: int | None = None):
+def check_key(key, line: int | None = None):
     if key.__class__ is str or key.__class__ is float:
         if key == key:  # rejects NaN
             return
@@ -126,7 +126,7 @@ def table_get(t: Table, key):
     """Script-level read: present entry, else index handler, else nil."""
     if t.__class__ is not Table:
         raise ScriptRuntimeError(f"attempt to index a {type_name(t)} value")
-    _check_key(key)
+    check_key(key)
     v = t.entries.get(key, _MISS)
     if v is not _MISS:
         return v
@@ -141,7 +141,7 @@ def table_set(t: Table, key, value) -> None:
     """Script-level write: routed through the newindex handler when installed."""
     if t.__class__ is not Table:
         raise ScriptRuntimeError(f"attempt to index a {type_name(t)} value")
-    _check_key(key)
+    check_key(key)
     handler = t.newindex_handler
     if handler is not None:
         call_value(handler, [t, key, value])
@@ -154,7 +154,7 @@ def table_set(t: Table, key, value) -> None:
 
 def raw_set(t: Table, key, value) -> None:
     """Store without consulting handlers. Storing nil removes the key."""
-    _check_key(key)
+    check_key(key)
     if value is NIL:
         t.entries.pop(key, None)
     else:

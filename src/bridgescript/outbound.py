@@ -20,18 +20,13 @@ invocation the dispatcher stores itself into the proxy under the method
 name, so later reads find it directly and the fallback never fires again
 for that name on that proxy.
 
-Call sites.  A call site keeps a bounded cache in front of
-resolve_overload, keyed by the shapes of the arguments (convert.shape:
-integral number, fractional number, string, boolean, nil, host class
-name, array element tag, plain table).  Values of one shape score alike
-on every tag, so they get the same verdict.  An entry holds one
-converter per argument (Converter.converter_for) and the chosen method's
-registry invoker, which runs the body, wraps host errors as
-HostException and checks the result against the return tag; the call
-site converts the result to a script value.  A miss goes through
-resolve_overload, as does every call the rule refuses: NoMatch and
-Ambiguous are never cached.  The cache skips selection, never
-conversion: a plain table is auto-wrapped on every call, hit or miss.
+Call sites.  Each method, and each class's constructors, choose through
+one registry.call_site over to_host, keyed by convert.shape (integral
+number, fractional number, string, boolean, nil, host class name, array
+element tag, plain table).  The chosen overload's registry invoker runs
+the body, wraps host errors as HostException and checks the result
+against the return tag, which goes back through to_script.  NoMatch and
+Ambiguous are never cached; a plain table is wrapped on every call.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing and a read-only "length".  Class proxies
@@ -58,18 +53,13 @@ from .registry import (
     VOID,
     HostArray,
     HostObject,
+    call_site,
     index_error,
-    resolve_overload,
 )
 
 _EMPTY: list = []
 # The fallback_fires key of collected proxies' fires; no proxy has uid 0.
 RETIRED = (0, None)
-# Argument shapes one call site remembers; calls of further shapes
-# resolve every time.  The busiest sites of the perfbench workloads see
-# at most 4 shapes (Point.move: two numbers, each integral or
-# fractional), all of them remembered; 8 leaves room for twice that.
-SHAPES_PER_SITE = 8
 
 
 class DispatchStats:
@@ -121,6 +111,7 @@ class OutboundBridge:
         self._members: dict = {}         # instance members
         self._static_members: dict = {}  # static members
         self._element_stores: dict = {}  # array element tag -> setter
+        self._constructors: dict = {}  # class name -> call_site
         self._index_handler = NativeFunction(self._on_index, "proxy_index")
         self._newindex_handler = NativeFunction(
             self._on_newindex, "proxy_newindex")
@@ -135,14 +126,19 @@ class OutboundBridge:
     # ------------------------------------------------------------ built-ins
 
     def host_new_instance(self, name: str, script_args: list) -> Table:
-        flat = self.registry.lookup_class(name)
-        if flat.kind != "class":
-            raise InterfaceNotInstantiable(
-                f"{name!r} is an interface and cannot be instantiated")
-        ctor, args = resolve_overload(
-            flat.constructors, script_args, self.converter.to_host, name)
+        select = self._constructors.get(name)
+        if select is None:
+            flat = self.registry.lookup_class(name)
+            if flat.kind != "class":
+                raise InterfaceNotInstantiable(
+                    f"{name!r} is an interface and cannot be instantiated")
+            conv = self.converter
+            select = self._constructors[name] = call_site(
+                flat.constructors, name, conv.to_host, shape,
+                conv.converter_for)
+        ctor, args = select(script_args)
         return self.converter.to_script(
-            self.registry.instantiate(name, args, ctor=ctor))
+            self.registry.invoker(ctor)(None, args))
 
     def host_bind_class(self, name: str) -> Table:
         return self.converter.class_proxy(name)
@@ -257,7 +253,24 @@ class OutboundBridge:
         return _Member(read, write)
 
     def _method(self, cname: str, key: str, cands, static: bool) -> _Member:
-        call = self._call_site(cname, cands)
+        conv = self.converter
+        select = call_site(cands, cname, conv.to_host, shape,
+                           conv.converter_for)
+        to_script = conv.to_script
+        invoker = self.registry.invoker
+        # method -> (its invoker, is it void, the class of results that
+        # pass back as they are)
+        runs = {m: (invoker(m), m.returns is VOID, AS_IS.get(m.returns))
+                for m in cands}
+
+        def call(receiver, args: list) -> list:
+            m, args = select(args)
+            invoke, void, as_is = runs[m]
+            r = invoke(receiver, args)
+            if void:
+                return _EMPTY
+            return [r if r.__class__ is as_is else to_script(r)]
+
         m = cands[0]
         # nullary void methods skip conversion and result handling whole
         fast_body = None
@@ -273,50 +286,6 @@ class OutboundBridge:
         def write(ref, v):
             raise _unassignable(key, cname, static)
         return _Member(read, write)
-
-    # ------------------------------------------------------------ call sites
-
-    def _call_site(self, owner: str, cands):
-        """call(receiver, args) -> script results for the overloads
-        cands of owner: a bounded shape cache in front of
-        resolve_overload."""
-        to_host = self.converter.to_host
-        to_script = self.converter.to_script
-        converter_for = self.converter.converter_for
-        invoker = self.registry.invoker
-        # method -> (its invoker, is it void, the class of results that
-        # pass back as they are)
-        runs = {m: (invoker(m), m.returns is VOID, AS_IS.get(m.returns))
-                for m in cands}
-        cache: dict = {}  # argument shapes -> (converters or None, run)
-
-        def call(receiver, args: list) -> list:
-            n = len(args)  # short calls spelt out: map() costs more
-            if n == 1:
-                key = (shape(args[0]),)
-            elif n == 2:
-                key = (shape(args[0]), shape(args[1]))
-            else:
-                key = tuple(map(shape, args))
-            hit = cache.get(key)
-            if hit is None:
-                m, host_args = resolve_overload(cands, args, to_host, owner)
-                run = runs[m]
-                if len(cache) < SHAPES_PER_SITE:
-                    convs = tuple(map(converter_for, args, m.params))
-                    cache[key] = (convs if any(convs) else None, run)
-                args = host_args
-            else:
-                convs, run = hit
-                if convs is not None:
-                    args = [v if c is None else c(v)
-                            for c, v in zip(convs, args)]
-            invoke, void, as_is = run
-            r = invoke(receiver, args)
-            if void:
-                return _EMPTY
-            return [r if r.__class__ is as_is else to_script(r)]
-        return call
 
     # ----------------------------------------------------------- dispatcher
 

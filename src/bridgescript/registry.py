@@ -18,9 +18,15 @@ resolve_overload is the one overload rule, for calls from either side:
 each argument scores 2 (exact) or 1 (coercion) and the unique maximum
 sum wins.  Converter.to_host scores script values, score_host host ones.
 
-invoker(m) is the one way a native method body runs, for calls from
-either side: host errors become HostException, the result is checked
-against the return tag, and validate_invokes re-checks the receiver.
+call_site is the one way a call chooses among overloads, from either
+side: resolve_overload behind a cache keyed by argument shapes that
+skips selection, never conversion, and keeps no refusal.  The registry
+keeps the host-side sites.
+
+invoker(m) is the one way a native body runs, for calls from either
+side: host errors become HostException, the result is checked against
+the return tag, and validate_invokes re-checks the receiver.  A
+constructor's invoker makes, fills and returns the new object.
 """
 
 import inspect
@@ -49,6 +55,13 @@ from .errors import (
 
 _uid = itertools.count(1).__next__
 _FLOAT_MAX = sys.float_info.max
+# The argument shape of an integral number, script or host.
+INTEGRAL = object()
+# Argument shapes one call site remembers; calls of further shapes
+# resolve every time.  The busiest sites of the perfbench workloads see
+# at most 4 shapes (Point.move: two numbers, each integral or
+# fractional), all of them remembered; 8 leaves room for twice that.
+SHAPES_PER_SITE = 8
 
 
 # ------------------------------------------------------------------ type tags
@@ -203,24 +216,18 @@ def resolve_overload(cands, args, front, owner: str):
     method or constructors of class owner, that front(value, tag) scores
     highest on args, else NoMatch or Ambiguous.  Only the winner's
     converted values are read, so a table is wrapped for it alone."""
-    n = len(args)
-    best = None
-    best_score = -1
-    tied = ()
+    best, best_score, tied = None, -1, ()
     for m in cands:
-        params = m.params
-        if len(params) != n:
+        if len(m.params) != len(args):
             continue
         score = 0
         convs = []
-        i = 0
-        while i < n:
-            r = front(args[i], params[i])
+        for v, tag in zip(args, m.params):
+            r = front(v, tag)
             if r.__class__ is Incompatible:
                 break
             score += r.score
             convs.append(r)
-            i += 1
         else:
             if score > best_score:
                 best, best_score, best_convs, tied = m, score, convs, ()
@@ -235,11 +242,60 @@ def resolve_overload(cands, args, front, owner: str):
                 f"more than one {what} fits these arguments equally well",
                 tied)
         raise NoMatch(f"no {what} accepts these arguments")
-    i = 0
-    while i < n:  # read the winner's values only now
-        best_convs[i] = best_convs[i].value
-        i += 1
-    return best, best_convs
+    return best, [r.value for r in best_convs]  # the winner's values only
+
+
+def call_site(cands, owner: str, front, shape, converter_for):
+    """select(args) -> resolve_overload(cands, args, front, owner), with
+    the verdicts for up to SHAPES_PER_SITE argument shapes remembered.
+    Values of one shape must score alike on every tag; converter_for(v,
+    tag) converts them as front does, or is None if front keeps them."""
+    cache: dict = {}  # argument shapes -> (method, converters or None)
+
+    def select(args: list):
+        n = len(args)  # short calls spelt out: map() costs more
+        if n == 1:
+            key = (shape(args[0]),)
+        elif n == 2:
+            key = (shape(args[0]), shape(args[1]))
+        else:
+            key = tuple(map(shape, args)) if n else ()
+        hit = cache.get(key)
+        if hit is None:
+            m, converted = resolve_overload(cands, args, front, owner)
+            if len(cache) < SHAPES_PER_SITE:
+                convs = tuple(map(converter_for, args, m.params))
+                cache[key] = (m, convs if any(convs) else None)
+            return m, converted
+        m, convs = hit
+        if convs is not None:
+            args = [v if c is None else c(v) for c, v in zip(convs, args)]
+        return m, args
+    return select
+
+
+def host_shape(v):
+    """v's row in score_host's rule: a host object's class name, an
+    integral number (an int inside the float range or an integral
+    float), an array's element tag, a wrapper's target type, else v's
+    class (a fractional float, an int beyond the float range, ...)."""
+    cls = v.__class__
+    if cls is HostObject:
+        return v.class_name
+    if cls is float:
+        return INTEGRAL if v.is_integer() else float
+    if cls is int:
+        return INTEGRAL if abs(v) <= _FLOAT_MAX else int
+    if cls is HostArray:
+        return v.elem_tag
+    if _is_wrapper(v):
+        return (_is_wrapper, v.target_type)  # equals no class name
+    return cls
+
+
+def _host_converter(v, tag):
+    """converter_for of score_host: numbers become the slot's kind."""
+    return float if tag is FLOAT else int if tag is INTEGER else None
 
 
 class HostRegistry:
@@ -252,6 +308,7 @@ class HostRegistry:
         self._instance_inits: dict[str, dict] = {}
         self._frozen = False
         self._invokers: dict = {}  # MethodDescriptor -> invoker(m)
+        self._sites: dict = {}  # (class, method) or class -> call_site
         # Conformance re-check of receiver fields after every invoke.
         # Costly, so off by default; the test suite turns it on.
         self.validate_invokes = validate_invokes
@@ -364,7 +421,8 @@ class HostRegistry:
                 raise DescriptorError(
                     f"duplicate constructor signature for {d.name!r}")
             seen.add(sig)
-            ctor = MethodDescriptor("<init>", sig, VOID, False, c.body)
+            ctor = MethodDescriptor(
+                "<init>", sig, ClassTag(d.name), False, c.body)
             _check_body_arity(d.name, ctor)
             out.append(ctor)
         return out
@@ -457,10 +515,9 @@ class HostRegistry:
                         break
                 else:
                     merged.append(m)
-        ctors = list(d.constructors)
-        if not ctors:
-            # mirror the host language convention of an implicit default
-            ctors = [MethodDescriptor("<init>", (), VOID, False, None)]
+        # mirror the host language convention of an implicit default
+        ctors = d.constructors or [
+            MethodDescriptor("<init>", (), ClassTag(d.name), False, None)]
         return HostClassDescriptor(
             name=d.name, kind="class", base=d.base,
             fields=fields, methods=methods, constructors=ctors)
@@ -519,21 +576,18 @@ class HostRegistry:
 
     # ------------------------------------------------------------ instances
 
-    def instantiate(self, name: str, args: list, ctor: MethodDescriptor | None = None):
-        """Construct name: with ctor, args are converted for it; without,
-        they are host values and the overload rule picks the ctor."""
-        flat = self.lookup_class(name)
-        if flat.kind != "class":
-            raise InterfaceNotInstantiable(f"{name!r} is an interface")
-        if ctor is None:
-            ctor, args = resolve_overload(
-                flat.constructors, args, self.score_host, name)
-        obj = HostObject(name, dict(self._instance_inits[name]))
-        if ctor.body is not None:
-            _run_native(ctor.body, (obj, *args), f"constructor of {name}")
-        if self.validate_invokes:
-            self.validate_object(obj)
-        return obj
+    def instantiate(self, name: str, args: list):
+        """Construct name from host values, by the overload rule."""
+        select = self._sites.get(name)
+        if select is None:
+            flat = self.lookup_class(name)
+            if flat.kind != "class":
+                raise InterfaceNotInstantiable(f"{name!r} is an interface")
+            select = self._sites[name] = call_site(
+                flat.constructors, name, self.score_host, host_shape,
+                _host_converter)
+        ctor, args = select(args)
+        return self.invoker(ctor)(None, args)
 
     def invoker(self, m: MethodDescriptor):
         """invoke(receiver, host args) -> host result of m, built once per
@@ -546,38 +600,60 @@ class HostRegistry:
         body, name, tag, static = m.body, m.name, m.returns, m.static
         as_is = AS_IS.get(tag)
         conforms = self.conforms
+        if name == "<init>":
+            cname, inits = tag.name, self._instance_inits[tag.name]
 
-        def invoke(receiver, args: list):
-            if body is None:
-                raise HostException(f"method {name!r} has no native body")
-            try:  # _run_native spelt out: the extra call costs more
-                r = body(*args) if static else body(receiver, *args)
-            except BridgeScriptError:
-                raise
-            except Exception as e:  # noqa: BLE001 - host code
-                raise HostException(f"{name}: {e}") from e
-            if tag is VOID:
-                r = None
-            elif r.__class__ is not as_is:
-                r = normalize(tag, r)
-                if not conforms(r, tag):
-                    raise HostException(
-                        f"native body of {name!r} returned a value that "
-                        f"does not conform to {tag!r}")
-            if self.validate_invokes and receiver is not None:
-                self.validate_object(receiver)
-            return r
+            def invoke(receiver, args: list):
+                obj = HostObject(cname, dict(inits))
+                try:
+                    if body is not None:
+                        body(obj, *args)
+                except BridgeScriptError:
+                    raise
+                except Exception as e:  # noqa: BLE001 - host code
+                    raise HostException(f"constructor of {cname}: {e}") from e
+                if self.validate_invokes:
+                    self.validate_object(obj)
+                return obj
+        else:
+            def invoke(receiver, args: list):
+                if body is None:
+                    raise HostException(f"method {name!r} has no native body")
+                try:
+                    r = body(*args) if static else body(receiver, *args)
+                except BridgeScriptError:
+                    raise
+                except Exception as e:  # noqa: BLE001 - host code
+                    raise HostException(f"{name}: {e}") from e
+                if tag is VOID:
+                    r = None
+                elif r.__class__ is not as_is:
+                    r = normalize(tag, r)
+                    if not conforms(r, tag):
+                        raise HostException(
+                            f"native body of {name!r} returned a value "
+                            f"that does not conform to {tag!r}")
+                if self.validate_invokes and receiver is not None:
+                    self.validate_object(receiver)
+                return r
         self._invokers[m] = invoke
         return invoke
+
+    def site(self, cname: str, name: str):
+        """The call_site of host calls of cname's method name."""
+        select = self._sites.get((cname, name))
+        if select is None:
+            cands = self.lookup_class(cname).methods.get(name)
+            if not cands or cands[0].static:
+                raise NoSuchMember(cname, name)
+            select = self._sites[(cname, name)] = call_site(
+                cands, cname, self.score_host, host_shape, _host_converter)
+        return select
 
     def call_method(self, target, name: str, args: list):
         """Host-side dynamic dispatch: works on host objects and wrappers."""
         if target.__class__ is HostObject:
-            cands = self.lookup_class(target.class_name).methods.get(name)
-            if not cands or cands[0].static:
-                raise NoSuchMember(target.class_name, name)
-            m, args = resolve_overload(
-                cands, args, self.score_host, target.class_name)
+            m, args = self.site(target.class_name, name)(args)
             return self.invoker(m)(target, args)
         if _is_wrapper(target):
             return target.invoke_method(name, args)
@@ -747,11 +823,3 @@ def _check_body_arity(class_name: str, m: MethodDescriptor) -> None:
             f"native body of {class_name}.{m.name} takes {len(positional)} "
             f"positional argument(s), expected {expected}")
 
-
-def _run_native(body, args, what: str):
-    try:
-        return body(*args)
-    except BridgeScriptError:
-        raise
-    except Exception as e:  # noqa: BLE001 - host code may raise anything
-        raise HostException(f"{what}: {e}") from e

@@ -9,6 +9,8 @@ select_overload over randomized instances; any disagreement means one
 side misreads the rules.
 """
 
+import math
+
 from bridgescript.errors import ClassNotFound
 from bridgescript.objects import NIL, Table
 from bridgescript.registry import (
@@ -52,15 +54,15 @@ def score_value(registry, v, tag):
     """Score of converting one script value to one tag; None rejects.
 
     2 exact, 1 coercion, mirroring: numbers are exact floats and
-    integral-only integers; nil coerces to any reference tag; an object
-    proxy is exact on its own class and a coercion on a strict base;
-    a plain table coerces to any wrappable interface or class; arrays
-    match on the exact element tag only.
+    integral-only integers (±inf and nan are not integral); nil coerces
+    to any reference tag; an object proxy is exact on its own class and
+    a coercion on a strict base; a plain table coerces to any wrappable
+    interface or class; arrays match on the exact element tag only.
     """
     if tag is FLOAT:
         return 2 if type(v) is float else None
     if tag is INTEGER:
-        if type(v) is float and v == int(v):
+        if type(v) is float and math.isfinite(v) and v == int(v):
             return 1
         return None
     if tag is TEXT:

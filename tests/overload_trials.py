@@ -8,15 +8,19 @@ acceptance gate.  run_host_trials does the same for host values: the
 registry's choice for them must equal the referee's choice for the
 script values to_script makes of them.  run_site_trials drives calls
 through the outbound bridge's warm call sites, whose shape caches must
-not change any verdict.
+not change any verdict; run_host_site_trials does the same for the
+registry's host-side sites behind call_method, instantiate and
+wrapper_invoke.
 """
 
+import math
 import random
+import sys
 
 from bridgescript.convert import Converter
 from bridgescript.errors import Ambiguous, NoMatch
 from bridgescript.inbound import InboundBridge
-from bridgescript.objects import NIL, Table, table_get
+from bridgescript.objects import NIL, NativeFunction, Table, table_get
 from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
     BOOLEAN,
@@ -28,8 +32,10 @@ from bridgescript.registry import (
     ClassTag,
     HostClassDescriptor,
     HostRegistry,
+    Incompatible,
     InterfaceTag,
     MethodDescriptor,
+    host_shape,
     resolve_overload,
 )
 
@@ -258,3 +264,126 @@ def run_site_trials(calls: int, seed: int = 20261019, sites: int = 6):
         elif example is None:
             example = (name, args, want, got)
     return agree, calls, example
+
+
+def host_site_pool(reg, conv):
+    """Host values for the host-side sites: host_value_pool's rows plus
+    the ones the referee cannot judge (ints beyond the float range,
+    wrappers) and ±inf, nan and more array element tags."""
+    return host_value_pool(reg) + [
+        2 ** 60, 10 ** 400, -10 ** 400,
+        math.inf, -math.inf, math.nan,
+        reg.array_new(TEXT, 1),
+        conv.auto_wrap(Table(), "ora.Ear"),
+        conv.auto_wrap(Table(), "ora.Base"),
+        conv.auto_wrap(Table(), "ora.Derived"),
+    ]
+
+
+def _beyond_referee(h) -> bool:
+    """Host values whose score the referee cannot restate from the
+    script value: a wrapper (scored by conformance) and an int that
+    makes no script number."""
+    return getattr(h, "is_script_wrapper", False) or (
+        type(h) is int and abs(h) > sys.float_info.max)
+
+
+def run_host_site_trials(calls: int, seed: int = 20261020):
+    """Drive host values through warm host-side sites: call_method on an
+    object of a subclass of the declaring class, instantiate, and
+    wrapper_invoke on an interface wrapper whose overloads each return
+    their own interface.  Every site sees more argument shapes than it
+    caches.  Each call must choose what oracle.decide chooses for the
+    script values to_script makes, or, where those values are beyond
+    the referee, what a direct resolve_overload call chooses; a body
+    must get values that fit its tags.  Returns (agreements, calls,
+    first disagreement, the most shapes one site saw)."""
+    rng = random.Random(seed)
+    tags = CORE_TAGS + EXTRA_TAGS
+
+    def sigs():
+        return sorted({tuple(rng.choice(tags)
+                             for _ in range(rng.randint(0, 2)))
+                       for _ in range(rng.randint(2, 4))}, key=repr)
+
+    seen = []
+
+    def body(sig):
+        def run(obj, *args):
+            seen.append((sig, args))
+            return repr(sig)
+        return run
+
+    names = ["f0", "f1", "f2"]
+    host = HostClassDescriptor(
+        name="ora.Host",
+        methods={f: [MethodDescriptor(f, sig, TEXT, False, body(sig))
+                     for sig in sigs()] for f in names},
+        constructors=[MethodDescriptor("<init>", sig, VOID, False, body(sig))
+                      for sig in sigs()])
+    kid = HostClassDescriptor(name="ora.HostKid", base="ora.Host")
+    on = sigs()
+    results = [HostClassDescriptor(name=f"ora.R{k}", kind="interface")
+               for k in range(len(on))]
+    hearer = HostClassDescriptor(name="ora.Hearer", kind="interface", methods={
+        "on": [MethodDescriptor("on", sig, InterfaceTag(f"ora.R{k}"))
+               for k, sig in enumerate(on)]})
+    reg, conv = build_world(host, kid, *results, hearer)
+    pool = host_site_pool(reg, conv)
+    fits = {tag: [h for h in pool
+                  if reg.score_host(h, tag).__class__ is not Incompatible]
+            for tag in tags}
+    receiver = reg.instantiate("ora.HostKid", [])
+    listener = Table()
+    listener.entries["on"] = NativeFunction(lambda args: [args[0]], "on")
+    w = conv.auto_wrap(listener, "ora.Hearer")
+    flat = reg.lookup_class
+
+    def label(m):  # what a call that chose m returns, or its body saw
+        if m.name == "on":
+            return f"ora.R{on.index(m.params)}"
+        return repr(m.params)
+
+    def production(kind, args):
+        if kind == "<init>":
+            reg.instantiate("ora.Host", args)
+            return repr(seen[-1][0])
+        if kind == "on":
+            return reg.call_method(w, "on", args).target_type
+        return reg.call_method(receiver, kind, args)
+
+    kinds = {f: flat("ora.Host").methods[f] for f in names}
+    kinds["<init>"] = flat("ora.Host").constructors
+    kinds["on"] = flat("ora.Hearer").methods["on"]
+    shapes = {kind: set() for kind in kinds}
+    agree = 0
+    example = None
+    for _ in range(calls):
+        kind = rng.choice(sorted(kinds))
+        cands = kinds[kind]
+        sig = rng.choice(cands).params
+        if rng.random() < 0.1:  # any arity, any values
+            sig = (None,) * rng.randint(0, 2)
+        args = [rng.choice(fits[tag] if tag in fits and rng.random() < 0.75
+                           else pool)
+                for tag in sig]
+        shapes[kind].add(tuple(map(host_shape, args)))
+        if any(map(_beyond_referee, args)):
+            status, m = host_decide(reg, cands, args)
+        else:
+            status, m = oracle.decide(
+                reg, cands, [conv.to_script(h) for h in args])
+        want = (status, label(m) if status == "selected" else None)
+        seen.clear()
+        try:
+            got = ("selected", production(kind, args))
+        except NoMatch:
+            got = ("no_match", None)
+        except Ambiguous:
+            got = ("ambiguous", None)
+        if got == want and (got[0] != "selected" or kind == "on"
+                            or converted_as_declared(reg, seen)):
+            agree += 1
+        elif example is None:
+            example = (kind, args, want, got)
+    return agree, calls, example, max(map(len, shapes.values()))

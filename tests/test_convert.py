@@ -18,6 +18,7 @@ from bridgescript.registry import (
     BOOLEAN,
     FLOAT,
     INTEGER,
+    SHAPES_PER_SITE,
     TEXT,
     VOID,
     ArrayTag,
@@ -30,6 +31,7 @@ from bridgescript.registry import (
 from overload_trials import (
     build_world,
     host_decide,
+    run_host_site_trials,
     run_host_trials,
     run_trials,
 )
@@ -273,6 +275,12 @@ def test_overload_agreement_extended_tags():
 def test_host_overload_agreement_with_referee():
     agree, total, example = run_host_trials(3_000)
     assert (agree, total) == (3_000, 3_000), example
+
+
+def test_host_sites_agree_with_referee():
+    agree, total, example, widest = run_host_site_trials(3_000)
+    assert (agree, total) == (3_000, 3_000), example
+    assert widest > SHAPES_PER_SITE
 
 
 def test_host_selection_converts_to_the_chosen_tags(world):

@@ -215,6 +215,24 @@ def test_non_function_member_is_not_callable(interp):
         w.invoke_method("hello", [])
 
 
+def test_wrapper_errors_keep_their_order(interp):
+    """Every call below also has arguments no overload accepts; the
+    error raised is the first of NoSuchMember, UnimplementedMethod,
+    NotCallable and NoMatch that applies, on a cold and a warm site."""
+    t = _table_from(interp, "t = {nope = 5}")
+    w = interp.inbound.host_export(t, "demo.ActionListener")
+    steps = (("nope", "", NoSuchMember),
+             ("actionPerformed", "", UnimplementedMethod),
+             ("actionPerformed", "t.actionPerformed = 5", NotCallable),
+             ("actionPerformed", "function t:actionPerformed(e) end",
+              NoMatch))
+    for name, source, error in steps:
+        interp.run(source)
+        for _ in range(2):
+            with pytest.raises(error):
+                w.invoke_method(name, ["bad"])
+
+
 def test_return_value_must_match_declaration(interp):
     t = _table_from(interp, "t = {} function t:hello() return 3 end")
     w = interp.inbound.host_export(t, "demo.Greeter")

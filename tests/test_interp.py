@@ -234,6 +234,15 @@ def test_nil_key_rejected(bare_interp):
         bare_interp.run("t = {} t[nil] = 1")
 
 
+def test_nan_key_store_rejected_with_its_line(bare_interp):
+    with pytest.raises(ScriptRuntimeError, match="table key is NaN") as e:
+        bare_interp.run("t = {}\nt[0/0] = 1")
+    assert e.value.line == 2
+    assert bare_interp.global_value("t").entries == {}
+    with pytest.raises(ScriptRuntimeError, match="table key is NaN"):
+        table_set(bare_interp.global_value("t"), float("nan"), 1.0)
+
+
 def test_indexing_non_table(bare_interp):
     with pytest.raises(ScriptRuntimeError) as e:
         bare_interp.run("x = 5 y = x.field")

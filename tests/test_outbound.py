@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from bridgescript import Interpreter, outbound
+from bridgescript import Interpreter, registry
 from bridgescript.convert import Converter
 from bridgescript.errors import (
     Ambiguous,
@@ -29,10 +29,11 @@ from bridgescript.errors import (
 )
 from bridgescript.inbound import InboundBridge
 from bridgescript.objects import NIL, NativeFunction, Table, table_get
-from bridgescript.outbound import RETIRED, SHAPES_PER_SITE, OutboundBridge
+from bridgescript.outbound import RETIRED, OutboundBridge
 from bridgescript.registry import (
     FLOAT,
     INTEGER,
+    SHAPES_PER_SITE,
     TEXT,
     VOID,
     ArrayTag,
@@ -666,8 +667,8 @@ def test_site_remembers_at_most_its_bound(monkeypatch):
     calls = [[o, n] for o in objects for n in (3.0, 2.5)]
     assert len(calls) > SHAPES_PER_SITE  # one call per shape
     resolved = []
-    real = outbound.resolve_overload
-    monkeypatch.setattr(outbound, "resolve_overload",
+    real = registry.resolve_overload
+    monkeypatch.setattr(registry, "resolve_overload",
                         lambda *a: resolved.append(a) or real(*a))
     g = table_get(conv.class_proxy("Two"), "g")
     for _ in range(3):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bridgescript import Interpreter, registry
 from bridgescript.demo import build_demo_registry, demo_bodies, load_demo_manifest
 from bridgescript.errors import (
     Ambiguous,
@@ -28,6 +29,7 @@ from bridgescript.manifest import (
     parse_tag,
     register_from_manifest,
 )
+from bridgescript.objects import NativeFunction, Table
 from bridgescript.registry import (
     BOOLEAN,
     FLOAT,
@@ -42,6 +44,8 @@ from bridgescript.registry import (
     InterfaceTag,
     MethodDescriptor,
 )
+
+from overload_trials import build_world
 
 
 def desc(name, **kw):
@@ -297,6 +301,38 @@ def test_host_exception_wraps_body_errors():
     assert "kaput" in str(e.value)
 
 
+def test_raising_constructor_is_a_host_exception_from_either_side(out):
+    def init(self, x):
+        raise ValueError("no good")
+
+    reg = HostRegistry()
+    reg.register_class(desc("Fussy", constructors=[
+        method("<init>", (FLOAT,), body=init)]))
+    reg.freeze()
+    for _ in range(2):  # a cold site, then a warm one
+        with pytest.raises(HostException) as e:
+            reg.instantiate("Fussy", [1.0])
+        assert e.value.message == "constructor of Fussy: no good"
+        with pytest.raises(HostException) as e:
+            Interpreter(reg, out=out).run('\nf = hostNewInstance("Fussy", 1)')
+        assert e.value.message == "constructor of Fussy: no good"
+        assert e.value.line == 2
+
+
+def test_validation_checks_a_new_object(out):
+    def init(self):
+        self.fields["n"] = "text"  # breaks the field's tag
+
+    reg = HostRegistry(validate_invokes=True)
+    reg.register_class(desc("Broken", fields={"n": FieldSpec(INTEGER)},
+                            constructors=[method("<init>", body=init)]))
+    reg.freeze()
+    with pytest.raises(HostException, match="violates its tag"):
+        reg.instantiate("Broken", [])
+    with pytest.raises(HostException, match="violates its tag"):
+        Interpreter(reg, out=out).run('b = hostNewInstance("Broken")')
+
+
 def test_call_method_errors(demo):
     p = demo.instantiate("demo.Point", [])
     with pytest.raises(HostException):
@@ -338,6 +374,43 @@ def test_host_call_with_tied_overloads_is_ambiguous():
     reg.freeze()
     with pytest.raises(Ambiguous):
         reg.call_method(reg.instantiate("Amb", []), "pick", [None])
+
+
+def test_refused_host_calls_resolve_every_time(monkeypatch):
+    """Host-side sites remember the overloads they chose, never a
+    refusal: each NoMatch or Ambiguous from call_method, instantiate
+    or a wrapper comes from a fresh resolve_overload."""
+    two = (ClassTag("ora.Base"), ClassTag("ora.NoDefault"))
+    reg, conv = build_world(
+        desc("Amb", constructors=[method("<init>", (t,)) for t in two],
+             methods={"pick": [method("pick", (t,), body=lambda s, x: None)
+                               for t in two]}),
+        desc("Picky", kind="interface",
+             methods={"pick": [method("pick", (t,)) for t in two]}))
+    base = reg.instantiate("ora.Base", [])
+    obj = reg.instantiate("Amb", [base])
+    t = Table()
+    t.entries["pick"] = NativeFunction(lambda args: [], "pick")
+    w = conv.auto_wrap(t, "Picky")
+    calls = (lambda a: reg.call_method(obj, "pick", a),
+             lambda a: reg.instantiate("Amb", a),
+             lambda a: w.invoke_method("pick", a))
+    resolved = []
+    real = registry.resolve_overload
+    monkeypatch.setattr(registry, "resolve_overload",
+                        lambda *a: resolved.append(a) or real(*a))
+    for call in calls:
+        for args, error in (([None], Ambiguous), (["x"], NoMatch)) * 3:
+            with pytest.raises(error):
+                call(args)
+    assert len(resolved) == 18
+    resolved.clear()
+    for call in calls:
+        for _ in range(3):
+            call([base])
+    # an accepted shape resolves once per site; making obj warmed the
+    # constructors' site for it
+    assert len(resolved) == 2
 
 
 def test_instantiate_converts_to_the_chosen_constructor(demo):
