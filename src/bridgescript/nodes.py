@@ -1,4 +1,5 @@
-"""AST nodes and their compilation to Python closures.
+"""AST nodes, their compilation to Python closures, and a second tier
+that generates Python source for hot code.
 
 Nodes do not evaluate themselves directly.  Each expression compiles
 once into a closure frame -> value, and each statement into a closure
@@ -18,6 +19,16 @@ from the statement after its declaration, except that a local whose
 initializer is a function literal is already in scope inside it, so
 local functions can recurse.
 
+A while or for statement counts its iterations across its runs, and a
+function body its calls.  At the K-th, the statement or body is written
+out as the source of a Python function (the gen methods) and compiled.
+That function works on the same frame, cells and upvals, makes the same
+checks and raises the same errors at the same lines, so a loop moves to
+it in the middle of a run: a while loop keeps all its state in the
+frame, and a for loop hands over its counter, limit and step.  A body
+moves through its Proto, which every closure of the literal shares.  If
+Python refuses the source, the node stays on closures.
+
 Every node carries the line of its first token.  unparse() emits source
 that parses back to a structurally identical tree (lines aside).
 Statement sequences are joined with semicolons so that adjacent
@@ -25,13 +36,15 @@ statements cannot merge when reparsed.
 """
 
 import operator
-from math import copysign
+import weakref
+from math import copysign, isfinite
 
 from .errors import BridgeScriptError, NotCallable, ScriptRuntimeError
 from .objects import (
     NIL,
     Closure,
     NativeFunction,
+    Proto,
     Table,
     check_key,
     format_number,
@@ -153,6 +166,9 @@ class NumberLit(Node):
         v = self.value
         return lambda fr: v
 
+    def gen(self, g):
+        return g.literal(self.value)
+
     def unparse(self) -> str:
         return repr(self.value)
 
@@ -167,6 +183,9 @@ class StringLit(Node):
     def compile(self, scope):
         v = self.value
         return lambda fr: v
+
+    def gen(self, g):
+        return g.literal(self.value)
 
     def unparse(self) -> str:
         return quote_string(self.value)
@@ -183,6 +202,9 @@ class BoolLit(Node):
         v = self.value
         return lambda fr: v
 
+    def gen(self, g):
+        return g.literal(self.value)
+
     def unparse(self) -> str:
         return "true" if self.value else "false"
 
@@ -196,6 +218,9 @@ class NilLit(Node):
     def compile(self, scope):
         return _nil
 
+    def gen(self, g):
+        return "NIL"
+
     def unparse(self) -> str:
         return "nil"
 
@@ -205,14 +230,15 @@ def _nil(fr):
 
 
 class VarExpr(Node):
-    __slots__ = ("name",)
+    __slots__ = ("name", "where")
 
     def __init__(self, name: str, line: int):
         self.name = name
         self.line = line
+        self.where = None  # (kind, index), set when compiled
 
     def compile(self, scope):
-        kind, i = scope.resolve(self.name)
+        self.where = kind, i = scope.resolve(self.name)
         if kind == LOCAL:
             return operator.itemgetter(i)
         if kind == CELL:
@@ -222,8 +248,22 @@ class VarExpr(Node):
         name = self.name
         return lambda fr: fr[0].get(name, NIL)
 
+    def gen(self, g):
+        kind, i = self.where
+        if kind == LOCAL and i in g.slots:
+            return g.slots[i]
+        t = g.temp()
+        g.emit(f"{t} = {g.variable(self)}")
+        if kind == LOCAL:
+            g.slots[i] = t
+        return t
+
     def unparse(self) -> str:
         return self.name
+
+
+def _index_error(v, line):
+    return ScriptRuntimeError(f"attempt to index a {type_name(v)} value", line)
 
 
 def _index_fallback(t, key, line):
@@ -256,8 +296,7 @@ class IndexExpr(Node):
             def index_const(fr):
                 t = obj_c(fr)
                 if t.__class__ is not Table:
-                    raise ScriptRuntimeError(
-                        f"attempt to index a {type_name(t)} value", line)
+                    raise _index_error(t, line)
                 v = t.entries.get(key, _MISS)
                 if v is not _MISS:
                     return v
@@ -269,8 +308,7 @@ class IndexExpr(Node):
         def index(fr):
             t = obj_c(fr)
             if t.__class__ is not Table:
-                raise ScriptRuntimeError(
-                    f"attempt to index a {type_name(t)} value", line)
+                raise _index_error(t, line)
             key = key_c(fr)
             if key.__class__ is str or key.__class__ is float:
                 v = t.entries.get(key, _MISS)
@@ -281,11 +319,28 @@ class IndexExpr(Node):
 
         return index
 
+    def gen(self, g):
+        t = self.obj.gen(g)
+        line = self.line
+        g.check_table(t, line)
+        k = self.key.gen(g)
+        if g.kind(k) not in (str, float):
+            g.emit(f"if {k}.__class__ is not str and {k}.__class__ is not "
+                   f"float: check_key({k}, {line})")
+        v = g.temp()
+        g.emit(f"{v} = {t}.entries.get({k}, _MISS)")
+        g.emit(f"if {v} is _MISS: {v} = _index_fallback({t}, {k}, {line})")
+        return v
+
     def unparse(self) -> str:
         base = _wrap_postfixable(self.obj)
         if isinstance(self.key, StringLit) and _is_plain_ident(self.key.value):
             return f"{base}.{self.key.value}"
         return f"{base}[{self.key.unparse()}]"
+
+
+def _call_error(f, line):
+    return NotCallable(f"attempt to call a {type_name(f)} value", line)
 
 
 class CallExpr(Node):
@@ -301,76 +356,7 @@ class CallExpr(Node):
 
     def compile(self, scope):
         line = self.line
-        callee = self.callee
-        # recv.name(recv, ...) with a bare-name receiver is what colon
-        # calls desugar to; fuse it so the receiver is read once.
-        if (callee.__class__ is IndexExpr
-                and callee.key.__class__ is StringLit
-                and callee.obj.__class__ is VarExpr
-                and self.args
-                and self.args[0].__class__ is VarExpr
-                and self.args[0].name == callee.obj.name):
-            recv_c = callee.obj.compile(scope)
-            mname = callee.key.value
-            rest_c = tuple(a.compile(scope) for a in self.args[1:])
-
-            def method_call(fr):
-                recv = recv_c(fr)
-                if recv.__class__ is not Table:
-                    raise ScriptRuntimeError(
-                        f"attempt to index a {type_name(recv)} value", line)
-                f = recv.entries.get(mname, _MISS)
-                if f is _MISS:
-                    f = _index_fallback(recv, mname, line)
-                args = [recv]
-                for c in rest_c:
-                    args.append(c(fr))
-                cls = f.__class__
-                try:
-                    if cls is Closure:
-                        vals = f.invoke(args)
-                    elif cls is NativeFunction:
-                        vals = f.fn(args)
-                    else:
-                        raise NotCallable(
-                            f"attempt to call a {type_name(f)} value", line)
-                except BridgeScriptError as e:
-                    if e.line is None:
-                        e.line = line
-                    raise
-                except RecursionError:
-                    raise ScriptRuntimeError("stack overflow", line) from None
-                return vals[0] if vals else NIL
-
-            return method_call
-
-        callee_c = callee.compile(scope)
-        if not self.args:
-            def call0(fr):
-                f = callee_c(fr)
-                cls = f.__class__
-                try:
-                    if cls is Closure:
-                        # the frame invoke would build, minus one Python
-                        # call; bench.py's native loop times this call
-                        if not f.nparams:
-                            vals = f.body([f.globals, f.upvals, *f.pad])
-                        else:
-                            vals = f.invoke(_EMPTY)
-                    elif cls is NativeFunction:
-                        vals = f.fn([])
-                    else:
-                        raise NotCallable(
-                            f"attempt to call a {type_name(f)} value", line)
-                except BridgeScriptError as e:
-                    if e.line is None:
-                        e.line = line
-                    raise
-                except RecursionError:
-                    raise ScriptRuntimeError("stack overflow", line) from None
-                return vals[0] if vals else NIL
-
-            return call0
+        callee_c = self.callee.compile(scope)
         args_c = tuple(a.compile(scope) for a in self.args)
 
         def call(fr):
@@ -385,8 +371,7 @@ class CallExpr(Node):
                 elif cls is NativeFunction:
                     vals = f.fn(args)
                 else:
-                    raise NotCallable(
-                        f"attempt to call a {type_name(f)} value", line)
+                    raise _call_error(f, line)
             except BridgeScriptError as e:
                 if e.line is None:
                     e.line = line
@@ -397,6 +382,36 @@ class CallExpr(Node):
 
         return call
 
+    def gen(self, g, want=True):
+        """The call as statements; its first value's temporary if want.
+        A closure with as many parameters as there are arguments gets
+        its frame built here and its body called directly."""
+        line = self.line
+        f = self.callee.gen(g)
+        vals = [a.gen(g) for a in self.args]
+        listed = ", ".join(vals)
+        frame = ", ".join([f"{f}.globals", f"{f}.upvals", *vals, "*p.pad"])
+        r = g.temp()
+        g.emit("try:")
+        g.emit(f"    if {f}.__class__ is Closure:")
+        g.emit(f"        p = {f}.proto")
+        g.emit(f"        if p.nparams == {len(vals)}: {r} = p.body([{frame}])")
+        g.emit(f"        else: {r} = {f}.invoke([{listed}])")
+        g.emit(f"    elif {f}.__class__ is NativeFunction: "
+               f"{r} = {f}.fn([{listed}])")
+        g.emit(f"    else: raise _call_error({f}, {line})")
+        g.emit("except BridgeScriptError as e:")
+        g.emit(f"    if e.line is None: e.line = {line}")
+        g.emit("    raise")
+        g.emit("except RecursionError:")
+        g.emit(f"    raise ScriptRuntimeError('stack overflow', {line}) "
+               f"from None")
+        if not want:
+            return None
+        v = g.temp()
+        g.emit(f"{v} = {r}[0] if {r} else NIL")
+        return v
+
     def unparse(self) -> str:
         callee = _wrap_postfixable(self.callee)
         return f"{callee}({', '.join(a.unparse() for a in self.args)})"
@@ -404,9 +419,10 @@ class CallExpr(Node):
 
 class FunctionExpr(Node):
     """A function literal.  captured is the set of names that functions
-    nested in its body use, recorded by the parser."""
+    nested in its body use, recorded by the parser.  Its body counts
+    calls and is generated as Python source at the K-th."""
 
-    __slots__ = ("params", "body", "captured")
+    __slots__ = ("params", "body", "captured", "make")
 
     def __init__(self, params: list[str], body: "Block", line: int,
                  captured: set):
@@ -414,6 +430,7 @@ class FunctionExpr(Node):
         self.body = body
         self.line = line
         self.captured = captured
+        self.make = None  # set when compiled
 
     def compile(self, scope):
         inner = Scope(scope, self.captured)
@@ -424,16 +441,35 @@ class FunctionExpr(Node):
                 cells.append(slot)
         body_c = self.body.compile(inner)
         n = len(self.params)
-        pad = (NIL,) * (inner.size - 2 - n)
-        if cells:
+        proto = Proto(None, n, (NIL,) * (inner.size - 2 - n))
+        left = K
+        body = self.body
+        line = self.line
+        # count reaches the body rather than this node, which refers to
+        # make, and the proto only weakly: with no reference cycle, a
+        # dropped function and its tree go at once
+        home = weakref.ref(proto)
+
+        def gen_unit(g) -> str:
+            for i in cells:
+                g.emit(f"fr[{i}] = [fr[{i}]]")
+            g.block(body)
+            return "fr"
+
+        def count(fr):
+            nonlocal left
+            left -= 1
+            if not left:
+                hot = _generate(gen_unit, line)
+                if hot is not None:
+                    home().body = hot  # alive: a closure is running it
+                    return hot(fr)
             # parameters that nested functions use are boxed on entry
-            run_body = body_c
+            for i in cells:
+                fr[i] = [fr[i]]
+            return body_c(fr)
 
-            def body_c(fr):
-                for i in cells:
-                    fr[i] = [fr[i]]
-                return run_body(fr)
-
+        proto.body = count
         sources = inner.sources
 
         def make(fr):
@@ -441,9 +477,15 @@ class FunctionExpr(Node):
             if sources:
                 up = fr[1]
                 upvals = tuple([fr[i] if i >= 0 else up[~i] for i in sources])
-            return Closure(body_c, n, pad, upvals, fr[0])
+            return Closure(proto, upvals, fr[0])
 
+        self.make = make
         return make
+
+    def gen(self, g):
+        t = g.temp(Closure)
+        g.emit(f"{t} = {g.const(self.make)}(fr)")
+        return t
 
     def unparse(self) -> str:
         return f"function({', '.join(self.params)}) {self.body.unparse()} end"
@@ -470,6 +512,15 @@ class TableCtor(Node):
             return t
 
         return make
+
+    def gen(self, g):
+        t = g.temp(Table)
+        g.emit(f"{t} = Table()")
+        for name, expr in self.fields:
+            v = expr.gen(g)
+            store = f"{t}.entries[{name!r}] = {v}"
+            g.emit(store if g.kind(v) else f"if {v} is not NIL: {store}")
+        return t
 
     def unparse(self) -> str:
         inner = ", ".join(f"{k} = {e.unparse()}" for k, e in self.fields)
@@ -509,60 +560,22 @@ def _divide(l, r):
     return float("inf") if same_sign else float("-inf")
 
 
+def _concat(l, r, line):
+    lt = l if l.__class__ is str else (
+        format_number(l) if l.__class__ is float else None)
+    rt = r if r.__class__ is str else (
+        format_number(r) if r.__class__ is float else None)
+    if lt is not None and rt is not None:
+        return lt + rt
+    bad = l if lt is None else r
+    raise ScriptRuntimeError(
+        f"attempt to concatenate a {type_name(bad)} value", line)
+
+
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": _divide}
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
-
-
-def _arith(fn, lc, right, scope, line):
-    """Numbers only; a literal number on the right is read once here."""
-    if right.__class__ is NumberLit:
-        k = right.value
-
-        def arith_k(fr):
-            l = lc(fr)
-            if l.__class__ is float:
-                return fn(l, k)
-            raise _arith_error(l, k, line)
-
-        return arith_k
-    rc = right.compile(scope)
-
-    def arith(fr):
-        l = lc(fr)
-        r = rc(fr)
-        if l.__class__ is float and r.__class__ is float:
-            return fn(l, r)
-        raise _arith_error(l, r, line)
-
-    return arith
-
-
-def _order(fn, lc, right, scope, line):
-    """Two numbers or two strings; a literal on the right is read once."""
-    if right.__class__ is NumberLit or right.__class__ is StringLit:
-        k = right.value
-        kc = k.__class__
-
-        def order_k(fr):
-            l = lc(fr)
-            if l.__class__ is kc:
-                return fn(l, k)
-            raise _compare_error(l, k, line)
-
-        return order_k
-    rc = right.compile(scope)
-
-    def order(fr):
-        l = lc(fr)
-        r = rc(fr)
-        c = l.__class__
-        if c is r.__class__ and (c is float or c is str):
-            return fn(l, r)
-        raise _compare_error(l, r, line)
-
-    return order
 
 
 class BinOp(Node):
@@ -578,30 +591,95 @@ class BinOp(Node):
         op = self.op
         line = self.line
         lc = self.left.compile(scope)
-        if op in _ARITH:
-            return _arith(_ARITH[op], lc, self.right, scope, line)
-        if op in _ORDER:
-            return _order(_ORDER[op], lc, self.right, scope, line)
         rc = self.right.compile(scope)
+        if op in _ARITH:
+            fn = _ARITH[op]
+
+            def arith(fr):
+                l = lc(fr)
+                r = rc(fr)
+                if l.__class__ is float and r.__class__ is float:
+                    return fn(l, r)
+                raise _arith_error(l, r, line)
+
+            return arith
+        if op in _ORDER:
+            fn = _ORDER[op]
+
+            def order(fr):
+                l = lc(fr)
+                r = rc(fr)
+                c = l.__class__
+                if c is r.__class__ and (c is float or c is str):
+                    return fn(l, r)
+                raise _compare_error(l, r, line)
+
+            return order
         if op == "==":
             return lambda fr: script_equals(lc(fr), rc(fr))
         if op == "~=":
             return lambda fr: not script_equals(lc(fr), rc(fr))
+        return lambda fr: _concat(lc(fr), rc(fr), line)
 
-        def concat(fr):
-            l = lc(fr)
-            r = rc(fr)
-            lt = l if l.__class__ is str else (
-                format_number(l) if l.__class__ is float else None)
-            rt = r if r.__class__ is str else (
-                format_number(r) if r.__class__ is float else None)
-            if lt is not None and rt is not None:
-                return lt + rt
-            bad = l if lt is None else r
-            raise ScriptRuntimeError(
-                f"attempt to concatenate a {type_name(bad)} value", line)
-
-        return concat
+    def gen(self, g):
+        op = self.op
+        line = self.line
+        l = self.left.gen(g)
+        r = self.right.gen(g)
+        lt = g.kind(l)
+        rt = g.kind(r)
+        if op in _ARITH:
+            unknown = [x for x, xt in ((l, lt), (r, rt)) if xt is not float]
+            if unknown:
+                g.emit("if " + " or ".join(f"{x}.__class__ is not float"
+                                           for x in unknown)
+                       + f": raise _arith_error({l}, {r}, {line})")
+                g.facts.update(dict.fromkeys(unknown, float))
+            t = g.temp(float)
+            g.emit(f"{t} = _divide({l}, {r})" if op == "/"
+                   else f"{t} = {l} {op} {r}")
+            return t
+        if op in _ORDER:
+            if lt is rt and lt in (float, str):
+                pass
+            elif lt in (float, str) and rt is None:
+                g.emit(f"if {r}.__class__ is not {lt.__name__}: "
+                       f"raise _compare_error({l}, {r}, {line})")
+                g.facts[r] = lt
+            elif rt in (float, str) and lt is None:
+                g.emit(f"if {l}.__class__ is not {rt.__name__}: "
+                       f"raise _compare_error({l}, {r}, {line})")
+                g.facts[l] = rt
+            else:
+                g.emit(f"if {l}.__class__ is not {r}.__class__ or "
+                       f"{l}.__class__ is not float and "
+                       f"{l}.__class__ is not str: "
+                       f"raise _compare_error({l}, {r}, {line})")
+            t = g.temp(bool)
+            g.emit(f"{t} = {l} {op} {r}")
+            return t
+        if op in ("==", "~="):
+            if l == "NIL" or r == "NIL":
+                other = r if l == "NIL" else l
+                test = ("True" if other == "NIL" else "False"
+                        if g.kind(other) else f"{other} is NIL")
+            elif rt in (float, str, bool):
+                test = f"{l}.__class__ is {rt.__name__} and {l} == {r}"
+            elif lt in (float, str, bool):
+                test = f"{r}.__class__ is {lt.__name__} and {r} == {l}"
+            else:
+                test = f"script_equals({l}, {r})"
+            t = g.temp(bool)
+            g.emit(f"{t} = not ({test})" if op == "~="
+                   else f"{t} = {test}")
+            return t
+        t = g.temp(str)
+        if lt is str and rt is str:
+            g.emit(f"{t} = {l} + {r}")
+        else:
+            g.emit(f"{t} = {l} + {r} if {l}.__class__ is str is "
+                   f"{r}.__class__ else _concat({l}, {r}, {line})")
+        return t
 
     def unparse(self) -> str:
         return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
@@ -623,11 +701,21 @@ class UnaryOp(Node):
             v = c(fr)
             if v.__class__ is float:
                 return -v
-            raise ScriptRuntimeError(
-                f"attempt to perform arithmetic on a {type_name(v)} value",
-                line)
+            raise _arith_error(v, v, line)
 
         return neg
+
+    def gen(self, g):
+        if self.operand.__class__ is NumberLit:
+            return g.literal(-self.operand.value)
+        v = self.operand.gen(g)
+        if g.kind(v) is not float:
+            g.emit(f"if {v}.__class__ is not float: "
+                   f"raise _arith_error({v}, {v}, {self.line})")
+            g.facts[v] = float
+        t = g.temp(float)
+        g.emit(f"{t} = -{v}")
+        return t
 
     def unparse(self) -> str:
         return f"(-{self.operand.unparse()})"
@@ -644,26 +732,13 @@ class Block:
     def compile(self, scope):
         """Sequence closure; the block's locals go out of scope at its end."""
         mark = scope.open()
-        codes = [s.compile_stmt(scope) for s in self.stmts]
+        codes = tuple(s.compile_stmt(scope) for s in self.stmts)
         scope.close(mark)
-        if not codes:
-            return lambda fr: None
         if len(codes) == 1:
             return codes[0]
-        if len(codes) == 2:
-            c0, c1 = codes
-
-            def run2(fr):
-                r = c0(fr)
-                if r is not None:
-                    return r
-                return c1(fr)
-
-            return run2
-        codes_t = tuple(codes)
 
         def run(fr):
-            for c in codes_t:
+            for c in codes:
                 r = c(fr)
                 if r is not None:
                     return r
@@ -690,21 +765,28 @@ class ExprStat(Node):
 
         return run
 
+    def gen_stmt(self, g):
+        if self.expr.__class__ is CallExpr:
+            self.expr.gen(g, want=False)
+        else:
+            self.expr.gen(g)
+
     def unparse(self) -> str:
         return self.expr.unparse()
 
 
 class AssignName(Node):
-    __slots__ = ("name", "expr")
+    __slots__ = ("name", "expr", "where")
 
     def __init__(self, name: str, expr, line: int):
         self.name = name
         self.expr = expr
         self.line = line
+        self.where = None  # (kind, index), set when compiled
 
     def compile_stmt(self, scope):
         expr_c = self.expr.compile(scope)
-        kind, i = scope.resolve(self.name)
+        self.where = kind, i = scope.resolve(self.name)
         if kind == LOCAL:
             def assign(fr):
                 fr[i] = expr_c(fr)
@@ -721,8 +803,23 @@ class AssignName(Node):
                 fr[0][name] = expr_c(fr)
         return assign
 
+    def gen_stmt(self, g):
+        v = self.expr.gen(g)
+        g.emit(f"{g.variable(self)} = {v}")
+        if self.where[0] == LOCAL:
+            g.slots[self.where[1]] = v
+
     def unparse(self) -> str:
         return f"{self.name} = {self.expr.unparse()}"
+
+
+def _newindex(t, key, v, line):
+    try:
+        t.newindex_handler.invoke([t, key, v])
+    except BridgeScriptError as e:
+        if e.line is None:
+            e.line = line
+        raise
 
 
 class AssignIndex(Node):
@@ -744,8 +841,7 @@ class AssignIndex(Node):
         def store(fr):
             t = obj_c(fr)
             if t.__class__ is not Table:
-                raise ScriptRuntimeError(
-                    f"attempt to index a {type_name(t)} value", line)
+                raise _index_error(t, line)
             if const_key is not None:
                 key = const_key
             else:
@@ -754,22 +850,32 @@ class AssignIndex(Node):
                         or key.__class__ is float) or key != key:
                     check_key(key, line)  # raises: nil, NaN or neither
             v = expr_c(fr)
-            handler = t.newindex_handler
-            if handler is not None:
-                try:
-                    handler.invoke([t, key, v])
-                except BridgeScriptError as e:
-                    if e.line is None:
-                        e.line = line
-                    raise
-                return None
-            if v is NIL:
+            if t.newindex_handler is not None:
+                _newindex(t, key, v, line)
+            elif v is NIL:
                 t.entries.pop(key, None)
             else:
                 t.entries[key] = v
-            return None
 
         return store
+
+    def gen_stmt(self, g):
+        line = self.line
+        t = self.obj.gen(g)
+        g.check_table(t, line)
+        k = self.key.gen(g)
+        kt = g.kind(k)
+        if kt is float:
+            g.emit(f"if {k} != {k}: check_key({k}, {line})")
+        elif kt is not str:
+            g.emit(f"if not ({k}.__class__ is str or {k}.__class__ is "
+                   f"float) or {k} != {k}: check_key({k}, {line})")
+        v = self.expr.gen(g)
+        g.emit(f"if {t}.newindex_handler is not None: "
+               f"_newindex({t}, {k}, {v}, {line})")
+        if not g.kind(v):
+            g.emit(f"elif {v} is NIL: {t}.entries.pop({k}, None)")
+        g.emit(f"else: {t}.entries[{k}] = {v}")
 
     def unparse(self) -> str:
         base = _wrap_postfixable(self.obj)
@@ -779,22 +885,23 @@ class AssignIndex(Node):
 
 
 class LocalDecl(Node):
-    __slots__ = ("name", "expr")
+    __slots__ = ("name", "expr", "where")
 
     def __init__(self, name: str, expr, line: int):
         self.name = name
         self.expr = expr  # may be None
         self.line = line
+        self.where = None  # (kind, slot), set when compiled
 
     def compile_stmt(self, scope):
         expr = self.expr
         if expr.__class__ is FunctionExpr:
             # in scope inside its own initializer, so it can recurse
-            kind, slot = scope.declare(self.name)
+            self.where = kind, slot = scope.declare(self.name)
             expr_c = expr.compile(scope)
         else:
             expr_c = _nil if expr is None else expr.compile(scope)
-            kind, slot = scope.declare(self.name)
+            self.where = kind, slot = scope.declare(self.name)
         if kind == CELL:
             # a fresh cell every time the declaration runs, made before
             # the initializer so a function literal can capture it
@@ -808,6 +915,18 @@ class LocalDecl(Node):
             fr[slot] = expr_c(fr)
 
         return declare
+
+    def gen_stmt(self, g):
+        kind, slot = self.where
+        if kind == CELL:
+            box = g.temp()
+            g.emit(f"fr[{slot}] = {box} = [NIL]")
+            if self.expr is not None:
+                g.emit(f"{box}[0] = {self.expr.gen(g)}")
+        else:
+            v = "NIL" if self.expr is None else self.expr.gen(g)
+            g.emit(f"fr[{slot}] = {v}")
+            g.slots[slot] = v
 
     def unparse(self) -> str:
         if self.expr is None:
@@ -829,22 +948,6 @@ class IfStat(Node):
             for cond, block in self.clauses)
         else_c = (self.else_block.compile(scope)
                   if self.else_block is not None else None)
-        if len(clauses_c) == 1:
-            (cond_c, block_c), = clauses_c
-            if else_c is None:
-                def run_if(fr):
-                    c = cond_c(fr)
-                    if c is not NIL and c is not False:
-                        return block_c(fr)
-                    return None
-                return run_if
-
-            def run_if_else(fr):
-                c = cond_c(fr)
-                if c is not NIL and c is not False:
-                    return block_c(fr)
-                return else_c(fr)
-            return run_if_else
 
         def run(fr):
             for cond_c, block_c in clauses_c:
@@ -857,6 +960,24 @@ class IfStat(Node):
 
         return run
 
+    def gen_stmt(self, g, first=0):
+        # each elseif tests inside the else of the clause before it
+        cond, block = self.clauses[first]
+        g.emit(f"if {g.test(cond)}:")
+        known = g.known()
+        g.nested(block)
+        g.restore(known)
+        rest = first + 1 < len(self.clauses)
+        if rest or self.else_block is not None:
+            g.emit("else:")
+            if rest:
+                g.depth += 1
+                self.gen_stmt(g, first + 1)
+                g.depth -= 1
+            else:
+                g.nested(self.else_block)
+        g.forget()
+
     def unparse(self) -> str:
         parts = []
         for i, (cond, block) in enumerate(self.clauses):
@@ -868,6 +989,10 @@ class IfStat(Node):
 
 
 class WhileStat(Node):
+    """A while loop.  It counts iterations across its runs and moves to
+    generated code at the K-th, in the middle of the run: all its state
+    is in the frame."""
+
     __slots__ = ("cond", "body")
 
     def __init__(self, cond, body: Block, line: int):
@@ -878,8 +1003,14 @@ class WhileStat(Node):
     def compile_stmt(self, scope):
         cond_c = self.cond.compile(scope)
         body_c = self.body.compile(scope)
+        left = K
+        hot = None
+        node = self
 
         def run(fr):
+            nonlocal left, hot
+            if hot is not None:
+                return hot(fr)
             while True:
                 c = cond_c(fr)
                 if c is NIL or c is False:
@@ -887,15 +1018,37 @@ class WhileStat(Node):
                 r = body_c(fr)
                 if r is not None:
                     return r
+                left -= 1
+                if not left:
+                    hot = _generate(node.gen_unit, node.line)
+                    if hot is not None:
+                        return hot(fr)
 
         return run
+
+    def gen_stmt(self, g):
+        g.forget()
+        g.emit("while True:")
+        g.depth += 1
+        g.emit(f"if not ({g.test(self.cond)}): break")
+        g.block(self.body)
+        g.depth -= 1
+        g.forget()
+
+    def gen_unit(self, g) -> str:
+        self.gen_stmt(g)
+        return "fr"
 
     def unparse(self) -> str:
         return f"while {self.cond.unparse()} do {self.body.unparse()} end"
 
 
 class ForNum(Node):
-    __slots__ = ("name", "start", "stop", "step", "body")
+    """A numeric for loop.  It counts iterations across its runs and
+    moves to generated code at the K-th, handing over its counter,
+    limit and step; the run's variable stays in the frame."""
+
+    __slots__ = ("name", "start", "stop", "step", "body", "where")
 
     def __init__(self, name, start, stop, step, body: Block, line: int):
         self.name = name
@@ -904,6 +1057,7 @@ class ForNum(Node):
         self.step = step  # expr or None (defaults to 1)
         self.body = body
         self.line = line
+        self.where = None  # (kind, slot), set when compiled
 
     def compile_stmt(self, scope):
         line = self.line
@@ -911,12 +1065,18 @@ class ForNum(Node):
         stop_c = self.stop.compile(scope)
         step_c = None if self.step is None else self.step.compile(scope)
         mark = scope.open()
-        kind, slot = scope.declare(self.name)
+        self.where = kind, slot = scope.declare(self.name)
         cell = kind == CELL
         body_c = self.body.compile(scope)
         scope.close(mark)
+        left = K
+        hot = None
+        node = self
 
         def run(fr):
+            nonlocal left, hot
+            if hot is not None:
+                return hot(fr)
             start = start_c(fr)
             stop = stop_c(fr)
             step = 1.0 if step_c is None else step_c(fr)
@@ -933,23 +1093,83 @@ class ForNum(Node):
             else:
                 box, at = fr, slot
             i = start
-            if step > 0.0:
-                while i <= stop:
-                    box[at] = i
-                    r = body_c(fr)
-                    if r is not None:
-                        return r
-                    i += step
-            else:
-                while i >= stop:
-                    box[at] = i
-                    r = body_c(fr)
-                    if r is not None:
-                        return r
-                    i += step
+            up = step > 0.0
+            while i <= stop if up else i >= stop:
+                box[at] = i
+                r = body_c(fr)
+                if r is not None:
+                    return r
+                i += step
+                left -= 1
+                if not left:
+                    hot = _generate(node.gen_unit, node.line)
+                    if hot is not None:
+                        return hot(fr, i, stop, step)
             return None
 
         return run
+
+    def gen_start(self, g) -> tuple:
+        """Evaluate and check the bounds and make the run's variable;
+        returns the texts of start, stop and step."""
+        line = self.line
+        bounds = [self.start.gen(g), self.stop.gen(g),
+                  "1.0" if self.step is None else self.step.gen(g)]
+        unknown = [b for b in bounds if g.kind(b) is not float]
+        if unknown:
+            g.emit("if " + " or ".join(f"{b}.__class__ is not float"
+                                       for b in unknown)
+                   + f": raise ScriptRuntimeError('for bounds must be "
+                   f"numbers', {line})")
+        if self.step is not None:
+            g.emit(f"if {bounds[2]} == 0.0: raise ScriptRuntimeError("
+                   f"'for step is zero', {line})")
+        kind, slot = self.where
+        if kind == CELL:
+            g.emit(f"fr[{slot}] = [NIL]")
+        return bounds
+
+    def gen_loop(self, g, i, stop, step) -> None:
+        """The iterations from counter i on."""
+        g.forget()
+        g.types.update(dict.fromkeys((i, stop, step), float))
+        kind, slot = self.where
+        if kind == CELL:
+            box = g.temp()
+            g.emit(f"{box} = fr[{slot}]")
+            store = f"{box}[0] = {i}"
+        else:
+            store = f"fr[{slot}] = {i}"
+            g.slots[slot] = i
+        s = self.step
+        if s is None or s.__class__ is NumberLit:
+            cond = f"{i} <= {stop}"
+        elif s.__class__ is UnaryOp and s.operand.__class__ is NumberLit:
+            cond = f"{i} >= {stop}"
+        else:
+            cond = f"{i} <= {stop} if {step} > 0.0 else {i} >= {stop}"
+        g.emit(f"while {cond}:")
+        g.depth += 1
+        g.emit(store)
+        g.block(self.body)
+        g.emit(f"{i} += {step}")
+        g.depth -= 1
+        g.forget()
+
+    def gen_stmt(self, g):
+        start, stop, step = self.gen_start(g)
+        i = g.temp()
+        g.emit(f"{i} = {start}")
+        self.gen_loop(g, i, stop, step)
+
+    def gen_unit(self, g) -> str:
+        # run(fr) starts a run; run(fr, i, stop, step) resumes one
+        g.emit("if i is None:")
+        g.depth += 1
+        g.emit("i, stop, step = " + ", ".join(self.gen_start(g)))
+        g.depth -= 1
+        self.gen_loop(g, "i", "stop", "step")
+        return "fr, i=None, stop=None, step=None"
 
     def unparse(self) -> str:
         head = f"for {self.name} = {self.start.unparse()}, {self.stop.unparse()}"
@@ -973,6 +1193,10 @@ class ReturnStat(Node):
             return lambda fr: [c0(fr)]
         codes = tuple(e.compile(scope) for e in self.exprs)
         return lambda fr: [c(fr) for c in codes]
+
+    def gen_stmt(self, g):
+        vals = [e.gen(g) for e in self.exprs]
+        g.emit(f"return [{', '.join(vals)}]" if vals else "return _EMPTY")
 
     def unparse(self) -> str:
         if not self.exprs:
@@ -1011,3 +1235,152 @@ class Chunk:
 
     def unparse(self) -> str:
         return self.block.unparse()
+
+
+# ------------------------------------------------------------ second tier
+
+# Loop iterations, or calls of a function body, after which the loop or
+# the body is generated as Python source.  Generating and compiling a
+# unit costs about as much as 130-200 closure-tree iterations of it
+# (0.1 ms for an empty while loop, 1.8-2.4 ms for perfbench's 7-line
+# loop body, on a 2-vCPU VM with Python 3.11), so a unit is compiled
+# once it has spent about that long on closures, and code run a few
+# times never is.
+K = 200
+
+
+class _Gen:
+    """The source of one hot unit: a loop statement or a function body.
+
+    Every expression becomes statements that leave its value in a fresh
+    temporary, in the closure tree's order of evaluation; literals stay
+    inline.  types maps a temporary or literal to the class its value
+    is known to have, and checks that cannot fail are left out.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.depth = 1
+        self.n = 0
+        self.env = dict(_GEN_ENV)
+        self.types = {}
+        self.facts = {}  # what checks so far established, as types
+        self.slots = {}  # local slot -> the text of its current value
+        self.frame = set()  # "G", "U": the unit reads fr[0], fr[1]
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def temp(self, cls=None) -> str:
+        self.n += 1
+        t = f"t{self.n}"
+        if cls is not None:
+            self.types[t] = cls
+        return t
+
+    def const(self, value) -> str:
+        self.n += 1
+        name = f"k{self.n}"
+        self.env[name] = value
+        return name
+
+    def literal(self, value) -> str:
+        if value.__class__ is float and not isfinite(value):
+            text = self.const(value)
+        else:
+            text = repr(value)
+            if text[0] == "-":
+                text = f"({text})"
+        self.types[text] = value.__class__
+        return text
+
+    def kind(self, text: str):
+        """The class text's value is known to have, or None."""
+        return self.types.get(text) or self.facts.get(text)
+
+    def known(self) -> tuple:
+        return dict(self.facts), dict(self.slots)
+
+    def restore(self, known: tuple) -> None:
+        self.facts, self.slots = dict(known[0]), dict(known[1])
+
+    def forget(self) -> None:
+        """Where control flow joins, only what always holds is known."""
+        self.facts = {}
+        self.slots = {}
+
+    def check_table(self, t: str, line: int) -> None:
+        if self.kind(t) is not Table:
+            self.emit(f"if {t}.__class__ is not Table: "
+                      f"raise _index_error({t}, {line})")
+            self.facts[t] = Table
+
+    def variable(self, node) -> str:
+        """Where a VarExpr or AssignName's name lives, as an lvalue."""
+        kind, i = node.where
+        if kind == LOCAL:
+            return f"fr[{i}]"
+        if kind == CELL:
+            return f"fr[{i}][0]"
+        if kind == UPVAL:
+            self.frame.add("U")
+            return f"U[{i}][0]"
+        self.frame.add("G")
+        if node.__class__ is VarExpr:
+            return f"G.get({node.name!r}, NIL)"
+        return f"G[{node.name!r}]"
+
+    def test(self, expr) -> str:
+        """A Python condition: expr's value is neither nil nor false."""
+        v = expr.gen(self)
+        t = self.kind(v)
+        if t is bool:
+            return v
+        if t is not None:
+            return "True"  # a number, string, table or function
+        return f"{v} is not NIL and {v} is not False"
+
+    def block(self, block) -> None:
+        start = len(self.lines)
+        for s in block.stmts:
+            s.gen_stmt(self)
+        if len(self.lines) == start:
+            self.emit("pass")
+
+    def nested(self, block) -> None:
+        self.depth += 1
+        self.block(block)
+        self.depth -= 1
+
+    def function(self, params: str) -> str:
+        head = [f"def run({params}):"]
+        if "G" in self.frame:
+            head.append("    G = fr[0]")
+        if "U" in self.frame:
+            head.append("    U = fr[1]")
+        return "\n".join(head + self.lines) + "\n"
+
+
+_GEN_ENV = {
+    "NIL": NIL, "Table": Table, "Closure": Closure,
+    "NativeFunction": NativeFunction, "BridgeScriptError": BridgeScriptError,
+    "ScriptRuntimeError": ScriptRuntimeError, "check_key": check_key,
+    "script_equals": script_equals, "_MISS": _MISS, "_EMPTY": _EMPTY,
+    "_index_error": _index_error, "_index_fallback": _index_fallback,
+    "_call_error": _call_error, "_arith_error": _arith_error,
+    "_compare_error": _compare_error, "_divide": _divide,
+    "_concat": _concat, "_newindex": _newindex,
+}
+
+
+def _generate(gen_unit, line: int):
+    """A unit's second tier: the function compiled from the source that
+    gen_unit writes, None when Python refuses that source (too many
+    nested blocks or indent levels, or too deep to compile)."""
+    g = _Gen()
+    try:
+        params = gen_unit(g)
+        exec(compile(g.function(params), f"<line {line}>", "exec"), g.env)
+    except (SyntaxError, RecursionError, MemoryError):
+        return None
+    return g.env.pop("run")  # env keeps no reference back to it

@@ -56,31 +56,44 @@ class Table:
         return f"table: 0x{self.uid:08x}"
 
 
-class Closure:
-    """A script function: compiled body, frame shape and captured cells.
+class Proto:
+    """What every closure of one function literal shares.
 
-    body is a closure frame -> None | list (a list being return values).
-    The first nparams slots take the arguments and pad fills the others
-    with nil.  upvals holds the cells of enclosing locals the body uses.
+    body is a function frame -> None | list (a list being return
+    values).  The first nparams slots take the arguments and pad fills
+    the others with nil.  body changes once, when the function is hot
+    enough to be generated as Python source (see nodes), and every
+    closure of the literal, old or new, runs the new body from then on.
     """
 
-    __slots__ = ("body", "nparams", "pad", "upvals", "globals", "uid",
-                 "__weakref__")
+    __slots__ = ("body", "nparams", "pad", "__weakref__")
 
-    def __init__(self, body, nparams: int, pad: tuple, upvals: tuple,
-                 globals: dict):
+    def __init__(self, body, nparams: int, pad: tuple):
         self.body = body
         self.nparams = nparams
         self.pad = pad
+
+
+class Closure:
+    """A script function: its literal's Proto plus captured cells.
+
+    upvals holds the cells of enclosing locals the body uses.
+    """
+
+    __slots__ = ("proto", "upvals", "globals", "uid", "__weakref__")
+
+    def __init__(self, proto: Proto, upvals: tuple, globals: dict):
+        self.proto = proto
         self.upvals = upvals
         self.globals = globals
         self.uid = _uid()
 
     def invoke(self, args: list) -> list:
-        n = self.nparams
+        p = self.proto
+        n = p.nparams
         if len(args) != n:
             args = args[:n] + [NIL] * (n - len(args))
-        r = self.body([self.globals, self.upvals, *args, *self.pad])
+        r = p.body([self.globals, self.upvals, *args, *p.pad])
         return _EMPTY if r is None else r
 
     def __repr__(self) -> str:
@@ -123,10 +136,12 @@ def check_key(key, line: int | None = None):
 
 
 def table_get(t: Table, key):
-    """Script-level read: present entry, else index handler, else nil."""
+    """Script-level read: present entry, else index handler, else nil.
+    A NaN key is never present, so it misses, as a script read does."""
     if t.__class__ is not Table:
         raise ScriptRuntimeError(f"attempt to index a {type_name(t)} value")
-    check_key(key)
+    if key.__class__ is not str and key.__class__ is not float:
+        check_key(key)  # raises: nil or not a string or number
     v = t.entries.get(key, _MISS)
     if v is not _MISS:
         return v

@@ -290,10 +290,16 @@ class OutboundBridge:
     # ----------------------------------------------------------- dispatcher
 
     def _dispatcher(self, proxy, owner, name, static, call, fast_body):
+        """The method name of proxy.  After its first call that succeeds
+        it is stored in the proxy, so later reads skip the fallback; it
+        reaches the proxy and itself only weakly, so a proxy and its
+        methods form no reference cycle and go as soon as they are
+        dropped."""
         reg = self.registry
         stats = self.stats
-        entries = proxy.entries
+        home = weakref.ref(proxy)
         nf = NativeFunction(None, name)
+        me = weakref.ref(nf)
 
         def dispatch(args: list) -> list:
             stats.dispatches += 1
@@ -329,13 +335,19 @@ class OutboundBridge:
                     raise
                 except Exception as e:  # noqa: BLE001 - host code
                     raise HostException(f"{name}: {e}") from e
-                entries[name] = nf
                 return _EMPTY
-            vals = call(receiver, args if static else args[1:])
-            entries[name] = nf
+            return call(receiver, args if static else args[1:])
+
+        def first(args: list) -> list:
+            vals = dispatch(args)
+            f = me()  # alive: its caller holds it
+            t = home()
+            if f is not None and t is not None:
+                f.fn = dispatch
+                t.entries[name] = f
             return vals
 
-        nf.fn = dispatch
+        nf.fn = first
         return nf
 
 

@@ -86,7 +86,7 @@ VOID = PrimTag("void")
 AS_IS = {FLOAT: float, TEXT: str, BOOLEAN: bool}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassTag:
     name: str
 
@@ -94,7 +94,7 @@ class ClassTag:
         return f"class:{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfaceTag:
     name: str
 
@@ -102,7 +102,7 @@ class InterfaceTag:
         return f"interface:{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayTag:
     elem: object
 
@@ -415,14 +415,14 @@ class HostRegistry:
     def _check_constructors(self, d: HostClassDescriptor) -> list:
         out = []
         seen = set()
+        tag = ClassTag(d.name)
         for c in d.constructors:
             sig = tuple(c.params)
             if sig in seen:
                 raise DescriptorError(
                     f"duplicate constructor signature for {d.name!r}")
             seen.add(sig)
-            ctor = MethodDescriptor(
-                "<init>", sig, ClassTag(d.name), False, c.body)
+            ctor = MethodDescriptor("<init>", sig, tag, False, c.body)
             _check_body_arity(d.name, ctor)
             out.append(ctor)
         return out

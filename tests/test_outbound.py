@@ -9,6 +9,7 @@ overload rule would.
 
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -123,6 +124,22 @@ def test_dispatcher_lands_in_the_table_after_first_call(interp):
     assert isinstance(cached, NativeFunction)
     interp.run("c:inc()")
     assert c.entries["inc"] is cached
+
+
+def test_called_proxy_goes_without_the_cycle_collector(interp):
+    # the cached dispatcher refers to its proxy only weakly, so nothing
+    # the proxy holds waits for the cycle collector
+    interp.run('c = javaNewInstance("bench.Counter")\nc:inc()\nc:inc()')
+    c = interp.global_value("c")
+    assert isinstance(c.entries["inc"], NativeFunction)
+    held = weakref.ref(c.entries["__hostref"])
+    del c
+    gc.disable()
+    try:
+        interp.run("c = nil")
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_lookup_without_call_installs_nothing(interp):

@@ -521,3 +521,11 @@ def test_demo_manifest_round_trips_through_registry():
     assert "listener" in flat.fields
     assert "describe" in flat.methods
     assert reg.is_subclass("demo.Button", "demo.Component")
+
+
+def test_constructors_of_a_class_share_one_slotted_tag(demo):
+    ctors = demo.lookup_class("demo.Point").constructors
+    assert len(ctors) > 1
+    assert len({id(c.returns) for c in ctors}) == 1
+    assert ctors[0].returns == registry.ClassTag("demo.Point")
+    assert not hasattr(ctors[0].returns, "__dict__")

@@ -1,0 +1,391 @@
+"""The generated tier agrees with the closure tree.
+
+Loops and function bodies run on closures until they have run K
+iterations or calls, then on Python source generated from them.  Each
+case here runs the same code on both tiers and compares return values,
+printed output, error classes, error texts and error lines.  A function
+body's first call runs on closures and its (K+1)-th on generated code.
+"""
+
+import gc
+import io
+import math
+import weakref
+
+import pytest
+
+from bridgescript import Interpreter
+from bridgescript.errors import BridgeScriptError, KeyIsNil, ScriptRuntimeError
+from bridgescript.nodes import K
+from bridgescript.objects import (
+    NIL,
+    Closure,
+    NativeFunction,
+    Table,
+    set_fallback,
+    table_get,
+)
+
+
+def generated(f: Closure) -> bool:
+    """Whether f's body runs as generated source (its code was compiled
+    from a string, not from nodes.py)."""
+    return f.proto.body.__code__.co_filename.startswith("<")
+
+
+def snapshot(v, depth=0):
+    """A comparable form of a script value: tables by content."""
+    if v.__class__ is Table:
+        if depth > 3:
+            return "table"
+        return ("table", sorted((repr(k), snapshot(x, depth + 1))
+                                for k, x in v.entries.items()))
+    if v.__class__ is float and math.isnan(v):
+        return "nan"
+    if v.__class__ in (Closure, NativeFunction):
+        return "function"
+    return v
+
+
+def world():
+    out = io.StringIO()
+    it = Interpreter(out=out)
+
+    def fallback(args):
+        set_fallback(args[0], args[1], args[2])
+        return []
+
+    it.define_global("fallback", NativeFunction(fallback, "fallback"))
+    return it, out
+
+
+def outcome(out, f, args):
+    out.seek(0)
+    out.truncate()
+    try:
+        vals = f.invoke(list(args))
+    except BridgeScriptError as e:
+        return ("error", type(e).__name__, str(e), e.line, out.getvalue())
+    return ("ok", [snapshot(v) for v in vals], out.getvalue())
+
+
+def both_tiers(body: str, *args):
+    """The outcome of `function probe(a, b, c) <body> end` on its first
+    call (closures) and on its (K+1)-th (generated)."""
+    it, out = world()
+    it.run("function probe(a, b, c)\n" + body + "\nend")
+    f = it.global_value("probe")
+    first = outcome(out, f, args)
+    assert not generated(f)
+    for _ in range(K - 1):
+        outcome(out, f, args)
+    last = outcome(out, f, args)
+    assert generated(f)
+    return first, last
+
+
+# Each case is a function body run with the arguments after it; lines
+# count from 2 (line 1 is `function probe(a, b, c)`).
+CASES = {
+    "literals": ("return 1, 'two', true, false, nil, 1e300 * 1e10",),
+    "arith": ("return a + b, a - b, a * b, a / b, -a, - -b, -3", 7.0, 2.0),
+    "divide_by_zero": ("return a / 0, -a / 0, 0 / 0, a / -0", 3.0),
+    "arith_nil": ("local x = a\nreturn x + 1", NIL),
+    "arith_string_right": ("return 1 + a", "s"),
+    "arith_two_unknown": ("return a * b", 1.0, True),
+    "unary_minus_error": ("local t = {}\nreturn -t",),
+    "compare_numbers": ("return a < b, a <= b, a > b, a >= b, a < 3, 3 >= a",
+                        2.0, 5.0),
+    "compare_strings": ("return a < b, a >= 'b', 'z' > a", "a", "c"),
+    "compare_mixed": ("return a < b", 1.0, "x"),
+    "compare_literal_right": ("\nreturn a < 'x'", 1.0),
+    "compare_bools": ("return a <= b", True, False),
+    "equality": ("return a == b, a ~= b, a == nil, nil == a, a == 1, "
+                 "a == 'x', a == true, {} == {}, b == b", 1.0, "1"),
+    "equality_nan": ("local n = 0 / 0\nreturn n == n, n ~= n",),
+    "concat": ("return a .. b, a .. 1, 2 .. b, 1 .. 2, 'x' .. 'y'",
+               "p", "q"),
+    "concat_error": ("local t = {}\n\nreturn a .. t", "p"),
+    "concat_nil_left": ("return c .. 'x'",),
+    "globals": ("g1 = a\ng2 = g1 .. 'b'\nreturn g1, g2, missing", "x"),
+    "locals_and_blocks": ("local x = 1\nif a then local x = 2 y = x end\n"
+                          "local z\nreturn x, y, z", True),
+    "table_ctor": ("local t = {x = 1, y = nil, z = a, w = {v = 2}}\n"
+                   "return t, t.x, t.w.v, t.y", NIL),
+    "index_dynamic": ("local t = {k = 5}\nt[1] = 'one'\nt[a] = 2\n"
+                      "return t[1], t.k, t[a], t['k'], t[2]", "s"),
+    "index_non_table": ("local t = a\n\nreturn t.x", 1.0),
+    "index_nil_key": ("local t = {}\nreturn t[a]", NIL),
+    "index_bad_key": ("local t = {}\nreturn t[t]",),
+    "index_nan_key": ("local t = {}\nreturn t[0 / 0]",),
+    "store_non_table": ("local t = 'x'\nt.y = 1",),
+    "store_nil_key": ("local t = {}\n\nt[a] = 1", NIL),
+    "store_nan_key": ("local t = {}\nt[0 / 0] = 1",),
+    "store_bad_key": ("local t = {}\nt[true] = 1",),
+    "store_nil_removes": ("local t = {x = 1}\nt.x = nil\nt[a] = 2\n"
+                          "t[a] = a2\nreturn t", "k"),
+    "index_fallback": ("local t = {}\nfallback(t, 'index', "
+                       "function(t, k) return k .. '!' end)\n"
+                       "t.x = 1\nreturn t.x, t.y, t[a]", "z"),
+    "index_fallback_error": ("local t = {}\nfallback(t, 'index', "
+                             "function(t, k) return k + 1 end)\n"
+                             "return t.y",),
+    "newindex_fallback": ("local t = {}\nlog = ''\nfallback(t, 'newindex', "
+                          "function(t, k, v) log = log .. k end)\n"
+                          "t.x = 1\nt[a] = nil\nreturn log, t.x", "q"),
+    "newindex_fallback_error": ("local t = {}\nfallback(t, 'newindex', "
+                                "function(t, k, v) return v + 1 end)\n\n"
+                                "t.x = 'no'",),
+    "calls": ("local two = function(x, y) return x, y end\n"
+              "local none = function() end\n"
+              "return two(1), two(1, 2, 3), none(), type(a), tostring(a)",
+              2.5),
+    "call_non_function": ("local f = a\n\nreturn f(1)", 1.0),
+    "call_nil_global": ("return nothing_here()",),
+    "call_error_inside": ("local bad = function(x)\n  return x + nil\nend\n"
+                          "return bad(1)",),
+    "native_error": ("return dostring(1)",),
+    "print": ("print(a, b, nil, true)\nprint()", 1.5, "s"),
+    "method_calls": ("local o = {n = 1}\n"
+                     "function o:add(k) self.n = self.n + k return self end\n"
+                     "o:add(2)\ng = o\ng:add(3)\n"
+                     "local r = o:add(1):add(1)\nreturn o.n, r == o",),
+    "method_on_missing": ("local o = {}\n\no:nope()",),
+    "method_on_nil": ("local o = nil\no:nope()",),
+    "closures": ("local n = a\nlocal inc = function() n = n + 1 return n end\n"
+                 "inc() inc()\nlocal get = function() return n end\n"
+                 "return n, get(), inc()", 10.0),
+    "upvalues": ("local x = 1\nlocal f = function()\n"
+                 "  return function() x = x + 1 return x end\nend\n"
+                 "local g = f()\ng()\nreturn g(), x",),
+    "captured_param": ("local f = function() a = a .. '!' return a end\n"
+                       "f()\nreturn f(), a", "p"),
+    "local_function_recursion": ("local fact = function(n)\n"
+                                 "  if n <= 1 then return 1 end\n"
+                                 "  return n * fact(n - 1)\nend\n"
+                                 "return fact(a)", 10.0),
+    "if_chain": ("local r = ''\nfor i = 1, 5 do\n"
+                 "  if i == 1 then r = r .. 'a'\n"
+                 "  elseif i == 2 then r = r .. 'b'\n"
+                 "  elseif i == 3 then\n  else r = r .. 'z' end\nend\n"
+                 "if nil then r = 'no' end\nif 0 then r = r .. '0' end\n"
+                 "if '' then r = r .. 'e' end\nreturn r",),
+    "if_cond_error": ("if a then\nelseif a < 1 then end", False),
+    "while": ("local i = 0\nlocal s = 0\nwhile i < a do\n"
+              "  i = i + 1\n  s = s + i\nend\nreturn s, i", 20.0),
+    "while_truthiness": ("local n = 0\nwhile n do\n  if n == 3 then "
+                         "n = false else n = n + 1 end\nend\nreturn n",),
+    "while_cond_error": ("local i = 0\nwhile i < a do i = i + 1 end", "x"),
+    "for_forms": ("local s = ''\nfor i = 1, 3 do s = s .. i end\n"
+                  "for i = 3, 1, -1 do s = s .. i end\n"
+                  "for i = 1, 2, 0.5 do s = s .. i end\n"
+                  "for i = a, b, c do s = s .. i end\n"
+                  "for i = 1, 0 do s = s .. 'never' end\n"
+                  "return s", 10.0, 1.0, -3.0),
+    "for_var_assigned": ("local n = 0\nfor i = 1, 3 do\n  i = i * 10\n"
+                         "  n = n + i\nend\nreturn n",),
+    "for_bounds_error": ("local s = 0\n\nfor i = 1, a do s = s + i end",
+                         "x"),
+    "for_step_error": ("for i = 1, 2, a do end", 0.0),
+    "for_step_literal_zero": ("for i = 1, 2, 0 do end",),
+    "for_closures_share": ("local fs = {}\nfor i = 1, 3 do\n"
+                           "  fs[i] = function() return i end\nend\n"
+                           "return fs[1](), fs[3]()",),
+    "return_from_nested": ("for i = 1, 10 do\n  while true do\n"
+                           "    if i == a then return i, 'found' end\n"
+                           "    passed = true\n    i = i + 100\n"
+                           "    if i > 0 then return 'early' end\n"
+                           "  end\nend", 3.0),
+    "bare_return": ("if a then return end\nreturn 1", True),
+    "arity": ("local f = function(x, y, z) return z end\n"
+              "return f(1, 2), f(1, 2, 3, 4), (function() return 9 end)()",),
+    "colon_on_expression": ("local o = {v = 4}\nfunction o:get() "
+                            "return self.v end\nlocal h = {o = o}\n"
+                            "return h.o:get()",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_both_tiers_agree(name):
+    body, *args = CASES[name]
+    first, last = both_tiers(body, *args)
+    assert first == last
+
+
+def test_error_lines_are_the_statement_lines():
+    first, last = both_tiers("local x = 1\n\nreturn x + nil")
+    assert first[:4] == last[:4] == (
+        "error", "ScriptRuntimeError",
+        "ScriptRuntimeError (line 4): attempt to perform arithmetic on a "
+        "nil value", 4)
+
+
+# --------------------------------------------------------- switching mid-run
+
+def test_while_switches_mid_run(bare_interp):
+    src = ("local i = 0\nlocal s = 0\nwhile i < n do\n"
+           "  i = i + 1\n  s = s + i\nend\nreturn s, i")
+    n = 3 * K + 7
+    bare_interp.define_global("n", float(n))
+    assert bare_interp.run(src) == [n * (n + 1) / 2, float(n)]
+
+
+def test_while_switch_keeps_body_locals_fresh(bare_interp):
+    src = ("local i = 0\nlocal fs = {}\nwhile i < n do\n  i = i + 1\n"
+           "  local v = i * 2\n  fs[i] = function() return v end\nend\n"
+           "return fs[1](), fs[n](), fs[n - 1]()")
+    n = 2 * K + 1
+    bare_interp.define_global("n", float(n))
+    assert bare_interp.run(src) == [2.0, 2.0 * n, 2.0 * (n - 1)]
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (1, 3 * K, 1), (3 * K, 1, -1), (0.5, K + 0.5, 0.25), (1, 2 * K, None)])
+def test_for_switches_mid_run(bare_interp, start, stop, step):
+    head = f"for i = {start}, {stop}" + ("" if step is None else f", {step}")
+    src = f"local s = 0\nlocal c = 0\n{head} do s = s + i c = c + 1 end\n" \
+          "return s, c"
+    step = 1 if step is None else step
+    values = []
+    i = start
+    while (i <= stop) if step > 0 else (i >= stop):
+        values.append(i)
+        i += step
+    assert bare_interp.run(src) == [float(sum(values)), float(len(values))]
+
+
+def test_for_variable_captured_across_the_switch(bare_interp):
+    # closures made in one run of a for loop share its variable, also
+    # the ones made after the loop moved to generated code
+    src = ("local fs = {}\nfor i = 1, n do\n"
+           "  fs[i] = function() return i end\nend\n"
+           "return fs[1](), fs[n](), fs[" + str(K + 3) + "]()")
+    n = 2 * K
+    bare_interp.define_global("n", float(n))
+    assert bare_interp.run(src) == [float(n)] * 3
+
+
+def test_for_runs_get_separate_variables(bare_interp):
+    bare_interp.run("function run(n)\n  local fs = {}\n"
+                    "  for i = 1, n do fs[i] = function() return i end end\n"
+                    "  return fs[1]\nend")
+    runs = [bare_interp.run(f"return run({n})")[0] for n in (3, K, 2 * K, 5)]
+    assert [f.invoke([])[0] for f in runs] == [3.0, float(K), 2.0 * K, 5.0]
+
+
+def test_return_from_inside_a_hot_loop(bare_interp):
+    bare_interp.run("function find(n)\n  local i = 0\n  while true do\n"
+                    "    i = i + 1\n    if i == n then return i * 2 end\n"
+                    "  end\nend")
+    assert bare_interp.run(f"return find({3 * K})") == [6.0 * K]
+    assert bare_interp.run("return find(2)") == [4.0]
+
+
+def test_closure_made_before_its_body_tiered_up(bare_interp):
+    bare_interp.run("counter = {count = 0}\n"
+                    "function counter:inc() self.count = self.count + 1 end")
+    inc = table_get(bare_interp.global_value("counter"), "inc")
+    bare_interp.run(f"for i = 1, {K + 10} do counter:inc() end")
+    assert generated(inc)
+    bare_interp.run("counter:inc()")
+    assert bare_interp.run("return counter.count") == [K + 11.0]
+
+
+def test_hot_unbounded_recursion_is_a_stack_overflow(bare_interp):
+    bare_interp.run("function f(n, stop)\n"
+                    "  if n ~= stop then return f(n + 1, stop) end\n"
+                    "  return n\nend")
+    bare_interp.run(f"for i = 1, {K} do f(0, 3) end")
+    assert generated(bare_interp.global_value("f"))
+    with pytest.raises(ScriptRuntimeError) as e:
+        bare_interp.run("f(0, -1)")
+    assert "stack overflow" in str(e.value)
+    assert e.value.line == 2
+    assert bare_interp.run("return f(0, 50)") == [50.0]
+
+
+def test_dropped_function_goes_without_the_cycle_collector(bare_interp):
+    bare_interp.run("function f(x) return x + 1 end")
+    proto = weakref.ref(bare_interp.global_value("f").proto)
+    gc.disable()
+    try:
+        bare_interp.run("f = nil")
+        assert proto() is None
+    finally:
+        gc.enable()
+
+
+# ------------------------------------------------- source Python refuses
+
+def _hot_calls(interp, name, n):
+    interp.run(f"for i = 1, {n} do r = {name}(1) end")
+    return interp.global_value("r")
+
+
+def test_too_many_nested_blocks_stay_on_closures(bare_interp):
+    # Python allows 20 statically nested loops and try blocks (21 in a
+    # function on 3.13)
+    depth = 22
+    src = ("function deep(n)\n  local c = 0\n"
+           + "  while c < n do\n" * depth + "  c = c + 1\n"
+           + "  end\n" * depth + "  return c\nend")
+    bare_interp.run(src)
+    assert _hot_calls(bare_interp, "deep", K + 5) == 1.0
+    assert not generated(bare_interp.global_value("deep"))
+    assert bare_interp.run("return deep(2)") == [2.0]
+
+
+def test_too_many_indent_levels_stay_on_closures(bare_interp):
+    # Python allows 100 levels of indentation
+    depth = 101
+    src = ("function deep(n)\n  local c = 0\n"
+           + "  if n > 0 then\n" * depth + "  c = n * 2\n"
+           + "  end\n" * depth + "  return c\nend")
+    bare_interp.run(src)
+    assert _hot_calls(bare_interp, "deep", K + 5) == 2.0
+    assert not generated(bare_interp.global_value("deep"))
+    assert bare_interp.run("return deep(0), deep(4)") == [0.0, 8.0]
+
+
+def test_nesting_python_accepts_is_generated(bare_interp):
+    src = ("function deep(n)\n  local c = 0\n"
+           + "  if n > 0 then\n" * 60 + "  c = n * 2\n"
+           + "  end\n" * 60 + "  return c\nend")
+    bare_interp.run(src)
+    assert _hot_calls(bare_interp, "deep", K + 5) == 2.0
+    assert generated(bare_interp.global_value("deep"))
+
+
+# ----------------------------------------------------------- NaN table keys
+
+def test_host_and_script_reads_of_a_nan_key_agree(bare_interp):
+    # a NaN key is never present, so every read of one misses
+    t = Table()
+    nan = float("nan")
+    assert table_get(t, nan) is NIL
+    first, last = both_tiers("local t = {}\nreturn t[0 / 0]")
+    assert first == last == ("ok", [NIL], "")
+
+    # and a miss goes to the index handler, from host code and scripts
+    bare_interp.define_global("t", t)
+    seen = []
+
+    def handler(args):
+        seen.append(args[1])
+        return ["fallback"]
+
+    set_fallback(t, "index", NativeFunction(handler))
+    assert table_get(t, nan) == "fallback"
+    assert math.isnan(seen[-1])
+    src = "local hits = 0\nfor i = 1, n do\n  hits = hits + 1\n" \
+          "  last = t[0 / 0]\nend\nreturn hits, last"
+    bare_interp.define_global("n", float(2 * K))
+    assert bare_interp.run(src) == [2.0 * K, "fallback"]
+    assert len(seen) == 2 * K + 1
+
+
+def test_table_get_still_rejects_nil_and_bad_keys():
+    with pytest.raises(KeyIsNil):
+        table_get(Table(), NIL)
+    with pytest.raises(ScriptRuntimeError):
+        table_get(Table(), True)
