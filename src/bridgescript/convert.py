@@ -77,21 +77,21 @@ class Converter:
         if tag is FLOAT:
             if v.__class__ is float:
                 return Converted(v, 2)
-            return Incompatible(f"expected a number, got {_script_kind(v)}")
+            return Incompatible(f"expected a number, got {type_name(v)}")
         if tag is INTEGER:
             if v.__class__ is float:
                 if v.is_integer():
                     return Converted(int(v), 1)
                 return Incompatible(f"{v!r} has a fractional part")
-            return Incompatible(f"expected a number, got {_script_kind(v)}")
+            return Incompatible(f"expected a number, got {type_name(v)}")
         if tag is TEXT:
             if v.__class__ is str:
                 return Converted(v, 2)
-            return Incompatible(f"expected a string, got {_script_kind(v)}")
+            return Incompatible(f"expected a string, got {type_name(v)}")
         if tag is BOOLEAN:
             if v.__class__ is bool:
                 return Converted(v, 2)
-            return Incompatible(f"expected a boolean, got {_script_kind(v)}")
+            return Incompatible(f"expected a boolean, got {type_name(v)}")
         if isinstance(tag, ClassTag):
             if v is NIL:
                 return Converted(None, 1)
@@ -111,7 +111,7 @@ class Converter:
                         f"{ref.class_name!r} is not a {tag.name!r}")
                 return Incompatible(f"proxy of {ref!r} is not a {tag.name!r}")
             return Incompatible(
-                f"expected a {tag.name!r}, got {_script_kind(v)}")
+                f"expected a {tag.name!r}, got {type_name(v)}")
         if isinstance(tag, InterfaceTag):
             if v is NIL:
                 return Converted(None, 1)
@@ -120,7 +120,7 @@ class Converter:
                     return _Wrapping(partial(self.auto_wrap, v, tag.name))
                 return Incompatible(f"{tag.name!r} is not a known interface")
             return Incompatible(
-                f"expected a {tag.name!r} implementation, got {_script_kind(v)}")
+                f"expected a {tag.name!r} implementation, got {type_name(v)}")
         if isinstance(tag, ArrayTag):
             if v is NIL:
                 return Converted(None, 1)
@@ -130,7 +130,7 @@ class Converter:
                         and ref.elem_tag == tag.elem:
                     return Converted(ref, 2)
             return Incompatible(
-                f"expected an array of {tag.elem!r}, got {_script_kind(v)}")
+                f"expected an array of {tag.elem!r}, got {type_name(v)}")
         return Incompatible(f"no value converts to {tag!r}")
 
     def _wrappable(self, name: str, want_kind: str) -> bool:
@@ -252,7 +252,3 @@ def _to_none(v):
 
 def _hostref(v):
     return v.entries["__hostref"]
-
-
-def _script_kind(v) -> str:
-    return type_name(v)

@@ -290,19 +290,6 @@ class IndexExpr(Node):
     def compile(self, scope):
         obj_c = self.obj.compile(scope)
         line = self.line
-        if self.key.__class__ is StringLit:
-            key = self.key.value
-
-            def index_const(fr):
-                t = obj_c(fr)
-                if t.__class__ is not Table:
-                    raise _index_error(t, line)
-                v = t.entries.get(key, _MISS)
-                if v is not _MISS:
-                    return v
-                return _index_fallback(t, key, line)
-
-            return index_const
         key_c = self.key.compile(scope)
 
         def index(fr):
@@ -834,21 +821,17 @@ class AssignIndex(Node):
     def compile_stmt(self, scope):
         obj_c = self.obj.compile(scope)
         line = self.line
-        const_key = self.key.value if self.key.__class__ is StringLit else None
-        key_c = None if const_key is not None else self.key.compile(scope)
+        key_c = self.key.compile(scope)
         expr_c = self.expr.compile(scope)
 
         def store(fr):
             t = obj_c(fr)
             if t.__class__ is not Table:
                 raise _index_error(t, line)
-            if const_key is not None:
-                key = const_key
-            else:
-                key = key_c(fr)
-                if not (key.__class__ is str
-                        or key.__class__ is float) or key != key:
-                    check_key(key, line)  # raises: nil, NaN or neither
+            key = key_c(fr)
+            if not (key.__class__ is str
+                    or key.__class__ is float) or key != key:
+                check_key(key, line)  # raises: nil, NaN or neither
             v = expr_c(fr)
             if t.newindex_handler is not None:
                 _newindex(t, key, v, line)
@@ -1186,11 +1169,6 @@ class ReturnStat(Node):
         self.line = line
 
     def compile_stmt(self, scope):
-        if not self.exprs:
-            return lambda fr: _EMPTY
-        if len(self.exprs) == 1:
-            c0 = self.exprs[0].compile(scope)
-            return lambda fr: [c0(fr)]
         codes = tuple(e.compile(scope) for e in self.exprs)
         return lambda fr: [c(fr) for c in codes]
 

@@ -14,11 +14,14 @@ every access: field values and array elements are never cached, so
 scripts always see current host state.  A key that names no member is
 refused and not remembered.
 
-Dispatch is two steps: the fallback returns a per-proxy dispatcher over
-the method's call site, the call invokes it.  On the way out of each
-invocation the dispatcher stores itself into the proxy under the method
-name, so later reads find it directly and the fallback never fires again
-for that name on that proxy.
+Dispatch.  Each (class, method) has one dispatcher, shared by every
+proxy of the class: it checks the receiver, chooses through the call
+site, invokes and converts the result.  The index fallback returns a
+one-shot function over it that, once a call succeeds, stores the shared
+dispatcher into the proxy it was read from under the method name.  Later
+reads find it there, so the fallback never fires again for that name on
+that proxy.  The dispatcher refers to no proxy, so a proxy holds nothing
+that refers back to it.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -254,52 +257,21 @@ class OutboundBridge:
 
     def _method(self, cname: str, key: str, cands, static: bool) -> _Member:
         conv = self.converter
+        reg = self.registry
+        stats = self.stats
         select = call_site(cands, cname, conv.to_host, shape,
                            conv.converter_for)
         to_script = conv.to_script
-        invoker = self.registry.invoker
         # method -> (its invoker, is it void, the class of results that
         # pass back as they are)
-        runs = {m: (invoker(m), m.returns is VOID, AS_IS.get(m.returns))
+        runs = {m: (reg.invoker(m), m.returns is VOID, AS_IS.get(m.returns))
                 for m in cands}
-
-        def call(receiver, args: list) -> list:
-            m, args = select(args)
-            invoke, void, as_is = runs[m]
-            r = invoke(receiver, args)
-            if void:
-                return _EMPTY
-            return [r if r.__class__ is as_is else to_script(r)]
-
         m = cands[0]
         # nullary void methods skip conversion and result handling whole
         fast_body = None
         if (len(cands) == 1 and not m.params and m.returns is VOID
-                and m.body is not None
-                and not self.registry.validate_invokes):
+                and m.body is not None and not reg.validate_invokes):
             fast_body = m.body
-
-        def read(proxy, ref):
-            return self._dispatcher(
-                proxy, cname, key, static, call, fast_body)
-
-        def write(ref, v):
-            raise _unassignable(key, cname, static)
-        return _Member(read, write)
-
-    # ----------------------------------------------------------- dispatcher
-
-    def _dispatcher(self, proxy, owner, name, static, call, fast_body):
-        """The method name of proxy.  After its first call that succeeds
-        it is stored in the proxy, so later reads skip the fallback; it
-        reaches the proxy and itself only weakly, so a proxy and its
-        methods form no reference cycle and go as soon as they are
-        dropped."""
-        reg = self.registry
-        stats = self.stats
-        home = weakref.ref(proxy)
-        nf = NativeFunction(None, name)
-        me = weakref.ref(nf)
 
         def dispatch(args: list) -> list:
             stats.dispatches += 1
@@ -309,23 +281,24 @@ class OutboundBridge:
             else:
                 if not args or args[0].__class__ is not Table:
                     raise ReceiverMismatch(
-                        f"method {name!r} needs a host receiver; "
+                        f"method {key!r} needs a host receiver; "
                         f"call it with ':'")
-                ref = args[0].entries.get("__hostref")
-                if ref is None or ref.__class__ is not HostObject:
+                receiver = args[0].entries.get("__hostref")
+                if receiver is None or receiver.__class__ is not HostObject:
                     raise ReceiverMismatch(
-                        f"method {name!r} needs a host receiver; "
+                        f"method {key!r} needs a host receiver; "
                         f"call it with ':'")
-                if ref.class_name != owner \
-                        and not reg.is_subclass(ref.class_name, owner):
+                if receiver.class_name != cname \
+                        and not reg.is_subclass(receiver.class_name, cname):
                     raise ReceiverMismatch(
-                        f"method {name!r} of {owner!r} called on "
-                        f"a {ref.class_name!r}")
-                receiver = ref
+                        f"method {key!r} of {cname!r} called on "
+                        f"a {receiver.class_name!r}")
                 nargs = len(args) - 1
+            # tested before the receiver is sliced off: the nullary call
+            # is the commonest and the slice would be wasted on it
             if fast_body is not None:
                 if nargs:
-                    raise NoMatch(f"{owner}.{name} takes no arguments")
+                    raise NoMatch(f"{cname}.{key} takes no arguments")
                 try:
                     if static:
                         fast_body()
@@ -334,21 +307,27 @@ class OutboundBridge:
                 except BridgeScriptError:
                     raise
                 except Exception as e:  # noqa: BLE001 - host code
-                    raise HostException(f"{name}: {e}") from e
+                    raise HostException(f"{key}: {e}") from e
                 return _EMPTY
-            return call(receiver, args if static else args[1:])
+            m, args = select(args if static else args[1:])
+            invoke, void, as_is = runs[m]
+            r = invoke(receiver, args)
+            if void:
+                return _EMPTY
+            return [r if r.__class__ is as_is else to_script(r)]
 
-        def first(args: list) -> list:
-            vals = dispatch(args)
-            f = me()  # alive: its caller holds it
-            t = home()
-            if f is not None and t is not None:
-                f.fn = dispatch
-                t.entries[name] = f
-            return vals
+        shared = NativeFunction(dispatch, key)
 
-        nf.fn = first
-        return nf
+        def read(proxy, ref):
+            def first(args: list) -> list:
+                vals = dispatch(args)
+                proxy.entries[key] = shared
+                return vals
+            return NativeFunction(first, key)
+
+        def write(ref, v):
+            raise _unassignable(key, cname, static)
+        return _Member(read, write)
 
 
 def _unassignable(key: str, cname: str, static: bool) -> TypeMismatch:

@@ -127,8 +127,8 @@ def test_dispatcher_lands_in_the_table_after_first_call(interp):
 
 
 def test_called_proxy_goes_without_the_cycle_collector(interp):
-    # the cached dispatcher refers to its proxy only weakly, so nothing
-    # the proxy holds waits for the cycle collector
+    # the cached dispatcher is shared by the class and refers to no
+    # proxy, so nothing the proxy holds waits for the cycle collector
     interp.run('c = javaNewInstance("bench.Counter")\nc:inc()\nc:inc()')
     c = interp.global_value("c")
     assert isinstance(c.entries["inc"], NativeFunction)
@@ -140,6 +140,26 @@ def test_called_proxy_goes_without_the_cycle_collector(interp):
         assert held() is None
     finally:
         gc.enable()
+
+
+def test_proxies_of_a_class_share_one_dispatcher(interp, out):
+    interp.run('a = javaNewInstance("bench.Counter")\n'
+               'b = javaNewInstance("bench.Counter")\n'
+               "a:inc() b:inc()\n"
+               "print(a.inc == b.inc)")
+    a, b = interp.global_value("a"), interp.global_value("b")
+    assert a.entries["inc"] is b.entries["inc"]
+    assert out.getvalue() == "true\n"
+
+
+def test_dispatcher_is_stored_in_the_proxy_it_was_read_from(interp):
+    interp.run('comp = javaNewInstance("demo.Component")\n'
+               "f = comp.describe\n"
+               'b = javaNewInstance("demo.Button")\n'
+               "f(b)")
+    comp, b = interp.global_value("comp"), interp.global_value("b")
+    assert isinstance(comp.entries["describe"], NativeFunction)
+    assert "describe" not in b.entries
 
 
 def test_lookup_without_call_installs_nothing(interp):
