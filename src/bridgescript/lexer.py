@@ -1,11 +1,16 @@
 """Tokenizer for the scripting language.
 
-One master regex with named groups; alternatives are ordered so that
-multi-character operators win over their prefixes and comments win over
-the minus operator.
+One findall pass over one pattern lexes the source.  Each match skips
+blanks and comments, then takes an identifier, a number, a closed
+string, a two-character operator or any one non-blank character, a
+newline included.  Its kind comes from the table of fixed lexemes
+(keywords, operators, marks), else from its first character; a newline
+counts a line and makes no token.  Identifiers and numbers are ASCII
+only.  Tokens are plain (kind, lexeme, line) tuples.
 """
 
 import re
+import string
 
 from .errors import LexError
 
@@ -21,59 +26,55 @@ KEYWORDS = {
     "if", "local", "nil", "not", "or", "return", "then", "true", "while",
 }
 
-TOKEN_SPEC = [
-    ("NEWLINE", r"\n"),
-    ("SKIP", r"[ \t\r]+"),
-    ("COMMENT", r"--[^\n]*"),
-    ("NUMBER", r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"),
-    ("STRING", r"\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'"),
-    ("UNTERMINATED", r"\"(?:\\.|[^\"\\\n])*|'(?:\\.|[^'\\\n])*"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("OP", r"==|~=|<=|>=|\.\.|[+\-*/<>=]"),
-    ("PUNCT", r"[(){}\[\],;:.]"),
-    ("MISMATCH", r"."),
-]
+# The text always ends in a newline, which the group's last alternative
+# takes, so a match never backtracks into the skipped blanks and comments.
+_TOKEN = re.compile(
+    r"(?:[ \t\r]+|--[^\n]*)*"
+    r"([A-Za-z_][A-Za-z0-9_]*"
+    r"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+    r"|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'"
+    r"|==|~=|<=|>=|\.\."
+    r"|[^ \t\r])")
 
-_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in TOKEN_SPEC))
+_NEWLINE = "newline"
+_UNTERMINATED = "unterminated"
 
-# match group -> token kind; groups not listed make no token
-_KINDS = {"NUMBER": NUMBER, "STRING": STRING, "IDENT": IDENT, "OP": OP,
-          "PUNCT": PUNCT}
+# lexeme -> kind, for every lexeme that has one fixed text
+_FIXED = {
+    **dict.fromkeys(KEYWORDS, KEYWORD),
+    **dict.fromkeys("== ~= <= >= .. + - * / < > =".split(), OP),
+    **dict.fromkeys("(){}[],;:.", PUNCT),
+    "\n": _NEWLINE, '"': _UNTERMINATED, "'": _UNTERMINATED,
+}
 
-
-class Token:
-    __slots__ = ("kind", "lexeme", "line")
-
-    def __init__(self, kind: str, lexeme: str, line: int):
-        self.kind = kind
-        self.lexeme = lexeme
-        self.line = line
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.lexeme!r}, line {self.line})"
+# first character -> kind, for every other lexeme
+_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", IDENT),
+    **dict.fromkeys(string.digits, NUMBER),
+    '"': STRING, "'": STRING,
+}
 
 
-def tokenize(source: str) -> list[Token]:
-    """Lex source into a token list. Comments and whitespace are skipped.
+def tokenize(source: str) -> list[tuple[str, str, int]]:
+    """Lex source into (kind, lexeme, line) tuples, skipping comments
+    and whitespace; strings and numbers keep their raw lexeme.
 
     Raises LexError on illegal characters and unterminated strings.
-    String and number tokens keep their raw lexeme; decoding happens in
-    the parser.
     """
-    tokens: list[Token] = []
+    tokens = []
+    append = tokens.append
+    fixed = _FIXED.get
+    first = _FIRST.get
+    newline, unterminated = _NEWLINE, _UNTERMINATED
     line = 1
-    for m in _MASTER.finditer(source):
-        group = m.lastgroup
-        kind = _KINDS.get(group)
-        if kind is not None:
-            text = m.group()
-            if kind is IDENT and text in KEYWORDS:
-                kind = KEYWORD
-            tokens.append(Token(kind, text, line))
-        elif group == "NEWLINE":
+    for text in _TOKEN.findall(source + "\n"):
+        kind = fixed(text) or first(text[0])
+        if kind is newline:
             line += 1
-        elif group == "UNTERMINATED":
+        elif kind is None:
+            raise LexError(f"illegal character {text!r}", line)
+        elif kind is unterminated:
             raise LexError("unterminated string", line)
-        elif group == "MISMATCH":
-            raise LexError(f"illegal character {m.group()!r}", line)
+        else:
+            append((kind, text, line))
     return tokens

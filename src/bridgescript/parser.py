@@ -5,14 +5,15 @@ declarations, table constructors with named fields, function and method
 definitions, if/while/numeric-for, return, and expressions over the
 arithmetic, comparison and concatenation operators.
 
-The parser reads through one cursor, self.tok, over a copy of the token
-list that ends in a sentinel token whose lexeme is <eof>, a text the
-lexer never produces; the caller's list is left as it is.  Keywords,
-operators and marks are matched by their text alone: no identifier,
-number or string lexeme can equal one.  All binary operators are parsed
-by one loop, _expression, over the binding strengths in _BINARY:
-comparison 1, .. 2 (right associative), + - 3, * / 4; unary minus binds
-tighter than all of them.
+Tokens are the lexer's (kind, lexeme, line) tuples, read by position
+or unpacking.  The parser reads through one cursor, self.tok, over a
+copy of the token list that ends in the sentinel (<eof>, <eof>, line),
+whose lexeme the lexer never produces; the caller's list is left as it
+is.  Keywords, operators and marks are matched by their text alone: no
+identifier, number or string lexeme can equal one.  All binary operators
+are parsed by one loop, _expression, over the binding strengths in
+_BINARY: comparison 1, .. 2 (right associative), + - 3, * / 4; unary
+minus binds tighter than all of them.
 
 Colon calls and method definitions are sugar and never survive parsing:
     recv:name(args)        becomes recv["name"](recv, args...)
@@ -32,7 +33,7 @@ arguments move into it.
 import itertools
 
 from .errors import ParseError
-from .lexer import IDENT, NUMBER, STRING, Token, tokenize
+from .lexer import IDENT, NUMBER, STRING, tokenize
 from .nodes import (
     AssignIndex,
     AssignName,
@@ -79,7 +80,7 @@ _RETURN_ENDS = frozenset(("end", "else", "elseif", ";", _EOF))
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-def parse(tokens: list[Token]) -> Chunk:
+def parse(tokens: list) -> Chunk:
     """Parse a token stream into a fully desugared Chunk."""
     p = _Parser(tokens)
     try:
@@ -139,9 +140,9 @@ def _decode_string(lexeme: str, line: int) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        line = tokens[-1].line if tokens else 1
-        self.end = Token(_EOF, _EOF, line)
+    def __init__(self, tokens: list):
+        line = tokens[-1][2] if tokens else 1
+        self.end = (_EOF, _EOF, line)
         self._next = iter([*tokens, self.end]).__next__
         self.tok = self._next()  # the cursor: the next unconsumed token
         self.used: set = set()  # names used in the innermost open body
@@ -150,30 +151,30 @@ class _Parser:
 
     # ------------------------------------------------------------ plumbing
 
-    def _advance(self) -> Token:
+    def _advance(self) -> tuple:
         tok = self.tok
         self.tok = self._next()
         return tok
 
-    def _accept(self, text: str) -> Token | None:
-        if self.tok.lexeme == text:
+    def _accept(self, text: str) -> tuple | None:
+        if self.tok[1] == text:
             return self._advance()
         return None
 
-    def _expect(self, text: str) -> Token:
-        if self.tok.lexeme != text:
+    def _expect(self, text: str) -> tuple:
+        if self.tok[1] != text:
             self._error(f"'{text}'")
         return self._advance()
 
     def _name(self) -> str:
-        if self.tok.kind != IDENT:
+        if self.tok[0] != IDENT:
             self._error(IDENT)
-        return self._advance().lexeme
+        return self._advance()[1]
 
     def _error(self, expected: str):
         tok = self.tok
-        found = "end of input" if tok is self.end else f"'{tok.lexeme}'"
-        raise ParseError(tok.line, expected, found)
+        found = "end of input" if tok is self.end else f"'{tok[1]}'"
+        raise ParseError(tok[2], expected, found)
 
     def _open_body(self) -> None:
         self.outer.append((self.used, self.nested))
@@ -195,7 +196,7 @@ class _Parser:
 
     def _block(self, terminators: frozenset) -> Block:
         stmts = []
-        while self.tok.lexeme not in terminators:
+        while self.tok[1] not in terminators:
             if self.tok is self.end:
                 self._error("'" + "' or '".join(sorted(terminators)) + "'")
             if not self._accept(";"):
@@ -203,29 +204,28 @@ class _Parser:
         return Block(stmts)
 
     def _statement(self):
-        tok = self.tok
-        keyword = _STATEMENTS.get(tok.lexeme)
+        line = self.tok[2]
+        keyword = _STATEMENTS.get(self.tok[1])
         if keyword is not None:
             return keyword(self)
         expr = self._expression()
         if self._accept("="):
-            line = tok.line
             value = self._expression()
             if isinstance(expr, VarExpr):
                 return AssignName(expr.name, value, line)
             if isinstance(expr, IndexExpr):
                 return AssignIndex(expr.obj, expr.key, value, line)
             raise ParseError(line, "an assignable target", "an expression")
-        return ExprStat(expr, tok.line)
+        return ExprStat(expr, line)
 
     def _local_stat(self):
-        line = self._advance().line
+        line = self._advance()[2]
         name = self._name()
         expr = self._expression() if self._accept("=") else None
         return LocalDecl(name, expr, line)
 
     def _if_stat(self):
-        line = self._advance().line
+        line = self._advance()[2]
         clauses = []
         while True:
             cond = self._expression()
@@ -238,13 +238,13 @@ class _Parser:
         return IfStat(clauses, else_block, line)
 
     def _while_stat(self):
-        line = self._advance().line
+        line = self._advance()[2]
         cond = self._expression()
         self._expect("do")
         return WhileStat(cond, self._do_block(), line)
 
     def _for_stat(self):
-        line = self._advance().line
+        line = self._advance()[2]
         name = self._name()
         self._expect("=")
         start = self._expression()
@@ -260,10 +260,10 @@ class _Parser:
         return body
 
     def _function_stat(self):
-        line = self._advance().line
-        first = self.tok
+        line = self._advance()[2]
+        _, first, first_line = self.tok
         self.used.add(self._name())
-        target = VarExpr(first.lexeme, first.line)
+        target = VarExpr(first, first_line)
         dotted: list[str] = []
         while self._accept("."):
             dotted.append(self._name())
@@ -274,15 +274,15 @@ class _Parser:
             dotted.append(method_name)
         fn = FunctionExpr(params, body, line, captured)
         if not dotted:
-            return AssignName(first.lexeme, fn, line)
+            return AssignName(first, fn, line)
         obj = target
         for name in dotted[:-1]:
             obj = IndexExpr(obj, StringLit(name, line), line)
         return AssignIndex(obj, StringLit(dotted[-1], line), fn, line)
 
     def _return_stat(self):
-        line = self._advance().line
-        if self.tok.lexeme in _RETURN_ENDS:
+        line = self._advance()[2]
+        if self.tok[1] in _RETURN_ENDS:
             return ReturnStat([], line)
         return ReturnStat(self._expression_list(), line)
 
@@ -290,7 +290,7 @@ class _Parser:
         self._open_body()
         self._expect("(")
         params = []
-        if self.tok.lexeme != ")":
+        if self.tok[1] != ")":
             params.append(self._name())
             while self._accept(","):
                 params.append(self._name())
@@ -301,21 +301,20 @@ class _Parser:
 
     def _expression(self, limit: int = 0):
         """Parse operators binding tighter than limit, then stop."""
-        tok = self.tok
-        if tok.lexeme == "-":
-            self._advance()
-            left = UnaryOp("-", self._expression(_UNARY), tok.line)
+        if self.tok[1] == "-":
+            line = self._advance()[2]
+            left = UnaryOp("-", self._expression(_UNARY), line)
         else:
             left = self._postfix()
         while True:
-            op = self.tok
-            strength = _BINARY.get(op.lexeme, 0)
+            _, op, line = self.tok
+            strength = _BINARY.get(op, 0)
             if strength <= limit:
                 return left
             self._advance()
             right = self._expression(
-                strength - 1 if op.lexeme == ".." else strength)
-            left = BinOp(op.lexeme, left, right, op.line)
+                strength - 1 if op == ".." else strength)
+            left = BinOp(op, left, right, line)
 
     def _expression_list(self) -> list:
         exprs = [self._expression()]
@@ -326,18 +325,17 @@ class _Parser:
     def _postfix(self):
         expr = self._primary()
         while True:
-            tok = self.tok
-            mark = tok.lexeme
+            _, mark, line = self.tok
             if mark == ".":
                 self._advance()
-                name = self.tok
-                expr = IndexExpr(expr, StringLit(self._name(), name.line),
-                                 tok.line)
+                name_line = self.tok[2]
+                expr = IndexExpr(expr, StringLit(self._name(), name_line),
+                                 line)
             elif mark == "[":
                 self._advance()
                 key = self._expression()
                 self._expect("]")
-                expr = IndexExpr(expr, key, tok.line)
+                expr = IndexExpr(expr, key, line)
             elif mark == ":":
                 self._advance()
                 name = self._name()
@@ -347,42 +345,40 @@ class _Parser:
                 args = self._call_args()
                 captured = set() if bare else self._close_body()
                 expr = desugar_colon_call(
-                    ColonCall(expr, name, args, tok.line), captured)
+                    ColonCall(expr, name, args, line), captured)
             elif mark == "(":
-                expr = CallExpr(expr, self._call_args(), tok.line)
+                expr = CallExpr(expr, self._call_args(), line)
             else:
                 return expr
 
     def _call_args(self) -> list:
         self._expect("(")
-        args = self._expression_list() if self.tok.lexeme != ")" else []
+        args = self._expression_list() if self.tok[1] != ")" else []
         self._expect(")")
         return args
 
     def _primary(self):
-        tok = self.tok
-        kind = tok.kind
+        kind, word, line = self.tok
         if kind == NUMBER:
             self._advance()
-            return NumberLit(float(tok.lexeme), tok.line)
+            return NumberLit(float(word), line)
         if kind == STRING:
             self._advance()
-            return StringLit(_decode_string(tok.lexeme, tok.line), tok.line)
+            return StringLit(_decode_string(word, line), line)
         if kind == IDENT:
             self._advance()
-            self.used.add(tok.lexeme)
-            return VarExpr(tok.lexeme, tok.line)
-        word = tok.lexeme
+            self.used.add(word)
+            return VarExpr(word, line)
         if word == "nil":
             self._advance()
-            return NilLit(tok.line)
+            return NilLit(line)
         if word == "true" or word == "false":
             self._advance()
-            return BoolLit(word == "true", tok.line)
+            return BoolLit(word == "true", line)
         if word == "function":
             self._advance()
             params, body, captured = self._funcbody()
-            return FunctionExpr(params, body, tok.line, captured)
+            return FunctionExpr(params, body, line, captured)
         if word == "(":
             self._advance()
             expr = self._expression()
@@ -393,9 +389,9 @@ class _Parser:
         self._error("an expression")
 
     def _table_ctor(self):
-        line = self._advance().line  # consumes '{'
+        line = self._advance()[2]  # consumes '{'
         fields = []
-        while self.tok.lexeme != "}":
+        while self.tok[1] != "}":
             name = self._name()
             self._expect("=")
             fields.append((name, self._expression()))
