@@ -308,16 +308,8 @@ class IndexExpr(Node):
 
     def gen(self, g):
         t = self.obj.gen(g)
-        line = self.line
-        g.check_table(t, line)
-        k = self.key.gen(g)
-        if g.kind(k) not in (str, float):
-            g.emit(f"if {k}.__class__ is not str and {k}.__class__ is not "
-                   f"float: check_key({k}, {line})")
-        v = g.temp()
-        g.emit(f"{v} = {t}.entries.get({k}, _MISS)")
-        g.emit(f"if {v} is _MISS: {v} = _index_fallback({t}, {k}, {line})")
-        return v
+        g.check_table(t, self.line)
+        return g.index(t, self.key.gen(g), self.line)
 
     def unparse(self) -> str:
         base = _wrap_postfixable(self.obj)
@@ -330,25 +322,47 @@ def _call_error(f, line):
     return NotCallable(f"attempt to call a {type_name(f)} value", line)
 
 
+def _method(t, name, line):
+    """What t.name reads for a method call on t: t must be a table, and
+    a name it lacks goes to its index fallback."""
+    if t.__class__ is not Table:
+        raise _index_error(t, line)
+    f = t.entries.get(name, _MISS)
+    if f is _MISS:
+        return _index_fallback(t, name, line)
+    return f
+
+
 class CallExpr(Node):
-    """A call.  Python running out of stack inside it, as unbounded
-    script recursion does, becomes a ScriptRuntimeError at its line."""
+    """A call.  With a name it is the method call callee:name(args): the
+    receiver callee is evaluated once and must be a table, name is
+    looked up in it before the arguments are evaluated, and the receiver
+    goes first into the call.  Python running out of stack inside a
+    call, as unbounded script recursion does, becomes a
+    ScriptRuntimeError at its line."""
 
-    __slots__ = ("callee", "args")
+    __slots__ = ("callee", "args", "name")
 
-    def __init__(self, callee, args: list, line: int):
+    def __init__(self, callee, args: list, line: int, name=None):
         self.callee = callee
         self.args = args
         self.line = line
+        self.name = name
 
     def compile(self, scope):
         line = self.line
+        name = self.name
         callee_c = self.callee.compile(scope)
         args_c = tuple(a.compile(scope) for a in self.args)
 
         def call(fr):
-            f = callee_c(fr)
-            args = []
+            if name is None:
+                f = callee_c(fr)
+                args = []
+            else:
+                t = callee_c(fr)
+                f = _method(t, name, line)
+                args = [t]
             for c in args_c:
                 args.append(c(fr))
             cls = f.__class__
@@ -375,7 +389,12 @@ class CallExpr(Node):
         its frame built here and its body called directly."""
         line = self.line
         f = self.callee.gen(g)
-        vals = [a.gen(g) for a in self.args]
+        vals = []
+        if self.name is not None:
+            vals.append(f)
+            g.check_table(f, line)
+            f = g.index(f, g.literal(self.name), line)
+        vals += [a.gen(g) for a in self.args]
         listed = ", ".join(vals)
         frame = ", ".join([f"{f}.globals", f"{f}.upvals", *vals, "*p.pad"])
         r = g.temp()
@@ -401,6 +420,8 @@ class CallExpr(Node):
 
     def unparse(self) -> str:
         callee = _wrap_postfixable(self.callee)
+        if self.name is not None:
+            callee += ":" + self.name
         return f"{callee}({', '.join(a.unparse() for a in self.args)})"
 
 
@@ -512,18 +533,6 @@ class TableCtor(Node):
     def unparse(self) -> str:
         inner = ", ".join(f"{k} = {e.unparse()}" for k, e in self.fields)
         return "{" + inner + "}"
-
-
-class ColonCall(Node):
-    """Transient parse form of recv:name(args); never survives parsing."""
-
-    __slots__ = ("recv", "name", "args")
-
-    def __init__(self, recv, name: str, args: list, line: int):
-        self.recv = recv
-        self.name = name
-        self.args = args
-        self.line = line
 
 
 def _arith_error(l, r, line):
@@ -1292,6 +1301,16 @@ class _Gen:
             self.emit(f"if {t}.__class__ is not Table: "
                       f"raise _index_error({t}, {line})")
             self.facts[t] = Table
+
+    def index(self, t: str, k: str, line: int) -> str:
+        """The value of key k in table t, fallback included."""
+        if self.kind(k) not in (str, float):
+            self.emit(f"if {k}.__class__ is not str and {k}.__class__ is "
+                      f"not float: check_key({k}, {line})")
+        v = self.temp()
+        self.emit(f"{v} = {t}.entries.get({k}, _MISS)")
+        self.emit(f"if {v} is _MISS: {v} = _index_fallback({t}, {k}, {line})")
+        return v
 
     def variable(self, node) -> str:
         """Where a VarExpr or AssignName's name lives, as an lvalue."""

@@ -21,7 +21,10 @@ one-shot function over it that, once a call succeeds, stores the shared
 dispatcher into the proxy it was read from under the method name.  Later
 reads find it there, so the fallback never fires again for that name on
 that proxy.  The dispatcher refers to no proxy, so a proxy holds nothing
-that refers back to it.
+that refers back to it.  Method identity follows call history: until
+a proxy has called a method, each read of it is a new one-shot, and
+p.move == p.move is false; after the first call both reads give the
+shared dispatcher.  A read alone stores nothing.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -32,7 +35,8 @@ against the return tag, which goes back through to_script.  NoMatch and
 Ambiguous are never cached; a plain table is wrapped on every call.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
-expose 1-based numeric indexing and a read-only "length".  Class proxies
+expose 1-based numeric indexing, and their bounds errors name the index
+the script used; they have a read-only "length".  Class proxies
 expose static fields and static methods the same way instance proxies
 expose instance members.
 """
@@ -50,7 +54,7 @@ from .errors import (
     TypeMismatch,
 )
 from .convert import shape
-from .objects import NativeFunction, Table
+from .objects import NativeFunction, Table, render
 from .registry import (
     AS_IS,
     VOID,
@@ -173,10 +177,10 @@ class OutboundBridge:
                     elements = ref.elements
                     if 0 <= i < len(elements):
                         return self.converter.to_script(elements[i])
-                    raise index_error(i, len(elements))
+                    raise index_error(int(key), len(elements))
             elif key == "length":
                 return float(len(ref.elements))
-            raise NoSuchMember("array", str(key))
+            raise NoSuchMember("array", render(key))
         return self._member(ref, key).read(proxy, ref)
 
     def proxy_newindex(self, proxy: Table, key, value) -> None:
@@ -193,12 +197,12 @@ class OutboundBridge:
                 i = int(key) - 1
                 elements = ref.elements
                 if not 0 <= i < len(elements):
-                    raise index_error(i, len(elements))
+                    raise index_error(int(key), len(elements))
                 elements[i] = h
                 return
             if key == "length":
                 raise TypeMismatch("array length is read-only")
-            raise NoSuchMember("array", str(key))
+            raise NoSuchMember("array", render(key))
         try:
             m = self._member(ref, key)
         except NoSuchMember:
@@ -226,7 +230,7 @@ class OutboundBridge:
 
     def _build_member(self, cname: str, key, static: bool) -> _Member:
         if key.__class__ is not str:
-            raise NoSuchMember(cname, str(key))
+            raise NoSuchMember(cname, render(key))
         flat = self.registry.lookup_class(cname)
         spec = flat.fields.get(key)
         if spec is not None and spec.static == static:

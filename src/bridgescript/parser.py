@@ -15,22 +15,16 @@ are parsed by one loop, _expression, over the binding strengths in
 _BINARY: comparison 1, .. 2 (right associative), + - 3, * / 4; unary
 minus binds tighter than all of them.
 
-Colon calls and method definitions are sugar and never survive parsing:
-    recv:name(args)        becomes recv["name"](recv, args...)
+A colon call recv:name(args) is one CallExpr whose name is set: the
+call evaluates recv once, looks name up in it and passes it first.  A
+method definition is sugar and does not survive parsing:
     function t:m(p) ... end becomes t["m"] = function(self, p) ... end
-When the receiver of a colon call is not a bare name it is evaluated
-exactly once, by binding it to the parameter of an immediately applied
-closure.  Generated parameter names use the reserved __recv prefix.
 
 While it builds a function body the parser collects the variable names
 used anywhere inside it.  Each FunctionExpr and the Chunk record the
 names used by the functions nested in their body (captured), which is
-all the compiler needs to know which locals to keep in cells.  The
-closure a colon call desugars to counts as a nested body, since its
-arguments move into it.
+all the compiler needs to know which locals to keep in cells.
 """
-
-import itertools
 
 from .errors import ParseError
 from .lexer import IDENT, NUMBER, STRING, tokenize
@@ -42,7 +36,6 @@ from .nodes import (
     BoolLit,
     CallExpr,
     Chunk,
-    ColonCall,
     ExprStat,
     ForNum,
     FunctionExpr,
@@ -58,8 +51,6 @@ from .nodes import (
     VarExpr,
     WhileStat,
 )
-
-_temp_id = itertools.count().__next__
 
 _EOF = "<eof>"
 
@@ -81,7 +72,7 @@ _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
 def parse(tokens: list) -> Chunk:
-    """Parse a token stream into a fully desugared Chunk."""
+    """Parse a token stream into a Chunk."""
     p = _Parser(tokens)
     try:
         return p.parse_chunk()
@@ -93,31 +84,6 @@ def parse(tokens: list) -> Chunk:
 
 def parse_source(source: str) -> Chunk:
     return parse(tokenize(source))
-
-
-def desugar_colon_call(node: ColonCall, captured: set) -> CallExpr:
-    """Rewrite a colon call into core form, evaluating the receiver once.
-
-    A bare-name receiver is referenced twice directly, which is safe; any
-    other receiver is passed into a one-parameter closure so that side
-    effects of computing it happen a single time.  captured is the set
-    of names used by functions nested in the arguments.
-    """
-    line = node.line
-    key = StringLit(node.name, line)
-    recv = node.recv
-    if isinstance(recv, VarExpr):
-        callee = IndexExpr(VarExpr(recv.name, line), key, line)
-        return CallExpr(callee, [VarExpr(recv.name, line)] + node.args, line)
-    tmp = f"__recv{_temp_id()}"
-    inner = CallExpr(
-        IndexExpr(VarExpr(tmp, line), key, line),
-        [VarExpr(tmp, line)] + node.args,
-        line,
-    )
-    fn = FunctionExpr([tmp], Block([ReturnStat([inner], line)]), line,
-                      captured)
-    return CallExpr(fn, [recv], line)
 
 
 def _decode_string(lexeme: str, line: int) -> str:
@@ -147,7 +113,6 @@ class _Parser:
         self.tok = self._next()  # the cursor: the next unconsumed token
         self.used: set = set()  # names used in the innermost open body
         self.nested: set = set()  # names used by functions nested in it
-        self.outer: list = []  # (used, nested) of the enclosing bodies
 
     # ------------------------------------------------------------ plumbing
 
@@ -175,19 +140,6 @@ class _Parser:
         tok = self.tok
         found = "end of input" if tok is self.end else f"'{tok[1]}'"
         raise ParseError(tok[2], expected, found)
-
-    def _open_body(self) -> None:
-        self.outer.append((self.used, self.nested))
-        self.used = set()
-        self.nested = set()
-
-    def _close_body(self) -> set:
-        """End a nested body; returns the names its own nested bodies use."""
-        used, captured = self.used, self.nested
-        self.used, self.nested = self.outer.pop()
-        self.used |= used
-        self.nested |= used
-        return captured
 
     # ----------------------------------------------------------- statements
 
@@ -287,7 +239,11 @@ class _Parser:
         return ReturnStat(self._expression_list(), line)
 
     def _funcbody(self):
-        self._open_body()
+        """Parameters, body and the names the body's own nested bodies
+        use; every name the body uses counts as nested in the enclosing
+        body."""
+        used, nested = self.used, self.nested
+        self.used, self.nested = set(), set()
         self._expect("(")
         params = []
         if self.tok[1] != ")":
@@ -295,7 +251,12 @@ class _Parser:
             while self._accept(","):
                 params.append(self._name())
         self._expect(")")
-        return params, self._do_block(), self._close_body()
+        body = self._do_block()
+        inner, captured = self.used, self.nested
+        used |= inner
+        nested |= inner
+        self.used, self.nested = used, nested
+        return params, body, captured
 
     # ---------------------------------------------------------- expressions
 
@@ -339,13 +300,7 @@ class _Parser:
             elif mark == ":":
                 self._advance()
                 name = self._name()
-                bare = isinstance(expr, VarExpr)
-                if not bare:
-                    self._open_body()
-                args = self._call_args()
-                captured = set() if bare else self._close_body()
-                expr = desugar_colon_call(
-                    ColonCall(expr, name, args, line), captured)
+                expr = CallExpr(expr, self._call_args(), line, name)
             elif mark == "(":
                 expr = CallExpr(expr, self._call_args(), line)
             else:

@@ -175,6 +175,16 @@ def test_lookup_without_call_installs_nothing(interp):
     assert p.entries["__hostref"].fields["x"] == 2.0
 
 
+def test_method_identity_follows_call_history(interp):
+    # each fallback fire returns a fresh one-shot function until a call
+    # stores the shared dispatcher in the proxy; a plain table gives
+    # true both times
+    assert interp.run('p = hostNewInstance("Point")\n'
+                      "a = p.move == p.move\n"
+                      "p:move(1, 2)\n"
+                      "return a, p.move == p.move") == [False, True]
+
+
 def test_each_proxy_caches_independently(interp):
     interp.run('a = javaNewInstance("bench.Counter")\n'
                'b = javaNewInstance("bench.Counter")\n'
@@ -475,6 +485,28 @@ def test_array_bounds_follow_script_view(interp):
     for bad in ("x = a[0]", "x = a[4]", "x = a[-1]", "a[0] = 1", "a[9] = 1"):
         with pytest.raises(IndexOutOfBounds):
             interp.run(bad)
+
+
+@pytest.mark.parametrize("src, index", [("\nx = a[4]", 4), ("\na[0] = 1", 0)],
+                         ids=["read", "write"])
+def test_array_bounds_errors_give_the_script_index(interp, src, index):
+    interp.run('m = hostBindClass("demo.MathUtil") a = m.intArray(3)')
+    with pytest.raises(IndexOutOfBounds) as e:
+        interp.run(src)
+    assert str(e.value) == ("IndexOutOfBounds (line 2): "
+                            f"index {index} out of bounds for length 3")
+    assert e.value.line == 2
+
+
+def test_number_member_keys_print_as_scripts_print_them(interp):
+    interp.run('m = hostBindClass("demo.MathUtil") a = m.intArray(3)')
+    for src, where, key in (("return m[1]", "demo.MathUtil", "1"),
+                            ("return a[1.5]", "array", "1.5"),
+                            ("a[2.5] = 1", "array", "2.5")):
+        with pytest.raises(NoSuchMember) as e:
+            interp.run(src)
+        assert str(e.value) == \
+            f"NoSuchMember (line 1): '{where}' has no member '{key}'"
 
 
 def test_array_fractional_and_unknown_keys(interp):

@@ -1,9 +1,8 @@
 """Parser shapes: sugar removal, precedence, corpus round-trips.
 
-The desugaring invariants matter most here: method definitions become
-plain function assignments with a leading self parameter, colon calls
-become indexed calls with the receiver reinserted, and no transient
-colon node survives parsing.
+The shape invariants matter most here: method definitions become plain
+function assignments with a leading self parameter, and a colon call
+is one named CallExpr whose callee is the receiver, written once.
 """
 
 import pathlib
@@ -25,28 +24,17 @@ def _slot_names(obj):
     return [n for n in names if n not in ("line", "_code")]
 
 
-def struct_eq(a, b, renames=None):
-    """Structural equality ignoring line numbers.  Generated __recv
-    temporaries compare equal under a consistent renaming."""
-    if renames is None:
-        renames = {}
+def struct_eq(a, b):
+    """Structural equality ignoring line numbers."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, str):
-        if a.startswith("__recv") and b.startswith("__recv"):
-            if a in renames:
-                return renames[a] == b
-            renames[a] = b
-            return True
-        return a == b
-    if isinstance(a, (float, bool, int)) or a is None:
+    if isinstance(a, (str, float, bool, int)) or a is None:
         return a == b
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(
-            struct_eq(x, y, renames) for x, y in zip(a, b))
+            struct_eq(x, y) for x, y in zip(a, b))
     return all(
-        struct_eq(getattr(a, n), getattr(b, n), renames)
-        for n in _slot_names(a))
+        struct_eq(getattr(a, n), getattr(b, n)) for n in _slot_names(a))
 
 
 def walk(node):
@@ -93,42 +81,46 @@ def test_plain_function_statement():
     assert stmt.expr.params == ["a"]
 
 
-def test_colon_call_desugars_with_bare_receiver():
+def test_colon_call_is_one_named_call():
     (stmt,) = parse_source("p:move(2,3)").statements
     call = stmt.expr
-    assert isinstance(call, N.CallExpr)
-    assert isinstance(call.callee, N.IndexExpr)
-    assert isinstance(call.callee.obj, N.VarExpr)
-    assert call.callee.obj.name == "p"
-    assert isinstance(call.callee.key, N.StringLit)
-    assert call.callee.key.value == "move"
-    # receiver reinserted as the first argument
-    assert isinstance(call.args[0], N.VarExpr) and call.args[0].name == "p"
-    assert len(call.args) == 3
+    assert isinstance(call, N.CallExpr) and call.name == "move"
+    assert isinstance(call.callee, N.VarExpr) and call.callee.name == "p"
+    assert [a.value for a in call.args] == [2.0, 3.0]
 
 
 def test_colon_call_complex_receiver_binds_once():
     (stmt,) = parse_source("t[1]:f(9)").statements
+    call = stmt.expr
+    assert isinstance(call, N.CallExpr) and call.name == "f"
+    # the receiver expression appears exactly once, as the callee
+    assert isinstance(call.callee, N.IndexExpr)
+    assert [a.value for a in call.args] == [9.0]
+    assert not any(isinstance(n, N.FunctionExpr) for n in walk(stmt))
+
+
+def test_nested_colon_calls_are_named_calls():
+    (stmt,) = parse_source("a:b(c:d())").statements
     outer = stmt.expr
-    assert isinstance(outer, N.CallExpr)
-    fn = outer.callee
-    assert isinstance(fn, N.FunctionExpr)
-    assert len(fn.params) == 1 and fn.params[0].startswith("__recv")
-    # the receiver expression appears exactly once, as the argument
-    assert len(outer.args) == 1
-    assert isinstance(outer.args[0], N.IndexExpr)
+    assert outer.name == "b" and outer.callee.name == "a"
+    (inner,) = outer.args
+    assert isinstance(inner, N.CallExpr) and inner.name == "d"
+    assert inner.callee.name == "c" and inner.args == []
 
 
-def test_no_colon_node_survives():
-    sources = [
-        "p:f()",
-        "t[1]:f(x)",
-        "function t:m(a) return self end",
-        "a:b(c:d())",
-    ]
-    for src in sources:
-        for node in walk(parse_source(src).block):
-            assert not isinstance(node, N.ColonCall)
+def test_colon_call_unparses_as_a_colon_call():
+    assert parse_source("p:move(2, 3)").unparse() == "p:move(2.0, 3.0)"
+    assert parse_source("t[1]:f(x)").unparse() == "t[1.0]:f(x)"
+
+
+def test_same_source_unparses_the_same_twice():
+    src = "t[1]:f(x) h.o:get():put(y)"
+    assert parse_source(src).unparse() == parse_source(src).unparse()
+
+
+def test_colon_call_arguments_capture_nothing():
+    assert parse_source("local x = 1 local t = {} t[1]:f(x)").captured \
+        == set()
 
 
 def test_index_sugar_equivalence():

@@ -202,6 +202,15 @@ CASES = {
     "colon_on_expression": ("local o = {v = 4}\nfunction o:get() "
                             "return self.v end\nlocal h = {o = o}\n"
                             "return h.o:get()",),
+    "colon_on_number_with_args": ("local o = a\n\no:f(b, c)", 1.0, 2.0),
+    "colon_missing_on_expression": ("local h = {o = {}}\n\n"
+                                    "return h.o:nope(a)", 1.0),
+    "colon_nested_with_local_arg": (
+        "local o = {v = 4}\nfunction o:get() return self.v end\n"
+        "local h = {o = o}\nlocal m = {w = 10}\n"
+        "function m:f(p, q) return self.w + p + q end\n"
+        "local t = {}\nt[1] = m\nlocal x = a\n"
+        "return t[1]:f(x, h.o:get())", 3.0),
 }
 
 
