@@ -8,15 +8,16 @@ an error.  to_host is the script-value front end of the overload rule,
 registry.resolve_overload.  A plain table is wrapped only when its
 converted value is read, so scoring overloads wraps nothing.
 
-This module also owns the proxy identity cache: one proxy table per live
-host object, held weakly so unused proxies can be collected.
+to_script goes the other way; a registry.ScriptWrapper becomes the
+table it wraps.  This module also owns the proxy identity cache: one
+proxy table per live host object, held weakly so unused proxies can be
+collected.
 """
 
 import weakref
-from dataclasses import dataclass
 from functools import partial
 
-from .errors import Ambiguous, ClassNotFound, NoMatch, NotFrozen, TypeMismatch
+from .errors import ClassNotFound, NotFrozen, TypeMismatch
 from .objects import NIL, Table, type_name
 from .registry import (
     AS_IS,
@@ -33,18 +34,9 @@ from .registry import (
     HostObject,
     Incompatible,
     InterfaceTag,
-    MethodDescriptor,
     PrimTag,
-    resolve_overload,
+    ScriptWrapper,
 )
-
-
-@dataclass(frozen=True)
-class OverloadDecision:
-    status: str  # "selected" | "no_match" | "ambiguous"
-    method: MethodDescriptor | None = None
-    args: tuple | None = None
-    tied: tuple = ()
 
 
 class _Wrapping(Converted):
@@ -198,7 +190,7 @@ class Converter:
                 proxy = self.proxy_factory(h)
                 self._proxies[h.uid] = proxy
             return proxy
-        if getattr(h, "is_script_wrapper", False):
+        if cls is ScriptWrapper:
             return h.script_object
         if cls is HostClassRef:
             return self.class_proxy(h.name)
@@ -211,18 +203,6 @@ class Converter:
             proxy = self.proxy_factory(HostClassRef(name))
             self._class_proxies[name] = proxy
         return proxy
-
-    # --------------------------------------------------- overload resolution
-
-    def select_overload(self, cands: list, args: list) -> OverloadDecision:
-        """The overload rule's verdict on script values, as a value."""
-        try:
-            m, conv = resolve_overload(cands, args, self.to_host, "")
-        except NoMatch:
-            return OverloadDecision("no_match")
-        except Ambiguous as e:
-            return OverloadDecision("ambiguous", tied=e.tied)
-        return OverloadDecision("selected", m, tuple(conv))
 
 
 def shape(v):

@@ -14,10 +14,11 @@ its proxy so scripts can call the original behaviour explicitly.  The
 backing write bypasses the newindex fallback: "__base" is bridge
 plumbing, not a script-level store.
 
-Wrappers are cached per (table, target type), so converting the same
-table twice yields the same host identity.  The cache holds wrappers
-weakly; a table exported again after its wrapper was collected gets a
-new wrapper over the instance its "__base" already holds.
+Wrappers (registry.ScriptWrapper) are cached per (table, target type),
+so converting the same table twice yields the same host identity.  The
+cache holds wrappers weakly; a table exported again after its wrapper
+was collected gets a new wrapper over the instance its "__base" already
+holds.
 """
 
 import weakref
@@ -41,26 +42,7 @@ from .objects import (
     table_get,
     type_name,
 )
-from .registry import VOID, HostObject
-
-
-class ScriptWrapper:
-    is_script_wrapper = True
-
-    __slots__ = ("target_type", "script_object", "backing", "_bridge",
-                 "__weakref__")
-
-    def __init__(self, bridge, target_type: str, script_object: Table, backing):
-        self._bridge = bridge
-        self.target_type = target_type
-        self.script_object = script_object
-        self.backing = backing  # HostObject for class targets, else None
-
-    def invoke_method(self, name: str, host_args: list):
-        return self._bridge.wrapper_invoke(self, name, host_args)
-
-    def __repr__(self) -> str:
-        return f"<wrapper {self.target_type} over table#{self.script_object.uid}>"
+from .registry import VOID, HostObject, ScriptWrapper
 
 
 class InboundBridge:

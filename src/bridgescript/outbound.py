@@ -29,10 +29,12 @@ shared dispatcher.  A read alone stores nothing.
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
 number, fractional number, string, boolean, nil, host class name, array
-element tag, plain table).  The chosen overload's registry invoker runs
-the body, wraps host errors as HostException and checks the result
-against the return tag, which goes back through to_script.  NoMatch and
-Ambiguous are never cached; a plain table is wrapped on every call.
+element tag, plain table); a method whose one overload is nullary skips
+it.  The registry invoker of the chosen overload runs the body, wraps
+host errors as HostException and checks the result against the return
+tag, which goes back through to_script.  NoMatch and Ambiguous are never
+cached; a plain table is wrapped on every call.  A static method called
+with ':' is told to call it with '.'.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing, and their bounds errors name the index
@@ -44,9 +46,6 @@ expose instance members.
 import weakref
 
 from .errors import (
-    BridgeScriptError,
-    HostException,
-    InterfaceNotInstantiable,
     NoMatch,
     NoSuchMember,
     ReceiverMismatch,
@@ -67,6 +66,9 @@ from .registry import (
 _EMPTY: list = []
 # The fallback_fires key of collected proxies' fires; no proxy has uid 0.
 RETIRED = (0, None)
+# The fallback_fires key of every element read of an array proxy, so
+# that an array's reads make one entry however many indices they use.
+ELEMENTS = "[element]"
 
 
 class DispatchStats:
@@ -135,13 +137,9 @@ class OutboundBridge:
     def host_new_instance(self, name: str, script_args: list) -> Table:
         select = self._constructors.get(name)
         if select is None:
-            flat = self.registry.lookup_class(name)
-            if flat.kind != "class":
-                raise InterfaceNotInstantiable(
-                    f"{name!r} is an interface and cannot be instantiated")
             conv = self.converter
             select = self._constructors[name] = call_site(
-                flat.constructors, name, conv.to_host, shape,
+                self.registry.constructors(name), name, conv.to_host, shape,
                 conv.converter_for)
         ctor, args = select(script_args)
         return self.converter.to_script(
@@ -162,15 +160,16 @@ class OutboundBridge:
         return _EMPTY
 
     def proxy_index(self, proxy: Table, key):
+        ref = proxy.entries["__hostref"]
+        array = ref.__class__ is HostArray
         fires = self.stats.fallback_fires
-        sk = (proxy.uid, key)
+        sk = (proxy.uid, ELEMENTS if array and key.__class__ is float else key)
         n = fires.get(sk)
         if n is None:
-            self.stats.watch(proxy, key)
+            self.stats.watch(proxy, sk[1])
             n = 0
         fires[sk] = n + 1
-        ref = proxy.entries["__hostref"]
-        if ref.__class__ is HostArray:
+        if array:
             if key.__class__ is float:
                 if key.is_integer():
                     i = int(key) - 1
@@ -270,12 +269,9 @@ class OutboundBridge:
         # pass back as they are)
         runs = {m: (reg.invoker(m), m.returns is VOID, AS_IS.get(m.returns))
                 for m in cands}
-        m = cands[0]
-        # nullary void methods skip conversion and result handling whole
-        fast_body = None
-        if (len(cands) == 1 and not m.params and m.returns is VOID
-                and m.body is not None and not reg.validate_invokes):
-            fast_body = m.body
+        # a method whose one overload is nullary skips the call site
+        nullary = runs[cands[0]] if len(cands) == 1 and not cands[0].params \
+            else None
 
         def dispatch(args: list) -> list:
             stats.dispatches += 1
@@ -283,12 +279,9 @@ class OutboundBridge:
                 receiver = None
                 nargs = len(args)
             else:
-                if not args or args[0].__class__ is not Table:
-                    raise ReceiverMismatch(
-                        f"method {key!r} needs a host receiver; "
-                        f"call it with ':'")
-                receiver = args[0].entries.get("__hostref")
-                if receiver is None or receiver.__class__ is not HostObject:
+                receiver = args[0].entries.get("__hostref") \
+                    if args and args[0].__class__ is Table else None
+                if receiver.__class__ is not HostObject:
                     raise ReceiverMismatch(
                         f"method {key!r} needs a host receiver; "
                         f"call it with ':'")
@@ -298,23 +291,21 @@ class OutboundBridge:
                         f"method {key!r} of {cname!r} called on "
                         f"a {receiver.class_name!r}")
                 nargs = len(args) - 1
-            # tested before the receiver is sliced off: the nullary call
-            # is the commonest and the slice would be wasted on it
-            if fast_body is not None:
-                if nargs:
+            try:
+                # the commonest call, nullary, is spared the slice and site
+                if nullary is None:
+                    m, args = select(args if static else args[1:])
+                    invoke, void, as_is = runs[m]
+                elif nargs:
                     raise NoMatch(f"{cname}.{key} takes no arguments")
-                try:
-                    if static:
-                        fast_body()
-                    else:
-                        fast_body(receiver)
-                except BridgeScriptError:
-                    raise
-                except Exception as e:  # noqa: BLE001 - host code
-                    raise HostException(f"{key}: {e}") from e
-                return _EMPTY
-            m, args = select(args if static else args[1:])
-            invoke, void, as_is = runs[m]
+                else:
+                    invoke, void, as_is = nullary
+                    args = _EMPTY
+            except NoMatch as e:
+                if static and args and args[0] is conv.class_proxy(cname):
+                    raise NoMatch(f"{e}; {key!r} is static, "
+                                  f"call it with '.'") from None
+                raise
             r = invoke(receiver, args)
             if void:
                 return _EMPTY

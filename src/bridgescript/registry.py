@@ -11,8 +11,8 @@ change.
 Method bodies are native Python callables.  Instance bodies receive the
 HostObject as their first argument, static bodies receive the declared
 parameters only.  Host values are Python values: int, float, str, bool,
-None, HostObject, HostArray, or an inbound wrapper for interface and
-class typed slots.
+None, HostObject, HostArray, or a ScriptWrapper, the table inbound
+exports as an interface or class.
 
 resolve_overload is the one overload rule, for calls from either side:
 each argument scores 2 (exact) or 1 (coercion) and the unique maximum
@@ -26,7 +26,8 @@ keeps the host-side sites.
 invoker(m) is the one way a native body runs, for calls from either
 side: host errors become HostException, the result is checked against
 the return tag, and validate_invokes re-checks the receiver.  A
-constructor's invoker makes, fills and returns the new object.
+constructor's invoker makes, fills and returns the new object; both
+sides find constructors through constructors(name).
 """
 
 import inspect
@@ -176,6 +177,26 @@ class HostArray:
         return f"{self.elem_tag!r}[{len(self.elements)}]#{self.uid}"
 
 
+class ScriptWrapper:
+    """A script table standing in for the host type target_type (see
+    inbound): host code calls its methods through invoke_method."""
+
+    __slots__ = ("target_type", "script_object", "backing", "_bridge",
+                 "__weakref__")
+
+    def __init__(self, bridge, target_type: str, script_object, backing):
+        self._bridge = bridge
+        self.target_type = target_type
+        self.script_object = script_object
+        self.backing = backing  # HostObject for class targets, else None
+
+    def invoke_method(self, name: str, host_args: list):
+        return self._bridge.wrapper_invoke(self, name, host_args)
+
+    def __repr__(self) -> str:
+        return f"<wrapper {self.target_type} over table#{self.script_object.uid}>"
+
+
 @dataclass(frozen=True)
 class HostClassRef:
     """Opaque handle a class proxy keeps under its __hostref entry."""
@@ -184,10 +205,6 @@ class HostClassRef:
 
     def __repr__(self) -> str:
         return f"class {self.name}"
-
-
-def _is_wrapper(v) -> bool:
-    return getattr(v, "is_script_wrapper", False)
 
 
 class Converted:
@@ -288,8 +305,8 @@ def host_shape(v):
         return INTEGRAL if abs(v) <= _FLOAT_MAX else int
     if cls is HostArray:
         return v.elem_tag
-    if _is_wrapper(v):
-        return (_is_wrapper, v.target_type)  # equals no class name
+    if cls is ScriptWrapper:
+        return (ScriptWrapper, v.target_type)  # equals no class name
     return cls
 
 
@@ -576,15 +593,21 @@ class HostRegistry:
 
     # ------------------------------------------------------------ instances
 
+    def constructors(self, name: str) -> list:
+        """The constructors of the class name; InterfaceNotInstantiable
+        for an interface."""
+        flat = self.lookup_class(name)
+        if flat.kind != "class":
+            raise InterfaceNotInstantiable(
+                f"{name!r} is an interface and cannot be instantiated")
+        return flat.constructors
+
     def instantiate(self, name: str, args: list):
         """Construct name from host values, by the overload rule."""
         select = self._sites.get(name)
         if select is None:
-            flat = self.lookup_class(name)
-            if flat.kind != "class":
-                raise InterfaceNotInstantiable(f"{name!r} is an interface")
             select = self._sites[name] = call_site(
-                flat.constructors, name, self.score_host, host_shape,
+                self.constructors(name), name, self.score_host, host_shape,
                 _host_converter)
         ctor, args = select(args)
         return self.invoker(ctor)(None, args)
@@ -593,13 +616,12 @@ class HostRegistry:
         """invoke(receiver, host args) -> host result of m, built once per
         method: the body run with host errors wrapped as HostException,
         the result normalized and checked against the return tag (None
-        for void), and the receiver checked when validate_invokes is on."""
+        for void), and the receiver checked if validate_invokes was on."""
         invoke = self._invokers.get(m)
         if invoke is not None:
             return invoke
         body, name, tag, static = m.body, m.name, m.returns, m.static
-        as_is = AS_IS.get(tag)
-        conforms = self.conforms
+        validate = self.validate_invokes
         if name == "<init>":
             cname, inits = tag.name, self._instance_inits[tag.name]
 
@@ -612,13 +634,24 @@ class HostRegistry:
                     raise
                 except Exception as e:  # noqa: BLE001 - host code
                     raise HostException(f"constructor of {cname}: {e}") from e
-                if self.validate_invokes:
+                if validate:
                     self.validate_object(obj)
                 return obj
-        else:
+        elif tag is VOID and not static and not m.params and not validate:
+            # c:inc(), the commonest call: a direct body(receiver) costs
+            # under half of what body(receiver, *args) does
             def invoke(receiver, args: list):
-                if body is None:
-                    raise HostException(f"method {name!r} has no native body")
+                try:
+                    body(receiver)
+                except BridgeScriptError:
+                    raise
+                except Exception as e:  # noqa: BLE001 - host code
+                    raise HostException(f"{name}: {e}") from e
+        else:
+            as_is = AS_IS.get(tag)
+            conforms = self.conforms
+
+            def invoke(receiver, args: list):
                 try:
                     r = body(*args) if static else body(receiver, *args)
                 except BridgeScriptError:
@@ -633,7 +666,7 @@ class HostRegistry:
                         raise HostException(
                             f"native body of {name!r} returned a value "
                             f"that does not conform to {tag!r}")
-                if self.validate_invokes and receiver is not None:
+                if validate and receiver is not None:
                     self.validate_object(receiver)
                 return r
         self._invokers[m] = invoke
@@ -655,7 +688,7 @@ class HostRegistry:
         if target.__class__ is HostObject:
             m, args = self.site(target.class_name, name)(args)
             return self.invoker(m)(target, args)
-        if _is_wrapper(target):
+        if target.__class__ is ScriptWrapper:
             return target.invoke_method(name, args)
         raise HostException(f"cannot call {name!r} on {target!r}")
 
@@ -677,7 +710,7 @@ class HostRegistry:
             if tag is INTEGER and (cls is int or v.is_integer()):
                 return Converted(int(v), 1)
         elif self.conforms(v, tag):
-            return Converted(v, 1 if v is None or _is_wrapper(v) else 2)
+            return Converted(v, 1 if v is None or cls is ScriptWrapper else 2)
         return Incompatible("no conversion to this slot")
 
     # --------------------------------------------------------------- fields
@@ -771,19 +804,14 @@ class HostRegistry:
         if tag is VOID:
             return v is None
         if isinstance(tag, ClassTag):
-            if v is None:
-                return True
-            if isinstance(v, HostObject):
-                return v.class_name == tag.name or self.is_subclass(
-                    v.class_name, tag.name)
-            if _is_wrapper(v):
-                t = v.target_type
-                return t == tag.name or self.is_subclass(t, tag.name)
-            return False
+            cls = v.__class__  # v stands as class t, if any
+            t = v.class_name if cls is HostObject else \
+                v.target_type if cls is ScriptWrapper else None
+            return v is None or t == tag.name or self.is_subclass(t, tag.name)
         if isinstance(tag, InterfaceTag):
             if v is None:
                 return True
-            return _is_wrapper(v) and v.target_type == tag.name
+            return v.__class__ is ScriptWrapper and v.target_type == tag.name
         if isinstance(tag, ArrayTag):
             return v is None or (
                 isinstance(v, HostArray) and v.elem_tag == tag.elem)

@@ -34,6 +34,7 @@ from overload_trials import (
     run_host_site_trials,
     run_host_trials,
     run_trials,
+    select_overload,
 )
 
 
@@ -221,33 +222,33 @@ def test_wrapper_proxy_involution(world):
 def test_exact_beats_coercion(world):
     reg, conv = world
     f_int, f_float = md([INTEGER]), md([FLOAT])
-    d = conv.select_overload([f_int, f_float], [3.0])
+    d = select_overload(conv, [f_int, f_float], [3.0])
     assert d.status == "selected" and d.method is f_float
-    d = conv.select_overload([f_int, md([TEXT])], [3.0])
+    d = select_overload(conv, [f_int, md([TEXT])], [3.0])
     assert d.status == "selected" and d.method is f_int
 
 
 def test_no_match_and_ambiguous(world):
     reg, conv = world
-    assert conv.select_overload([md([INTEGER]), md([FLOAT])],
-                                ["x"]).status == "no_match"
-    d = conv.select_overload([md([FLOAT]), md([FLOAT])], [1.0])
+    assert select_overload(conv, [md([INTEGER]), md([FLOAT])],
+                           ["x"]).status == "no_match"
+    d = select_overload(conv, [md([FLOAT]), md([FLOAT])], [1.0])
     assert d.status == "ambiguous" and len(d.tied) == 2
 
 
 def test_nil_prefers_reference_overload(world):
     reg, conv = world
     f_ref, f_text = md([ClassTag("ora.Base")]), md([TEXT])
-    d = conv.select_overload([f_ref, f_text], [NIL])
+    d = select_overload(conv, [f_ref, f_text], [NIL])
     assert d.status == "selected" and d.method is f_ref
     # but a primitive exact match outranks the nil coercion
-    d = conv.select_overload([f_ref, f_text], ["s"])
+    d = select_overload(conv, [f_ref, f_text], ["s"])
     assert d.method is f_text
 
 
 def test_selected_carries_converted_args(world):
     reg, conv = world
-    d = conv.select_overload([md([INTEGER, TEXT])], [4.0, "x"])
+    d = select_overload(conv, [md([INTEGER, TEXT])], [4.0, "x"])
     assert d.status == "selected"
     assert d.args == (4, "x") and type(d.args[0]) is int
 
@@ -255,9 +256,9 @@ def test_selected_carries_converted_args(world):
 def test_arity_filters_candidates(world):
     reg, conv = world
     two = md([FLOAT, FLOAT])
-    d = conv.select_overload([md([FLOAT]), two], [1.0, 2.0])
+    d = select_overload(conv, [md([FLOAT]), two], [1.0, 2.0])
     assert d.method is two
-    assert conv.select_overload([two], [1.0]).status == "no_match"
+    assert select_overload(conv, [two], [1.0]).status == "no_match"
 
 
 def test_overload_agreement_with_referee():
@@ -299,7 +300,8 @@ def test_host_selection_converts_to_the_chosen_tags(world):
             [f_int, f_float], [special], reg.score_host, "ora")
         assert m is f_float and type(args[0]) is float
         assert args[0] == special or math.isnan(special) == math.isnan(args[0])
-        assert conv.select_overload([f_int, f_float], [special]).method is f_float
+        assert select_overload(
+            conv, [f_int, f_float], [special]).method is f_float
 
 
 def test_host_wrappers_score_by_conformance(world):
@@ -317,5 +319,5 @@ def test_host_wrappers_score_by_conformance(world):
     # a wrapper is never exact: its own class and a base tie
     assert host_decide(reg, [f_derived, f_base], [derived])[0] == "ambiguous"
     # the script side sees the table, which fits both slots
-    assert conv.select_overload([f_ear, f_base],
-                                [ear.script_object]).status == "ambiguous"
+    assert select_overload(conv, [f_ear, f_base],
+                           [ear.script_object]).status == "ambiguous"

@@ -30,7 +30,7 @@ from bridgescript.errors import (
 )
 from bridgescript.inbound import InboundBridge
 from bridgescript.objects import NIL, NativeFunction, Table, table_get
-from bridgescript.outbound import RETIRED, OutboundBridge
+from bridgescript.outbound import ELEMENTS, RETIRED, OutboundBridge
 from bridgescript.registry import (
     FLOAT,
     INTEGER,
@@ -286,6 +286,29 @@ def test_receiver_of_unrelated_class_is_rejected(interp):
         interp.run("f(p)")
 
 
+def test_static_method_called_with_colon_hints_at_dot(interp):
+    interp.run('m = hostBindClass("demo.MathUtil")')
+    with pytest.raises(NoMatch, match="call it with '.'"):
+        interp.run("m:twice(3)")
+    with pytest.raises(NoMatch, match="call it with '.'"):
+        interp.run("m:intArray(3)")
+    # a refusal without the class proxy first keeps the bare text
+    with pytest.raises(NoMatch) as e:
+        interp.run('m.twice("x")')
+    assert "'.'" not in str(e.value)
+
+
+def test_static_nullary_method_called_with_colon_hints_at_dot():
+    desc = HostClassDescriptor(name="Clock", methods={"tick": [
+        MethodDescriptor("tick", (), VOID, True, lambda: None)]})
+    reg, outb, conv = _world(desc)
+    clock = conv.class_proxy("Clock")
+    tick = outb.proxy_index(clock, "tick")
+    with pytest.raises(NoMatch, match="takes no arguments.*call it with '.'"):
+        tick.fn([clock])
+    tick.fn([])
+
+
 def test_subclass_receiver_is_accepted(interp, out):
     # Button sits two levels below Component in the chain
     interp.run('comp = javaNewInstance("demo.Component")\n'
@@ -386,6 +409,40 @@ def test_host_error_in_void_fast_path_is_wrapped():
         dispatcher.fn([proxy])
     # a failed invocation installs nothing; the fallback stays live
     assert "go" not in proxy.entries
+
+
+def test_nullary_body_error_reads_alike_from_script_and_host():
+    def explode(self):
+        raise RuntimeError("boom")
+
+    desc = HostClassDescriptor(
+        name="Bomb",
+        methods={"go": [MethodDescriptor("go", (), VOID, False, explode)]})
+    reg, outb, conv = _world(desc)
+    obj = reg.instantiate("Bomb", [])
+    proxy = conv.to_script(obj)
+    with pytest.raises(HostException) as from_script:
+        outb.proxy_index(proxy, "go").fn([proxy])
+    with pytest.raises(HostException) as from_host:
+        reg.call_method(obj, "go", [])
+    assert str(from_script.value) == str(from_host.value) \
+        == "HostException: go: boom"
+
+
+def test_validate_invokes_catches_a_nullary_void_body_from_a_script(out):
+    def corrupt(self):
+        self.fields["n"] = "not an integer"
+
+    reg = HostRegistry(validate_invokes=True)
+    reg.register_class(HostClassDescriptor(
+        name="Cell", fields={"n": FieldSpec(INTEGER)},
+        methods={"spoil": [MethodDescriptor("spoil", (), VOID, False,
+                                            corrupt)]}))
+    reg.freeze()
+    it = Interpreter(reg, out=out)
+    it.run('c = hostNewInstance("Cell")')
+    with pytest.raises(HostException, match="violates its tag"):
+        it.run("c:spoil()")
 
 
 def test_bridge_errors_from_host_bodies_pass_through():
@@ -643,6 +700,24 @@ def test_live_proxies_keep_their_fire_counts(interp):
     stats = interp.outbound.stats
     assert stats.fires(p, "x") == 50
     assert stats.fallback_fires == {(p.uid, "x"): 50, RETIRED: 50}
+
+
+def test_array_element_reads_count_under_one_key(interp):
+    interp.run('a = hostBindClass("demo.MathUtil").intArray(10000)\n'
+               'local i = 1\n'
+               'local s = 0\n'
+               'while i <= 10000 do s = s + a[i] i = i + 1 end\n'
+               'n = a.length')
+    a = interp.global_value("a")
+    stats = interp.outbound.stats
+    assert stats.fires(a, ELEMENTS) == 10000
+    assert stats.fires(a, "length") == 1
+    assert len(stats.fallback_fires) <= 4
+    del a
+    interp.run("a = nil")
+    gc.collect()
+    assert stats.fallback_fires[RETIRED] == 10001
+    assert len(stats.fallback_fires) <= 3
 
 
 # ---------------------------------------------------------- host integers
