@@ -152,10 +152,10 @@ class Converter:
         name = tag.name
         return lambda t: wrap(t, name)
 
-    def storer(self, tag, where: str):
+    def storer(self, tag, refusal: str, error=TypeMismatch):
         """store(v) -> what a slot of tag holds for the script value v, as
-        to_host converts it (the primitive cases inline); TypeMismatch
-        naming where when v does not convert."""
+        to_host converts it (the primitive cases inline); error(refusal:
+        reason) when v does not convert."""
         to_host = self.to_host
         as_is = AS_IS.get(tag)
 
@@ -166,7 +166,7 @@ class Converter:
                 return int(v)
             r = to_host(v, tag)
             if r.__class__ is Incompatible:
-                raise TypeMismatch(f"cannot store into {where}: {r.reason}")
+                raise error(f"{refusal}: {r.reason}")
             return r.value
         return store
 

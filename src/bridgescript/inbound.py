@@ -1,11 +1,18 @@
 """Inbound bridge: script tables stand in for host interfaces and classes.
 
 hostExport(t, "demo.ActionListener") produces a wrapper the host side can
-call methods on.  Each invocation looks the method up in the table at
-call time, so a script can add or replace methods after exporting and the
-host sees the change.  The registry's call site for the method picks the
-overload from the host arguments; the wrapper calls the function with
-the table as self and converts the single result to its return type.
+call methods on.  Host calls of one method on every wrapper of one
+target type share one entry, built on the first call (see _entry): the
+registry's call site for the method, which picks the overload from the
+host arguments, and a result store per overload.  Only those are
+shared.  The entry looks the method up in the table on every call,
+index fallback included, so a script can add or replace methods after
+exporting and the host sees the change on the next call.  It calls the
+function with the table as self, a script closure directly, and
+converts the single result to the chosen overload's return type.  The
+errors come in one order: NoSuchMember when the type declares no such
+method (no entry is built), then UnimplementedMethod or the fall-through
+below, then NotCallable, then the site's NoMatch.
 
 Exporting against a class additionally creates a backing instance with
 the zero-argument constructor.  Methods the table does not define fall
@@ -23,7 +30,6 @@ holds.
 
 import weakref
 
-from .convert import Incompatible
 from .errors import (
     NoDefaultConstructor,
     NotCallable,
@@ -42,7 +48,7 @@ from .objects import (
     table_get,
     type_name,
 )
-from .registry import VOID, HostObject, ScriptWrapper
+from .registry import VOID, HostObject, Memo, ScriptWrapper
 
 
 class InboundBridge:
@@ -50,6 +56,7 @@ class InboundBridge:
         self.registry = registry
         self.converter = None  # wired by the interpreter
         self._wrappers = weakref.WeakValueDictionary()
+        self.entries = Memo(self._entry)  # see _entry
 
     def host_export(self, t, target_type: str) -> ScriptWrapper:
         if t.__class__ is not Table:
@@ -82,35 +89,60 @@ class InboundBridge:
         return self.host_export(t, target_type)
 
     def wrapper_invoke(self, w: ScriptWrapper, name: str, host_args: list):
-        select = self.registry.site(w.target_type, name)  # NoSuchMember
-        fn = table_get(w.script_object, name)  # live: every call looks again
-        if fn is NIL:
-            if w.backing is None:
-                raise UnimplementedMethod(
-                    f"the table exported as {w.target_type!r} does not "
-                    f"define {name!r}")
-            return self.registry.call_method(w.backing, name, host_args)
-        cls = fn.__class__
-        if cls is not Closure and cls is not NativeFunction:
-            raise NotCallable(
-                f"{name!r} on the table exported as {w.target_type!r} "
-                f"is a {type_name(fn)}, not a function")
-        # the overload fixes the return tag; choose it before the call
-        m, host_args = select(host_args)
-        conv = self.converter
-        args = [w.script_object]
-        for h in host_args:
-            args.append(conv.to_script(h))
-        vals = call_value(fn, args)
-        if m.returns is VOID:
-            return None
-        result = vals[0] if vals else NIL
-        r = conv.to_host(result, m.returns)
-        if r.__class__ is Incompatible:
-            raise ReturnTypeMismatch(
-                f"result of {w.target_type}.{name} does not convert "
-                f"to the declared return type: {r.reason}")
-        return r.value
+        return self.entries[w.target_type, name](w, host_args)
+
+    def _entry(self, key):
+        """entries[(type, name)]: entry(w, host args) for every wrapper
+        exported as type, holding the call site of method name, a result
+        store per overload and, for a class, the backing's entry."""
+        reg, conv = self.registry, self.converter
+        select = reg.sites[key]  # NoSuchMember
+        target_type, name = key
+        flat = reg.lookup_class(target_type)
+        fall = reg.entries[key] if flat.kind == "class" else None
+        refusal = (f"result of {target_type}.{name} does not convert "
+                   f"to the declared return type")
+        cands = flat.methods[name]
+        results = {m: None if m.returns is VOID else conv.storer(
+            m.returns, refusal, ReturnTypeMismatch) for m in cands}
+        # a method whose one overload is nullary skips the site when
+        # given no arguments, as on the host side
+        nullary = cands[0] if len(cands) == 1 and not cands[0].params \
+            else None
+
+        def entry(w, host_args: list):
+            t = w.script_object
+            fn = t.entries.get(name, NIL)  # live: every call looks again
+            if fn is NIL and t.index_handler is not None:
+                fn = table_get(t, name)
+            if fn is NIL:
+                if fall is None:
+                    raise UnimplementedMethod(
+                        f"the table exported as {target_type!r} does not "
+                        f"define {name!r}")
+                return fall(w.backing, host_args)
+            cls = fn.__class__
+            if cls is not Closure and cls is not NativeFunction:
+                raise NotCallable(
+                    f"{name!r} on the table exported as {target_type!r} "
+                    f"is a {type_name(fn)}, not a function")
+            # the overload fixes the return tag; choose it before the call
+            if nullary is not None and not host_args:
+                m, args = nullary, [t]
+            else:
+                m, host_args = select(host_args)
+                args = [t, *map(conv.to_script, host_args)]
+            if cls is Closure:
+                p = fn.proto
+                if p.nparams == len(args):
+                    vals = p.body([fn.globals, fn.upvals, *args, *p.pad])
+                else:  # padded or cut to its parameters
+                    vals = fn.invoke(args)
+            else:
+                vals = call_value(fn, args)
+            store = results[m]
+            return None if store is None else store(vals[0] if vals else NIL)
+        return entry
 
 
 def _base_instance(t: Table, target_type: str):

@@ -44,6 +44,7 @@ expose instance members.
 """
 
 import weakref
+from functools import partial
 
 from .errors import (
     NoMatch,
@@ -59,6 +60,7 @@ from .registry import (
     VOID,
     HostArray,
     HostObject,
+    Memo,
     call_site,
     index_error,
 )
@@ -117,10 +119,14 @@ class OutboundBridge:
         self.converter = None  # wired by the interpreter
         self.stats = DispatchStats()
         # (class name, key) -> _Member, built on first use
-        self._members: dict = {}         # instance members
-        self._static_members: dict = {}  # static members
-        self._element_stores: dict = {}  # array element tag -> setter
-        self._constructors: dict = {}  # class name -> call_site
+        self._members = Memo(partial(self._build_member, static=False))
+        self._static_members = Memo(partial(self._build_member, static=True))
+        # array element tag -> setter; class name -> constructors' call_site
+        self._element_stores = Memo(lambda tag: self.converter.storer(
+            tag, "cannot store into the array"))
+        self._constructors = Memo(lambda name: call_site(
+            self.registry.constructors(name), name, self.converter.to_host,
+            shape, self.converter.converter_for))
         self._index_handler = NativeFunction(self._on_index, "proxy_index")
         self._newindex_handler = NativeFunction(
             self._on_newindex, "proxy_newindex")
@@ -135,15 +141,9 @@ class OutboundBridge:
     # ------------------------------------------------------------ built-ins
 
     def host_new_instance(self, name: str, script_args: list) -> Table:
-        select = self._constructors.get(name)
-        if select is None:
-            conv = self.converter
-            select = self._constructors[name] = call_site(
-                self.registry.constructors(name), name, conv.to_host, shape,
-                conv.converter_for)
-        ctor, args = select(script_args)
+        ctor, args = self._constructors[name](script_args)
         return self.converter.to_script(
-            self.registry.invoker(ctor)(None, args))
+            self.registry.invokers[ctor](None, args))
 
     def host_bind_class(self, name: str) -> Table:
         return self.converter.class_proxy(name)
@@ -188,11 +188,7 @@ class OutboundBridge:
         ref = proxy.entries["__hostref"]
         if ref.__class__ is HostArray:
             if key.__class__ is float and key.is_integer():
-                store = self._element_stores.get(ref.elem_tag)
-                if store is None:
-                    store = self._element_stores[ref.elem_tag] = \
-                        self.converter.storer(ref.elem_tag, "the array")
-                h = store(value)
+                h = self._element_stores[ref.elem_tag](value)
                 i = int(key) - 1
                 elements = ref.elements
                 if not 0 <= i < len(elements):
@@ -219,15 +215,11 @@ class OutboundBridge:
         """The member key of ref's class (instance members for a host
         object, statics for a class reference), built on first use."""
         if ref.__class__ is HostObject:
-            members, cname, static = self._members, ref.class_name, False
-        else:
-            members, cname, static = self._static_members, ref.name, True
-        m = members.get((cname, key))
-        if m is None:
-            m = members[(cname, key)] = self._build_member(cname, key, static)
-        return m
+            return self._members[ref.class_name, key]
+        return self._static_members[ref.name, key]
 
-    def _build_member(self, cname: str, key, static: bool) -> _Member:
+    def _build_member(self, member: tuple, static: bool) -> _Member:
+        cname, key = member
         if key.__class__ is not str:
             raise NoSuchMember(cname, render(key))
         flat = self.registry.lookup_class(cname)
@@ -241,7 +233,8 @@ class OutboundBridge:
 
     def _field(self, cname: str, key: str, tag, static: bool) -> _Member:
         to_script = self.converter.to_script
-        store = self.converter.storer(tag, f"{cname}.{key}")
+        store = self.converter.storer(
+            tag, f"cannot store into {cname}.{key}")
         if static:
             _, values = self.registry.resolve_field(cname, key)
 
@@ -267,7 +260,7 @@ class OutboundBridge:
         to_script = conv.to_script
         # method -> (its invoker, is it void, the class of results that
         # pass back as they are)
-        runs = {m: (reg.invoker(m), m.returns is VOID, AS_IS.get(m.returns))
+        runs = {m: (reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns))
                 for m in cands}
         # a method whose one overload is nullary skips the call site
         nullary = runs[cands[0]] if len(cands) == 1 and not cands[0].params \

@@ -21,15 +21,27 @@ sum wins.  Converter.to_host scores script values, score_host host ones.
 call_site is the one way a call chooses among overloads, from either
 side: resolve_overload behind a cache keyed by argument shapes that
 skips selection, never conversion, and keeps no refusal.  The registry
-keeps the host-side sites.
+keeps the host-side sites: sites[class] for constructors and
+sites[(class, method)].
 
-invoker(m) is the one way a native body runs, for calls from either
-side: host errors become HostException, the result is checked against
-the return tag, and validate_invokes re-checks the receiver.  A
-constructor's invoker makes, fills and returns the new object; both
-sides find constructors through constructors(name).
+invokers[m] is the one way a native body runs, for calls from either
+side: host errors become HostException and a RecursionError the
+script's "stack overflow", the result is checked against the return
+tag, and validate_invokes re-checks the receiver.  A method's invoker
+passes up to two arguments one by one.  A constructor's invoker makes,
+fills and returns the new object; both sides find constructors through
+constructors(name).
+
+call_method finds one entry per (receiver type, method) with one
+lookup: entries[(class, method)] for a host object, the inbound
+bridge's for a wrapper, so a host object of class X and a wrapper
+exported as X never share one.  An entry is built on the first call
+and every receiver of its type shares it.  These tables are Memos: a
+key's value is built on its first lookup, and a failed build (an
+undeclared method, say) stores nothing.
 """
 
+import functools
 import inspect
 import itertools
 import sys
@@ -50,6 +62,7 @@ from .errors import (
     NoSuchMember,
     NotFrozen,
     RegistryFrozen,
+    ScriptRuntimeError,
     TypeMismatch,
     UnknownBase,
 )
@@ -85,6 +98,8 @@ VOID = PrimTag("void")
 # Primitive tags whose slots hold values of one class, a class scripts
 # share: such a value conforms, and is a script value, as it is.
 AS_IS = {FLOAT: float, TEXT: str, BOOLEAN: bool}
+# The class of values a slot of each primitive tag holds as they are.
+_PLAIN = {**AS_IS, INTEGER: int}
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +206,7 @@ class ScriptWrapper:
         self.backing = backing  # HostObject for class targets, else None
 
     def invoke_method(self, name: str, host_args: list):
-        return self._bridge.wrapper_invoke(self, name, host_args)
+        return self._bridge.entries[self.target_type, name](self, host_args)
 
     def __repr__(self) -> str:
         return f"<wrapper {self.target_type} over table#{self.script_object.uid}>"
@@ -315,6 +330,18 @@ def _host_converter(v, tag):
     return float if tag is FLOAT else int if tag is INTEGER else None
 
 
+class Memo(dict):
+    """key -> build(key), built on the key's first lookup.  A build that
+    raises stores nothing."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class HostRegistry:
     def __init__(self, validate_invokes: bool = False):
         self._classes: dict[str, HostClassDescriptor] = {}
@@ -324,8 +351,9 @@ class HostRegistry:
         self._static_home: dict[str, dict] = {}
         self._instance_inits: dict[str, dict] = {}
         self._frozen = False
-        self._invokers: dict = {}  # MethodDescriptor -> invoker(m)
-        self._sites: dict = {}  # (class, method) or class -> call_site
+        self.invokers = Memo(self._invoker)  # see _invoker
+        self.sites = Memo(self._site)  # see _site
+        self.entries = Memo(self._entry)  # see call_method
         # Conformance re-check of receiver fields after every invoke.
         # Costly, so off by default; the test suite turns it on.
         self.validate_invokes = validate_invokes
@@ -604,22 +632,15 @@ class HostRegistry:
 
     def instantiate(self, name: str, args: list):
         """Construct name from host values, by the overload rule."""
-        select = self._sites.get(name)
-        if select is None:
-            select = self._sites[name] = call_site(
-                self.constructors(name), name, self.score_host, host_shape,
-                _host_converter)
-        ctor, args = select(args)
-        return self.invoker(ctor)(None, args)
+        ctor, args = self.sites[name](args)
+        return self.invokers[ctor](None, args)
 
-    def invoker(self, m: MethodDescriptor):
-        """invoke(receiver, host args) -> host result of m, built once per
-        method: the body run with host errors wrapped as HostException,
-        the result normalized and checked against the return tag (None
-        for void), and the receiver checked if validate_invokes was on."""
-        invoke = self._invokers.get(m)
-        if invoke is not None:
-            return invoke
+    def _invoker(self, m: MethodDescriptor):
+        """invokers[m]: invoke(receiver, host args) -> host result of m:
+        the body run with host errors wrapped as HostException and a
+        RecursionError as a stack overflow, the result normalized and
+        checked against the return tag (None for void), and the receiver
+        checked if validate_invokes was on."""
         body, name, tag, static = m.body, m.name, m.returns, m.static
         validate = self.validate_invokes
         if name == "<init>":
@@ -632,65 +653,80 @@ class HostRegistry:
                         body(obj, *args)
                 except BridgeScriptError:
                     raise
+                except RecursionError:
+                    raise ScriptRuntimeError("stack overflow") from None
                 except Exception as e:  # noqa: BLE001 - host code
                     raise HostException(f"constructor of {cname}: {e}") from e
                 if validate:
                     self.validate_object(obj)
                 return obj
-        elif tag is VOID and not static and not m.params and not validate:
-            # c:inc(), the commonest call: a direct body(receiver) costs
-            # under half of what body(receiver, *args) does
-            def invoke(receiver, args: list):
-                try:
-                    body(receiver)
-                except BridgeScriptError:
-                    raise
-                except Exception as e:  # noqa: BLE001 - host code
-                    raise HostException(f"{name}: {e}") from e
+            return invoke
+        # up to two arguments are passed one by one: body(receiver, *args)
+        # costs over twice what a direct body(receiver, a) does
+        n = len(m.params)
+        passed = [f"args[{i}]" for i in range(n)] if n <= 2 else ["*args"]
+        call = ", ".join(passed if static else ["receiver", *passed])
+        if tag is VOID and not validate:
+            return _invoker_form(call, "None")(body, name, None, None)
+        conforms = self.conforms
+
+        def finish(r, receiver):
+            if tag is VOID:
+                r = None
+            else:
+                r = normalize(tag, r)
+                if not conforms(r, tag):
+                    raise HostException(
+                        f"native body of {name!r} returned a value "
+                        f"that does not conform to {tag!r}")
+            if validate and receiver is not None:
+                self.validate_object(receiver)
+            return r
+        plain = None if validate else _PLAIN.get(tag)  # passes unchecked
+        checked = "r if r.__class__ is plain else finish(r, receiver)"
+        return _invoker_form(call, checked)(body, name, plain, finish)
+
+    def _site(self, key):
+        """sites[key]: the call_site of host calls of the constructors of
+        the class key, or of the method (class, name) key."""
+        if key.__class__ is str:
+            owner, cands = key, self.constructors(key)
         else:
-            as_is = AS_IS.get(tag)
-            conforms = self.conforms
-
-            def invoke(receiver, args: list):
-                try:
-                    r = body(*args) if static else body(receiver, *args)
-                except BridgeScriptError:
-                    raise
-                except Exception as e:  # noqa: BLE001 - host code
-                    raise HostException(f"{name}: {e}") from e
-                if tag is VOID:
-                    r = None
-                elif r.__class__ is not as_is:
-                    r = normalize(tag, r)
-                    if not conforms(r, tag):
-                        raise HostException(
-                            f"native body of {name!r} returned a value "
-                            f"that does not conform to {tag!r}")
-                if validate and receiver is not None:
-                    self.validate_object(receiver)
-                return r
-        self._invokers[m] = invoke
-        return invoke
-
-    def site(self, cname: str, name: str):
-        """The call_site of host calls of cname's method name."""
-        select = self._sites.get((cname, name))
-        if select is None:
-            cands = self.lookup_class(cname).methods.get(name)
+            owner, name = key
+            cands = self.lookup_class(owner).methods.get(name)
             if not cands or cands[0].static:
-                raise NoSuchMember(cname, name)
-            select = self._sites[(cname, name)] = call_site(
-                cands, cname, self.score_host, host_shape, _host_converter)
-        return select
+                raise NoSuchMember(owner, name)
+        return call_site(cands, owner, self.score_host, host_shape,
+                         _host_converter)
 
     def call_method(self, target, name: str, args: list):
-        """Host-side dynamic dispatch: works on host objects and wrappers."""
+        """Host-side dynamic dispatch on a host object or a wrapper,
+        through the one entry of the receiver's type and name."""
         if target.__class__ is HostObject:
-            m, args = self.site(target.class_name, name)(args)
-            return self.invoker(m)(target, args)
+            return self.entries[target.class_name, name](target, args)
         if target.__class__ is ScriptWrapper:
-            return target.invoke_method(name, args)
+            return target._bridge.entries[target.target_type, name](
+                target, args)
         raise HostException(f"cannot call {name!r} on {target!r}")
+
+    def _entry(self, key):
+        """entries[(class, name)]: entry(obj, host args) for every host
+        object of the class, with the call site and invokers of its
+        method name bound once.  A method whose one overload is nullary
+        skips the site unless given arguments, which the site refuses."""
+        select = self.sites[key]  # NoSuchMember
+        cname, name = key
+        cands = self._flat[cname].methods[name]
+        invokers = {m: self.invokers[m] for m in cands}
+        nullary = invokers[cands[0]] if len(cands) == 1 \
+            and not cands[0].params else None
+
+        def entry(obj, args: list):
+            if nullary is not None and not args:
+                return nullary(obj, args)
+            m, args = select(args)
+            return invokers[m](obj, args)
+        return entry
 
     def score_host(self, v, tag):
         """Host-value front end of resolve_overload.  Numbers score as
@@ -816,6 +852,33 @@ class HostRegistry:
             return v is None or (
                 isinstance(v, HostArray) and v.elem_tag == tag.elem)
         return False
+
+
+# A method invoker (see HostRegistry._invoker) for one spelling of the
+# body's call and of the result that follows it.  A runaway recursion
+# through the bridge is a stack overflow, as it is in a script.
+_INVOKER = """def invoker(body, name, plain, finish):
+    def invoke(receiver, args):
+        try:
+            r = body(%s)
+        except BridgeScriptError:
+            raise
+        except RecursionError:
+            raise ScriptRuntimeError("stack overflow") from None
+        except Exception as e:  # host code
+            raise HostException(f"{name}: {e}") from e
+        return %s
+    return invoke
+"""
+
+
+@functools.cache  # one per spelling, shared by every registry: at most 16
+def _invoker_form(call: str, result: str):
+    env = {"BridgeScriptError": BridgeScriptError,
+           "HostException": HostException,
+           "ScriptRuntimeError": ScriptRuntimeError}
+    exec(compile(_INVOKER % (call, result), f"<invoke {call}>", "exec"), env)
+    return env["invoker"]
 
 
 def normalize(tag, v):

@@ -21,13 +21,14 @@ from bridgescript.errors import (
     NotCallable,
     ProxyNotExportable,
     ReturnTypeMismatch,
+    ScriptRuntimeError,
     TypeMismatch,
     UnimplementedMethod,
 )
 from bridgescript.convert import Converter
 from bridgescript.inbound import InboundBridge, ScriptWrapper
 from bridgescript.interp import Interpreter
-from bridgescript.objects import NIL, Table
+from bridgescript.objects import NIL, Table, table_get, table_set
 from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
     FLOAT,
@@ -348,3 +349,108 @@ def test_wrapper_rejects_arguments_before_calling_the_script(interp):
     with pytest.raises(NoMatch):
         interp.inbound.host_export(Table(), "demo.Greeter") \
             .invoke_method("bye", ["extra"])
+
+
+# ------------------------------------------------------------ shared entries
+
+
+def test_wrappers_of_one_type_share_one_entry(interp):
+    interp.run('a = {} function a:hello() return "a" end\n'
+               'b = {} function b:hello() return "b" end')
+    wa = interp.inbound.host_export(interp.global_value("a"), "demo.Speaker")
+    wb = interp.inbound.host_export(interp.global_value("b"), "demo.Speaker")
+    call = interp.registry.call_method
+    assert call(wa, "hello", []) == "a"
+    entry = interp.inbound.entries["demo.Speaker", "hello"]
+    assert call(wb, "hello", []) == "b"
+    assert wa.invoke_method("hello", []) == "a"
+    assert interp.inbound.wrapper_invoke(wb, "hello", []) == "b"
+    assert interp.inbound.entries["demo.Speaker", "hello"] is entry
+    assert [k for k in interp.inbound.entries if k[0] == "demo.Speaker"] \
+        == [("demo.Speaker", "hello")]
+
+
+def test_host_objects_and_wrappers_of_one_type_keep_apart(interp):
+    t = _table_from(interp, 't = {} function t:hello() return "script" end')
+    w = interp.inbound.host_export(t, "demo.Speaker")
+    obj = interp.registry.instantiate("demo.Speaker", [])
+    call = interp.registry.call_method
+    for _ in range(2):
+        assert call(w, "hello", []) == "script"
+        assert call(obj, "hello", []) == "base:hello"
+    key = ("demo.Speaker", "hello")
+    assert interp.inbound.entries[key] is not interp.registry.entries[key]
+
+
+def test_undeclared_method_builds_no_entry(interp):
+    w = interp.inbound.host_export(_table_from(interp, "t = {}"),
+                                   "demo.Speaker")
+    for _ in range(2):
+        with pytest.raises(NoSuchMember):
+            w.invoke_method("nope", [])
+    assert ("demo.Speaker", "nope") not in interp.inbound.entries
+    assert ("demo.Speaker", "nope") not in interp.registry.entries
+
+
+def test_listener_swapped_every_64_calls_is_seen_at_once(interp):
+    interp.run("hits = 0\n"
+               'src = hostNewInstance("demo.EventSource")\n'
+               "listener = {}\n"
+               "function listener:actionPerformed(ev) hits = hits + 1 end\n"
+               "src:addActionListener(listener)\n"
+               "handlers = {a = listener.actionPerformed}\n"
+               "function handlers.b(self, ev) hits = hits + 10 end")
+    listener = interp.global_value("listener")
+    handlers = interp.global_value("handlers")
+    source = interp.global_value("src").entries["__hostref"]
+    step = 1.0
+    for e in range(1000):
+        if e and e % 64 == 0:
+            k = (e // 64) % 2
+            table_set(listener, "actionPerformed",
+                      table_get(handlers, "ab"[k]))
+            step = (1.0, 10.0)[k]
+        before = interp.global_value("hits")
+        interp.registry.call_method(source, "fireAction", [])
+        assert interp.global_value("hits") == before + step
+
+
+def test_class_wrapper_errors_keep_their_order(interp):
+    """As test_wrapper_errors_keep_their_order, on a class-backed target:
+    a missing method falls through to the backing, whose own site then
+    refuses the arguments."""
+    t = _table_from(interp, "t = {}")
+    w = interp.inbound.host_export(t, "demo.Speaker")
+    steps = (("nope", "", NoSuchMember, "has no member"),
+             ("hello", "", NoMatch, "no overload of demo.Speaker.hello"),
+             ("hello", "t.hello = 5", NotCallable, "is a number"),
+             ("hello", "function t:hello() end", NoMatch,
+              "no overload of demo.Speaker.hello"))
+    for name, source, error, text in steps:
+        interp.run(source)
+        for _ in range(2):
+            with pytest.raises(error, match=text):
+                w.invoke_method(name, ["bad"])
+            with pytest.raises(error, match=text):
+                interp.registry.call_method(w, name, ["bad"])
+
+
+def test_runaway_recursion_through_the_bridge_is_a_stack_overflow(interp):
+    """greet calls the wrapper's hello, which calls greet: from the host
+    and from a script, Python's exhausted stack reads as a script's."""
+    t = _table_from(interp,
+                    'm = hostBindClass("demo.MathUtil")\n'
+                    "t = {} function t:hello() return m.greet(self) end")
+    w = interp.inbound.host_export(t, "demo.Greeter")
+    with pytest.raises(ScriptRuntimeError) as e:
+        w.invoke_method("hello", [])
+    assert type(e.value) is ScriptRuntimeError
+    assert e.value.message == "stack overflow"
+    with pytest.raises(ScriptRuntimeError) as e:
+        interp.run("\nm.greet(t)")
+    assert type(e.value) is ScriptRuntimeError
+    assert e.value.message == "stack overflow"
+    assert e.value.line is not None
+    # the interpreter still works afterwards
+    interp.run("function t:hello() return 'ok' end")
+    assert w.invoke_method("hello", []) == "ok"

@@ -21,6 +21,7 @@ from bridgescript.errors import (
     NoSuchMember,
     NotFrozen,
     RegistryFrozen,
+    ScriptRuntimeError,
     TypeMismatch,
     UnknownBase,
 )
@@ -339,6 +340,69 @@ def test_call_method_errors(demo):
         demo.call_method(None, "move", [])
     with pytest.raises(NoMatch):
         demo.call_method(p, "move", [1.0])  # wrong arity
+
+
+def test_nullary_method_given_arguments_keeps_the_site_text(demo):
+    g = demo.instantiate("demo.Greeter", [])
+    for _ in range(2):  # a cold entry, then a warm one
+        with pytest.raises(NoMatch) as e:
+            demo.call_method(g, "hello", [1.0])
+        assert e.value.message == \
+            "no overload of demo.Greeter.hello accepts these arguments"
+    assert demo.call_method(g, "hello", []) == "hello"
+
+
+def test_host_objects_of_one_class_share_one_entry(demo):
+    a = demo.instantiate("demo.Point", [])
+    b = demo.instantiate("demo.Point", [5.0, 5.0])
+    demo.call_method(a, "move", [1.0, 2.0])
+    entry = demo.entries["demo.Point", "move"]
+    demo.call_method(b, "move", [1, 1])
+    assert demo.entries["demo.Point", "move"] is entry
+    assert (a.fields, b.fields) == ({"x": 1.0, "y": 2.0},
+                                    {"x": 6.0, "y": 6.0})
+
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("static", [False, True])
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_invokers_of_every_arity_agree(arity, static, validate, out):
+    """Each arity's invoker passes the arguments in order, normalizes and
+    checks the result, wraps host errors and reports recursion alike,
+    from the host and from a script."""
+    def body(*a):
+        got = a if static else a[1:]
+        if got[:1] == (-1.0,):
+            raise ValueError("refused")
+        if got[:1] == (-2.0,):
+            return "text"
+        if got[:1] == (-3.0,):
+            raise RecursionError("deep")
+        return sum(i * v for i, v in enumerate(got, 1))  # order-sensitive
+
+    reg = HostRegistry(validate_invokes=validate)
+    reg.register_class(desc("Ar", methods={"f": [
+        method("f", (INTEGER,) * arity, FLOAT, static, body)]}))
+    reg.freeze()
+    obj = reg.instantiate("Ar", [])
+    it = Interpreter(reg, out=out)
+    it.run('o = hostNewInstance("Ar") c = hostBindClass("Ar")')
+    recv = "c." if static else "o:"
+    calls = [lambda args: it.run(
+        f"return {recv}f({', '.join(map(repr, map(float, args)))})")[0]]
+    if not static:
+        calls.append(lambda args: reg.call_method(obj, "f", args))
+    args = list(range(2, 2 + arity))
+    want = float(sum(i * v for i, v in enumerate(args, 1)))
+    for call in calls:
+        r = call(args)
+        assert r == want and type(r) is float  # the int result normalized
+        for first, error, text in ((-1, HostException, "f: refused"),
+                                   (-2, HostException, "does not conform"),
+                                   (-3, ScriptRuntimeError, "stack overflow")):
+            if arity:
+                with pytest.raises(error, match=text):
+                    call([first, *args[1:]])
 
 
 def test_validating_registry_accepts_demo_flow():
