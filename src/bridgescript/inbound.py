@@ -135,7 +135,7 @@ class InboundBridge:
             if cls is Closure:
                 p = fn.proto
                 if p.nparams == len(args):
-                    vals = p.body([fn.globals, fn.upvals, *args, *p.pad])
+                    vals = p.body(fn.globals, fn.upvals, *args)
                 else:  # padded or cut to its parameters
                     vals = fn.invoke(args)
             else:

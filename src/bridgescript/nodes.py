@@ -7,8 +7,7 @@ frame -> None | list, where a list is the in-flight result of a return
 statement; block runners propagate it upward.
 
 Variables are resolved while compiling, by a Scope per function body.
-A frame is the list [globals, upvals, slot, slot, ...] (see objects):
-each local, parameter and for variable gets a slot, which later blocks
+Each local, parameter and for variable gets a slot, which later blocks
 reuse once its own block has ended.  A name that no enclosing scope
 declares is a global, read and written straight in the globals dict.
 The parser tells each function body which names its nested functions
@@ -19,15 +18,24 @@ from the statement after its declaration, except that a local whose
 initializer is a function literal is already in scope inside it, so
 local functions can recurse.
 
+A function is entered through its Proto as body(globals, upvals, a1,
+..., an), which every closure of the literal shares (see objects).  On
+closures the body builds a frame, the list [globals, upvals, slot,
+slot, ...], and every slot lives there.
+
 A while or for statement counts its iterations across its runs, and a
 function body its calls.  At the K-th, the statement or body is written
 out as the source of a Python function (the gen methods) and compiled.
-That function works on the same frame, cells and upvals, makes the same
-checks and raises the same errors at the same lines, so a loop moves to
-it in the middle of a run: a while loop keeps all its state in the
-frame, and a for loop hands over its counter, limit and step.  A body
-moves through its Proto, which every closure of the literal shares.  If
-Python refuses the source, the node stays on closures.
+It makes the same checks and raises the same errors at the same lines,
+with the same cells and upvals.  Its other slots are Python locals
+s<slot>.  A generated body takes its parameters as its own and builds
+a frame only for its cells and the closures it makes.  A generated loop
+works on its caller's frame, so it moves in the middle of a run: it
+loads the slots it names on entry and stores them back at its normal
+end, and a for loop is also handed its counter, limit and step.  A
+return or an error ends the frame, since the language has no pcall and
+no break, so neither stores back.  If Python refuses the source, the
+node stays on closures.
 
 Every node carries the line of its first token.  unparse() emits source
 that parses back to a structurally identical tree (lines aside).
@@ -249,13 +257,11 @@ class VarExpr(Node):
         return lambda fr: fr[0].get(name, NIL)
 
     def gen(self, g):
-        kind, i = self.where
-        if kind == LOCAL and i in g.slots:
-            return g.slots[i]
+        v = g.variable(self)
+        if self.where[0] == LOCAL:
+            return v  # a Python local, which only a statement changes
         t = g.temp()
-        g.emit(f"{t} = {g.variable(self)}")
-        if kind == LOCAL:
-            g.slots[i] = t
+        g.emit(f"{t} = {v}")
         return t
 
     def unparse(self) -> str:
@@ -386,7 +392,7 @@ class CallExpr(Node):
     def gen(self, g, want=True):
         """The call as statements; its first value's temporary if want.
         A closure with as many parameters as there are arguments gets
-        its frame built here and its body called directly."""
+        its body called directly."""
         line = self.line
         f = self.callee.gen(g)
         vals = []
@@ -396,12 +402,12 @@ class CallExpr(Node):
             f = g.index(f, g.literal(self.name), line)
         vals += [a.gen(g) for a in self.args]
         listed = ", ".join(vals)
-        frame = ", ".join([f"{f}.globals", f"{f}.upvals", *vals, "*p.pad"])
+        entry = ", ".join([f"{f}.globals", f"{f}.upvals", *vals])
         r = g.temp()
         g.emit("try:")
         g.emit(f"    if {f}.__class__ is Closure:")
         g.emit(f"        p = {f}.proto")
-        g.emit(f"        if p.nparams == {len(vals)}: {r} = p.body([{frame}])")
+        g.emit(f"        if p.nparams == {len(vals)}: {r} = p.body({entry})")
         g.emit(f"        else: {r} = {f}.invoke([{listed}])")
         g.emit(f"    elif {f}.__class__ is NativeFunction: "
                f"{r} = {f}.fn([{listed}])")
@@ -449,7 +455,8 @@ class FunctionExpr(Node):
                 cells.append(slot)
         body_c = self.body.compile(inner)
         n = len(self.params)
-        proto = Proto(None, n, (NIL,) * (inner.size - 2 - n))
+        proto = Proto(None, n)
+        pad = (NIL,) * (inner.size - 2 - n)
         left = K
         body = self.body
         line = self.line
@@ -459,19 +466,25 @@ class FunctionExpr(Node):
         home = weakref.ref(proto)
 
         def gen_unit(g) -> str:
-            for i in cells:
-                g.emit(f"fr[{i}] = [fr[{i}]]")
+            params = [f"s{i}" for i in range(2, 2 + n)]
             g.block(body)
-            return "fr"
+            if g.framed:
+                # for the cells, parameters boxed in place, and make(fr)
+                slots = [f"[{a}]" if i in cells else a
+                         for i, a in enumerate(params, 2)]
+                g.lines.insert(0, "    fr = [" + ", ".join(
+                    ["G", "U", *slots, *["NIL"] * len(pad)]) + "]")
+            return ", ".join(["G", "U", *params])
 
-        def count(fr):
+        def count(G, U, *args):
             nonlocal left
             left -= 1
             if not left:
                 hot = _generate(gen_unit, line)
                 if hot is not None:
                     home().body = hot  # alive: a closure is running it
-                    return hot(fr)
+                    return hot(G, U, *args)
+            fr = [G, U, *args, *pad]
             # parameters that nested functions use are boxed on entry
             for i in cells:
                 fr[i] = [fr[i]]
@@ -492,7 +505,7 @@ class FunctionExpr(Node):
 
     def gen(self, g):
         t = g.temp(Closure)
-        g.emit(f"{t} = {g.const(self.make)}(fr)")
+        g.emit(f"{t} = {g.const(self.make)}({g.frame()})")
         return t
 
     def unparse(self) -> str:
@@ -801,9 +814,11 @@ class AssignName(Node):
 
     def gen_stmt(self, g):
         v = self.expr.gen(g)
-        g.emit(f"{g.variable(self)} = {v}")
-        if self.where[0] == LOCAL:
-            g.slots[self.where[1]] = v
+        kind, i = self.where
+        if kind == LOCAL:
+            g.assign(i, v)
+        else:
+            g.emit(f"{g.variable(self)} = {v}")
 
     def unparse(self) -> str:
         return f"{self.name} = {self.expr.unparse()}"
@@ -912,13 +927,11 @@ class LocalDecl(Node):
         kind, slot = self.where
         if kind == CELL:
             box = g.temp()
-            g.emit(f"fr[{slot}] = {box} = [NIL]")
+            g.emit(f"{g.frame()}[{slot}] = {box} = [NIL]")
             if self.expr is not None:
                 g.emit(f"{box}[0] = {self.expr.gen(g)}")
         else:
-            v = "NIL" if self.expr is None else self.expr.gen(g)
-            g.emit(f"fr[{slot}] = {v}")
-            g.slots[slot] = v
+            g.assign(slot, "NIL" if self.expr is None else self.expr.gen(g))
 
     def unparse(self) -> str:
         if self.expr is None:
@@ -956,9 +969,9 @@ class IfStat(Node):
         # each elseif tests inside the else of the clause before it
         cond, block = self.clauses[first]
         g.emit(f"if {g.test(cond)}:")
-        known = g.known()
+        known = dict(g.facts)
         g.nested(block)
-        g.restore(known)
+        g.facts = known
         rest = first + 1 < len(self.clauses)
         if rest or self.else_block is not None:
             g.emit("else:")
@@ -983,7 +996,7 @@ class IfStat(Node):
 class WhileStat(Node):
     """A while loop.  It counts iterations across its runs and moves to
     generated code at the K-th, in the middle of the run: all its state
-    is in the frame."""
+    is in the frame, which the generated loop loads and stores back."""
 
     __slots__ = ("cond", "body")
 
@@ -1029,6 +1042,7 @@ class WhileStat(Node):
 
     def gen_unit(self, g) -> str:
         self.gen_stmt(g)
+        g.on_frame()
         return "fr"
 
     def unparse(self) -> str:
@@ -1118,7 +1132,7 @@ class ForNum(Node):
                    f"'for step is zero', {line})")
         kind, slot = self.where
         if kind == CELL:
-            g.emit(f"fr[{slot}] = [NIL]")
+            g.emit(f"{g.frame()}[{slot}] = [NIL]")
         return bounds
 
     def gen_loop(self, g, i, stop, step) -> None:
@@ -1128,11 +1142,7 @@ class ForNum(Node):
         kind, slot = self.where
         if kind == CELL:
             box = g.temp()
-            g.emit(f"{box} = fr[{slot}]")
-            store = f"{box}[0] = {i}"
-        else:
-            store = f"fr[{slot}] = {i}"
-            g.slots[slot] = i
+            g.emit(f"{box} = {g.frame()}[{slot}]")
         s = self.step
         if s is None or s.__class__ is NumberLit:
             cond = f"{i} <= {stop}"
@@ -1142,16 +1152,19 @@ class ForNum(Node):
             cond = f"{i} <= {stop} if {step} > 0.0 else {i} >= {stop}"
         g.emit(f"while {cond}:")
         g.depth += 1
-        g.emit(store)
+        if kind == CELL:
+            g.emit(f"{box}[0] = {i}")
+        else:
+            g.assign(slot, i)
         g.block(self.body)
         g.emit(f"{i} += {step}")
         g.depth -= 1
         g.forget()
 
     def gen_stmt(self, g):
-        start, stop, step = self.gen_start(g)
-        i = g.temp()
-        g.emit(f"{i} = {start}")
+        # in temporaries, since the body may assign a local they name
+        i, stop, step = g.temp(), g.temp(), g.temp()
+        g.emit(f"{i}, {stop}, {step} = " + ", ".join(self.gen_start(g)))
         self.gen_loop(g, i, stop, step)
 
     def gen_unit(self, g) -> str:
@@ -1161,6 +1174,7 @@ class ForNum(Node):
         g.emit("i, stop, step = " + ", ".join(self.gen_start(g)))
         g.depth -= 1
         self.gen_loop(g, "i", "stop", "step")
+        g.on_frame()
         return "fr, i=None, stop=None, step=None"
 
     def unparse(self) -> str:
@@ -1240,9 +1254,11 @@ class _Gen:
     """The source of one hot unit: a loop statement or a function body.
 
     Every expression becomes statements that leave its value in a fresh
-    temporary, in the closure tree's order of evaluation; literals stay
-    inline.  types maps a temporary or literal to the class its value
-    is known to have, and checks that cannot fail are left out.
+    temporary, in the closure tree's order of evaluation; literals and
+    locals stay inline.  A local slot i is the Python local s<i>.  types
+    maps a temporary or literal to the class its value is known to
+    have, facts does so for what checks and stores established so far,
+    and checks that cannot fail are left out.
     """
 
     def __init__(self):
@@ -1252,8 +1268,9 @@ class _Gen:
         self.env = dict(_GEN_ENV)
         self.types = {}
         self.facts = {}  # what checks so far established, as types
-        self.slots = {}  # local slot -> the text of its current value
-        self.frame = set()  # "G", "U": the unit reads fr[0], fr[1]
+        self.locals = set()  # the local slots named
+        self.reads = set()  # "G", "U": the unit reads fr[0], fr[1]
+        self.framed = False  # a function body builds a frame on entry
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -1285,16 +1302,25 @@ class _Gen:
         """The class text's value is known to have, or None."""
         return self.types.get(text) or self.facts.get(text)
 
-    def known(self) -> tuple:
-        return dict(self.facts), dict(self.slots)
-
-    def restore(self, known: tuple) -> None:
-        self.facts, self.slots = dict(known[0]), dict(known[1])
-
     def forget(self) -> None:
         """Where control flow joins, only what always holds is known."""
         self.facts = {}
-        self.slots = {}
+
+    def frame(self) -> str:
+        """The frame, for a cell or a closure made here."""
+        self.framed = True
+        return "fr"
+
+    def assign(self, slot: int, v: str) -> None:
+        """Store v in local slot; what is known of v is now known of it."""
+        s = f"s{slot}"
+        self.locals.add(slot)
+        self.emit(f"{s} = {v}")
+        t = self.kind(v)
+        if t is None:
+            self.facts.pop(s, None)
+        else:
+            self.facts[s] = t
 
     def check_table(self, t: str, line: int) -> None:
         if self.kind(t) is not Table:
@@ -1316,13 +1342,14 @@ class _Gen:
         """Where a VarExpr or AssignName's name lives, as an lvalue."""
         kind, i = node.where
         if kind == LOCAL:
-            return f"fr[{i}]"
+            self.locals.add(i)
+            return f"s{i}"
         if kind == CELL:
-            return f"fr[{i}][0]"
+            return f"{self.frame()}[{i}][0]"
         if kind == UPVAL:
-            self.frame.add("U")
+            self.reads.add("U")
             return f"U[{i}][0]"
-        self.frame.add("G")
+        self.reads.add("G")
         if node.__class__ is VarExpr:
             return f"G.get({node.name!r}, NIL)"
         return f"G[{node.name!r}]"
@@ -1349,13 +1376,20 @@ class _Gen:
         self.block(block)
         self.depth -= 1
 
+    def on_frame(self) -> None:
+        """End a loop unit, which works on its caller's frame: it loads
+        what it names of the frame on entry and stores its locals back
+        here, at its normal end."""
+        slots = sorted(self.locals)
+        entry = [f"{x} = fr[{j}]" for j, x in enumerate("GU")
+                 if x in self.reads]
+        self.lines[:0] = ["    " + x for x in
+                          entry + [f"s{i} = fr[{i}]" for i in slots]]
+        for i in slots:
+            self.emit(f"fr[{i}] = s{i}")
+
     def function(self, params: str) -> str:
-        head = [f"def run({params}):"]
-        if "G" in self.frame:
-            head.append("    G = fr[0]")
-        if "U" in self.frame:
-            head.append("    U = fr[1]")
-        return "\n".join(head + self.lines) + "\n"
+        return "\n".join([f"def run({params}):", *self.lines]) + "\n"
 
 
 _GEN_ENV = {

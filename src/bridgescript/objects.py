@@ -5,15 +5,20 @@ are bool, numbers are float (one number type, double precision), strings
 are str, and tables, closures and native functions are the classes below.
 Storing nil into a table removes the key, so a present key is never nil.
 
-A running script function works on a frame, a Python list laid out as
+A script function is entered as body(globals, upvals, a1, ..., an),
+one positional argument per parameter.  globals is the interpreter's
+plain dict of global variables and upvals the running closure's tuple
+of captured cells.  Each local variable, parameter and for variable has
+a slot fixed at compile time.  Code running on closures keeps the slots
+in a frame, a Python list laid out as
 
     [globals, upvals, slot, slot, ...]
 
-globals is the interpreter's plain dict of global variables, upvals is
-the running closure's tuple of captured cells, and each local variable,
-parameter and for variable has a slot fixed at compile time.  A local
-that a nested function names lives in its slot as a cell, a one-element
-list, so the closure and the frame share it.
+and so do the loops it moves to generated code.  A generated function
+body keeps its slots in Python locals instead, and builds a frame only
+for its cells and the closures it makes.  A local that a nested
+function names lives in its slot as a cell, a one-element list, so the
+closure and the frame share it.
 
 Tables carry two optional fallback handlers.  The index handler fires when
 a read misses; the newindex handler, once installed, intercepts every
@@ -59,19 +64,18 @@ class Table:
 class Proto:
     """What every closure of one function literal shares.
 
-    body is a function frame -> None | list (a list being return
-    values).  The first nparams slots take the arguments and pad fills
-    the others with nil.  body changes once, when the function is hot
-    enough to be generated as Python source (see nodes), and every
+    body is the function's one entry, body(globals, upvals, a1, ...,
+    an) -> None | list (a list being return values), called with
+    exactly nparams arguments.  body changes once, when the function is
+    hot enough to be generated as Python source (see nodes), and every
     closure of the literal, old or new, runs the new body from then on.
     """
 
-    __slots__ = ("body", "nparams", "pad", "__weakref__")
+    __slots__ = ("body", "nparams", "__weakref__")
 
-    def __init__(self, body, nparams: int, pad: tuple):
+    def __init__(self, body, nparams: int):
         self.body = body
         self.nparams = nparams
-        self.pad = pad
 
 
 class Closure:
@@ -89,11 +93,12 @@ class Closure:
         self.uid = _uid()
 
     def invoke(self, args: list) -> list:
+        """Call with args padded with nil or cut to the parameters."""
         p = self.proto
         n = p.nparams
         if len(args) != n:
             args = args[:n] + [NIL] * (n - len(args))
-        r = p.body([self.globals, self.upvals, *args, *p.pad])
+        r = p.body(self.globals, self.upvals, *args)
         return _EMPTY if r is None else r
 
     def __repr__(self) -> str:

@@ -27,9 +27,9 @@ sites[(class, method)].
 invokers[m] is the one way a native body runs, for calls from either
 side: host errors become HostException and a RecursionError the
 script's "stack overflow", the result is checked against the return
-tag, and validate_invokes re-checks the receiver.  A method's invoker
-passes up to two arguments one by one.  A constructor's invoker makes,
-fills and returns the new object; both sides find constructors through
+tag, and validate_invokes re-checks the receiver.  An invoker passes up
+to two arguments one by one.  A constructor's invoker makes, fills and
+returns the new object; both sides find constructors through
 constructors(name).
 
 call_method finds one entry per (receiver type, method) with one
@@ -643,29 +643,29 @@ class HostRegistry:
         checked if validate_invokes was on."""
         body, name, tag, static = m.body, m.name, m.returns, m.static
         validate = self.validate_invokes
-        if name == "<init>":
-            cname, inits = tag.name, self._instance_inits[tag.name]
-
-            def invoke(receiver, args: list):
-                obj = HostObject(cname, dict(inits))
-                try:
-                    if body is not None:
-                        body(obj, *args)
-                except BridgeScriptError:
-                    raise
-                except RecursionError:
-                    raise ScriptRuntimeError("stack overflow") from None
-                except Exception as e:  # noqa: BLE001 - host code
-                    raise HostException(f"constructor of {cname}: {e}") from e
-                if validate:
-                    self.validate_object(obj)
-                return obj
-            return invoke
         # up to two arguments are passed one by one: body(receiver, *args)
         # costs over twice what a direct body(receiver, a) does
         n = len(m.params)
         passed = [f"args[{i}]" for i in range(n)] if n <= 2 else ["*args"]
         call = ", ".join(passed if static else ["receiver", *passed])
+        if name == "<init>":
+            cname, inits = tag.name, self._instance_inits[tag.name]
+            if body is None:  # no host code runs
+
+                def invoke(receiver, args: list):
+                    obj = HostObject(cname, dict(inits))
+                    if validate:
+                        self.validate_object(obj)
+                    return obj
+                return invoke
+
+            def finish(r, obj):
+                self.validate_object(obj)
+                return obj
+            form = _invoker_form(
+                call, "finish(r, receiver)" if validate else "receiver", True)
+            return form(body, f"constructor of {cname}", None, finish, cname,
+                        inits)
         if tag is VOID and not validate:
             return _invoker_form(call, "None")(body, name, None, None)
         conforms = self.conforms
@@ -854,11 +854,12 @@ class HostRegistry:
         return False
 
 
-# A method invoker (see HostRegistry._invoker) for one spelling of the
-# body's call and of the result that follows it.  A runaway recursion
-# through the bridge is a stack overflow, as it is in a script.
-_INVOKER = """def invoker(body, name, plain, finish):
-    def invoke(receiver, args):
+# An invoker (see HostRegistry._invoker) for one spelling of the body's
+# call and of the result that follows it; a constructor's first makes
+# the receiver.  A runaway recursion through the bridge is a stack
+# overflow, as it is in a script.
+_INVOKER = """def invoker(body, name, plain, finish, cname=None, inits=None):
+    def invoke(receiver, args):%s
         try:
             r = body(%s)
         except BridgeScriptError:
@@ -872,12 +873,14 @@ _INVOKER = """def invoker(body, name, plain, finish):
 """
 
 
-@functools.cache  # one per spelling, shared by every registry: at most 16
-def _invoker_form(call: str, result: str):
+@functools.cache  # one per spelling, shared by every registry: at most 24
+def _invoker_form(call: str, result: str, new: bool = False):
     env = {"BridgeScriptError": BridgeScriptError,
-           "HostException": HostException,
+           "HostException": HostException, "HostObject": HostObject,
            "ScriptRuntimeError": ScriptRuntimeError}
-    exec(compile(_INVOKER % (call, result), f"<invoke {call}>", "exec"), env)
+    make = "\n        receiver = HostObject(cname, dict(inits))" if new else ""
+    exec(compile(_INVOKER % (make, call, result), f"<invoke {call}>", "exec"),
+         env)
     return env["invoker"]
 
 

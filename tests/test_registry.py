@@ -369,7 +369,7 @@ def test_host_objects_of_one_class_share_one_entry(demo):
 def test_invokers_of_every_arity_agree(arity, static, validate, out):
     """Each arity's invoker passes the arguments in order, normalizes and
     checks the result, wraps host errors and reports recursion alike,
-    from the host and from a script."""
+    from the host and from a script; a constructor's invoker too."""
     def body(*a):
         got = a if static else a[1:]
         if got[:1] == (-1.0,):
@@ -383,6 +383,14 @@ def test_invokers_of_every_arity_agree(arity, static, validate, out):
     reg = HostRegistry(validate_invokes=validate)
     reg.register_class(desc("Ar", methods={"f": [
         method("f", (INTEGER,) * arity, FLOAT, static, body)]}))
+
+    def init(obj, *a):
+        v = body(*a) if static else body(obj, *a)
+        obj.fields["v"] = v if v == "text" else float(v)
+
+    reg.register_class(desc("Ct", fields={"v": FieldSpec(FLOAT)},
+                            constructors=[method("<init>", (INTEGER,) * arity,
+                                                 body=init)]))
     reg.freeze()
     obj = reg.instantiate("Ar", [])
     it = Interpreter(reg, out=out)
@@ -403,6 +411,22 @@ def test_invokers_of_every_arity_agree(arity, static, validate, out):
             if arity:
                 with pytest.raises(error, match=text):
                     call([first, *args[1:]])
+    makes = [lambda args: reg.instantiate("Ct", args).fields["v"],
+             lambda args: it.run("return hostNewInstance(" + ", ".join(
+                 ["'Ct'", *map(repr, map(float, args))]) + ").v")[0]]
+    for make in makes:
+        assert make(args) == want
+        for first, error, text in (
+                (-1, HostException, "constructor of Ct: refused"),
+                (-2, HostException, "violates its tag"),
+                (-3, ScriptRuntimeError, "stack overflow")):
+            if not arity:
+                continue
+            if first == -2 and not validate:
+                assert make([first, *args[1:]]) == "text"
+                continue
+            with pytest.raises(error, match=text):
+                make([first, *args[1:]])
 
 
 def test_validating_registry_accepts_demo_flow():

@@ -398,3 +398,112 @@ def test_table_get_still_rejects_nil_and_bad_keys():
         table_get(Table(), NIL)
     with pytest.raises(ScriptRuntimeError):
         table_get(Table(), True)
+
+
+# ------------------------------------------- locals kept in Python locals
+
+def test_hot_loops_store_their_locals_back_to_a_closure_tier_body(
+        bare_interp):
+    # f runs once, on closures; both its loops move to generated code
+    # in the middle of their runs, and the statements after each loop
+    # read what the loop assigned
+    bare_interp.run("function f(n)\n"
+                    "  local i = 0\n  local s = 0\n  local last = nil\n"
+                    "  while i < n do\n    i = i + 1\n    s = s + i\n"
+                    "    last = 'w' .. i\n  end\n"
+                    "  local w = s .. ':' .. i .. ':' .. last\n"
+                    "  local c = 0\n"
+                    "  for j = 1, n do\n    c = c + j\n    last = j\n  end\n"
+                    "  return w, c, last, i, s\nend")
+    n = 3 * K
+    total = n * (n + 1) / 2
+    f = bare_interp.global_value("f")
+    assert f.invoke([float(n)]) == [
+        f"{total:g}:{n}:w{n}", total, float(n), float(n), total]
+    assert not generated(f)
+
+
+def test_uninitialised_local_reads_nil_on_the_generated_tier(bare_interp):
+    # y's slot is reused by x, which has no initializer
+    bare_interp.run("function f(a)\n  if a then local y = a end\n  local x\n"
+                    "  if a == 1 then x = 'set' end\n  return x\nend")
+    f = bare_interp.global_value("f")
+    for _ in range(K + 1):
+        assert bare_interp.run("return f(1)") == ["set"]
+    assert generated(f)
+    assert bare_interp.run("return f(2)") == [NIL]
+    assert bare_interp.run("return f('y')") == [NIL]
+
+
+def test_framed_body_shares_cells_before_and_after_the_switch(bare_interp):
+    # mk makes closures over its parameter p and its local l: made on
+    # closures for the first calls and by generated code after
+    bare_interp.run("function mk(p)\n  local l = 0\n"
+                    "  local inc = function() p = p + 1 l = l + 10 end\n"
+                    "  local get = function() return p .. '/' .. l end\n"
+                    "  inc()\n  local seen = get()\n"
+                    "  return inc, get, seen .. '|' .. p .. '/' .. l\nend")
+    mk = bare_interp.global_value("mk")
+    made = []
+    for k in range(K + 3):
+        inc, get, seen = mk.invoke([float(k)])
+        assert seen == f"{k + 1}/10|{k + 1}/10"
+        made.append((k, inc, get))
+    assert generated(mk)
+    for k, inc, get in made:
+        inc.invoke([])
+        assert get.invoke([]) == [f"{k + 2}/20"]
+
+
+def test_for_limit_and_step_are_read_once_on_both_tiers():
+    first, last = both_tiers("local n = a\nlocal d = 1\nlocal c = 0\n"
+                             "for i = 1, n, d do\n  n = 'x'\n  d = -1\n"
+                             "  c = c + 1\nend\nreturn c, n, d", 4.0)
+    assert first == last == ("ok", [4.0, "x", -1.0], "")
+
+
+# ------------------------------------------------ arity at every caller
+
+ARITY = ("function f(a, b) return tostring(a) .. ',' .. tostring(b) end\n"
+         "for i = 1, n do f(i, i) end")
+
+
+def test_hot_function_pads_and_cuts_at_a_generated_call_site(bare_interp):
+    bare_interp.define_global("n", float(K))
+    bare_interp.run(ARITY)
+    assert generated(bare_interp.global_value("f"))
+    bare_interp.run("function g(x)\n"
+                    "  return f(x) .. '|' .. f(x, 2, 3) .. '|' .. f(x, 2)\nend")
+    for _ in range(K + 1):
+        got = bare_interp.run("return g(1)")
+    assert generated(bare_interp.global_value("g"))
+    assert got == ["1,nil|1,2|1,2"]
+    # and in a loop that moved to generated code
+    bare_interp.run("for i = 1, n + 5 do r1 = f(i) r2 = f(i, 7, 8) end")
+    assert bare_interp.run("return r1, r2") == [f"{K + 5},nil", f"{K + 5},7"]
+
+
+def test_hot_function_pads_and_cuts_at_a_closure_tier_call_site(
+        bare_interp):
+    bare_interp.define_global("n", float(K))
+    bare_interp.run(ARITY)
+    assert generated(bare_interp.global_value("f"))
+    assert bare_interp.run("return f(1), f(1, 2, 3), f(), f(1, 2)") == [
+        "1,nil", "1,2", "nil,nil", "1,2"]
+
+
+def test_hot_function_pads_and_cuts_for_a_host_call(interp):
+    # the host passes hello the table alone: t's takes it and x, u's
+    # takes no parameter at all
+    interp.run("t = {}\nfunction t:hello(x) return tostring(x) end\n"
+               "u = {}\nu.hello = function() return 'none' end")
+    w = interp.inbound.host_export(interp.global_value("t"), "demo.Speaker")
+    v = interp.inbound.host_export(interp.global_value("u"), "demo.Speaker")
+    call = interp.registry.call_method
+    for _ in range(K + 1):
+        assert call(w, "hello", []) == "nil"
+        assert call(v, "hello", []) == "none"
+    assert generated(table_get(interp.global_value("t"), "hello"))
+    assert generated(table_get(interp.global_value("u"), "hello"))
+    assert call(w, "hello", []) == "nil"
+    assert call(v, "hello", []) == "none"
