@@ -19,23 +19,28 @@ initializer is a function literal is already in scope inside it, so
 local functions can recurse.
 
 A function is entered through its Proto as body(globals, upvals, a1,
-..., an), which every closure of the literal shares (see objects).  On
-closures the body builds a frame, the list [globals, upvals, slot,
-slot, ...], and every slot lives there.
+..., an), which every closure of the literal shares (see objects).  A
+chunk is the body of a function with no parameters, run as
+body(globals, ()).  On closures the body builds a frame, the list
+[globals, upvals, slot, slot, ...], and every slot lives there.
 
 A while or for statement counts its iterations across its runs, and a
-function body its calls.  At the K-th, the statement or body is written
-out as the source of a Python function (the gen methods) and compiled.
-It makes the same checks and raises the same errors at the same lines,
-with the same cells and upvals.  Its other slots are Python locals
-s<slot>.  A generated body takes its parameters as its own and builds
-a frame only for its cells and the closures it makes.  A generated loop
-works on its caller's frame, so it moves in the middle of a run: it
-loads the slots it names on entry and stores them back at its normal
-end, and a for loop is also handed its counter, limit and step.  A
-return or an error ends the frame, since the language has no pcall and
-no break, so neither stores back.  If Python refuses the source, the
-node stays on closures.
+function body or chunk its calls.  At the K-th, the statement or body
+is written out as the source of a Python function (the gen methods) and
+compiled.  It makes the same checks and raises the same errors at the
+same lines, with the same cells and upvals.  It keeps every slot in a
+Python local s<slot>, which holds the cell itself for a cell, and makes
+closures from those locals.  There are two unit shapes.  A body,
+run(G, U, s2, ...), takes its parameters as its own and builds no
+frame.  A loop, run(fr, ...), works on its caller's frame on closures,
+so it moves in the middle of a run: its first lines load globals,
+upvals and the slots it names, and its last lines store the slots back
+at its normal end.  No other generated line touches a frame.  A for
+loop's unit is handed its counter, limit and step, since every run
+checks its bounds and makes its variable on closures.  A return or an
+error ends the frame, since the language has no pcall and no break, so
+neither stores back.  If Python refuses the source, the node stays on
+closures.
 
 Every node carries the line of its first token.  unparse() emits source
 that parses back to a structurally identical tree (lines aside).
@@ -431,12 +436,53 @@ class CallExpr(Node):
         return f"{callee}({', '.join(a.unparse() for a in self.args)})"
 
 
+def _proto(scope, captured: set, params: list, body: "Block", line: int):
+    """The Proto of a function body, or of a chunk with no parameters,
+    and the upvalue sources of its scope.  The body counts calls and is
+    generated as Python source at the K-th."""
+    inner = Scope(scope, captured)
+    cells = []  # parameters that nested functions use, boxed on entry
+    for name in params:
+        kind, slot = inner.declare(name)
+        if kind == CELL:
+            cells.append(slot)
+    body_c = body.compile(inner)
+    n = len(params)
+    proto = Proto(None, n)
+    pad = (NIL,) * (inner.size - 2 - n)
+    left = K
+    # count reaches the body rather than the node, which refers to the
+    # proto, and the proto only weakly: with no reference cycle, a
+    # dropped function and its tree go at once
+    home = weakref.ref(proto)
+
+    def gen_unit(g) -> str:
+        g.block(body)
+        g.lines[:0] = [f"    s{i} = [s{i}]" for i in cells]
+        return ", ".join(["G", "U", *[f"s{i}" for i in range(2, 2 + n)]])
+
+    def count(G, U, *args):
+        nonlocal left
+        left -= 1
+        if not left:
+            hot = _generate(gen_unit, line)
+            if hot is not None:
+                home().body = hot  # alive: its caller holds it
+                return hot(G, U, *args)
+        fr = [G, U, *args, *pad]
+        for i in cells:
+            fr[i] = [fr[i]]
+        return body_c(fr)
+
+    proto.body = count
+    return proto, inner.sources
+
+
 class FunctionExpr(Node):
     """A function literal.  captured is the set of names that functions
-    nested in its body use, recorded by the parser.  Its body counts
-    calls and is generated as Python source at the K-th."""
+    nested in its body use, recorded by the parser."""
 
-    __slots__ = ("params", "body", "captured", "make")
+    __slots__ = ("params", "body", "captured", "proto", "sources")
 
     def __init__(self, params: list[str], body: "Block", line: int,
                  captured: set):
@@ -444,54 +490,11 @@ class FunctionExpr(Node):
         self.body = body
         self.line = line
         self.captured = captured
-        self.make = None  # set when compiled
+        self.proto = self.sources = None  # set when compiled
 
     def compile(self, scope):
-        inner = Scope(scope, self.captured)
-        cells = []
-        for name in self.params:
-            kind, slot = inner.declare(name)
-            if kind == CELL:
-                cells.append(slot)
-        body_c = self.body.compile(inner)
-        n = len(self.params)
-        proto = Proto(None, n)
-        pad = (NIL,) * (inner.size - 2 - n)
-        left = K
-        body = self.body
-        line = self.line
-        # count reaches the body rather than this node, which refers to
-        # make, and the proto only weakly: with no reference cycle, a
-        # dropped function and its tree go at once
-        home = weakref.ref(proto)
-
-        def gen_unit(g) -> str:
-            params = [f"s{i}" for i in range(2, 2 + n)]
-            g.block(body)
-            if g.framed:
-                # for the cells, parameters boxed in place, and make(fr)
-                slots = [f"[{a}]" if i in cells else a
-                         for i, a in enumerate(params, 2)]
-                g.lines.insert(0, "    fr = [" + ", ".join(
-                    ["G", "U", *slots, *["NIL"] * len(pad)]) + "]")
-            return ", ".join(["G", "U", *params])
-
-        def count(G, U, *args):
-            nonlocal left
-            left -= 1
-            if not left:
-                hot = _generate(gen_unit, line)
-                if hot is not None:
-                    home().body = hot  # alive: a closure is running it
-                    return hot(G, U, *args)
-            fr = [G, U, *args, *pad]
-            # parameters that nested functions use are boxed on entry
-            for i in cells:
-                fr[i] = [fr[i]]
-            return body_c(fr)
-
-        proto.body = count
-        sources = inner.sources
+        self.proto, self.sources = proto, sources = _proto(
+            scope, self.captured, self.params, self.body, self.line)
 
         def make(fr):
             upvals = ()
@@ -500,12 +503,13 @@ class FunctionExpr(Node):
                 upvals = tuple([fr[i] if i >= 0 else up[~i] for i in sources])
             return Closure(proto, upvals, fr[0])
 
-        self.make = make
         return make
 
     def gen(self, g):
+        ups = "".join((g.slot(i) if i >= 0 else f"U[{~i}]") + ", "
+                      for i in self.sources)
         t = g.temp(Closure)
-        g.emit(f"{t} = {g.const(self.make)}({g.frame()})")
+        g.emit(f"{t} = Closure({g.const(self.proto)}, ({ups}), G)")
         return t
 
     def unparse(self) -> str:
@@ -926,10 +930,10 @@ class LocalDecl(Node):
     def gen_stmt(self, g):
         kind, slot = self.where
         if kind == CELL:
-            box = g.temp()
-            g.emit(f"{g.frame()}[{slot}] = {box} = [NIL]")
+            # the cell first, so a function literal can capture it
+            g.assign(slot, "[NIL]")
             if self.expr is not None:
-                g.emit(f"{box}[0] = {self.expr.gen(g)}")
+                g.emit(f"s{slot}[0] = {self.expr.gen(g)}")
         else:
             g.assign(slot, "NIL" if self.expr is None else self.expr.gen(g))
 
@@ -1052,7 +1056,9 @@ class WhileStat(Node):
 class ForNum(Node):
     """A numeric for loop.  It counts iterations across its runs and
     moves to generated code at the K-th, handing over its counter,
-    limit and step; the run's variable stays in the frame."""
+    limit and step; the run's variable stays in the frame.  Every run
+    checks its bounds and makes its variable on closures, so the
+    generated loop only ever resumes one."""
 
     __slots__ = ("name", "start", "stop", "step", "body", "where")
 
@@ -1081,8 +1087,6 @@ class ForNum(Node):
 
         def run(fr):
             nonlocal left, hot
-            if hot is not None:
-                return hot(fr)
             start = start_c(fr)
             stop = stop_c(fr)
             step = 1.0 if step_c is None else step_c(fr)
@@ -1098,6 +1102,8 @@ class ForNum(Node):
                 at = 0
             else:
                 box, at = fr, slot
+            if hot is not None:
+                return hot(fr, start, stop, step)
             i = start
             up = step > 0.0
             while i <= stop if up else i >= stop:
@@ -1130,9 +1136,8 @@ class ForNum(Node):
         if self.step is not None:
             g.emit(f"if {bounds[2]} == 0.0: raise ScriptRuntimeError("
                    f"'for step is zero', {line})")
-        kind, slot = self.where
-        if kind == CELL:
-            g.emit(f"{g.frame()}[{slot}] = [NIL]")
+        if self.where[0] == CELL:
+            g.assign(self.where[1], "[NIL]")
         return bounds
 
     def gen_loop(self, g, i, stop, step) -> None:
@@ -1140,9 +1145,6 @@ class ForNum(Node):
         g.forget()
         g.types.update(dict.fromkeys((i, stop, step), float))
         kind, slot = self.where
-        if kind == CELL:
-            box = g.temp()
-            g.emit(f"{box} = {g.frame()}[{slot}]")
         s = self.step
         if s is None or s.__class__ is NumberLit:
             cond = f"{i} <= {stop}"
@@ -1153,7 +1155,7 @@ class ForNum(Node):
         g.emit(f"while {cond}:")
         g.depth += 1
         if kind == CELL:
-            g.emit(f"{box}[0] = {i}")
+            g.emit(f"{g.slot(slot)}[0] = {i}")
         else:
             g.assign(slot, i)
         g.block(self.body)
@@ -1168,14 +1170,9 @@ class ForNum(Node):
         self.gen_loop(g, i, stop, step)
 
     def gen_unit(self, g) -> str:
-        # run(fr) starts a run; run(fr, i, stop, step) resumes one
-        g.emit("if i is None:")
-        g.depth += 1
-        g.emit("i, stop, step = " + ", ".join(self.gen_start(g)))
-        g.depth -= 1
         self.gen_loop(g, "i", "stop", "step")
         g.on_frame()
-        return "fr, i=None, stop=None, step=None"
+        return "fr, i, stop, step"
 
     def unparse(self) -> str:
         head = f"for {self.name} = {self.start.unparse()}, {self.stop.unparse()}"
@@ -1217,15 +1214,15 @@ class Chunk:
         self._code = None
 
     def code(self):
-        """The compiled chunk, a closure globals -> None | list."""
+        """The compiled chunk, a closure globals -> None | list: it calls
+        the body of a function with no parameters, which tiers up as
+        any function body does."""
         c = self._code
         if c is None:
-            scope = Scope(None, self.captured)
-            body = self.block.compile(scope)
-            pad = (NIL,) * (scope.size - 2)
+            proto, _ = _proto(None, self.captured, [], self.block, 1)
 
             def c(globals):
-                return body([globals, (), *pad])
+                return proto.body(globals, ())
 
             self._code = c
         return c
@@ -1255,10 +1252,11 @@ class _Gen:
 
     Every expression becomes statements that leave its value in a fresh
     temporary, in the closure tree's order of evaluation; literals and
-    locals stay inline.  A local slot i is the Python local s<i>.  types
-    maps a temporary or literal to the class its value is known to
-    have, facts does so for what checks and stores established so far,
-    and checks that cannot fail are left out.
+    locals stay inline.  Slot i is the Python local s<i>, which holds
+    the cell itself when the slot is a cell.  types maps a temporary or
+    literal to the class its value is known to have, facts does so for
+    what checks and stores established so far, and checks that cannot
+    fail are left out.
     """
 
     def __init__(self):
@@ -1268,9 +1266,7 @@ class _Gen:
         self.env = dict(_GEN_ENV)
         self.types = {}
         self.facts = {}  # what checks so far established, as types
-        self.locals = set()  # the local slots named
-        self.reads = set()  # "G", "U": the unit reads fr[0], fr[1]
-        self.framed = False  # a function body builds a frame on entry
+        self.locals = set()  # the slots named
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -1306,15 +1302,14 @@ class _Gen:
         """Where control flow joins, only what always holds is known."""
         self.facts = {}
 
-    def frame(self) -> str:
-        """The frame, for a cell or a closure made here."""
-        self.framed = True
-        return "fr"
+    def slot(self, i: int) -> str:
+        """The Python local of slot i."""
+        self.locals.add(i)
+        return f"s{i}"
 
     def assign(self, slot: int, v: str) -> None:
-        """Store v in local slot; what is known of v is now known of it."""
-        s = f"s{slot}"
-        self.locals.add(slot)
+        """Store v in slot; what is known of v is now known of it."""
+        s = self.slot(slot)
         self.emit(f"{s} = {v}")
         t = self.kind(v)
         if t is None:
@@ -1342,14 +1337,11 @@ class _Gen:
         """Where a VarExpr or AssignName's name lives, as an lvalue."""
         kind, i = node.where
         if kind == LOCAL:
-            self.locals.add(i)
-            return f"s{i}"
+            return self.slot(i)
         if kind == CELL:
-            return f"{self.frame()}[{i}][0]"
+            return f"{self.slot(i)}[0]"
         if kind == UPVAL:
-            self.reads.add("U")
             return f"U[{i}][0]"
-        self.reads.add("G")
         if node.__class__ is VarExpr:
             return f"G.get({node.name!r}, NIL)"
         return f"G[{node.name!r}]"
@@ -1378,13 +1370,11 @@ class _Gen:
 
     def on_frame(self) -> None:
         """End a loop unit, which works on its caller's frame: it loads
-        what it names of the frame on entry and stores its locals back
-        here, at its normal end."""
+        globals, upvals and the slots it names on entry and stores the
+        slots back here, at its normal end."""
         slots = sorted(self.locals)
-        entry = [f"{x} = fr[{j}]" for j, x in enumerate("GU")
-                 if x in self.reads]
-        self.lines[:0] = ["    " + x for x in
-                          entry + [f"s{i} = fr[{i}]" for i in slots]]
+        self.lines[:0] = ["    G, U = fr[0], fr[1]",
+                          *[f"    s{i} = fr[{i}]" for i in slots]]
         for i in slots:
             self.emit(f"fr[{i}] = s{i}")
 

@@ -6,19 +6,20 @@ are str, and tables, closures and native functions are the classes below.
 Storing nil into a table removes the key, so a present key is never nil.
 
 A script function is entered as body(globals, upvals, a1, ..., an),
-one positional argument per parameter.  globals is the interpreter's
-plain dict of global variables and upvals the running closure's tuple
-of captured cells.  Each local variable, parameter and for variable has
-a slot fixed at compile time.  Code running on closures keeps the slots
-in a frame, a Python list laid out as
+one positional argument per parameter; a chunk is the body of a
+function with no parameters.  globals is the interpreter's plain dict
+of global variables and upvals the running closure's tuple of captured
+cells.  Each local variable, parameter and for variable has a slot
+fixed at compile time.  Code running on closures keeps the slots in a
+frame, a Python list laid out as
 
     [globals, upvals, slot, slot, ...]
 
-and so do the loops it moves to generated code.  A generated function
-body keeps its slots in Python locals instead, and builds a frame only
-for its cells and the closures it makes.  A local that a nested
-function names lives in its slot as a cell, a one-element list, so the
-closure and the frame share it.
+Generated code keeps every slot in a Python local instead; it touches
+a frame only where a generated loop takes over one from closures, on
+entry and at its end.  A local that a nested function names lives in
+its slot as a cell, a one-element list, so the closures that capture
+it and the body that declares it share it.
 
 Tables carry two optional fallback handlers.  The index handler fires when
 a read misses; the newindex handler, once installed, intercepts every
@@ -66,8 +67,9 @@ class Proto:
 
     body is the function's one entry, body(globals, upvals, a1, ...,
     an) -> None | list (a list being return values), called with
-    exactly nparams arguments.  body changes once, when the function is
-    hot enough to be generated as Python source (see nodes), and every
+    exactly nparams arguments; a chunk's has none.  body changes once,
+    when the function is hot enough to be generated as Python source
+    that keeps its slots in Python locals (see nodes), and every
     closure of the literal, old or new, runs the new body from then on.
     """
 

@@ -3,7 +3,9 @@
 The grammar is a small table-and-closure language: assignments, local
 declarations, table constructors with named fields, function and method
 definitions, if/while/numeric-for, return, and expressions over the
-arithmetic, comparison and concatenation operators.
+arithmetic, comparison and concatenation operators.  As in Lua, a
+return statement ends its block: one ';' may follow it, then the
+block's end.
 
 Tokens are the lexer's (kind, lexeme, line) tuples, read by position
 or unpacking.  The parser reads through one cursor, self.tok, over a
@@ -148,11 +150,16 @@ class _Parser:
 
     def _block(self, terminators: frozenset) -> Block:
         stmts = []
-        while self.tok[1] not in terminators:
-            if self.tok is self.end:
-                self._error("'" + "' or '".join(sorted(terminators)) + "'")
+        while self.tok[1] not in terminators and self.tok is not self.end:
             if not self._accept(";"):
-                stmts.append(self._statement())
+                stmt = self._statement()
+                stmts.append(stmt)
+                if stmt.__class__ is ReturnStat:
+                    # as in Lua, return (and one ';') ends its block
+                    self._accept(";")
+                    break
+        if self.tok[1] not in terminators:
+            self._error("'" + "' or '".join(sorted(terminators)) + "'")
         return Block(stmts)
 
     def _statement(self):

@@ -93,6 +93,13 @@ def test_eval_falls_back_to_statements(capsys):
     assert capsys.readouterr().out == "42\n"
 
 
+def test_eval_runs_every_statement(capsys):
+    # `return print(1) print(2)` is not a chunk, so the line runs as
+    # statements
+    assert main(["eval", "-e", "print(1) print(2)"]) == 0
+    assert capsys.readouterr().out == "1\n2\n"
+
+
 def test_eval_statements_print_no_value_line(capsys):
     assert main(["eval", "-e", "x = 1"]) == 0
     assert capsys.readouterr().out == ""

@@ -261,3 +261,34 @@ def test_parse_error_text_and_line(src, line, message):
         parse_source(src)
     assert str(e.value) == f"ParseError (line {line}): {message}"
     assert e.value.line == line
+
+
+# ------------------------------------------------ return ends its block
+
+@pytest.mark.parametrize("src, line, message", [
+    ("return 1 print(2)", 1, "expected '<eof>', found 'print'"),
+    ("return 0x10", 1, "expected '<eof>', found 'x10'"),
+    ("return;;", 1, "expected '<eof>', found ';'"),
+    ("function f()\n  return 1\n  x = 2\nend", 3,
+     "expected 'end', found 'x'"),
+    ("if a then\n  return 1\n  print(2)\nend", 3,
+     "expected 'else' or 'elseif' or 'end', found 'print'"),
+    ("function f() return 1", 1, "expected 'end', found end of input"),
+])
+def test_statement_after_return_is_rejected(src, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_source(src)
+    assert str(e.value) == f"ParseError (line {line}): {message}"
+    assert e.value.line == line
+
+
+@pytest.mark.parametrize("src, shape", [
+    ("return;", "return"),
+    ("return 1;", "return 1.0"),
+    ("x = 1; return x;", "x = 1.0; return x"),
+    ("function f() return; end", "f = function() return end"),
+    ("if a then return 1; elseif b then return; else return 2; end",
+     "if a then return 1.0 elseif b then return else return 2.0 end"),
+])
+def test_return_may_take_one_semicolon(src, shape):
+    assert parse_source(src).unparse() == shape

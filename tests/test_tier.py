@@ -1,10 +1,11 @@
 """The generated tier agrees with the closure tree.
 
-Loops and function bodies run on closures until they have run K
-iterations or calls, then on Python source generated from them.  Each
+Loops, function bodies and chunks run on closures until they have run
+K iterations or calls, then on Python source generated from them.  Each
 case here runs the same code on both tiers and compares return values,
 printed output, error classes, error texts and error lines.  A function
-body's first call runs on closures and its (K+1)-th on generated code.
+body's or chunk's first call runs on closures and its (K+1)-th on
+generated code.
 """
 
 import gc
@@ -16,6 +17,7 @@ import pytest
 
 from bridgescript import Interpreter
 from bridgescript.errors import BridgeScriptError, KeyIsNil, ScriptRuntimeError
+from bridgescript.interp import eval_chunk
 from bridgescript.nodes import K
 from bridgescript.objects import (
     NIL,
@@ -25,6 +27,7 @@ from bridgescript.objects import (
     set_fallback,
     table_get,
 )
+from bridgescript.parser import parse_source
 
 
 def generated(f: Closure) -> bool:
@@ -507,3 +510,137 @@ def test_hot_function_pads_and_cuts_for_a_host_call(interp):
     assert generated(table_get(interp.global_value("u"), "hello"))
     assert call(w, "hello", []) == "nil"
     assert call(v, "hello", []) == "none"
+
+
+# ------------------------------------------ a chunk is a function body
+
+def chunk_generated(chunk) -> bool:
+    """Whether chunk's body runs as generated source."""
+    (proto,) = [c.cell_contents for c in chunk.code().__closure__]
+    return proto.body.__code__.co_filename.startswith("<")
+
+
+def chunk_outcome(out, chunk, globals):
+    out.seek(0)
+    out.truncate()
+    try:
+        vals = eval_chunk(chunk, globals)
+    except BridgeScriptError as e:
+        return ("error", type(e).__name__, str(e), e.line, out.getvalue())
+    return ("ok", [snapshot(v) for v in vals], out.getvalue())
+
+
+def chunk_both_tiers(src: str, **globals):
+    """The outcome of one parsed chunk, with these globals set, on its
+    first run (closures) and on its (K+1)-th (generated)."""
+    it, out = world()
+    it.globals.update(globals)
+    chunk = parse_source(src)
+    first = chunk_outcome(out, chunk, it.globals)
+    assert not chunk_generated(chunk)
+    for _ in range(K - 1):
+        chunk_outcome(out, chunk, it.globals)
+    last = chunk_outcome(out, chunk, it.globals)
+    assert chunk_generated(chunk)
+    return first, last
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cases_agree_as_chunks(name):
+    # line 1 binds the case's arguments as chunk locals, so the lines
+    # match the function form's
+    body, *args = CASES[name]
+    head = " ".join(f"local {p} = {p.upper()}" for p in "abc")
+    first, last = chunk_both_tiers(head + "\n" + body,
+                                   **dict(zip("ABC", args)))
+    assert first == last
+
+
+def test_chunk_locals_captured_by_its_functions():
+    first, last = chunk_both_tiers(
+        "local n = 0\nlocal bump = function(k) n = n + k return n end\n"
+        "function peek() return n end\nbump(2)\nbump(3)\n"
+        "print(n, peek())\nreturn n, peek(), bump(1), 'end'")
+    assert first == last == ("ok", [5.0, 5.0, 6.0, "end"], "5\t5\n")
+
+
+def test_chunk_error_keeps_its_class_text_and_line():
+    first, last = chunk_both_tiers("local t = {}\nprint('x')\n\n"
+                                   "t.f(1)")
+    assert first == last == (
+        "error", "NotCallable",
+        "NotCallable (line 4): attempt to call a nil value", 4, "x\n")
+
+
+def test_hot_body_making_closures_keeps_no_frame(bare_interp):
+    bare_interp.run("function mk(p)\n  local l = p\n  local fs = {}\n"
+                    "  for i = 1, 2 do\n"
+                    "    fs[i] = function() l = l + 1 p = p .. i "
+                    "return p .. ':' .. l end\n  end\n"
+                    "  return fs[1], fs[2]\nend")
+    mk = bare_interp.global_value("mk")
+    made = [(k, mk.invoke([float(k)])) for k in range(K + 3)]
+    assert generated(mk)
+    assert "fr" not in mk.proto.body.__code__.co_varnames
+    # one run's closures share its i, which ended at 2, and its p and l
+    for k, (f1, f2) in made:
+        assert f1.invoke([]) == [f"{k}2:{k + 1}"]
+        assert f2.invoke([]) == [f"{k}22:{k + 2}"]
+
+
+LOOP_CELLS = ("local fs = {}\nlocal i = 0\n"
+              "while i < n do\n  i = i + 1\n  local v = i\n"
+              "  fs[i] = function() v = v + 1000 return v end\nend\n"
+              "for j = 1, n do\n  local w = j\n"
+              "  fs[n + j] = function() w = w + 1000 return w end\nend\n"
+              "return fs")
+
+
+def _own_cells(fs, n):
+    # each closure bumps its own cell: twice for the first, once after
+    get = lambda i: table_get(fs, float(i)).invoke([])[0]
+    assert get(1) == 1001.0
+    for i in range(1, n + 1):
+        assert get(i) == i + 1000.0 + 1000.0 * (i == 1)
+        assert get(n + i) == i + 1000.0
+    assert get(1) == 3001.0
+
+
+def test_hot_loop_cells_at_chunk_level(bare_interp):
+    n = 2 * K + 1
+    bare_interp.define_global("n", float(n))
+    chunk = parse_source(LOOP_CELLS)
+    _own_cells(eval_chunk(chunk, bare_interp.globals)[0], n)
+    assert not chunk_generated(chunk)
+
+
+def test_hot_loop_cells_in_a_closure_tier_function(bare_interp):
+    n = 2 * K + 1
+    bare_interp.define_global("n", float(n))
+    bare_interp.run("function f()\n" + LOOP_CELLS + "\nend")
+    f = bare_interp.global_value("f")
+    _own_cells(f.invoke([])[0], n)
+    assert not generated(f)
+
+
+def test_for_unit_entered_again_checks_its_bounds(bare_interp):
+    # f stays on closures; its first run moves the loop to a unit, which
+    # every later run enters after the closure tier checked the bounds
+    bare_interp.run("function f(a, b, c)\n  local fs = {}\n"
+                    "  for i = a, b, c do\n"
+                    "    fs[i] = function() return i end\n  end\n"
+                    "  return fs\nend")
+    f = bare_interp.global_value("f")
+    first = f.invoke([1.0, float(2 * K), 1.0])[0]
+    for args, text in (([1.0, "x", 1.0], "for bounds must be numbers"),
+                       ([1.0, 2.0, 0.0], "for step is zero")):
+        with pytest.raises(ScriptRuntimeError) as e:
+            f.invoke(args)
+        assert str(e.value) == f"ScriptRuntimeError (line 3): {text}"
+        assert e.value.line == 3
+    second = f.invoke([1.0, 3.0, 1.0])[0]
+    third = f.invoke([5.0, 1.0, -1.0])[0]
+    assert not generated(f)
+    assert table_get(first, 1.0).invoke([]) == [float(2 * K)]
+    assert table_get(second, 1.0).invoke([]) == [3.0]
+    assert table_get(third, 5.0).invoke([]) == [1.0]
