@@ -17,9 +17,9 @@ the only asserted property is perCallOutbound > perCallNative > 0.  Each
 loop is warmed up 3 times at a reduced iteration count.  Then 5 rounds
 each time every loop once with a monotonic clock, so that a burst of
 machine load spreads over all flavours, and each loop's median is
-reported.  Inbound runs at a tenth of the iterations by default: it is
-a supplementary figure and per-call cost, not total, is what the report
-carries.
+reported.  Inbound runs at a tenth of the iterations, at least 1000: it
+is a supplementary figure and per-call cost, not total, is what the
+report carries.  Each run builds its own demo interpreter.
 """
 
 import time
@@ -49,6 +49,8 @@ _FLAVOURS = (
     ("inbound", "host -> script wrapper", "inbound_", "inbound_iterations"),
 )
 _LOOPS = ("empty loop", "one call", "two calls")
+_WARMUPS = 3  # untimed runs of each loop, at a reduced iteration count
+_ROUNDS = 5  # timed runs of each loop; the median is reported
 
 
 @dataclass
@@ -93,18 +95,18 @@ def _loop(recv: str, body: str, n: int) -> str:
             f"while i < {n} do {body}i = i + 1 end")
 
 
-def _time(loops, warmups: int, repeats: int) -> list:
+def _time(loops) -> list:
     """Median time of prepare(n)() for each (prepare, n) of loops, timed
     round-robin; prepare(k) does its setup (parsing, for a script loop)
     outside the timed region."""
     runs = []
     for prepare, n in loops:
         warm = prepare(_reduced(n))
-        for _ in range(warmups):
+        for _ in range(_WARMUPS):
             warm()
         runs.append(prepare(n))
     samples = [[] for _ in runs]
-    for _ in range(repeats):
+    for _ in range(_ROUNDS):
         for run, times in zip(runs, samples):
             t0 = time.perf_counter()
             run()
@@ -112,16 +114,12 @@ def _time(loops, warmups: int, repeats: int) -> list:
     return [median(times) for times in samples]
 
 
-def run_bench(iterations: int = 1_000_000, interp=None,
-              warmups: int = 3, repeats: int = 5,
-              inbound_iterations: int | None = None) -> BenchReport:
+def run_bench(iterations: int = 1_000_000) -> BenchReport:
     if iterations < 1000:
         raise IterationsTooSmall(
             f"{iterations} iterations is below the timing noise floor")
-    if interp is None:
-        interp = build_demo_interpreter()
-    if inbound_iterations is None:
-        inbound_iterations = max(1000, iterations // 10)
+    interp = build_demo_interpreter()
+    inbound_iterations = max(1000, iterations // 10)
     interp.run(_SETUP)
     w = interp.inbound.host_export(
         interp.global_value("__bench_t"), "demo.Greeter")
@@ -162,7 +160,7 @@ def run_bench(iterations: int = 1_000_000, interp=None,
               "inbound_iterations": inbound_iterations}
     sizes = [values[count] for *_, count in _FLAVOURS]
     timed = iter(_time([(p, n) for prepares, n in zip(loops, sizes)
-                        for p in prepares], warmups, repeats))
+                        for p in prepares]))
     for (name, _, prefix, _), n in zip(_FLAVOURS, sizes):
         times = [next(timed) for _ in _LOOPS]
         for label, t in zip(_LOOPS, times):
@@ -178,12 +176,10 @@ def run_bench(iterations: int = 1_000_000, interp=None,
     return BenchReport(ratio=per_out / per_nat, **values)
 
 
-def measure_first_vs_rest(interp=None, calls: int = 10_000,
-                          runs: int = 5) -> tuple:
+def measure_first_vs_rest(calls: int = 10_000, runs: int = 5) -> tuple:
     """Median time of the first proxy-method call (cold fallback) versus
     the per-call time of the remaining calls on the same fresh proxy."""
-    if interp is None:
-        interp = build_demo_interpreter()
+    interp = build_demo_interpreter()
     k = calls - 1
     first_chunk = parse_source("__fvr_c:empty()")
     rest_chunk = parse_source(_loop("__fvr_c", "c:empty() ", k))

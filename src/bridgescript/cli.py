@@ -66,10 +66,11 @@ def main(argv=None) -> int:
 
 def _cmd_run(path: str) -> int:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # a UTF-8 BOM is skipped
             source = f.read()
-    except OSError as e:
-        print(f"bs: cannot read {path}: {e.strerror or e}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        print(f"bs: cannot read {path}: {reason}", file=sys.stderr)
         return 2
     interp = build_demo_interpreter()
     try:

@@ -34,7 +34,6 @@ from .registry import (
     HostObject,
     Incompatible,
     InterfaceTag,
-    PrimTag,
     ScriptWrapper,
 )
 
@@ -136,22 +135,6 @@ class Converter:
             return self.registry.has_default_constructor(name)
         return True
 
-    def converter_for(self, v, tag):
-        """What to_host does to every value of v's shape (see shape) in a
-        slot of tag that accepts v, as a function of the value; None when
-        such values pass as they are."""
-        if tag is INTEGER:
-            return int
-        if tag.__class__ is PrimTag:
-            return None
-        if v is NIL:
-            return _to_none
-        if "__hostref" in v.entries:
-            return _hostref
-        wrap = self.auto_wrap
-        name = tag.name
-        return lambda t: wrap(t, name)
-
     def storer(self, tag, refusal: str, error=TypeMismatch):
         """store(v) -> what a slot of tag holds for the script value v, as
         to_host converts it (the primitive cases inline); error(refusal:
@@ -208,9 +191,10 @@ class Converter:
 def shape(v):
     """v's row in to_host's rule: integral number, fractional number,
     string, boolean, nil, host class name, array element tag or plain
-    table.  Values of one shape get the same score in every slot, and the
-    same converter_for.  Class proxies fit no slot and share the shape
-    None; other values, closures say, fit none either."""
+    table.  Values of one shape get the same score in every slot, and
+    to_host either keeps every one of them or converts every one.  Class
+    proxies fit no slot and share the shape None; other values, closures
+    say, fit none either."""
     cls = v.__class__
     if cls is float:
         return INTEGRAL if v.is_integer() else float
@@ -225,10 +209,3 @@ def shape(v):
         return None
     return cls
 
-
-def _to_none(v):
-    return None
-
-
-def _hostref(v):
-    return v.entries["__hostref"]

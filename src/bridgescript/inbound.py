@@ -2,24 +2,24 @@
 
 hostExport(t, "demo.ActionListener") produces a wrapper the host side can
 call methods on.  Host calls of one method on every wrapper of one
-target type share one entry, built on the first call (see _entry): the
-registry's call site for the method, which picks the overload from the
-host arguments, and a result store per overload.  Only those are
-shared.  The entry looks the method up in the table on every call,
-index fallback included, so a script can add or replace methods after
+target type share one entry, built on the first call (see _entry).  Its
+one shared part is a registry.call_site over score_host, which picks
+the overload from the host arguments and returns that overload's result
+store.  The entry looks the method up in the table on every call, index
+fallback included, so a script can add or replace methods after
 exporting and the host sees the change on the next call.  It calls the
-function with the table as self, a script closure directly, and
-converts the single result to the chosen overload's return type.  The
-errors come in one order: NoSuchMember when the type declares no such
-method (no entry is built), then UnimplementedMethod or the fall-through
+function with the table as self, a script closure directly, and stores
+the single result as the chosen overload's return type.  The errors
+come in one order: NoSuchMember when the type declares no such method
+(no entry is built), then UnimplementedMethod or the fall-through
 below, then NotCallable, then the site's NoMatch.
 
 Exporting against a class additionally creates a backing instance with
 the zero-argument constructor.  Methods the table does not define fall
-through to that instance, and the table gains a "__base" entry holding
-its proxy so scripts can call the original behaviour explicitly.  The
-backing write bypasses the newindex fallback: "__base" is bridge
-plumbing, not a script-level store.
+through to that instance, through registry.call_method, and the table
+gains a "__base" entry holding its proxy so scripts can call the
+original behaviour explicitly.  The backing write bypasses the newindex
+fallback: "__base" is bridge plumbing, not a script-level store.
 
 Wrappers (registry.ScriptWrapper) are cached per (table, target type),
 so converting the same table twice yields the same host identity.  The
@@ -48,7 +48,14 @@ from .objects import (
     table_get,
     type_name,
 )
-from .registry import VOID, HostObject, Memo, ScriptWrapper
+from .registry import (
+    VOID,
+    HostObject,
+    Memo,
+    ScriptWrapper,
+    call_site,
+    host_shape,
+)
 
 
 class InboundBridge:
@@ -93,22 +100,18 @@ class InboundBridge:
 
     def _entry(self, key):
         """entries[(type, name)]: entry(w, host args) for every wrapper
-        exported as type, holding the call site of method name, a result
-        store per overload and, for a class, the backing's entry."""
+        exported as type, holding the call site of method name, which
+        records a result store per overload."""
         reg, conv = self.registry, self.converter
-        select = reg.sites[key]  # NoSuchMember
         target_type, name = key
-        flat = reg.lookup_class(target_type)
-        fall = reg.entries[key] if flat.kind == "class" else None
         refusal = (f"result of {target_type}.{name} does not convert "
                    f"to the declared return type")
-        cands = flat.methods[name]
-        results = {m: None if m.returns is VOID else conv.storer(
-            m.returns, refusal, ReturnTypeMismatch) for m in cands}
-        # a method whose one overload is nullary skips the site when
-        # given no arguments, as on the host side
-        nullary = cands[0] if len(cands) == 1 and not cands[0].params \
-            else None
+        select = call_site(  # NoSuchMember
+            reg.methods(target_type, name), target_type, reg.score_host,
+            host_shape, lambda m: None if m.returns is VOID else conv.storer(
+                m.returns, refusal, ReturnTypeMismatch))
+        backed = reg.lookup_class(target_type).kind == "class"
+        call_method, to_script = reg.call_method, conv.to_script
 
         def entry(w, host_args: list):
             t = w.script_object
@@ -116,22 +119,20 @@ class InboundBridge:
             if fn is NIL and t.index_handler is not None:
                 fn = table_get(t, name)
             if fn is NIL:
-                if fall is None:
+                if not backed:
                     raise UnimplementedMethod(
                         f"the table exported as {target_type!r} does not "
                         f"define {name!r}")
-                return fall(w.backing, host_args)
+                return call_method(w.backing, name, host_args)
             cls = fn.__class__
             if cls is not Closure and cls is not NativeFunction:
                 raise NotCallable(
                     f"{name!r} on the table exported as {target_type!r} "
                     f"is a {type_name(fn)}, not a function")
             # the overload fixes the return tag; choose it before the call
-            if nullary is not None and not host_args:
-                m, args = nullary, [t]
-            else:
-                m, host_args = select(host_args)
-                args = [t, *map(conv.to_script, host_args)]
+            store, host_args = select(host_args)
+            # with no arguments, the commonest call, map() costs more
+            args = [t, *map(to_script, host_args)] if host_args else [t]
             if cls is Closure:
                 p = fn.proto
                 if p.nparams == len(args):
@@ -140,7 +141,6 @@ class InboundBridge:
                     vals = fn.invoke(args)
             else:
                 vals = call_value(fn, args)
-            store = results[m]
             return None if store is None else store(vals[0] if vals else NIL)
         return entry
 

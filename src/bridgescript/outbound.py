@@ -29,12 +29,16 @@ shared dispatcher.  A read alone stores nothing.
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
 number, fractional number, string, boolean, nil, host class name, array
-element tag, plain table); a method whose one overload is nullary skips
-it.  The registry invoker of the chosen overload runs the body, wraps
-host errors as HostException and checks the result against the return
-tag, which goes back through to_script.  NoMatch and Ambiguous are never
-cached; a plain table is wrapped on every call.  A static method called
-with ':' is told to call it with '.'.
+element tag, plain table).  The site returns the chosen overload's
+record and the arguments converted for its slots.  A method's record
+is its registry invoker, whether it is void and the class of results
+that pass back as they are; a constructor's is its invoker.  A method
+whose one overload is nullary skips the site when called with no
+arguments.  The invoker runs the body, wraps host errors as
+HostException and checks the result against the return tag; the result
+goes back through to_script.  NoMatch and Ambiguous are never cached; a
+plain table is wrapped on every call.  A static method called with ':'
+is told to call it with '.'.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing, and their bounds errors name the index
@@ -126,7 +130,7 @@ class OutboundBridge:
             tag, "cannot store into the array"))
         self._constructors = Memo(lambda name: call_site(
             self.registry.constructors(name), name, self.converter.to_host,
-            shape, self.converter.converter_for))
+            shape, self.registry.invokers.__getitem__))
         self._index_handler = NativeFunction(self._on_index, "proxy_index")
         self._newindex_handler = NativeFunction(
             self._on_newindex, "proxy_newindex")
@@ -141,9 +145,8 @@ class OutboundBridge:
     # ------------------------------------------------------------ built-ins
 
     def host_new_instance(self, name: str, script_args: list) -> Table:
-        ctor, args = self._constructors[name](script_args)
-        return self.converter.to_script(
-            self.registry.invokers[ctor](None, args))
+        invoke, args = self._constructors[name](script_args)
+        return self.converter.to_script(invoke(None, args))
 
     def host_bind_class(self, name: str) -> Table:
         return self.converter.class_proxy(name)
@@ -255,16 +258,14 @@ class OutboundBridge:
         conv = self.converter
         reg = self.registry
         stats = self.stats
-        select = call_site(cands, cname, conv.to_host, shape,
-                           conv.converter_for)
+        # each overload's record: its invoker, is it void, and the class
+        # of results that pass back as they are
+        select = call_site(cands, cname, conv.to_host, shape, lambda m: (
+            reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns)))
         to_script = conv.to_script
-        # method -> (its invoker, is it void, the class of results that
-        # pass back as they are)
-        runs = {m: (reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns))
-                for m in cands}
         # a method whose one overload is nullary skips the call site
-        nullary = runs[cands[0]] if len(cands) == 1 and not cands[0].params \
-            else None
+        nullary = select(_EMPTY)[0] if len(cands) == 1 \
+            and not cands[0].params else None
 
         def dispatch(args: list) -> list:
             stats.dispatches += 1
@@ -287,8 +288,8 @@ class OutboundBridge:
             try:
                 # the commonest call, nullary, is spared the slice and site
                 if nullary is None:
-                    m, args = select(args if static else args[1:])
-                    invoke, void, as_is = runs[m]
+                    (invoke, void, as_is), args = select(
+                        args if static else args[1:])
                 elif nargs:
                     raise NoMatch(f"{cname}.{key} takes no arguments")
                 else:

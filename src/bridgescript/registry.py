@@ -19,10 +19,14 @@ each argument scores 2 (exact) or 1 (coercion) and the unique maximum
 sum wins.  Converter.to_host scores script values, score_host host ones.
 
 call_site is the one way a call chooses among overloads, from either
-side: resolve_overload behind a cache keyed by argument shapes that
-skips selection, never conversion, and keeps no refusal.  The registry
-keeps the host-side sites: sites[class] for constructors and
-sites[(class, method)].
+side, and the whole choice: select(args) returns the chosen overload's
+record (its invoker, say) and the arguments as its slots hold them.  A
+site is resolve_overload behind a cache keyed by argument shapes, which
+keeps no refusal.  The cache remembers, per shape, the winner's record
+and whether the front kept the arguments as they were; a hit of any
+other shape converts them again through the front, so only to_host and
+score_host know how a value converts.  A site whose one overload is
+nullary returns that overload's record for no arguments at once.
 
 invokers[m] is the one way a native body runs, for calls from either
 side: host errors become HostException and a RecursionError the
@@ -32,18 +36,23 @@ to two arguments one by one.  A constructor's invoker makes, fills and
 returns the new object; both sides find constructors through
 constructors(name).
 
-call_method finds one entry per (receiver type, method) with one
-lookup: entries[(class, method)] for a host object, the inbound
-bridge's for a wrapper, so a host object of class X and a wrapper
-exported as X never share one.  An entry is built on the first call
-and every receiver of its type shares it.  These tables are Memos: a
-key's value is built on its first lookup, and a failed build (an
-undeclared method, say) stores nothing.
+The registry keeps the host-side sites, recording invokers:
+entries[class] for constructors and entries[(class, method)] for the
+methods of host objects.  methods(class, method) finds those methods,
+or refuses with NoSuchMember, for the registry and inbound alike.
+call_method on a host object is one lookup and one call: invoke, args =
+entries[(class, method)](args), then invoke(target, args).  On a
+wrapper it calls the inbound bridge's entry, so a host object of class
+X and a wrapper exported as X never share one.  An entry is built on
+the first call and every receiver of its type shares it.  These tables
+are Memos: a key's value is built on its first lookup, and a failed
+build (an undeclared method, say) stores nothing.
 """
 
 import functools
 import inspect
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -69,8 +78,10 @@ from .errors import (
 
 _uid = itertools.count(1).__next__
 _FLOAT_MAX = sys.float_info.max
-# The argument shape of an integral number, script or host.
+# The argument shape of an integral float, script or host, and of a host
+# int inside the float range.
 INTEGRAL = object()
+_WHOLE = object()
 # Argument shapes one call site remembers; calls of further shapes
 # resolve every time.  The busiest sites of the perfbench workloads see
 # at most 4 shapes (Point.move: two numbers, each integral or
@@ -277,14 +288,21 @@ def resolve_overload(cands, args, front, owner: str):
     return best, [r.value for r in best_convs]  # the winner's values only
 
 
-def call_site(cands, owner: str, front, shape, converter_for):
-    """select(args) -> resolve_overload(cands, args, front, owner), with
-    the verdicts for up to SHAPES_PER_SITE argument shapes remembered.
-    Values of one shape must score alike on every tag; converter_for(v,
-    tag) converts them as front does, or is None if front keeps them."""
-    cache: dict = {}  # argument shapes -> (method, converters or None)
+def call_site(cands, owner: str, front, shape, record):
+    """select(args) -> (record(m), args as m's slots hold them) for the m
+    that resolve_overload(cands, args, front, owner) chooses, with the
+    verdicts for up to SHAPES_PER_SITE argument shapes remembered.  Values
+    of one shape must score alike on every tag, and front must either
+    keep every one of them or convert every one.  A site whose one
+    candidate is nullary returns its record for no arguments at once."""
+    records = {m: record(m) for m in cands}  # built once per candidate
+    nullary = len(cands) == 1 and not cands[0].params
+    only = records[cands[0]] if nullary else None
+    cache: dict = {}  # argument shapes -> (record, tags to convert to or None)
 
     def select(args: list):
+        if nullary and not args:
+            return only, args
         n = len(args)  # short calls spelt out: map() costs more
         if n == 1:
             key = (shape(args[0]),)
@@ -296,38 +314,34 @@ def call_site(cands, owner: str, front, shape, converter_for):
         if hit is None:
             m, converted = resolve_overload(cands, args, front, owner)
             if len(cache) < SHAPES_PER_SITE:
-                convs = tuple(map(converter_for, args, m.params))
-                cache[key] = (m, convs if any(convs) else None)
-            return m, converted
-        m, convs = hit
-        if convs is not None:
-            args = [v if c is None else c(v) for c, v in zip(convs, args)]
-        return m, args
+                kept = all(map(operator.is_, converted, args))
+                cache[key] = (records[m], None if kept else m.params)
+            return records[m], converted
+        rec, tags = hit
+        if tags is not None:
+            args = [front(v, tag).value for v, tag in zip(args, tags)]
+        return rec, args
     return select
 
 
 def host_shape(v):
     """v's row in score_host's rule: a host object's class name, an
-    integral number (an int inside the float range or an integral
-    float), an array's element tag, a wrapper's target type, else v's
-    class (a fractional float, an int beyond the float range, ...)."""
+    integral float, an int inside the float range, an array's element
+    tag, a wrapper's target type, else v's class (a fractional float, an
+    int beyond the float range, ...).  An int and an integral float score
+    alike but convert the other way round, so their shapes differ."""
     cls = v.__class__
     if cls is HostObject:
         return v.class_name
     if cls is float:
         return INTEGRAL if v.is_integer() else float
     if cls is int:
-        return INTEGRAL if abs(v) <= _FLOAT_MAX else int
+        return _WHOLE if abs(v) <= _FLOAT_MAX else int
     if cls is HostArray:
         return v.elem_tag
     if cls is ScriptWrapper:
         return (ScriptWrapper, v.target_type)  # equals no class name
     return cls
-
-
-def _host_converter(v, tag):
-    """converter_for of score_host: numbers become the slot's kind."""
-    return float if tag is FLOAT else int if tag is INTEGER else None
 
 
 class Memo(dict):
@@ -352,8 +366,7 @@ class HostRegistry:
         self._instance_inits: dict[str, dict] = {}
         self._frozen = False
         self.invokers = Memo(self._invoker)  # see _invoker
-        self.sites = Memo(self._site)  # see _site
-        self.entries = Memo(self._entry)  # see call_method
+        self.entries = Memo(self._site)  # see _site
         # Conformance re-check of receiver fields after every invoke.
         # Costly, so off by default; the test suite turns it on.
         self.validate_invokes = validate_invokes
@@ -630,10 +643,18 @@ class HostRegistry:
                 f"{name!r} is an interface and cannot be instantiated")
         return flat.constructors
 
+    def methods(self, owner: str, name: str) -> list:
+        """The overloads of the instance method name of owner;
+        NoSuchMember if owner declares none."""
+        cands = self.lookup_class(owner).methods.get(name)
+        if not cands or cands[0].static:
+            raise NoSuchMember(owner, name)
+        return cands
+
     def instantiate(self, name: str, args: list):
         """Construct name from host values, by the overload rule."""
-        ctor, args = self.sites[name](args)
-        return self.invokers[ctor](None, args)
+        invoke, args = self.entries[name](args)
+        return invoke(None, args)
 
     def _invoker(self, m: MethodDescriptor):
         """invokers[m]: invoke(receiver, host args) -> host result of m:
@@ -687,46 +708,26 @@ class HostRegistry:
         return _invoker_form(call, checked)(body, name, plain, finish)
 
     def _site(self, key):
-        """sites[key]: the call_site of host calls of the constructors of
-        the class key, or of the method (class, name) key."""
+        """entries[key]: the call_site of host calls of the constructors of
+        the class key, or of the instance method (class, name) key, each
+        recording its overloads' invokers."""
         if key.__class__ is str:
             owner, cands = key, self.constructors(key)
         else:
-            owner, name = key
-            cands = self.lookup_class(owner).methods.get(name)
-            if not cands or cands[0].static:
-                raise NoSuchMember(owner, name)
+            owner, cands = key[0], self.methods(*key)
         return call_site(cands, owner, self.score_host, host_shape,
-                         _host_converter)
+                         self.invokers.__getitem__)
 
     def call_method(self, target, name: str, args: list):
         """Host-side dynamic dispatch on a host object or a wrapper,
         through the one entry of the receiver's type and name."""
         if target.__class__ is HostObject:
-            return self.entries[target.class_name, name](target, args)
+            invoke, args = self.entries[target.class_name, name](args)
+            return invoke(target, args)
         if target.__class__ is ScriptWrapper:
             return target._bridge.entries[target.target_type, name](
                 target, args)
         raise HostException(f"cannot call {name!r} on {target!r}")
-
-    def _entry(self, key):
-        """entries[(class, name)]: entry(obj, host args) for every host
-        object of the class, with the call site and invokers of its
-        method name bound once.  A method whose one overload is nullary
-        skips the site unless given arguments, which the site refuses."""
-        select = self.sites[key]  # NoSuchMember
-        cname, name = key
-        cands = self._flat[cname].methods[name]
-        invokers = {m: self.invokers[m] for m in cands}
-        nullary = invokers[cands[0]] if len(cands) == 1 \
-            and not cands[0].params else None
-
-        def entry(obj, args: list):
-            if nullary is not None and not args:
-                return nullary(obj, args)
-            m, args = select(args)
-            return invokers[m](obj, args)
-        return entry
 
     def score_host(self, v, tag):
         """Host-value front end of resolve_overload.  Numbers score as

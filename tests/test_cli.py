@@ -34,6 +34,23 @@ def test_run_missing_file_is_a_usage_error(capsys):
     assert err.startswith("bs: cannot read")
 
 
+def test_run_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "latin.bs"
+    script.write_bytes(b"print(1)\n\xff\n")
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bs: cannot read {script}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_run_skips_a_utf8_byte_order_mark(tmp_path, capsys):
+    script = tmp_path / "bom.bs"
+    script.write_bytes(b"\xef\xbb\xbfprint(\"bom\", 1)\n")
+    assert main(["run", str(script)]) == 0
+    assert capsys.readouterr().out == "bom\t1\n"
+
+
 def test_run_script_error_exits_one(tmp_path, capsys):
     script = tmp_path / "boom.bs"
     script.write_text("x = nil + 1\n", encoding="utf-8")

@@ -351,6 +351,23 @@ def test_wrapper_rejects_arguments_before_calling_the_script(interp):
             .invoke_method("bye", ["extra"])
 
 
+@pytest.mark.parametrize("source", [
+    't = {} function t:hello() return "x" end',
+    "t = {}",  # hello falls through to the backing
+], ids=["script_method", "fall_through"])
+def test_wrapper_nullary_method_given_arguments_keeps_the_site_text(
+        interp, source):
+    w = interp.inbound.host_export(_table_from(interp, source),
+                                   "demo.Speaker")
+    for warm in (False, False, True):  # cold, refused again, then warm
+        if warm:
+            assert w.invoke_method("hello", []) in ("x", "base:hello")
+        with pytest.raises(NoMatch) as e:
+            interp.registry.call_method(w, "hello", [1.0])
+        assert e.value.message == \
+            "no overload of demo.Speaker.hello accepts these arguments"
+
+
 # ------------------------------------------------------------ shared entries
 
 

@@ -507,6 +507,38 @@ def test_instantiate_converts_to_the_chosen_constructor(demo):
     assert p.fields["y"] == 2.0 and type(p.fields["y"]) is float
 
 
+@pytest.mark.parametrize("order", [(1.0, 1), (1, 1.0)],
+                         ids=["float_first", "int_first"])
+@pytest.mark.parametrize("tag", [FLOAT, INTEGER], ids=["FLOAT", "INTEGER"])
+def test_host_sites_keep_ints_and_integral_floats_apart(tag, order):
+    """An int and an integral float score alike but convert the other way
+    round, so a host site warmed by one must still convert the other:
+    every slot holds its declared class, through instantiate, call_method,
+    a wrapper's script method and a wrapper's fall-through."""
+    want = float if tag is FLOAT else int
+    held, heard = [], []
+
+    def keep(obj, x):
+        held.append(x)
+    reg, conv = build_world(desc("Slot", constructors=[
+        method("<init>"), method("<init>", (tag,), body=keep)],
+        methods={"put": [method("put", (tag,), body=keep)]}))
+    obj = reg.instantiate("Slot", [])
+    t = Table()
+    t.entries["put"] = NativeFunction(
+        lambda args: heard.append(args[1]) or [], "put")
+    w = conv.auto_wrap(t, "Slot")
+    fall = conv.auto_wrap(Table(), "Slot")  # falls through to its backing
+    for v in order * 2:
+        reg.instantiate("Slot", [v])
+        reg.call_method(obj, "put", [v])
+        reg.call_method(w, "put", [v])
+        reg.call_method(fall, "put", [v])
+    assert [type(x) for x in held] == [want] * 12
+    assert held == [1] * 12
+    assert heard == [1.0] * 4 and {type(x) for x in heard} == {float}
+
+
 def test_call_method_checks_argument_types_before_the_body(demo):
     p = demo.instantiate("demo.Point", [])
     with pytest.raises(NoMatch):
