@@ -15,11 +15,13 @@ come in one order: NoSuchMember when the type declares no such method
 below, then NotCallable, then the site's NoMatch.
 
 Exporting against a class additionally creates a backing instance with
-the zero-argument constructor.  Methods the table does not define fall
-through to that instance, through registry.call_method, and the table
-gains a "__base" entry holding its proxy so scripts can call the
-original behaviour explicitly.  The backing write bypasses the newindex
-fallback: "__base" is bridge plumbing, not a script-level store.
+the zero-argument constructor, always of the target class.  Methods the
+table does not define fall through to that instance, straight through
+the registry's entry for (class, method), as a host call on the
+instance would.  The table gains a "__base" entry holding the
+instance's proxy so scripts can call the original behaviour explicitly.
+The backing write bypasses the newindex fallback: "__base" is bridge
+plumbing, not a script-level store.
 
 Wrappers (registry.ScriptWrapper) are cached per (table, target type),
 so converting the same table twice yields the same host identity.  The
@@ -45,7 +47,6 @@ from .objects import (
     Table,
     call_value,
     raw_set,
-    table_get,
     type_name,
 )
 from .registry import (
@@ -110,20 +111,24 @@ class InboundBridge:
             reg.methods(target_type, name), target_type, reg.score_host,
             host_shape, lambda m: None if m.returns is VOID else conv.storer(
                 m.returns, refusal, ReturnTypeMismatch))
-        backed = reg.lookup_class(target_type).kind == "class"
-        call_method, to_script = reg.call_method, conv.to_script
+        # a class target's backing is of that class: fall through to its
+        # own entry
+        fall = reg.entries[key] \
+            if reg.lookup_class(target_type).kind == "class" else None
+        to_script = conv.to_script
 
         def entry(w, host_args: list):
             t = w.script_object
             fn = t.entries.get(name, NIL)  # live: every call looks again
             if fn is NIL and t.index_handler is not None:
-                fn = table_get(t, name)
+                fn = t.index_handler(t, name)
             if fn is NIL:
-                if not backed:
+                if fall is None:
                     raise UnimplementedMethod(
                         f"the table exported as {target_type!r} does not "
                         f"define {name!r}")
-                return call_method(w.backing, name, host_args)
+                invoke, host_args = fall(host_args)
+                return invoke(w.backing, host_args)
             cls = fn.__class__
             if cls is not Closure and cls is not NativeFunction:
                 raise NotCallable(

@@ -42,10 +42,7 @@ error ends the frame, since the language has no pcall and no break, so
 neither stores back.  If Python refuses the source, the node stays on
 closures.
 
-Every node carries the line of its first token.  unparse() emits source
-that parses back to a structurally identical tree (lines aside).
-Statement sequences are joined with semicolons so that adjacent
-statements cannot merge when reparsed.
+Every node carries the line of its first token.
 """
 
 import operator
@@ -68,31 +65,9 @@ from .objects import (
 _MISS = object()
 _EMPTY: list = []
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
 # where Scope.resolve finds a name
 LOCAL, CELL, UPVAL, GLOBAL = range(4)
 _GLOBAL = (GLOBAL, None)
-
-
-def quote_string(s: str) -> str:
-    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
-
-
-def _is_plain_ident(s: str) -> bool:
-    from .lexer import KEYWORDS
-
-    return bool(s) and not s[0].isdigit() and set(s) <= _IDENT_OK and s not in KEYWORDS
-
-
-def _wrap_postfixable(node) -> str:
-    """Parenthesize expressions that cannot be an index or call base as-is."""
-    text = node.unparse()
-    if isinstance(node, (VarExpr, IndexExpr, CallExpr)):
-        return text
-    return "(" + text + ")"
 
 
 class Scope:
@@ -182,9 +157,6 @@ class NumberLit(Node):
     def gen(self, g):
         return g.literal(self.value)
 
-    def unparse(self) -> str:
-        return repr(self.value)
-
 
 class StringLit(Node):
     __slots__ = ("value",)
@@ -199,9 +171,6 @@ class StringLit(Node):
 
     def gen(self, g):
         return g.literal(self.value)
-
-    def unparse(self) -> str:
-        return quote_string(self.value)
 
 
 class BoolLit(Node):
@@ -218,9 +187,6 @@ class BoolLit(Node):
     def gen(self, g):
         return g.literal(self.value)
 
-    def unparse(self) -> str:
-        return "true" if self.value else "false"
-
 
 class NilLit(Node):
     __slots__ = ()
@@ -233,9 +199,6 @@ class NilLit(Node):
 
     def gen(self, g):
         return "NIL"
-
-    def unparse(self) -> str:
-        return "nil"
 
 
 def _nil(fr):
@@ -269,9 +232,6 @@ class VarExpr(Node):
         g.emit(f"{t} = {v}")
         return t
 
-    def unparse(self) -> str:
-        return self.name
-
 
 def _index_error(v, line):
     return ScriptRuntimeError(f"attempt to index a {type_name(v)} value", line)
@@ -282,12 +242,11 @@ def _index_fallback(t, key, line):
     if handler is None:
         return NIL
     try:
-        vals = handler.invoke([t, key])
+        return handler(t, key)
     except BridgeScriptError as e:
         if e.line is None:
             e.line = line
         raise
-    return vals[0] if vals else NIL
 
 
 class IndexExpr(Node):
@@ -321,12 +280,6 @@ class IndexExpr(Node):
         t = self.obj.gen(g)
         g.check_table(t, self.line)
         return g.index(t, self.key.gen(g), self.line)
-
-    def unparse(self) -> str:
-        base = _wrap_postfixable(self.obj)
-        if isinstance(self.key, StringLit) and _is_plain_ident(self.key.value):
-            return f"{base}.{self.key.value}"
-        return f"{base}[{self.key.unparse()}]"
 
 
 def _call_error(f, line):
@@ -429,12 +382,6 @@ class CallExpr(Node):
         g.emit(f"{v} = {r}[0] if {r} else NIL")
         return v
 
-    def unparse(self) -> str:
-        callee = _wrap_postfixable(self.callee)
-        if self.name is not None:
-            callee += ":" + self.name
-        return f"{callee}({', '.join(a.unparse() for a in self.args)})"
-
 
 def _proto(scope, captured: set, params: list, body: "Block", line: int):
     """The Proto of a function body, or of a chunk with no parameters,
@@ -512,9 +459,6 @@ class FunctionExpr(Node):
         g.emit(f"{t} = Closure({g.const(self.proto)}, ({ups}), G)")
         return t
 
-    def unparse(self) -> str:
-        return f"function({', '.join(self.params)}) {self.body.unparse()} end"
-
 
 class TableCtor(Node):
     __slots__ = ("fields",)
@@ -546,10 +490,6 @@ class TableCtor(Node):
             store = f"{t}.entries[{name!r}] = {v}"
             g.emit(store if g.kind(v) else f"if {v} is not NIL: {store}")
         return t
-
-    def unparse(self) -> str:
-        inner = ", ".join(f"{k} = {e.unparse()}" for k, e in self.fields)
-        return "{" + inner + "}"
 
 
 def _arith_error(l, r, line):
@@ -694,9 +634,6 @@ class BinOp(Node):
                    f"{r}.__class__ else _concat({l}, {r}, {line})")
         return t
 
-    def unparse(self) -> str:
-        return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
-
 
 class UnaryOp(Node):
     __slots__ = ("op", "operand")
@@ -730,9 +667,6 @@ class UnaryOp(Node):
         g.emit(f"{t} = -{v}")
         return t
 
-    def unparse(self) -> str:
-        return f"(-{self.operand.unparse()})"
-
 
 # -------------------------------------------------------------- statements
 
@@ -743,9 +677,16 @@ class Block:
         self.stmts = stmts
 
     def compile(self, scope):
-        """Sequence closure; the block's locals go out of scope at its end."""
+        """Sequence closure; the block's locals go out of scope at its end.
+        A statement too deeply nested to compile, such as a long chain
+        of calls or operators, is a stack overflow at its line."""
         mark = scope.open()
-        codes = tuple(s.compile_stmt(scope) for s in self.stmts)
+        codes = []
+        for s in self.stmts:
+            try:
+                codes.append(s.compile_stmt(scope))
+            except RecursionError:
+                raise ScriptRuntimeError("stack overflow", s.line) from None
         scope.close(mark)
         if len(codes) == 1:
             return codes[0]
@@ -758,9 +699,6 @@ class Block:
             return None
 
         return run
-
-    def unparse(self) -> str:
-        return "; ".join(s.unparse() for s in self.stmts)
 
 
 class ExprStat(Node):
@@ -783,9 +721,6 @@ class ExprStat(Node):
             self.expr.gen(g, want=False)
         else:
             self.expr.gen(g)
-
-    def unparse(self) -> str:
-        return self.expr.unparse()
 
 
 class AssignName(Node):
@@ -824,13 +759,10 @@ class AssignName(Node):
         else:
             g.emit(f"{g.variable(self)} = {v}")
 
-    def unparse(self) -> str:
-        return f"{self.name} = {self.expr.unparse()}"
-
 
 def _newindex(t, key, v, line):
     try:
-        t.newindex_handler.invoke([t, key, v])
+        t.newindex_handler(t, key, v)
     except BridgeScriptError as e:
         if e.line is None:
             e.line = line
@@ -888,12 +820,6 @@ class AssignIndex(Node):
             g.emit(f"elif {v} is NIL: {t}.entries.pop({k}, None)")
         g.emit(f"else: {t}.entries[{k}] = {v}")
 
-    def unparse(self) -> str:
-        base = _wrap_postfixable(self.obj)
-        if isinstance(self.key, StringLit) and _is_plain_ident(self.key.value):
-            return f"{base}.{self.key.value} = {self.expr.unparse()}"
-        return f"{base}[{self.key.unparse()}] = {self.expr.unparse()}"
-
 
 class LocalDecl(Node):
     __slots__ = ("name", "expr", "where")
@@ -936,11 +862,6 @@ class LocalDecl(Node):
                 g.emit(f"s{slot}[0] = {self.expr.gen(g)}")
         else:
             g.assign(slot, "NIL" if self.expr is None else self.expr.gen(g))
-
-    def unparse(self) -> str:
-        if self.expr is None:
-            return f"local {self.name}"
-        return f"local {self.name} = {self.expr.unparse()}"
 
 
 class IfStat(Node):
@@ -986,15 +907,6 @@ class IfStat(Node):
             else:
                 g.nested(self.else_block)
         g.forget()
-
-    def unparse(self) -> str:
-        parts = []
-        for i, (cond, block) in enumerate(self.clauses):
-            word = "if" if i == 0 else "elseif"
-            parts.append(f"{word} {cond.unparse()} then {block.unparse()}")
-        if self.else_block is not None:
-            parts.append(f"else {self.else_block.unparse()}")
-        return " ".join(parts) + " end"
 
 
 class WhileStat(Node):
@@ -1048,9 +960,6 @@ class WhileStat(Node):
         self.gen_stmt(g)
         g.on_frame()
         return "fr"
-
-    def unparse(self) -> str:
-        return f"while {self.cond.unparse()} do {self.body.unparse()} end"
 
 
 class ForNum(Node):
@@ -1174,12 +1083,6 @@ class ForNum(Node):
         g.on_frame()
         return "fr, i, stop, step"
 
-    def unparse(self) -> str:
-        head = f"for {self.name} = {self.start.unparse()}, {self.stop.unparse()}"
-        if self.step is not None:
-            head += f", {self.step.unparse()}"
-        return f"{head} do {self.body.unparse()} end"
-
 
 class ReturnStat(Node):
     __slots__ = ("exprs",)
@@ -1195,11 +1098,6 @@ class ReturnStat(Node):
     def gen_stmt(self, g):
         vals = [e.gen(g) for e in self.exprs]
         g.emit(f"return [{', '.join(vals)}]" if vals else "return _EMPTY")
-
-    def unparse(self) -> str:
-        if not self.exprs:
-            return "return"
-        return "return " + ", ".join(e.unparse() for e in self.exprs)
 
 
 class Chunk:
@@ -1230,9 +1128,6 @@ class Chunk:
     @property
     def statements(self) -> list:
         return self.block.stmts
-
-    def unparse(self) -> str:
-        return self.block.unparse()
 
 
 # ------------------------------------------------------------ second tier

@@ -21,10 +21,14 @@ entry and at its end.  A local that a nested function names lives in
 its slot as a cell, a one-element list, so the closures that capture
 it and the body that declares it share it.
 
-Tables carry two optional fallback handlers.  The index handler fires when
-a read misses; the newindex handler, once installed, intercepts every
-script-level write to the table.  Handler implementations and bridge
-internals store through raw_set, which never triggers handlers.
+Tables carry two optional fallback handlers, plain Python functions.
+The index handler, read(t, key) -> value, fires when a read misses; the
+newindex handler, write(t, key, value), once installed, intercepts
+every script-level write to the table.  The bridge's proxies install
+its own methods; set_fallback wraps a script function once, when it is
+installed, so only there does a fallback meet the list protocol.
+Handler implementations and bridge internals store through raw_set,
+which never triggers handlers.
 """
 
 import itertools
@@ -154,8 +158,7 @@ def table_get(t: Table, key):
         return v
     handler = t.index_handler
     if handler is not None:
-        vals = call_value(handler, [t, key])
-        return vals[0] if vals else NIL
+        return handler(t, key)
     return NIL
 
 
@@ -166,7 +169,7 @@ def table_set(t: Table, key, value) -> None:
     check_key(key)
     handler = t.newindex_handler
     if handler is not None:
-        call_value(handler, [t, key, value])
+        handler(t, key, value)
         return
     if value is NIL:
         t.entries.pop(key, None)
@@ -184,13 +187,26 @@ def raw_set(t: Table, key, value) -> None:
 
 
 def set_fallback(t: Table, kind: str, handler) -> None:
-    """Install or replace a fallback handler; kind is 'index' or 'newindex'."""
-    if kind == "index":
-        t.index_handler = handler
-    elif kind == "newindex":
-        t.newindex_handler = handler
-    else:
+    """Install or replace a fallback; kind is 'index' or 'newindex'.
+    handler is a script function, called with (t, key) or (t, key,
+    value), an index handler's first result being the value read; None
+    removes the fallback."""
+    if kind != "index" and kind != "newindex":
         raise ValueError(f"unknown fallback kind: {kind!r}")
+    if handler is None:
+        fallback = None
+    elif handler.__class__ is not Closure \
+            and handler.__class__ is not NativeFunction:
+        raise TypeError(f"{kind} fallback must be a function, "
+                        f"got {type_name(handler)}")
+    elif kind == "index":
+        def fallback(t, key):
+            vals = handler.invoke([t, key])
+            return vals[0] if vals else NIL
+    else:
+        def fallback(t, key, value):
+            handler.invoke([t, key, value])
+    setattr(t, f"{kind}_handler", fallback)
 
 
 def format_number(v: float) -> str:

@@ -1,7 +1,9 @@
 """Outbound bridge: host objects appear in scripts as proxy tables.
 
 A proxy is an ordinary table whose "__hostref" entry holds the host
-reference; everything else about it is supplied lazily by fallbacks.
+reference; everything else about it is supplied lazily by its
+fallbacks, which are the bridge's own proxy_index and proxy_newindex,
+bound once and called directly on a miss or a store (see objects).
 
 Member tables.  The index and newindex fallbacks find a key in a member
 table: one for the instance members and one for the static members of
@@ -131,9 +133,9 @@ class OutboundBridge:
         self._constructors = Memo(lambda name: call_site(
             self.registry.constructors(name), name, self.converter.to_host,
             shape, self.registry.invokers.__getitem__))
-        self._index_handler = NativeFunction(self._on_index, "proxy_index")
-        self._newindex_handler = NativeFunction(
-            self._on_newindex, "proxy_newindex")
+        # every proxy's fallbacks, bound once
+        self._index_handler = self.proxy_index
+        self._newindex_handler = self.proxy_newindex
 
     def build_proxy(self, ref) -> Table:
         t = Table()
@@ -152,15 +154,6 @@ class OutboundBridge:
         return self.converter.class_proxy(name)
 
     # ------------------------------------------------------------ fallbacks
-
-    def _on_index(self, args: list) -> list:
-        proxy, key = args
-        return [self.proxy_index(proxy, key)]
-
-    def _on_newindex(self, args: list) -> list:
-        proxy, key, value = args
-        self.proxy_newindex(proxy, key, value)
-        return _EMPTY
 
     def proxy_index(self, proxy: Table, key):
         ref = proxy.entries["__hostref"]

@@ -299,6 +299,31 @@ def test_fallbacks_reachable_from_script(bare_interp, out):
     assert run(bare_interp, out, "print(t.anything)") == "auto\n"
 
 
+@pytest.mark.parametrize("kind", ["index", "newindex"])
+@pytest.mark.parametrize("handler", [NIL, 5.0, "h", Table()],
+                         ids=["nil", "number", "string", "table"])
+def test_fallback_that_is_not_a_function_is_refused_at_install(kind, handler):
+    t = Table()
+    with pytest.raises(TypeError, match=f"^{kind} fallback must be a "
+                                        f"function, got "):
+        set_fallback(t, kind, handler)
+    # nothing was installed: reads miss and writes store
+    table_set(t, "x", 1.0)
+    assert table_get(t, "x") == 1.0
+    assert table_get(t, "y") is NIL
+
+
+def test_none_removes_a_fallback():
+    t = Table()
+    set_fallback(t, "index", NativeFunction(lambda a: ["auto"], "h"))
+    set_fallback(t, "newindex", NativeFunction(lambda a: [], "h"))
+    set_fallback(t, "index", None)
+    set_fallback(t, "newindex", None)
+    table_set(t, "x", 1.0)
+    assert table_get(t, "x") == 1.0
+    assert table_get(t, "y") is NIL
+
+
 # ------------------------------------------------------------ control flow
 
 def test_if_elseif_else(bare_interp, out):
@@ -445,6 +470,28 @@ def test_deep_expression_is_a_script_error(bare_interp):
     with pytest.raises(ScriptRuntimeError) as e:
         bare_interp.run("x = " + "1 + " * 5000 + "1")
     assert "stack overflow" in str(e.value)
+
+
+_CHAINS = "f = function() return f end\nt = {}\nt.t = t\n"
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+@pytest.mark.parametrize("chain", [
+    lambda n: "1 + " * (n - 1) + "1",
+    lambda n: "f" + "()" * n,
+    lambda n: "t" + ".t" * n,
+], ids=["plus", "call", "index"])
+def test_long_chain_overflows_at_its_line(bare_interp, chain, n):
+    # the parser builds a chain in a loop; compiling it recurses per node
+    with pytest.raises(ScriptRuntimeError) as e:
+        bare_interp.run(_CHAINS + "x = 1\ny = " + chain(n))
+    assert str(e.value) == "ScriptRuntimeError (line 5): stack overflow"
+
+
+def test_chains_of_800_still_run(bare_interp):
+    src = (_CHAINS + "a = " + "1 + " * 799 + "1\nb = f" + "()" * 800
+           + "\nc = t" + ".t" * 800 + "\nreturn a, b == f, c == t")
+    assert bare_interp.run(src) == [800.0, True, True]
 
 
 def test_deep_nesting_is_a_parse_error(bare_interp):
