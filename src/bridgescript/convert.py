@@ -55,10 +55,15 @@ class _Wrapping(Converted):
 
 
 class Converter:
-    def __init__(self, registry, proxy_factory, auto_wrap):
+    def __init__(self, registry, outbound, inbound):
+        """The converter between registry and both bridges, wired into
+        each bridge as its converter."""
         self.registry = registry
-        self.proxy_factory = proxy_factory  # host reference -> fresh proxy Table
-        self.auto_wrap = auto_wrap          # (Table, type name) -> ScriptWrapper
+        # host reference -> fresh proxy Table
+        self.proxy_factory = outbound.build_proxy
+        # (Table, type name) -> ScriptWrapper, through the export cache
+        self.auto_wrap = inbound.host_export
+        outbound.converter = inbound.converter = self
         self._proxies = weakref.WeakValueDictionary()  # host uid -> proxy Table
         self._class_proxies: dict[str, Table] = {}
 
@@ -175,8 +180,6 @@ class Converter:
             return proxy
         if cls is ScriptWrapper:
             return h.script_object
-        if cls is HostClassRef:
-            return self.class_proxy(h.name)
         raise TypeError(f"not a host value: {h!r}")
 
     def class_proxy(self, name: str) -> Table:

@@ -62,7 +62,7 @@ from .registry import (
 class InboundBridge:
     def __init__(self, registry):
         self.registry = registry
-        self.converter = None  # wired by the interpreter
+        self.converter = None  # wired by convert.Converter
         self._wrappers = weakref.WeakValueDictionary()
         self.entries = Memo(self._entry)  # see _entry
 
@@ -91,13 +91,6 @@ class InboundBridge:
         w = ScriptWrapper(self, target_type, t, backing)
         self._wrappers[key] = w
         return w
-
-    def auto_wrap(self, t: Table, target_type: str) -> ScriptWrapper:
-        # conversion-time path; shares the cache so identities round-trip
-        return self.host_export(t, target_type)
-
-    def wrapper_invoke(self, w: ScriptWrapper, name: str, host_args: list):
-        return self.entries[w.target_type, name](w, host_args)
 
     def _entry(self, key):
         """entries[(type, name)]: entry(w, host args) for every wrapper

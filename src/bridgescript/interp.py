@@ -85,14 +85,9 @@ class Interpreter:
         if not registry.frozen:
             raise NotFrozen("freeze the registry before attaching it")
         self.registry = registry
-        outb = OutboundBridge(registry)
-        inb = InboundBridge(registry)
-        conv = Converter(registry, outb.build_proxy, inb.auto_wrap)
-        outb.converter = conv
-        inb.converter = conv
-        self.outbound = outb
-        self.inbound = inb
-        self.converter = conv
+        outb = self.outbound = OutboundBridge(registry)
+        inb = self.inbound = InboundBridge(registry)
+        self.converter = Converter(registry, outb, inb)
 
         def _new(args: list) -> list:
             if not args or args[0].__class__ is not str:

@@ -313,7 +313,9 @@ class CallExpr(Node):
         self.line = line
         self.name = name
 
-    def compile(self, scope):
+    def compile(self, scope, listed=False):
+        """fr -> the call's value list, which may be None, if listed, else
+        its first value."""
         line = self.line
         name = self.name
         callee_c = self.callee.compile(scope)
@@ -343,14 +345,17 @@ class CallExpr(Node):
                 raise
             except RecursionError:
                 raise ScriptRuntimeError("stack overflow", line) from None
+            if listed:
+                return vals
             return vals[0] if vals else NIL
 
         return call
 
-    def gen(self, g, want=True):
-        """The call as statements; its first value's temporary if want.
-        A closure with as many parameters as there are arguments gets
-        its body called directly."""
+    def gen(self, g, listed=False):
+        """The call as statements; the temporary of its value list, which
+        may be None, if listed, else of its first value.  A closure with
+        as many parameters as there are arguments gets its body called
+        directly."""
         line = self.line
         f = self.callee.gen(g)
         vals = []
@@ -359,16 +364,16 @@ class CallExpr(Node):
             g.check_table(f, line)
             f = g.index(f, g.literal(self.name), line)
         vals += [a.gen(g) for a in self.args]
-        listed = ", ".join(vals)
+        arglist = ", ".join(vals)
         entry = ", ".join([f"{f}.globals", f"{f}.upvals", *vals])
         r = g.temp()
         g.emit("try:")
         g.emit(f"    if {f}.__class__ is Closure:")
         g.emit(f"        p = {f}.proto")
         g.emit(f"        if p.nparams == {len(vals)}: {r} = p.body({entry})")
-        g.emit(f"        else: {r} = {f}.invoke([{listed}])")
+        g.emit(f"        else: {r} = {f}.invoke([{arglist}])")
         g.emit(f"    elif {f}.__class__ is NativeFunction: "
-               f"{r} = {f}.fn([{listed}])")
+               f"{r} = {f}.fn([{arglist}])")
         g.emit(f"    else: raise _call_error({f}, {line})")
         g.emit("except BridgeScriptError as e:")
         g.emit(f"    if e.line is None: e.line = {line}")
@@ -376,11 +381,18 @@ class CallExpr(Node):
         g.emit("except RecursionError:")
         g.emit(f"    raise ScriptRuntimeError('stack overflow', {line}) "
                f"from None")
-        if not want:
-            return None
+        if listed:
+            return r
         v = g.temp()
         g.emit(f"{v} = {r}[0] if {r} else NIL")
         return v
+
+
+class ParenCall(CallExpr):
+    """(call): a call in parentheses gives its first value, also where a
+    bare call would give all of them."""
+
+    __slots__ = ()
 
 
 def _proto(scope, captured: set, params: list, body: "Block", line: int):
@@ -718,7 +730,7 @@ class ExprStat(Node):
 
     def gen_stmt(self, g):
         if self.expr.__class__ is CallExpr:
-            self.expr.gen(g, want=False)
+            self.expr.gen(g, listed=True)
         else:
             self.expr.gen(g)
 
@@ -1085,6 +1097,9 @@ class ForNum(Node):
 
 
 class ReturnStat(Node):
+    """return e1, ..., en: a call that ends the list gives all its values,
+    and any other expression its first, as in Lua (5.1 manual §2.5)."""
+
     __slots__ = ("exprs",)
 
     def __init__(self, exprs: list, line: int):
@@ -1092,11 +1107,21 @@ class ReturnStat(Node):
         self.line = line
 
     def compile_stmt(self, scope):
-        codes = tuple(e.compile(scope) for e in self.exprs)
-        return lambda fr: [c(fr) for c in codes]
+        exprs = self.exprs
+        if not exprs or exprs[-1].__class__ is not CallExpr:
+            codes = tuple(e.compile(scope) for e in exprs)
+            return lambda fr: [c(fr) for c in codes]
+        codes = tuple(e.compile(scope) for e in exprs[:-1])
+        last = exprs[-1].compile(scope, listed=True)
+        return lambda fr: [*[c(fr) for c in codes], *(last(fr) or _EMPTY)]
 
     def gen_stmt(self, g):
-        vals = [e.gen(g) for e in self.exprs]
+        exprs = self.exprs
+        vals = [e.gen(g) for e in exprs[:-1]]
+        if exprs and exprs[-1].__class__ is CallExpr:
+            vals.append(f"*({exprs[-1].gen(g, listed=True)} or _EMPTY)")
+        elif exprs:
+            vals.append(exprs[-1].gen(g))
         g.emit(f"return [{', '.join(vals)}]" if vals else "return _EMPTY")
 
 

@@ -14,19 +14,16 @@ and check fixed when it is built; a method gets one call site.  Host
 arrays get one element setter per element tag.  Getters read the host on
 every access: field values and array elements are never cached, so
 scripts always see current host state.  A key that names no member is
-refused and not remembered.
+refused, and neither remembered nor counted in DispatchStats.
 
 Dispatch.  Each (class, method) has one dispatcher, shared by every
 proxy of the class: it checks the receiver, chooses through the call
-site, invokes and converts the result.  The index fallback returns a
-one-shot function over it that, once a call succeeds, stores the shared
-dispatcher into the proxy it was read from under the method name.  Later
-reads find it there, so the fallback never fires again for that name on
-that proxy.  The dispatcher refers to no proxy, so a proxy holds nothing
-that refers back to it.  Method identity follows call history: until
-a proxy has called a method, each read of it is a new one-shot, and
-p.move == p.move is false; after the first call both reads give the
-shared dispatcher.  A read alone stores nothing.
+site, invokes and converts the result.  The first read of a method name
+on a proxy stores the shared dispatcher into the proxy under that name
+and returns it, so the fallback fires once per method per proxy, and
+p.move == p.move holds before any call, as on a plain table.  The
+dispatcher refers to no proxy, so the proxy table is the only state the
+bridge keeps per proxy.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -49,7 +46,7 @@ expose static fields and static methods the same way instance proxies
 expose instance members.
 """
 
-import weakref
+from collections import defaultdict
 from functools import partial
 
 from .errors import (
@@ -72,49 +69,39 @@ from .registry import (
 )
 
 _EMPTY: list = []
-# The fallback_fires key of collected proxies' fires; no proxy has uid 0.
-RETIRED = (0, None)
-# The fallback_fires key of every element read of an array proxy, so
-# that an array's reads make one entry however many indices they use.
+# The fallback_fires member of every element read of an array, so that
+# an array's reads make one entry however many indices they use.
 ELEMENTS = "[element]"
 
 
 class DispatchStats:
-    """Counters used by tests to pin down when fallbacks fire.  When a
-    proxy is collected its fire counts move into one RETIRED entry, so
-    the entries are bounded by the live proxies and the counts still
-    sum to every fire."""
+    """Counters used by tests to pin down when fallbacks fire.  A read
+    that reaches a member counts under (class name, member), and one
+    that reaches an array's element or length under (element tag,
+    ELEMENTS or "length"), so the entries are bounded by the members
+    scripts use, however many proxies they create."""
 
-    __slots__ = ("fallback_fires", "dispatches", "_watched")
+    __slots__ = ("fallback_fires", "dispatches")
 
     def __init__(self):
-        self.fallback_fires: dict = {}  # (proxy uid, key) -> count
+        self.fallback_fires = defaultdict(int)  # (class name, member) -> count
         self.dispatches = 0
-        self._watched: dict = {}  # proxy uid -> (weak ref, keys fired)
 
     def fires(self, proxy: Table, key) -> int:
-        return self.fallback_fires.get((proxy.uid, key), 0)
-
-    def watch(self, proxy: Table, key) -> None:
-        """Note a first fire of key on proxy, to forget with the proxy."""
-        uid = proxy.uid
-        watched = self._watched.get(uid)
-        if watched is None:
-            def forget(_):
-                fires = self.fallback_fires
-                n = sum(fires.pop((uid, k)) for k in self._watched.pop(uid)[1])
-                fires[RETIRED] = fires.get(RETIRED, 0) + n
-            watched = self._watched[uid] = (weakref.ref(proxy, forget), [])
-        watched[1].append(key)
+        ref = proxy.entries["__hostref"]
+        owner = ref.class_name if ref.__class__ is HostObject else \
+            ref.elem_tag if ref.__class__ is HostArray else ref.name
+        return self.fallback_fires.get((owner, key), 0)
 
 
 class _Member:
-    """One member of one class: read(proxy, ref) -> script value and
-    write(ref, value)."""
+    """One member of one class: its fallback_fires key, read(proxy, ref)
+    -> script value and write(ref, value)."""
 
-    __slots__ = ("read", "write")
+    __slots__ = ("fires_key", "read", "write")
 
-    def __init__(self, read, write):
+    def __init__(self, fires_key, read, write):
+        self.fires_key = fires_key
         self.read = read
         self.write = write
 
@@ -122,14 +109,16 @@ class _Member:
 class OutboundBridge:
     def __init__(self, registry):
         self.registry = registry
-        self.converter = None  # wired by the interpreter
+        self.converter = None  # wired by convert.Converter
         self.stats = DispatchStats()
         # (class name, key) -> _Member, built on first use
         self._members = Memo(partial(self._build_member, static=False))
         self._static_members = Memo(partial(self._build_member, static=True))
-        # array element tag -> setter; class name -> constructors' call_site
+        # array element tag -> setter, and -> its elements' and length's
+        # fallback_fires keys; class name -> constructors' call_site
         self._element_stores = Memo(lambda tag: self.converter.storer(
             tag, "cannot store into the array"))
+        self._array_keys = Memo(lambda t: ((t, ELEMENTS), (t, "length")))
         self._constructors = Memo(lambda name: call_site(
             self.registry.constructors(name), name, self.converter.to_host,
             shape, self.registry.invokers.__getitem__))
@@ -157,26 +146,23 @@ class OutboundBridge:
 
     def proxy_index(self, proxy: Table, key):
         ref = proxy.entries["__hostref"]
-        array = ref.__class__ is HostArray
         fires = self.stats.fallback_fires
-        sk = (proxy.uid, ELEMENTS if array and key.__class__ is float else key)
-        n = fires.get(sk)
-        if n is None:
-            self.stats.watch(proxy, sk[1])
-            n = 0
-        fires[sk] = n + 1
-        if array:
+        if ref.__class__ is HostArray:
             if key.__class__ is float:
                 if key.is_integer():
                     i = int(key) - 1
                     elements = ref.elements
                     if 0 <= i < len(elements):
+                        fires[self._array_keys[ref.elem_tag][0]] += 1
                         return self.converter.to_script(elements[i])
-                    raise index_error(int(key), len(elements))
+                    raise index_error(render(key), len(elements))
             elif key == "length":
+                fires[self._array_keys[ref.elem_tag][1]] += 1
                 return float(len(ref.elements))
             raise NoSuchMember("array", render(key))
-        return self._member(ref, key).read(proxy, ref)
+        m = self._member(ref, key)
+        fires[m.fires_key] += 1
+        return m.read(proxy, ref)
 
     def proxy_newindex(self, proxy: Table, key, value) -> None:
         if key == "__hostref":
@@ -188,7 +174,7 @@ class OutboundBridge:
                 i = int(key) - 1
                 elements = ref.elements
                 if not 0 <= i < len(elements):
-                    raise index_error(int(key), len(elements))
+                    raise index_error(render(key), len(elements))
                 elements[i] = h
                 return
             if key == "length":
@@ -245,7 +231,7 @@ class OutboundBridge:
 
             def write(ref, v):
                 ref.fields[key] = store(v)
-        return _Member(read, write)
+        return _Member((cname, key), read, write)
 
     def _method(self, cname: str, key: str, cands, static: bool) -> _Member:
         conv = self.converter
@@ -301,15 +287,12 @@ class OutboundBridge:
         shared = NativeFunction(dispatch, key)
 
         def read(proxy, ref):
-            def first(args: list) -> list:
-                vals = dispatch(args)
-                proxy.entries[key] = shared
-                return vals
-            return NativeFunction(first, key)
+            proxy.entries[key] = shared
+            return shared
 
         def write(ref, v):
             raise _unassignable(key, cname, static)
-        return _Member(read, write)
+        return _Member((cname, key), read, write)
 
 
 def _unassignable(key: str, cname: str, static: bool) -> TypeMismatch:

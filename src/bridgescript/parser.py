@@ -46,6 +46,7 @@ from .nodes import (
     LocalDecl,
     NilLit,
     NumberLit,
+    ParenCall,
     ReturnStat,
     StringLit,
     TableCtor,
@@ -345,6 +346,8 @@ class _Parser:
             self._advance()
             expr = self._expression()
             self._expect(")")
+            if expr.__class__ is CallExpr:  # (f()) gives one value
+                expr = ParenCall(expr.callee, expr.args, expr.line, expr.name)
             return expr
         if word == "{":
             return self._table_ctor()

@@ -671,22 +671,14 @@ class HostRegistry:
         call = ", ".join(passed if static else ["receiver", *passed])
         if name == "<init>":
             cname, inits = tag.name, self._instance_inits[tag.name]
-            if body is None:  # no host code runs
-
-                def invoke(receiver, args: list):
-                    obj = HostObject(cname, dict(inits))
-                    if validate:
-                        self.validate_object(obj)
-                    return obj
-                return invoke
 
             def finish(r, obj):
                 self.validate_object(obj)
                 return obj
             form = _invoker_form(
                 call, "finish(r, receiver)" if validate else "receiver", True)
-            return form(body, f"constructor of {cname}", None, finish, cname,
-                        inits)
+            return form(_no_body if body is None else body,
+                        f"constructor of {cname}", None, finish, cname, inits)
         if tag is VOID and not validate:
             return _invoker_form(call, "None")(body, name, None, None)
         conforms = self.conforms
@@ -874,6 +866,10 @@ _INVOKER = """def invoker(body, name, plain, finish, cname=None, inits=None):
 """
 
 
+def _no_body(*args):
+    """The body of a constructor declared without one: no host code."""
+
+
 @functools.cache  # one per spelling, shared by every registry: at most 24
 def _invoker_form(call: str, result: str, new: bool = False):
     env = {"BridgeScriptError": BridgeScriptError,
@@ -894,7 +890,7 @@ def normalize(tag, v):
     return v
 
 
-def index_error(index: int, length: int) -> IndexOutOfBounds:
+def index_error(index, length: int) -> IndexOutOfBounds:
     return IndexOutOfBounds(
         f"index {index} out of bounds for length {length}")
 

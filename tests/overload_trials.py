@@ -9,8 +9,8 @@ registry's choice for them must equal the referee's choice for the
 script values to_script makes of them.  run_site_trials drives calls
 through the outbound bridge's warm call sites, whose shape caches must
 not change any verdict; run_host_site_trials does the same for the
-registry's host-side sites behind call_method, instantiate and
-wrapper_invoke.
+registry's host-side sites behind call_method, on host objects and on
+wrappers, and instantiate.
 """
 
 import math
@@ -87,9 +87,7 @@ def build_world(*extra, validate_invokes=False):
     reg.freeze()
     outb = OutboundBridge(reg)
     inb = InboundBridge(reg)
-    conv = Converter(reg, outb.build_proxy, inb.auto_wrap)
-    outb.converter = conv
-    inb.converter = conv
+    conv = Converter(reg, outb, inb)
     return reg, conv
 
 
@@ -312,7 +310,7 @@ def _beyond_referee(h) -> bool:
 def run_host_site_trials(calls: int, seed: int = 20261020):
     """Drive host values through warm host-side sites: call_method on an
     object of a subclass of the declaring class, instantiate, and
-    wrapper_invoke on an interface wrapper whose overloads each return
+    call_method on an interface wrapper whose overloads each return
     their own interface.  Every site sees more argument shapes than it
     caches.  Each call must choose what oracle.decide chooses for the
     script values to_script makes, or, where those values are beyond

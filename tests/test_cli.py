@@ -122,6 +122,11 @@ def test_eval_statements_print_no_value_line(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_eval_of_a_call_returning_nothing_prints_no_value_line(capsys):
+    assert main(["eval", "-e", 'print("hi")']) == 0
+    assert capsys.readouterr().out == "hi\n"
+
+
 def test_eval_error_exits_one(capsys):
     assert main(["eval", "-e", "nosuch()"]) == 1
     assert capsys.readouterr().err.startswith("bs: ")
@@ -169,9 +174,9 @@ def test_repl_wires_the_widget_demo():
                           "x\n"
                           "exit\n")
     assert r.returncode == 0
-    lines = r.stdout.splitlines()
-    assert "console wired" in lines[0]
-    assert lines[-1] == "54"
+    # the calls return nothing, so they print no value line
+    assert r.stdout == ('console wired: ta:setText("x = 42") then '
+                        "button:press()\n54\n")
 
 
 # ----------------------------------------------------------------- bs bench

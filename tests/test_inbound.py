@@ -180,9 +180,7 @@ def test_class_without_default_constructor():
     reg.freeze()
     outb = OutboundBridge(reg)
     inb = InboundBridge(reg)
-    conv = Converter(reg, outb.build_proxy, inb.auto_wrap)
-    outb.converter = conv
-    inb.converter = conv
+    Converter(reg, outb, inb)
     with pytest.raises(NoDefaultConstructor):
         inb.host_export(Table(), "NoDef")
 
@@ -264,7 +262,7 @@ def test_wrapper_cached_per_table_and_type(interp):
 def test_auto_wrap_shares_the_export_cache(interp):
     t = _table_from(interp, "t = {}")
     w = interp.inbound.host_export(t, "demo.Greeter")
-    assert interp.inbound.auto_wrap(t, "demo.Greeter") is w
+    assert interp.converter.auto_wrap(t, "demo.Greeter") is w
 
 
 def test_reexport_after_collection_keeps_the_backing(interp, out):
@@ -381,7 +379,7 @@ def test_wrappers_of_one_type_share_one_entry(interp):
     entry = interp.inbound.entries["demo.Speaker", "hello"]
     assert call(wb, "hello", []) == "b"
     assert wa.invoke_method("hello", []) == "a"
-    assert interp.inbound.wrapper_invoke(wb, "hello", []) == "b"
+    assert wb.invoke_method("hello", []) == "b"
     assert interp.inbound.entries["demo.Speaker", "hello"] is entry
     assert [k for k in interp.inbound.entries if k[0] == "demo.Speaker"] \
         == [("demo.Speaker", "hello")]

@@ -30,7 +30,7 @@ from bridgescript.errors import (
 )
 from bridgescript.inbound import InboundBridge
 from bridgescript.objects import NIL, NativeFunction, Table, table_get
-from bridgescript.outbound import ELEMENTS, RETIRED, OutboundBridge
+from bridgescript.outbound import ELEMENTS, OutboundBridge
 from bridgescript.registry import (
     FLOAT,
     INTEGER,
@@ -65,9 +65,7 @@ def _world(*descriptors):
     reg.freeze()
     outb = OutboundBridge(reg)
     inb = InboundBridge(reg)
-    conv = Converter(reg, outb.build_proxy, inb.auto_wrap)
-    outb.converter = conv
-    inb.converter = conv
+    conv = Converter(reg, outb, inb)
     return reg, outb, conv
 
 
@@ -163,36 +161,43 @@ def test_dispatcher_is_stored_in_the_proxy_it_was_read_from(interp):
 
 
 def test_lookup_without_call_installs_nothing(interp):
-    # the dispatcher is stored when an invocation completes, not at read
+    # nothing is installed beyond what a read stores: the first read, not
+    # a call, stores the shared dispatcher, so the second read finds it in
+    # the proxy and the fallback fires once
     interp.run('p = javaNewInstance("Point")\n'
                "f = p.move\n"
                "g = p.move")
     p = interp.global_value("p")
-    assert interp.outbound.stats.fires(p, "move") == 2
-    assert "move" not in p.entries
+    assert interp.outbound.stats.fires(p, "move") == 1
+    assert p.entries["move"] is interp.global_value("f") \
+        is interp.global_value("g")
     interp.run("f(p, 2, 3)")
-    assert "move" in p.entries
     assert p.entries["__hostref"].fields["x"] == 2.0
 
 
 def test_method_identity_follows_call_history(interp):
-    # each fallback fire returns a fresh one-shot function until a call
-    # stores the shared dispatcher in the proxy; a plain table gives
-    # true both times
+    # identity no longer depends on call history: a method read gives the
+    # class's one dispatcher before any call and after, as a plain table
+    # gives the same function both times
     assert interp.run('p = hostNewInstance("Point")\n'
                       "a = p.move == p.move\n"
                       "p:move(1, 2)\n"
-                      "return a, p.move == p.move") == [False, True]
+                      "return a, p.move == p.move") == [True, True]
 
 
 def test_each_proxy_caches_independently(interp):
     interp.run('a = javaNewInstance("bench.Counter")\n'
                'b = javaNewInstance("bench.Counter")\n'
-               "a:inc() a:inc() b:inc()")
+               "a:inc() a:inc()")
     stats = interp.outbound.stats
     a, b = interp.global_value("a"), interp.global_value("b")
-    assert stats.fires(a, "inc") == 1
-    assert stats.fires(b, "inc") == 1
+    assert isinstance(a.entries["inc"], NativeFunction)
+    assert "inc" not in b.entries
+    interp.run("b:inc()")
+    assert b.entries["inc"] is a.entries["inc"]
+    # one fire per proxy, both counted under the class
+    assert stats.fires(a, "inc") == 2
+    assert stats.fires(b, "inc") == 2
     assert a.entries["__hostref"].fields["count"] == 2
     assert b.entries["__hostref"].fields["count"] == 1
 
@@ -407,8 +412,11 @@ def test_host_error_in_void_fast_path_is_wrapped():
     dispatcher = outb.proxy_index(proxy, "go")
     with pytest.raises(HostException, match="boom"):
         dispatcher.fn([proxy])
-    # a failed invocation installs nothing; the fallback stays live
-    assert "go" not in proxy.entries
+    # the read installed the dispatcher, and a failed call leaves it:
+    # the next call chooses and fails alike
+    assert proxy.entries["go"] is dispatcher
+    with pytest.raises(HostException, match="boom"):
+        proxy.entries["go"].fn([proxy])
 
 
 def test_nullary_body_error_reads_alike_from_script_and_host():
@@ -544,8 +552,10 @@ def test_array_bounds_follow_script_view(interp):
             interp.run(bad)
 
 
-@pytest.mark.parametrize("src, index", [("\nx = a[4]", 4), ("\na[0] = 1", 0)],
-                         ids=["read", "write"])
+@pytest.mark.parametrize("src, index", [
+    ("\nx = a[4]", "4"), ("\na[0] = 1", "0"),
+    ("\nx = a[1e300]", "1e+300"), ("\na[1e300] = 1", "1e+300")],
+    ids=["read", "write", "huge-read", "huge-write"])
 def test_array_bounds_errors_give_the_script_index(interp, src, index):
     interp.run('m = hostBindClass("demo.MathUtil") a = m.intArray(3)')
     with pytest.raises(IndexOutOfBounds) as e:
@@ -677,6 +687,8 @@ def test_constructed_object_starts_with_field_defaults(interp):
 
 
 def test_dropped_proxies_fold_into_one_fire_count(interp):
+    # fires count per (class, member), so every proxy's read lands in
+    # one entry whether the proxy lives or not
     interp.run('local i = 0\n'
                'while i < 2000 do\n'
                '  local p = hostNewInstance("Point")\n'
@@ -684,7 +696,7 @@ def test_dropped_proxies_fold_into_one_fire_count(interp):
                '  i = i + 1\n'
                'end')
     gc.collect()
-    assert interp.outbound.stats.fallback_fires == {RETIRED: 2000}
+    assert interp.outbound.stats.fallback_fires == {("Point", "x"): 2000}
 
 
 def test_live_proxies_keep_their_fire_counts(interp):
@@ -698,8 +710,8 @@ def test_live_proxies_keep_their_fire_counts(interp):
     gc.collect()
     p = interp.global_value("p")
     stats = interp.outbound.stats
-    assert stats.fires(p, "x") == 50
-    assert stats.fallback_fires == {(p.uid, "x"): 50, RETIRED: 50}
+    assert stats.fires(p, "x") == 100
+    assert stats.fallback_fires == {("Point", "x"): 100}
 
 
 def test_array_element_reads_count_under_one_key(interp):
@@ -712,12 +724,40 @@ def test_array_element_reads_count_under_one_key(interp):
     stats = interp.outbound.stats
     assert stats.fires(a, ELEMENTS) == 10000
     assert stats.fires(a, "length") == 1
-    assert len(stats.fallback_fires) <= 4
+    tag = a.entries["__hostref"].elem_tag
+    counts = {("demo.MathUtil", "intArray"): 1, (tag, ELEMENTS): 10000,
+              (tag, "length"): 1}
+    assert stats.fallback_fires == counts
     del a
     interp.run("a = nil")
     gc.collect()
-    assert stats.fallback_fires[RETIRED] == 10001
-    assert len(stats.fallback_fires) <= 3
+    assert stats.fallback_fires == counts
+
+
+def test_the_bridge_holds_nothing_per_dropped_proxy(interp):
+    interp.run('local i = 0\n'
+               'while i < 2000 do\n'
+               '  local p = hostNewInstance("Point")\n'
+               '  local x = p.x\n'
+               '  p:move(1, 1)\n'
+               '  i = i + 1\n'
+               'end')
+    gc.collect()
+    assert interp.outbound.stats.fallback_fires == {
+        ("Point", "x"): 2000, ("Point", "move"): 2000}
+    assert not [p for p in interp.converter._proxies.values()
+                if p.entries["__hostref"].class_name == "Point"]
+
+
+def test_reads_of_missing_keys_add_no_fire_counts(interp):
+    interp.run('p = hostNewInstance("Point")\nlocal x = p.x')
+    fires = interp.outbound.stats.fallback_fires
+    before = dict(fires)
+    for i in range(1000):
+        key = f"p.k{i}" if i % 2 else f"p[{i}]"
+        with pytest.raises(NoSuchMember):
+            interp.run(f"return {key}")
+    assert fires == before
 
 
 # ---------------------------------------------------------- host integers

@@ -224,6 +224,26 @@ def test_both_tiers_agree(name):
     assert first == last
 
 
+# A call that ends a return list gives all its values, a call anywhere
+# else, or in parentheses, its first (b picks the return statement).
+RETURN_LISTS = ("local two = function() return 1, 2 end\n"
+                "local none = function() end\n"
+                "if b == 1 then return a, two() end\n"
+                "if b == 2 then return a, none() end\n"
+                "if b == 3 then return two(), a end\n"
+                "if b == 4 then return a, (two()) end\n"
+                "if b == 5 then return none(), a end\n"
+                "return a, fallback ~= nil, dostring('return 1, 2')")
+
+
+@pytest.mark.parametrize("b, values", [
+    (1.0, [7.0, 1.0, 2.0]), (2.0, [7.0]), (3.0, [1.0, 7.0]),
+    (4.0, [7.0, 1.0]), (5.0, [NIL, 7.0]), (6.0, [7.0, True, 1.0, 2.0])])
+def test_a_call_ending_a_return_list_gives_all_its_values(b, values):
+    first, last = both_tiers(RETURN_LISTS, 7.0, b)
+    assert first == last == ("ok", values, "")
+
+
 def test_error_lines_are_the_statement_lines():
     first, last = both_tiers("local x = 1\n\nreturn x + nil")
     assert first[:4] == last[:4] == (
