@@ -9,9 +9,17 @@ registry.resolve_overload.  A plain table is wrapped only when its
 converted value is read, so scoring overloads wraps nothing.
 
 to_script goes the other way; a registry.ScriptWrapper becomes the
-table it wraps.  This module also owns the proxy identity cache: one
-proxy table per live host object, held weakly so unused proxies can be
-collected.
+table it wraps, and a value that is no host value is a TypeMismatch.
+A host object or array gets one proxy table per interpreter while that
+proxy lives.  The value itself remembers it: its proxies slot maps each
+converter's token, an object() made with the converter, to a weak
+reference to the proxy, with no callback.  So a dropped proxy is
+collected, a later sight builds a fresh one, and two interpreters over
+one registry each get their own proxy of a shared value.  The token,
+not the converter, is the key, so a value the registry holds keeps no
+dead interpreter alive, and an interpreter's first sight of a value
+drops the entries of proxies that are gone, so the slot holds at most
+one entry more than the value has live proxies.
 """
 
 import weakref
@@ -64,7 +72,8 @@ class Converter:
         # (Table, type name) -> ScriptWrapper, through the export cache
         self.auto_wrap = inbound.host_export
         outbound.converter = inbound.converter = self
-        self._proxies = weakref.WeakValueDictionary()  # host uid -> proxy Table
+        # this converter's key in a host value's proxies slot
+        self._token = object()
         self._class_proxies: dict[str, Table] = {}
 
     # ------------------------------------------------------- script to host
@@ -173,14 +182,27 @@ class Converter:
                 raise TypeMismatch(
                     "host integer too large for a script number") from None
         if cls is HostObject or cls is HostArray:
-            proxy = self._proxies.get(h.uid)
-            if proxy is None:
-                proxy = self.proxy_factory(h)
-                self._proxies[h.uid] = proxy
+            seen = h.proxies
+            if seen is None:
+                h.proxies = seen = {}
+            else:
+                r = seen.get(self._token)
+                if r is None:
+                    # this interpreter's first sight: forget proxies that
+                    # are gone, so interpreters that come and go leave
+                    # nothing on a value the registry keeps
+                    for k in [k for k, w in seen.items() if w() is None]:
+                        del seen[k]
+                else:
+                    proxy = r()
+                    if proxy is not None:
+                        return proxy
+            proxy = self.proxy_factory(h)
+            seen[self._token] = weakref.ref(proxy)
             return proxy
         if cls is ScriptWrapper:
             return h.script_object
-        raise TypeError(f"not a host value: {h!r}")
+        raise TypeMismatch(f"not a host value: {h!r}")
 
     def class_proxy(self, name: str) -> Table:
         proxy = self._class_proxies.get(name)

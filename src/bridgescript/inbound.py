@@ -8,8 +8,12 @@ the overload from the host arguments and returns that overload's result
 store.  The entry looks the method up in the table on every call, index
 fallback included, so a script can add or replace methods after
 exporting and the host sees the change on the next call.  It calls the
-function with the table as self, a script closure directly, and stores
-the single result as the chosen overload's return type.  The errors
+function with the table as self and stores the single result as the
+chosen overload's return type.  A script closure that takes exactly
+self and the host arguments, when there is at most one, is entered
+positionally (proto.body(globals, upvals, t[, arg])), with no argument
+list; any other call gets a list, which a closure pads with nil or
+cuts to its parameters.  The errors
 come in one order: NoSuchMember when the type declares no such method
 (no entry is built), then UnimplementedMethod or the fall-through
 below, then NotCallable, then the site's NoMatch.
@@ -129,16 +133,17 @@ class InboundBridge:
                     f"is a {type_name(fn)}, not a function")
             # the overload fixes the return tag; choose it before the call
             store, host_args = select(host_args)
-            # with no arguments, the commonest call, map() costs more
-            args = [t, *map(to_script, host_args)] if host_args else [t]
-            if cls is Closure:
-                p = fn.proto
-                if p.nparams == len(args):
-                    vals = p.body(fn.globals, fn.upvals, *args)
-                else:  # padded or cut to its parameters
-                    vals = fn.invoke(args)
-            else:
-                vals = call_value(fn, args)
+            n = len(host_args)
+            # the commonest calls, nullary and a listener given its event,
+            # reach a closure that takes exactly self and them positionally
+            if n < 2 and cls is Closure and fn.proto.nparams == n + 1:
+                if n:
+                    vals = fn.proto.body(fn.globals, fn.upvals, t,
+                                         to_script(host_args[0]))
+                else:
+                    vals = fn.proto.body(fn.globals, fn.upvals, t)
+            else:  # padded or cut to its parameters, or native
+                vals = call_value(fn, [t, *map(to_script, host_args)])
             return None if store is None else store(vals[0] if vals else NIL)
         return entry
 

@@ -180,24 +180,32 @@ class HostClassDescriptor:
 
 
 class HostObject:
-    __slots__ = ("class_name", "fields", "uid", "__weakref__")
+    """An instance of a registered class.  proxies is None until a
+    script first sees the object; then it maps each converter's token to
+    a weak reference to that interpreter's live proxy (see convert)."""
+
+    __slots__ = ("class_name", "fields", "uid", "proxies", "__weakref__")
 
     def __init__(self, class_name: str, fields: dict):
         self.class_name = class_name
         self.fields = fields
         self.uid = _uid()
+        self.proxies = None
 
     def __repr__(self) -> str:
         return f"{self.class_name}#{self.uid}"
 
 
 class HostArray:
-    __slots__ = ("elem_tag", "elements", "uid", "__weakref__")
+    """A host array of elem_tag elements; proxies as on HostObject."""
+
+    __slots__ = ("elem_tag", "elements", "uid", "proxies", "__weakref__")
 
     def __init__(self, elem_tag, elements: list):
         self.elem_tag = elem_tag
         self.elements = elements
         self.uid = _uid()
+        self.proxies = None
 
     def __repr__(self) -> str:
         return f"{self.elem_tag!r}[{len(self.elements)}]#{self.uid}"

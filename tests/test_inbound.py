@@ -28,7 +28,14 @@ from bridgescript.errors import (
 from bridgescript.convert import Converter
 from bridgescript.inbound import InboundBridge, ScriptWrapper
 from bridgescript.interp import Interpreter
-from bridgescript.objects import NIL, Table, table_get, table_set
+from bridgescript.nodes import K
+from bridgescript.objects import (
+    NIL,
+    NativeFunction,
+    Table,
+    table_get,
+    table_set,
+)
 from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
     FLOAT,
@@ -469,3 +476,68 @@ def test_runaway_recursion_through_the_bridge_is_a_stack_overflow(interp):
     # the interpreter still works afterwards
     interp.run("function t:hello() return 'ok' end")
     assert w.invoke_method("hello", []) == "ok"
+
+
+# ------------------------------------------------- host calls of any arity
+
+# A listener's actionPerformed(ev) and a speaker's nullary hello, as
+# script functions of 0 to 3 parameters: each sees self and the host's
+# arguments padded with nil or cut to its parameters.
+LISTENERS = (("", 'seen = "none"'),
+             ("self", "seen = self.tag"),
+             ("self, ev", 'seen = self.tag .. "," .. tostring(ev.source == src)'),
+             ("self, ev, x", 'seen = self.tag .. "," .. '
+                             'tostring(ev.source == src) .. "," .. type(x)'))
+SPEAKERS = (("", 'return "none"'),
+            ("self", "return self.tag"),
+            ("self, a", 'return self.tag .. "," .. type(a)'),
+            ("self, a, b", 'return self.tag .. "," .. type(a) .. "," .. type(b)'))
+
+
+def _generated(fn) -> bool:
+    return fn.proto.body.__code__.co_filename.startswith("<")
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_host_calls_reach_script_functions_of_any_arity(interp, n):
+    interp.run('src = hostNewInstance("demo.EventSource")\n'
+               'l = {tag = "t"}\n'
+               'l.actionPerformed = function(%s) %s end\n'
+               "src:addActionListener(l)\n"
+               's = {tag = "t"}\n'
+               "s.hello = function(%s) %s end" % (LISTENERS[n] + SPEAKERS[n]))
+    source = interp.global_value("src").entries["__hostref"]
+    w = interp.inbound.host_export(interp.global_value("s"), "demo.Speaker")
+    call = interp.registry.call_method
+    listened = ("none", "t", "t,true", "t,true,nil")[n]
+    spoken = ("none", "t", "t,nil", "t,nil,nil")[n]
+    listener = table_get(interp.global_value("l"), "actionPerformed")
+    hello = table_get(interp.global_value("s"), "hello")
+    for i in range(K + 2):  # the first call on closures, the last generated
+        interp.define_global("seen", NIL)
+        call(source, "fireAction", [])
+        assert interp.global_value("seen") == listened
+        assert call(w, "hello", []) == spoken
+        assert w.invoke_method("hello", []) == spoken
+        if i == 0:
+            assert not _generated(listener) and not _generated(hello)
+    assert _generated(listener) and _generated(hello)
+
+
+def test_host_calls_reach_native_functions(interp):
+    got = []
+    interp.run('src = hostNewInstance("demo.EventSource")\nl = {}\ns = {}')
+    listener, speaker = (interp.global_value(n) for n in "ls")
+    listener.entries["actionPerformed"] = NativeFunction(
+        lambda args: got.append(args) or [], "native")
+    speaker.entries["hello"] = NativeFunction(
+        lambda args: got.append(args) or ["native"], "native")
+    interp.run("src:addActionListener(l)")
+    source = interp.global_value("src").entries["__hostref"]
+    w = interp.inbound.host_export(speaker, "demo.Speaker")
+    interp.registry.call_method(source, "fireAction", [])
+    assert interp.registry.call_method(w, "hello", []) == "native"
+    (me, ev), (you,) = got
+    assert me is listener and you is speaker
+    assert ev.entries["__hostref"].class_name == "demo.ActionEvent"
+    assert ev.entries["__hostref"].fields["source"] is source

@@ -29,7 +29,14 @@ from bridgescript.errors import (
     TypeMismatch,
 )
 from bridgescript.inbound import InboundBridge
-from bridgescript.objects import NIL, NativeFunction, Table, table_get
+from bridgescript.nodes import K
+from bridgescript.objects import (
+    NIL,
+    NativeFunction,
+    Table,
+    set_fallback,
+    table_get,
+)
 from bridgescript.outbound import ELEMENTS, OutboundBridge
 from bridgescript.registry import (
     FLOAT,
@@ -98,6 +105,83 @@ def test_distinct_instances_get_distinct_proxies(interp):
     a, b = interp.global_value("a"), interp.global_value("b")
     assert a is not b
     assert a.entries["__hostref"] is not b.entries["__hostref"]
+
+
+# ----------------------------------------------------------- proxy identity
+
+
+def _shared_box_world(out):
+    """A registry whose static field Holder.it holds one Box, the Box,
+    and two interpreters over the registry."""
+    reg = HostRegistry()
+    reg.register_class(HostClassDescriptor(
+        name="Box", fields={"v": FieldSpec(FLOAT)}))
+    reg.register_class(HostClassDescriptor(
+        name="Holder", fields={"it": FieldSpec(ClassTag("Box"), static=True)}))
+    reg.freeze()
+    box = reg.instantiate("Box", [])
+    reg.resolve_field("Holder", "it")[1]["it"] = box
+    its = [Interpreter(reg, out=out) for _ in range(2)]
+    for it in its:
+        it.run('H = hostBindClass("Holder")\n'
+               'function get() return H.it end\n'
+               'function peek() return H.it.v end')
+    return reg, box, its
+
+
+def test_interpreters_over_one_registry_keep_their_own_proxies(out):
+    _, box, (a, b) = _shared_box_world(out)
+    pa, pb = a.run("return get()")[0], b.run("return get()")[0]
+    assert pa is not pb
+    assert pa.entries["__hostref"] is pb.entries["__hostref"] is box
+    assert pa.index_handler.__self__ is a.outbound
+    assert pb.index_handler.__self__ is b.outbound
+    for _ in range(3):  # interleaved reads keep each one's proxy
+        assert a.run("return get()")[0] is pa
+        assert b.run("return get()")[0] is pb
+    assert a.converter.to_script(box) is pa
+    assert b.converter.to_script(box) is pb
+    for _ in range(2):
+        a.run("return peek()")
+    for _ in range(5):
+        b.run("return peek()")
+    assert a.outbound.stats.fires(pa, "v") == 2
+    assert b.outbound.stats.fires(pb, "v") == 5
+
+
+def test_interpreters_that_come_and_go_leave_nothing_on_a_shared_value(out):
+    reg, box, its = _shared_box_world(out)
+    del its
+    for _ in range(50):
+        it = Interpreter(reg, out=out)
+        it.run('local v = hostBindClass("Holder").it.v')
+        del it
+        gc.collect()
+    assert len(box.proxies) <= 1
+
+
+def test_replaced_fallback_keeps_the_proxy(interp):
+    interp.run('p = hostNewInstance("Point")\n'
+               'function seen(t, k) return "seen " .. k end')
+    p = interp.global_value("p")
+    set_fallback(p, "index", interp.global_value("seen"))
+    ref = p.entries["__hostref"]
+    assert interp.converter.to_script(ref) is p
+    assert interp.run("return p.x") == ["seen x"]
+
+
+def test_proxy_dropped_while_the_host_keeps_the_value(interp):
+    interp.run('p = hostNewInstance("Point")\np:move(1, 2)')
+    kept = [interp.global_value("p").entries["__hostref"]]
+    dropped = weakref.ref(interp.global_value("p"))
+    interp.run("p = nil")
+    gc.collect()
+    assert dropped() is None
+    q = interp.converter.to_script(kept[0])
+    assert q.entries["__hostref"] is kept[0]
+    interp.define_global("q", q)
+    assert interp.run("q:move(1, 1) return q.x, q.y") == [2.0, 3.0]
+    assert interp.converter.to_script(kept[0]) is q
 
 
 # --------------------------------------------------- dispatch closure caching
@@ -745,8 +829,12 @@ def test_the_bridge_holds_nothing_per_dropped_proxy(interp):
     gc.collect()
     assert interp.outbound.stats.fallback_fires == {
         ("Point", "x"): 2000, ("Point", "move"): 2000}
-    assert not [p for p in interp.converter._proxies.values()
-                if p.entries["__hostref"].class_name == "Point"]
+    # every proxy, and with it every Point, was collected
+    assert not [o for o in gc.get_objects() if o.__class__ is Table
+                and o.entries.get("__hostref").__class__ is HostObject
+                and o.entries["__hostref"].class_name == "Point"]
+    assert not [o for o in gc.get_objects() if o.__class__ is HostObject
+                and o.class_name == "Point"]
 
 
 def test_reads_of_missing_keys_add_no_fire_counts(interp):
@@ -789,6 +877,43 @@ def test_host_integer_beyond_script_numbers_is_a_script_error(out):
         it.run("x = b:big()")
     with pytest.raises(HostException, match="does not conform"):
         it.run("x = b:bigf()")
+
+
+@pytest.mark.parametrize("read", ["p.x", "S.s", "p.ns[1]"])
+def test_a_value_that_is_no_host_value_is_a_script_error(out, read):
+    # host code broke a field's or an element's tag; validate_invokes is
+    # off, so the script's read is where it shows
+    reg = HostRegistry()
+    reg.register_class(HostClassDescriptor(
+        name="Spoilt",
+        fields={"x": FieldSpec(FLOAT), "s": FieldSpec(FLOAT, static=True),
+                "ns": FieldSpec(ArrayTag(INTEGER))},
+        methods={"spoil": [MethodDescriptor(
+            "spoil", (), VOID, False,
+            lambda self: self.fields.update(x=[1]))]}))
+    reg.freeze()
+    it = Interpreter(reg, out=out)
+    it.run('p = hostNewInstance("Spoilt")\nS = hostBindClass("Spoilt")\n'
+           f'function f()\n\n  return {read}\nend')
+    obj = it.global_value("p").entries["__hostref"]
+    obj.fields["ns"] = reg.array_new(INTEGER, 1)
+    statics = reg.resolve_field("Spoilt", "s")[1]
+    f = it.global_value("f")
+    for hot in (False, True):
+        if hot:
+            for _ in range(K + 1):
+                f.invoke([])
+            assert f.proto.body.__code__.co_filename.startswith("<")
+        it.run("p:spoil()")
+        statics["s"] = [1]
+        stray = obj.fields["ns"].elements[0] = object()
+        with pytest.raises(TypeMismatch) as e:
+            f.invoke([])
+        bad = stray if read == "p.ns[1]" else [1]
+        assert e.value.message == f"not a host value: {bad!r}"
+        assert e.value.line == 5
+        obj.fields["x"] = statics["s"] = 0.0
+        obj.fields["ns"].elements[0] = 0
 
 
 # -------------------------------------------------------------- call sites

@@ -32,7 +32,6 @@ from bridgescript.manifest import (
 )
 from bridgescript.objects import NativeFunction, Table
 from bridgescript.registry import (
-    BOOLEAN,
     FLOAT,
     INTEGER,
     TEXT,
