@@ -9,9 +9,10 @@ Member tables.  The index and newindex fallbacks find a key in a member
 table: one for the instance members and one for the static members of
 each class, shared by every proxy of that class.  A member is built on
 its first use after freeze(), once per (class, member).  A field gets a
-bound getter and a bound setter, the setter with its tag's conversion
-and check fixed when it is built; a method gets one call site.  Host
-arrays get one element setter per element tag.  Getters read the host on
+bound getter and a bound setter, the getter with its tag's reader and
+the setter with its tag's conversion and check, each fixed when it is
+built; a method gets one call site.  Host arrays get one element setter
+and one element reader per element tag.  Getters read the host on
 every access: field values and array elements are never cached, so
 scripts always see current host state.  A key that names no member is
 refused, and neither remembered nor counted in DispatchStats.
@@ -23,21 +24,31 @@ on a proxy stores the shared dispatcher into the proxy under that name
 and returns it, so the fallback fires once per method per proxy, and
 p.move == p.move holds before any call, as on a plain table.  The
 dispatcher refers to no proxy, so the proxy table is the only state the
-bridge keeps per proxy.
+bridge keeps per proxy.  Its body is chosen by receiver kind when the
+member is built, so no call branches on that.  A method with one
+overload, all of whose slots are FLOAT, TEXT or BOOLEAN, gets a
+dispatcher generated from source, one spelling per arity and receiver
+kind: a call with arguments of the slots' classes and, for an instance
+method, a receiver of the declaring class itself runs the invoker at
+once; any other call goes to the general dispatcher, which decides it
+through the call site with the same errors.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
 number, fractional number, string, boolean, nil, host class name, array
-element tag, plain table).  The site returns the chosen overload's
-record and the arguments converted for its slots.  A method's record
-is its registry invoker, whether it is void and the class of results
-that pass back as they are; a constructor's is its invoker.  A method
-whose one overload is nullary skips the site when called with no
-arguments.  The invoker runs the body, wraps host errors as
-HostException and checks the result against the return tag; the result
-goes back through to_script.  NoMatch and Ambiguous are never cached; a
-plain table is wrapped on every call.  A static method called with ':'
-is told to call it with '.'.
+element tag, plain table), or by the arguments' classes where every
+slot is FLOAT, TEXT or BOOLEAN (convert.site_shape), since those alone
+decide such a call and its arguments pass as they are.  The site
+returns the chosen overload's record and the arguments converted for
+its slots.  A method's record is its registry invoker, whether it is
+void and the class of results that pass back as they are; a
+constructor's is its invoker.  A method whose one overload is nullary
+refuses arguments as one that "takes no arguments".  The invoker runs
+the body, wraps host errors as HostException and checks the result
+against the return tag; the result goes back through to_script.
+NoMatch and Ambiguous are never cached; a plain table is wrapped on
+every call.  A static method called with ':' is told to call it with
+'.'.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing, and their bounds errors name the index
@@ -47,7 +58,7 @@ expose instance members.
 """
 
 from collections import defaultdict
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     NoMatch,
@@ -56,7 +67,7 @@ from .errors import (
     ReservedField,
     TypeMismatch,
 )
-from .convert import shape
+from .convert import site_shape
 from .objects import NativeFunction, Table, render
 from .registry import (
     AS_IS,
@@ -118,10 +129,9 @@ class OutboundBridge:
         # fallback_fires keys; class name -> constructors' call_site
         self._element_stores = Memo(lambda tag: self.converter.storer(
             tag, "cannot store into the array"))
-        self._array_keys = Memo(lambda t: ((t, ELEMENTS), (t, "length")))
-        self._constructors = Memo(lambda name: call_site(
-            self.registry.constructors(name), name, self.converter.to_host,
-            shape, self.registry.invokers.__getitem__))
+        self._arrays = Memo(lambda t: (
+            (t, ELEMENTS), (t, "length"), self.converter.reader(t)))
+        self._constructors = Memo(self._constructor_site)
         # every proxy's fallbacks, bound once
         self._index_handler = self.proxy_index
         self._newindex_handler = self.proxy_newindex
@@ -142,6 +152,12 @@ class OutboundBridge:
     def host_bind_class(self, name: str) -> Table:
         return self.converter.class_proxy(name)
 
+    def _constructor_site(self, name: str):
+        """The call site of the constructors of the class name."""
+        cands = self.registry.constructors(name)
+        return call_site(cands, name, self.converter.to_host,
+                         site_shape(cands), self.registry.invokers.__getitem__)
+
     # ------------------------------------------------------------ fallbacks
 
     def proxy_index(self, proxy: Table, key):
@@ -153,11 +169,12 @@ class OutboundBridge:
                     i = int(key) - 1
                     elements = ref.elements
                     if 0 <= i < len(elements):
-                        fires[self._array_keys[ref.elem_tag][0]] += 1
-                        return self.converter.to_script(elements[i])
+                        fires_key, _, script = self._arrays[ref.elem_tag]
+                        fires[fires_key] += 1
+                        return script(elements[i])
                     raise index_error(render(key), len(elements))
             elif key == "length":
-                fires[self._array_keys[ref.elem_tag][1]] += 1
+                fires[self._arrays[ref.elem_tag][1]] += 1
                 return float(len(ref.elements))
             raise NoSuchMember("array", render(key))
         m = self._member(ref, key)
@@ -214,20 +231,20 @@ class OutboundBridge:
         raise NoSuchMember(cname, key)
 
     def _field(self, cname: str, key: str, tag, static: bool) -> _Member:
-        to_script = self.converter.to_script
+        script = self.converter.reader(tag)
         store = self.converter.storer(
             tag, f"cannot store into {cname}.{key}")
         if static:
             _, values = self.registry.resolve_field(cname, key)
 
             def read(proxy, ref):
-                return to_script(values[key])
+                return script(values[key])
 
             def write(ref, v):
                 values[key] = store(v)
         else:
             def read(proxy, ref):
-                return to_script(ref.fields[key])
+                return script(ref.fields[key])
 
             def write(ref, v):
                 ref.fields[key] = store(v)
@@ -237,21 +254,37 @@ class OutboundBridge:
         conv = self.converter
         reg = self.registry
         stats = self.stats
-        # each overload's record: its invoker, is it void, and the class
-        # of results that pass back as they are
-        select = call_site(cands, cname, conv.to_host, shape, lambda m: (
-            reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns)))
-        to_script = conv.to_script
-        # a method whose one overload is nullary skips the call site
-        nullary = select(_EMPTY)[0] if len(cands) == 1 \
-            and not cands[0].params else None
 
-        def dispatch(args: list) -> list:
-            stats.dispatches += 1
-            if static:
-                receiver = None
-                nargs = len(args)
-            else:
+        def record(m):
+            """An overload's invoker, is it void, and the class of its
+            results that pass back as they are."""
+            return reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns)
+        shape = site_shape(cands)
+        select = call_site(cands, cname, conv.to_host, shape, record)
+        to_script = conv.to_script
+        # how a method whose one overload is nullary refuses arguments
+        no_args = f"{cname}.{key} takes no arguments" \
+            if len(cands) == 1 and not cands[0].params else None
+
+        if static:
+            def dispatch(args: list) -> list:
+                stats.dispatches += 1
+                try:
+                    (invoke, void, as_is), args = select(args)
+                except NoMatch as e:
+                    if no_args:
+                        e = NoMatch(no_args)
+                    if args and args[0] is conv.class_proxy(cname):
+                        e = NoMatch(f"{e}; {key!r} is static, "
+                                    f"call it with '.'")
+                    raise e from None
+                r = invoke(None, args)
+                if void:
+                    return _EMPTY
+                return [r if r.__class__ is as_is else to_script(r)]
+        else:
+            def dispatch(args: list) -> list:
+                stats.dispatches += 1
                 receiver = args[0].entries.get("__hostref") \
                     if args and args[0].__class__ is Table else None
                 if receiver.__class__ is not HostObject:
@@ -263,26 +296,25 @@ class OutboundBridge:
                     raise ReceiverMismatch(
                         f"method {key!r} of {cname!r} called on "
                         f"a {receiver.class_name!r}")
-                nargs = len(args) - 1
-            try:
-                # the commonest call, nullary, is spared the slice and site
-                if nullary is None:
-                    (invoke, void, as_is), args = select(
-                        args if static else args[1:])
-                elif nargs:
-                    raise NoMatch(f"{cname}.{key} takes no arguments")
-                else:
-                    invoke, void, as_is = nullary
-                    args = _EMPTY
-            except NoMatch as e:
-                if static and args and args[0] is conv.class_proxy(cname):
-                    raise NoMatch(f"{e}; {key!r} is static, "
-                                  f"call it with '.'") from None
-                raise
-            r = invoke(receiver, args)
-            if void:
-                return _EMPTY
-            return [r if r.__class__ is as_is else to_script(r)]
+                try:
+                    (invoke, void, as_is), args = select(args[1:])
+                except NoMatch:
+                    if no_args:
+                        raise NoMatch(no_args) from None
+                    raise
+                r = invoke(receiver, args)
+                if void:
+                    return _EMPTY
+                return [r if r.__class__ is as_is else to_script(r)]
+
+        if len(cands) == 1 and shape is type:
+            # a lone overload of FLOAT, TEXT and BOOLEAN slots is the
+            # verdict for arguments of their classes: such calls skip
+            # the call site
+            m = cands[0]
+            dispatch = _lone_form(static, len(m.params))(
+                stats, cname, dispatch, *record(m), to_script,
+                *(AS_IS[t] for t in m.params))
 
         shared = NativeFunction(dispatch, key)
 
@@ -293,6 +325,45 @@ class OutboundBridge:
         def write(ref, v):
             raise _unassignable(key, cname, static)
         return _Member((cname, key), read, write)
+
+
+# The dispatcher of a method with one overload whose slots are all
+# FLOAT, TEXT or BOOLEAN, for one spelling of its arity and receiver
+# kind.  A call whose arguments are of the slots' classes and, for an
+# instance method, whose receiver is an object of the declaring class
+# itself is that overload's: it runs the invoker at once.  Any other
+# call goes to the method's general dispatcher, which decides it as
+# the call site does.
+_LONE = """def lone(stats, cname, general, invoke, void, as_is, to_script{classes}):
+    def dispatch(args):
+        if len(args) == {n}{guard}:
+            stats.dispatches += 1
+            r = invoke({receiver}, {passed})
+            if void:
+                return _EMPTY
+            return [r if r.__class__ is as_is else to_script(r)]
+        return general(args)
+    return dispatch
+"""
+
+
+@cache  # one per spelling, shared by every bridge
+def _lone_form(static: bool, n: int):
+    first = 0 if static else 1  # where the arguments start
+    guard = "".join(f" and args[{first + i}].__class__ is c{i}"
+                    for i in range(n))
+    if not static:
+        guard += (" and args[0].__class__ is Table and (receiver := "
+                  "args[0].entries.get('__hostref')).__class__ is HostObject"
+                  " and receiver.class_name == cname")
+    source = _LONE.format(
+        classes="".join(f", c{i}" for i in range(n)), n=first + n,
+        guard=guard, receiver="None" if static else "receiver",
+        passed="args" if static else "args[1:]" if n else "_EMPTY")
+    env = {"_EMPTY": _EMPTY, "HostObject": HostObject, "Table": Table}
+    exec(compile(source, f"<dispatch {'static' if static else 'method'} "
+                         f"{n}>", "exec"), env)
+    return env["lone"]
 
 
 def _unassignable(key: str, cname: str, static: bool) -> TypeMismatch:

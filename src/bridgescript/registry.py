@@ -26,7 +26,9 @@ keeps no refusal.  The cache remembers, per shape, the winner's record
 and whether the front kept the arguments as they were; a hit of any
 other shape converts them again through the front, so only to_host and
 score_host know how a value converts.  A site whose one overload is
-nullary returns that overload's record for no arguments at once.
+nullary returns that overload's record for no arguments at once.  A
+class-keyed site keys by the arguments' classes, where they alone
+decide the verdict and the front keeps every value it accepts.
 
 invokers[m] is the one way a native body runs, for calls from either
 side: host errors become HostException and a RecursionError the
@@ -51,7 +53,6 @@ build (an undeclared method, say) stores nothing.
 
 import functools
 import inspect
-import itertools
 import operator
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -76,7 +77,6 @@ from .errors import (
     UnknownBase,
 )
 
-_uid = itertools.count(1).__next__
 _FLOAT_MAX = sys.float_info.max
 # The argument shape of an integral float, script or host, and of a host
 # int inside the float range.
@@ -184,31 +184,29 @@ class HostObject:
     script first sees the object; then it maps each converter's token to
     a weak reference to that interpreter's live proxy (see convert)."""
 
-    __slots__ = ("class_name", "fields", "uid", "proxies", "__weakref__")
+    __slots__ = ("class_name", "fields", "proxies", "__weakref__")
 
     def __init__(self, class_name: str, fields: dict):
         self.class_name = class_name
         self.fields = fields
-        self.uid = _uid()
         self.proxies = None
 
     def __repr__(self) -> str:
-        return f"{self.class_name}#{self.uid}"
+        return f"{self.class_name}#{id(self)}"
 
 
 class HostArray:
     """A host array of elem_tag elements; proxies as on HostObject."""
 
-    __slots__ = ("elem_tag", "elements", "uid", "proxies", "__weakref__")
+    __slots__ = ("elem_tag", "elements", "proxies", "__weakref__")
 
     def __init__(self, elem_tag, elements: list):
         self.elem_tag = elem_tag
         self.elements = elements
-        self.uid = _uid()
         self.proxies = None
 
     def __repr__(self) -> str:
-        return f"{self.elem_tag!r}[{len(self.elements)}]#{self.uid}"
+        return f"{self.elem_tag!r}[{len(self.elements)}]#{id(self)}"
 
 
 class ScriptWrapper:
@@ -302,7 +300,11 @@ def call_site(cands, owner: str, front, shape, record):
     verdicts for up to SHAPES_PER_SITE argument shapes remembered.  Values
     of one shape must score alike on every tag, and front must either
     keep every one of them or convert every one.  A site whose one
-    candidate is nullary returns its record for no arguments at once."""
+    candidate is nullary returns its record for no arguments at once.
+    A class-keyed site passes type as shape, which costs less than a
+    shape function: it suits candidates on whose slots front's verdict
+    hangs on a value's class alone and keeps the value as it is, as
+    to_host's does on FLOAT, TEXT and BOOLEAN slots."""
     records = {m: record(m) for m in cands}  # built once per candidate
     nullary = len(cands) == 1 and not cands[0].params
     only = records[cands[0]] if nullary else None

@@ -123,3 +123,13 @@ def decide(registry, cands, args):
     if len(top) > 1:
         return ("ambiguous", None)
     return ("selected", top[0])
+
+
+def receives(registry, v, name: str) -> bool:
+    """Can the script value v be the receiver of an instance method of
+    class name: a proxy of an object of name or of a strict subclass."""
+    if type(v) is not Table:
+        return False
+    ref = v.entries.get("__hostref")
+    return type(ref) is HostObject and (
+        ref.class_name == name or _walks_up_to(registry, ref.class_name, name))

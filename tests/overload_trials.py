@@ -8,7 +8,8 @@ acceptance gate.  run_host_trials does the same for host values: the
 registry's choice for them must equal the referee's choice for the
 script values to_script makes of them.  run_site_trials drives calls
 through the outbound bridge's warm call sites, whose shape caches must
-not change any verdict; run_host_site_trials does the same for the
+not change any verdict, and run_method_trials does the same for instance
+methods called with ':' on receivers of every kind; run_host_site_trials does the same for the
 registry's host-side sites behind call_method, on host objects and on
 wrappers, and instantiate.
 """
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from bridgescript.convert import Converter
-from bridgescript.errors import Ambiguous, NoMatch
+from bridgescript.errors import Ambiguous, NoMatch, ReceiverMismatch
 from bridgescript.inbound import InboundBridge
 from bridgescript.objects import NIL, NativeFunction, Table, table_get
 from bridgescript.outbound import OutboundBridge
@@ -199,18 +200,20 @@ def run_host_trials(trials: int, seed: int = 20261018):
     return agree, trials, example
 
 
-def site_class(name: str, sites: dict, seen: list) -> HostClassDescriptor:
-    """A class of static methods, one per site name, each overload of
-    which returns a label naming itself, "name[tags]", and appends its
-    tags and the host arguments it got to seen."""
+def site_class(name: str, sites: dict, seen: list,
+               static: bool = True) -> HostClassDescriptor:
+    """A class of static methods, or instance methods if not static, one
+    per site name, each overload of which returns a label naming itself,
+    "name[tags]", and appends its tags and the host arguments it got
+    (after the receiver) to seen."""
     def body(label, sig):
         def run(*args):
-            seen.append((sig, args))
+            seen.append((sig, args if static else args[1:]))
             return label
         return run
     return HostClassDescriptor(name=name, methods={
-        f: [MethodDescriptor(f, sig, TEXT, True, body(f"{f}{list(sig)!r}",
-                                                      sig))
+        f: [MethodDescriptor(f, sig, TEXT, static,
+                             body(f"{f}{list(sig)!r}", sig))
             for sig in sigs]
         for f, sigs in sites.items()})
 
@@ -282,6 +285,71 @@ def run_site_trials(calls: int, seed: int = 20261019, sites: int = 6):
             agree += 1
         elif example is None:
             example = (name, args, want, got)
+    return agree, calls, example
+
+
+def run_method_trials(calls: int, seed: int = 20261021, sites: int = 6):
+    """run_site_trials for instance methods called with ':'.  The class
+    ora.Methods has lone overloads of FLOAT, TEXT and BOOLEAN slots of
+    arity 0, 1 and 2, and `sites` random overload sets, half of them of
+    those slots only; ora.MethodsKid inherits them all.  Each call takes
+    the dispatcher from a proxy of either class and passes as receiver a
+    proxy of either, of the unrelated ora.Base, or a plain table.  It
+    must raise ReceiverMismatch where the receiver is no object of the
+    dispatcher's class or a subclass, else do what the referee decides
+    and pass the chosen body values that fit its tags; and it must count
+    exactly one dispatch.  Returns (agreements, calls, first
+    disagreement)."""
+    rng = random.Random(seed)
+    as_is = (FLOAT, TEXT, BOOLEAN)
+    overloads = {"lone0": [()], "lone1": [(rng.choice(as_is),)],
+                 "lone2": [(rng.choice(as_is), rng.choice(as_is))]}
+    for i in range(sites):
+        tags = as_is if i % 2 == 0 else CORE_TAGS + EXTRA_TAGS
+        overloads[f"f{i}"] = sorted(
+            {tuple(rng.choice(tags) for _ in range(rng.randint(0, 2)))
+             for _ in range(rng.randint(1, 4))}, key=repr)
+    seen = []
+    reg, conv = build_world(
+        site_class("ora.Methods", overloads, seen, static=False),
+        HostClassDescriptor(name="ora.MethodsKid", base="ora.Methods"))
+    stats = conv.proxy_factory.__self__.stats
+    pool = value_pool(reg, conv)
+    fits = {tag: [v for v in pool
+                  if oracle.score_value(reg, v, tag) is not None]
+            for tag in CORE_TAGS + EXTRA_TAGS}
+    owners = ("ora.Methods", "ora.MethodsKid")
+    receivers = [conv.to_script(reg.instantiate(n, []))
+                 for n in (*owners, "ora.Base")] + [Table()]
+    names = sorted(overloads)
+    agree = 0
+    example = None
+    for _ in range(calls):
+        name = rng.choice(names)
+        k = rng.randrange(2)
+        owner = owners[k]
+        receiver = receivers[k] if rng.random() < 0.6 \
+            else rng.choice(receivers)
+        sig = rng.choice(overloads[name])
+        if rng.random() < 0.1:  # any arity, any values
+            sig = (None,) * rng.randint(0, 2)
+        args = [rng.choice(fits[tag] if tag in fits and rng.random() < 0.75
+                           else pool)
+                for tag in sig]
+        if oracle.receives(reg, receiver, owner):
+            want = site_decide(reg, owner, name, args)
+        else:
+            want = ("receiver", None)
+        before = stats.dispatches
+        try:
+            got = site_call(table_get(receivers[k], name), [receiver, *args])
+        except ReceiverMismatch:
+            got = ("receiver", None)
+        if got == want and stats.dispatches == before + 1 and (
+                got[0] != "selected" or converted_as_declared(reg, seen)):
+            agree += 1
+        elif example is None:
+            example = (owner, name, receiver, args, want, got)
     return agree, calls, example
 
 

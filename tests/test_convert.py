@@ -200,10 +200,10 @@ def test_proxy_identity_under_random_interleaving(world):
     reg, conv = world
     rng = random.Random(7)
     objs = [reg.instantiate("ora.Base", []) for _ in range(20)]
-    first = {o.uid: conv.to_script(o) for o in objs}
+    first = {id(o): conv.to_script(o) for o in objs}
     for _ in range(1000):
         o = rng.choice(objs)
-        assert conv.to_script(o) is first[o.uid]
+        assert conv.to_script(o) is first[id(o)]
 
 
 def test_wrapper_proxy_involution(world):

@@ -195,6 +195,20 @@ def test_missing_args_are_nil(bare_interp, out):
     assert run(bare_interp, out, src) == "nil\n"
 
 
+def test_invoke_pads_and_cuts_to_every_parameter_count(bare_interp):
+    # functions of 0-4 parameters, each returning them all, called on
+    # closures with 0-5 arguments: missing ones are nil, extra ones cut
+    for n in range(5):
+        params = ", ".join(f"p{i}" for i in range(n))
+        f = bare_interp.run(f"return function({params}) "
+                            f"return {params or 'nil'} end")[0]
+        for given in range(6):
+            args = [float(i) for i in range(given)]
+            want = (args + [NIL] * n)[:n] if n else [NIL]
+            assert f.invoke(args) == want, (n, given)
+            assert len(args) == given  # the caller's list is left alone
+
+
 def test_call_returns_first_value_in_expression(bare_interp, out):
     src = "function f() return 1, 2 end x = f() print(x)"
     assert run(bare_interp, out, src) == "1\n"

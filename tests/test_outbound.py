@@ -39,6 +39,7 @@ from bridgescript.objects import (
 )
 from bridgescript.outbound import ELEMENTS, OutboundBridge
 from bridgescript.registry import (
+    BOOLEAN,
     FLOAT,
     INTEGER,
     SHAPES_PER_SITE,
@@ -57,6 +58,7 @@ from bridgescript.registry import (
 from overload_trials import (
     build_world,
     converted_as_declared,
+    run_method_trials,
     run_site_trials,
     site_call,
     site_class,
@@ -879,6 +881,49 @@ def test_host_integer_beyond_script_numbers_is_a_script_error(out):
         it.run("x = b:bigf()")
 
 
+def test_reads_convert_by_tag(out):
+    # each field and element reader is chosen by its tag; a value of the
+    # tag's own class passes, an int of an integer slot becomes a float,
+    # and anything else converts as to_script would convert it
+    reg = HostRegistry()
+    tags = {"f": FLOAT, "t": TEXT, "b": BOOLEAN, "i": INTEGER,
+            "c": ClassTag("Tagged")}
+    reg.register_class(HostClassDescriptor(name="Tagged", fields={
+        "a": FieldSpec(ArrayTag(INTEGER)),
+        **{k: FieldSpec(tag) for k, tag in tags.items()},
+        **{f"s{k}": FieldSpec(tag, static=True) for k, tag in tags.items()}}))
+    reg.freeze()
+    it = Interpreter(reg, out=out)
+    it.run('o = hostNewInstance("Tagged")\nS = hostBindClass("Tagged")\n'
+           "function get(k) return o[k], S['s' .. k] end\n"
+           "function at(i) return o.a[i] end")
+    obj = it.global_value("o").entries["__hostref"]
+    statics = reg.resolve_field("Tagged", "sf")[1]
+    arr = obj.fields["a"] = reg.array_new(INTEGER, 1)
+    get, at = it.global_value("get"), it.global_value("at")
+    proxy = it.global_value("o")
+    for host, script in ((2.5, 2.5), (7, 7.0), ("s", "s"), (True, True),
+                         (None, NIL), (obj, proxy)):
+        for k in tags:
+            obj.fields[k] = statics[f"s{k}"] = host
+            for _ in range(2):
+                got = get.invoke([k])
+                assert got == [script, script] and all(
+                    type(v) is type(script) for v in got), (k, host)
+        arr.elements[0] = host
+        assert at.invoke([1.0]) == [script]
+        assert type(at.invoke([1.0])[0]) is type(script)
+    for k in ("i", "f"):
+        obj.fields[k] = 10**400
+        with pytest.raises(TypeMismatch) as e:
+            get.invoke([k])
+        assert e.value.message == "host integer too large for a script number"
+    arr.elements[0] = 10**400
+    with pytest.raises(TypeMismatch, match="too large") as e:
+        at.invoke([1.0])
+    assert e.value.line == 4
+
+
 @pytest.mark.parametrize("read", ["p.x", "S.s", "p.ns[1]"])
 def test_a_value_that_is_no_host_value_is_a_script_error(out, read):
     # host code broke a field's or an element's tag; validate_invokes is
@@ -922,6 +967,105 @@ def test_a_value_that_is_no_host_value_is_a_script_error(out, read):
 def test_call_sites_agree_with_referee():
     agree, total, example = run_site_trials(3_000)
     assert (agree, total) == (3_000, 3_000), example
+
+
+def test_instance_dispatchers_agree_with_referee():
+    agree, total, example = run_method_trials(3_000)
+    assert (agree, total) == (3_000, 3_000), example
+
+
+# ------------------------------------------------------- dispatcher edges
+
+_SETUP = """m = hostBindClass("demo.MathUtil")
+p = hostNewInstance("Point")
+c = hostNewInstance("bench.Counter")
+b = hostNewInstance("demo.Button")
+comp = hostNewInstance("demo.Component")
+"""
+
+
+def _outcome(f):
+    try:
+        return f.invoke([])
+    except BridgeScriptError as e:
+        return type(e), e.message, e.line
+
+
+def _on_both_tiers(interp, cases):
+    """Each (body, outcome) of cases as the body of a script function,
+    its second line, called on closures and then, after K more calls,
+    as generated code: outcome is the values returned or (error class,
+    message, line)."""
+    interp.run(_SETUP)
+    for body, want in cases:
+        interp.run(f"function f()\n{body}\nend")
+        f = interp.global_value("f")
+        assert _outcome(f) == want, body
+        for _ in range(K):
+            _outcome(f)
+        assert f.proto.body.__code__.co_filename.startswith("<")
+        assert _outcome(f) == want, body
+
+
+def test_refused_overload_call_is_not_remembered(interp, monkeypatch):
+    interp.run(_SETUP)
+    resolved = []
+    real = registry.resolve_overload
+    monkeypatch.setattr(registry, "resolve_overload",
+                        lambda *a: resolved.append(a) or real(*a))
+    refused = (NoMatch, "no overload of demo.MathUtil.describe accepts "
+               "these arguments", 2)
+    for body, want, resolutions in (
+            ("m.describe(true)", refused, 1),
+            ("return m.describe(2)", ["number 2"], 2),
+            ("m.describe(true)", refused, 3),  # resolved again
+            ("return m.describe(2)", ["number 2"], 3)):  # remembered
+        interp.run(f"function f()\n{body}\nend")
+        assert _outcome(interp.global_value("f")) == want
+        assert len(resolved) == resolutions
+
+
+def test_dispatcher_refusals_keep_their_texts(interp):
+    _on_both_tiers(interp, [
+        ("p:move(1)", (NoMatch, "no overload of Point.move accepts these "
+                       "arguments", 2)),
+        ('p:move(1, "2")', (NoMatch, "no overload of Point.move accepts "
+                            "these arguments", 2)),
+        ("c:inc(1)", (NoMatch, "bench.Counter.inc takes no arguments", 2)),
+        ("m:twice(2)", (NoMatch, "NoMatch: no overload of "
+                        "demo.MathUtil.twice accepts these arguments; "
+                        "'twice' is static, call it with '.'", 2)),
+        ("m:describe(2)", (NoMatch, "NoMatch: no overload of "
+                           "demo.MathUtil.describe accepts these "
+                           "arguments; 'describe' is static, call it with "
+                           "'.'", 2)),
+        ("m.twice(1, 2)", (NoMatch, "no overload of demo.MathUtil.twice "
+                           "accepts these arguments", 2)),
+        ("c.inc()", (ReceiverMismatch, "method 'inc' needs a host "
+                     "receiver; call it with ':'", 2)),
+        ("p.move(1, 2)", (ReceiverMismatch, "method 'move' needs a host "
+                          "receiver; call it with ':'", 2)),
+        ("local f = c.inc return f(b)", (
+            ReceiverMismatch, "method 'inc' of 'bench.Counter' called on "
+            "a 'demo.Button'", 2)),
+    ])
+
+
+def test_base_class_methods_work_on_subclass_proxies(interp):
+    _on_both_tiers(interp, [
+        # Button's own member, and the base's dispatcher on a Button
+        ('b.id = "btn" return b:describe()', ["component:btn"]),
+        ("local f = comp.describe return f(b)", ["component:btn"]),
+        ("local f = comp.describe return f(comp)", ["component:"]),
+    ])
+
+
+def test_dispatchers_are_shared_values(interp):
+    _on_both_tiers(interp, [
+        ("local a = hostNewInstance('bench.Counter')\n"
+         "return p.move == p.move, a.inc == c.inc, m.twice == m.twice",
+         [True, True, True]),
+    ])
 
 
 def test_warm_site_wraps_each_plain_table():
