@@ -10,8 +10,6 @@ converted value is read, so scoring overloads wraps nothing.
 
 to_script goes the other way; a registry.ScriptWrapper becomes the
 table it wraps, and a value that is no host value is a TypeMismatch.
-reader(tag) is to_script for the values a slot of tag holds, with the
-commonest ones, of the slot's own class, converted inline.
 A host object or array gets one proxy table per interpreter while that
 proxy lives.  The value itself remembers it: its proxies slot maps each
 converter's token, an object() made with the converter, to a weak
@@ -168,27 +166,6 @@ class Converter:
                 raise error(f"{refusal}: {r.reason}")
             return r.value
         return store
-
-    def reader(self, tag):
-        """read(h) -> the script value to_script makes of h, a value a
-        slot of tag holds: one of the slot's own class passes as it is,
-        an int of an integer slot becomes a float, and anything else, an
-        int too large for a script number say, goes through to_script."""
-        to_script = self.to_script
-        as_is = AS_IS.get(tag)
-        if as_is is not None:
-            return lambda h: h if h.__class__ is as_is else to_script(h)
-        if tag is not INTEGER:
-            return to_script
-
-        def read(h):
-            if h.__class__ is int:
-                try:
-                    return float(h)
-                except OverflowError:
-                    pass
-            return to_script(h)
-        return read
 
     # ------------------------------------------------------- host to script
 

@@ -104,18 +104,7 @@ class Closure:
         n = p.nparams
         if len(args) != n:
             args = args[:n] + [NIL] * (n - len(args))
-        # up to three arguments are passed one by one: a star call costs
-        # about half as much again
-        if n == 1:
-            r = p.body(self.globals, self.upvals, args[0])
-        elif n == 2:
-            r = p.body(self.globals, self.upvals, args[0], args[1])
-        elif n == 0:
-            r = p.body(self.globals, self.upvals)
-        elif n == 3:
-            r = p.body(self.globals, self.upvals, args[0], args[1], args[2])
-        else:
-            r = p.body(self.globals, self.upvals, *args)
+        r = p.body(self.globals, self.upvals, *args)
         return _EMPTY if r is None else r
 
     def __repr__(self) -> str:

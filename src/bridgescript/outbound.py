@@ -9,10 +9,9 @@ Member tables.  The index and newindex fallbacks find a key in a member
 table: one for the instance members and one for the static members of
 each class, shared by every proxy of that class.  A member is built on
 its first use after freeze(), once per (class, member).  A field gets a
-bound getter and a bound setter, the getter with its tag's reader and
-the setter with its tag's conversion and check, each fixed when it is
-built; a method gets one call site.  Host arrays get one element setter
-and one element reader per element tag.  Getters read the host on
+bound getter and a bound setter, the setter with its tag's conversion
+and check fixed when it is built; a method gets one call site.  Host
+arrays get one element setter per element tag.  Getters read the host on
 every access: field values and array elements are never cached, so
 scripts always see current host state.  A key that names no member is
 refused, and neither remembered nor counted in DispatchStats.
@@ -24,14 +23,13 @@ on a proxy stores the shared dispatcher into the proxy under that name
 and returns it, so the fallback fires once per method per proxy, and
 p.move == p.move holds before any call, as on a plain table.  The
 dispatcher refers to no proxy, so the proxy table is the only state the
-bridge keeps per proxy.  Its body is chosen by receiver kind when the
-member is built, so no call branches on that.  A method with one
-overload, all of whose slots are FLOAT, TEXT or BOOLEAN, gets a
-dispatcher generated from source, one spelling per arity and receiver
-kind: a call with arguments of the slots' classes and, for an instance
-method, a receiver of the declaring class itself runs the invoker at
-once; any other call goes to the general dispatcher, which decides it
-through the call site with the same errors.
+bridge keeps per proxy.  A method with one overload, all of whose
+slots are FLOAT, TEXT or BOOLEAN, gets a dispatcher generated from
+source, one spelling per arity and receiver kind: a call with arguments
+of the slots' classes and, for an instance method, a receiver of the
+declaring class itself runs the invoker at once; any other call goes to
+the general dispatcher, which decides it through the call site with the
+same errors.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -129,8 +127,7 @@ class OutboundBridge:
         # fallback_fires keys; class name -> constructors' call_site
         self._element_stores = Memo(lambda tag: self.converter.storer(
             tag, "cannot store into the array"))
-        self._arrays = Memo(lambda t: (
-            (t, ELEMENTS), (t, "length"), self.converter.reader(t)))
+        self._array_keys = Memo(lambda t: ((t, ELEMENTS), (t, "length")))
         self._constructors = Memo(self._constructor_site)
         # every proxy's fallbacks, bound once
         self._index_handler = self.proxy_index
@@ -169,12 +166,11 @@ class OutboundBridge:
                     i = int(key) - 1
                     elements = ref.elements
                     if 0 <= i < len(elements):
-                        fires_key, _, script = self._arrays[ref.elem_tag]
-                        fires[fires_key] += 1
-                        return script(elements[i])
+                        fires[self._array_keys[ref.elem_tag][0]] += 1
+                        return self.converter.to_script(elements[i])
                     raise index_error(render(key), len(elements))
             elif key == "length":
-                fires[self._arrays[ref.elem_tag][1]] += 1
+                fires[self._array_keys[ref.elem_tag][1]] += 1
                 return float(len(ref.elements))
             raise NoSuchMember("array", render(key))
         m = self._member(ref, key)
@@ -231,20 +227,20 @@ class OutboundBridge:
         raise NoSuchMember(cname, key)
 
     def _field(self, cname: str, key: str, tag, static: bool) -> _Member:
-        script = self.converter.reader(tag)
+        to_script = self.converter.to_script
         store = self.converter.storer(
             tag, f"cannot store into {cname}.{key}")
         if static:
             _, values = self.registry.resolve_field(cname, key)
 
             def read(proxy, ref):
-                return script(values[key])
+                return to_script(values[key])
 
             def write(ref, v):
                 values[key] = store(v)
         else:
             def read(proxy, ref):
-                return script(ref.fields[key])
+                return to_script(ref.fields[key])
 
             def write(ref, v):
                 ref.fields[key] = store(v)
@@ -266,25 +262,11 @@ class OutboundBridge:
         no_args = f"{cname}.{key} takes no arguments" \
             if len(cands) == 1 and not cands[0].params else None
 
-        if static:
-            def dispatch(args: list) -> list:
-                stats.dispatches += 1
-                try:
-                    (invoke, void, as_is), args = select(args)
-                except NoMatch as e:
-                    if no_args:
-                        e = NoMatch(no_args)
-                    if args and args[0] is conv.class_proxy(cname):
-                        e = NoMatch(f"{e}; {key!r} is static, "
-                                    f"call it with '.'")
-                    raise e from None
-                r = invoke(None, args)
-                if void:
-                    return _EMPTY
-                return [r if r.__class__ is as_is else to_script(r)]
-        else:
-            def dispatch(args: list) -> list:
-                stats.dispatches += 1
+        def dispatch(args: list) -> list:
+            stats.dispatches += 1
+            if static:
+                receiver = None
+            else:
                 receiver = args[0].entries.get("__hostref") \
                     if args and args[0].__class__ is Table else None
                 if receiver.__class__ is not HostObject:
@@ -296,16 +278,19 @@ class OutboundBridge:
                     raise ReceiverMismatch(
                         f"method {key!r} of {cname!r} called on "
                         f"a {receiver.class_name!r}")
-                try:
-                    (invoke, void, as_is), args = select(args[1:])
-                except NoMatch:
-                    if no_args:
-                        raise NoMatch(no_args) from None
-                    raise
-                r = invoke(receiver, args)
-                if void:
-                    return _EMPTY
-                return [r if r.__class__ is as_is else to_script(r)]
+                args = args[1:]
+            try:
+                (invoke, void, as_is), args = select(args)
+            except NoMatch as e:
+                if no_args:
+                    e = NoMatch(no_args)
+                if static and args and args[0] is conv.class_proxy(cname):
+                    e = NoMatch(f"{e}; {key!r} is static, call it with '.'")
+                raise e from None
+            r = invoke(receiver, args)
+            if void:
+                return _EMPTY
+            return [r if r.__class__ is as_is else to_script(r)]
 
         if len(cands) == 1 and shape is type:
             # a lone overload of FLOAT, TEXT and BOOLEAN slots is the

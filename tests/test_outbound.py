@@ -882,9 +882,9 @@ def test_host_integer_beyond_script_numbers_is_a_script_error(out):
 
 
 def test_reads_convert_by_tag(out):
-    # each field and element reader is chosen by its tag; a value of the
-    # tag's own class passes, an int of an integer slot becomes a float,
-    # and anything else converts as to_script would convert it
+    # a field or element read of any tag gives what to_script makes of
+    # the value: a float, string or boolean passes, an int becomes a
+    # float, and one too large for a script number is refused
     reg = HostRegistry()
     tags = {"f": FLOAT, "t": TEXT, "b": BOOLEAN, "i": INTEGER,
             "c": ClassTag("Tagged")}
