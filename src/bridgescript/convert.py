@@ -6,7 +6,9 @@ proxy of a strict subclass, a plain table wrapped as an interface or
 class).  Everything else is Incompatible, which is a result rather than
 an error.  to_host is the script-value front end of the overload rule,
 registry.resolve_overload.  A plain table is wrapped only when its
-converted value is read, so scoring overloads wraps nothing.
+converted value is read, so scoring overloads wraps nothing.  Tags come
+checked (by freeze, or array_new): a plain table fits every interface
+slot, and a class slot whose class has a zero-argument constructor.
 
 to_script goes the other way; a registry.ScriptWrapper becomes the
 table it wraps, and a value that is no host value is a TypeMismatch.
@@ -25,7 +27,7 @@ one entry more than the value has live proxies.
 import weakref
 from functools import partial
 
-from .errors import ClassNotFound, NotFrozen, TypeMismatch
+from .errors import TypeMismatch
 from .objects import NIL, Table, type_name
 from .registry import (
     AS_IS,
@@ -103,7 +105,7 @@ class Converter:
             if v.__class__ is Table:
                 ref = v.entries.get("__hostref")
                 if ref is None:
-                    if self._wrappable(tag.name, "class"):
+                    if self.registry.has_default_constructor(tag.name):
                         return _Wrapping(partial(self.auto_wrap, v, tag.name))
                     return Incompatible(
                         f"{tag.name!r} cannot back a plain table")
@@ -121,9 +123,7 @@ class Converter:
             if v is NIL:
                 return Converted(None, 1)
             if v.__class__ is Table and "__hostref" not in v.entries:
-                if self._wrappable(tag.name, "interface"):
-                    return _Wrapping(partial(self.auto_wrap, v, tag.name))
-                return Incompatible(f"{tag.name!r} is not a known interface")
+                return _Wrapping(partial(self.auto_wrap, v, tag.name))
             return Incompatible(
                 f"expected a {tag.name!r} implementation, got {type_name(v)}")
         if isinstance(tag, ArrayTag):
@@ -137,17 +137,6 @@ class Converter:
             return Incompatible(
                 f"expected an array of {tag.elem!r}, got {type_name(v)}")
         return Incompatible(f"no value converts to {tag!r}")
-
-    def _wrappable(self, name: str, want_kind: str) -> bool:
-        try:
-            flat = self.registry.lookup_class(name)
-        except (ClassNotFound, NotFrozen):
-            return False
-        if flat.kind != want_kind:
-            return False
-        if want_kind == "class":
-            return self.registry.has_default_constructor(name)
-        return True
 
     def storer(self, tag, refusal: str, error=TypeMismatch):
         """store(v) -> what a slot of tag holds for the script value v, as
@@ -213,23 +202,13 @@ class Converter:
         return proxy
 
 
-def site_shape(cands) -> object:
-    """The shape a call site over to_host keys its verdicts by: type,
-    the value's class, when every slot of cands is FLOAT, TEXT or
-    BOOLEAN, since to_host keeps a value of such a slot's class and
-    refuses any other; else shape."""
-    if all(tag in AS_IS for m in cands for tag in m.params):
-        return type
-    return shape
-
-
 def shape(v):
     """v's row in to_host's rule: integral number, fractional number,
     string, boolean, nil, host class name, array element tag or plain
     table.  Values of one shape get the same score in every slot, and
     to_host either keeps every one of them or converts every one.  Class
     proxies fit no slot and share the shape None; other values, closures
-    say, fit none either."""
+    say, fit none either.  Every outbound call site keys by it."""
     cls = v.__class__
     if cls is float:
         return INTEGRAL if v.is_integer() else float

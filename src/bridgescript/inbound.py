@@ -29,9 +29,10 @@ plumbing, not a script-level store.
 
 Wrappers (registry.ScriptWrapper) are cached per (table, target type),
 so converting the same table twice yields the same host identity.  The
-cache holds wrappers weakly; a table exported again after its wrapper
-was collected gets a new wrapper over the instance its "__base" already
-holds.
+cache holds wrappers weakly, keyed by the table's id(): a wrapper holds
+its table, so no other table has that id while the entry lives.  A
+table exported again after its wrapper was collected gets a new wrapper
+over the instance its "__base" already holds.
 """
 
 import weakref
@@ -78,7 +79,7 @@ class InboundBridge:
             raise ProxyNotExportable(
                 "host proxies cannot be exported back to the host")
         flat = self.registry.lookup_class(target_type)
-        key = (t.uid, target_type)
+        key = (id(t), target_type)
         w = self._wrappers.get(key)
         if w is not None:
             return w

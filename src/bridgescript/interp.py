@@ -99,7 +99,7 @@ class Interpreter:
             if not args or args[0].__class__ is not str:
                 raise ScriptRuntimeError(
                     "hostBindClass expects a class name")
-            return [outb.host_bind_class(args[0])]
+            return [self.converter.class_proxy(args[0])]
 
         def _export(args: list) -> list:
             if len(args) < 2 or args[1].__class__ is not str:

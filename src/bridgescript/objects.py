@@ -29,13 +29,13 @@ its own methods; set_fallback wraps a script function once, when it is
 installed, so only there does a fallback meet the list protocol.
 Handler implementations and bridge internals store through raw_set,
 which never triggers handlers.
-"""
 
-import itertools
+Tables and closures print as their id(), as host values do, so two
+that live at once never print alike.
+"""
 
 from .errors import KeyIsNil, NotCallable, ScriptRuntimeError
 
-_uid = itertools.count(1).__next__
 _MISS = object()
 _EMPTY: list = []  # shared no-results list; treated as read-only everywhere
 
@@ -54,16 +54,15 @@ NIL = NilType()
 
 
 class Table:
-    __slots__ = ("entries", "index_handler", "newindex_handler", "uid", "__weakref__")
+    __slots__ = ("entries", "index_handler", "newindex_handler", "__weakref__")
 
     def __init__(self):
         self.entries: dict = {}
         self.index_handler = None
         self.newindex_handler = None
-        self.uid = _uid()
 
     def __repr__(self) -> str:
-        return f"table: 0x{self.uid:08x}"
+        return f"table: 0x{id(self):08x}"
 
 
 class Proto:
@@ -90,13 +89,12 @@ class Closure:
     upvals holds the cells of enclosing locals the body uses.
     """
 
-    __slots__ = ("proto", "upvals", "globals", "uid", "__weakref__")
+    __slots__ = ("proto", "upvals", "globals", "__weakref__")
 
     def __init__(self, proto: Proto, upvals: tuple, globals: dict):
         self.proto = proto
         self.upvals = upvals
         self.globals = globals
-        self.uid = _uid()
 
     def invoke(self, args: list) -> list:
         """Call with args padded with nil or cut to the parameters."""
@@ -108,7 +106,7 @@ class Closure:
         return _EMPTY if r is None else r
 
     def __repr__(self) -> str:
-        return f"function: 0x{self.uid:08x}"
+        return f"function: 0x{id(self):08x}"
 
 
 class NativeFunction:

@@ -34,25 +34,23 @@ same errors.
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
 number, fractional number, string, boolean, nil, host class name, array
-element tag, plain table), or by the arguments' classes where every
-slot is FLOAT, TEXT or BOOLEAN (convert.site_shape), since those alone
-decide such a call and its arguments pass as they are.  The site
-returns the chosen overload's record and the arguments converted for
-its slots.  A method's record is its registry invoker, whether it is
-void and the class of results that pass back as they are; a
-constructor's is its invoker.  A method whose one overload is nullary
-refuses arguments as one that "takes no arguments".  The invoker runs
-the body, wraps host errors as HostException and checks the result
-against the return tag; the result goes back through to_script.
-NoMatch and Ambiguous are never cached; a plain table is wrapped on
-every call.  A static method called with ':' is told to call it with
-'.'.
+element tag, plain table).  The site returns the chosen overload's
+record and the arguments converted for its slots.  A method's record is
+its registry invoker, whether it is void and the class of results that
+pass back as they are; a constructor's is its invoker.  A method whose
+one overload is nullary refuses arguments as one that "takes no
+arguments".  The invoker runs the body, wraps host errors as
+HostException and checks the result against the return tag; the result
+goes back through to_script.  NoMatch and Ambiguous are never cached; a
+plain table is wrapped on every call.  A static method called with ':'
+is told to call it with '.'.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing, and their bounds errors name the index
 the script used; they have a read-only "length".  Class proxies
 expose static fields and static methods the same way instance proxies
-expose instance members.
+expose instance members; an instance proxy knows no static name, and
+reading or storing one raises NoSuchMember.
 """
 
 from collections import defaultdict
@@ -65,7 +63,7 @@ from .errors import (
     ReservedField,
     TypeMismatch,
 )
-from .convert import site_shape
+from .convert import shape
 from .objects import NativeFunction, Table, render
 from .registry import (
     AS_IS,
@@ -146,14 +144,11 @@ class OutboundBridge:
         invoke, args = self._constructors[name](script_args)
         return self.converter.to_script(invoke(None, args))
 
-    def host_bind_class(self, name: str) -> Table:
-        return self.converter.class_proxy(name)
-
     def _constructor_site(self, name: str):
         """The call site of the constructors of the class name."""
         cands = self.registry.constructors(name)
         return call_site(cands, name, self.converter.to_host,
-                         site_shape(cands), self.registry.invokers.__getitem__)
+                         shape, self.registry.invokers.__getitem__)
 
     # ------------------------------------------------------------ fallbacks
 
@@ -193,16 +188,7 @@ class OutboundBridge:
             if key == "length":
                 raise TypeMismatch("array length is read-only")
             raise NoSuchMember("array", render(key))
-        try:
-            m = self._member(ref, key)
-        except NoSuchMember:
-            # an instance proxy refuses a store to a static method's name
-            # as it does to an instance method's
-            if ref.__class__ is HostObject and key in self.registry \
-                    .lookup_class(ref.class_name).methods:
-                raise _unassignable(key, ref.class_name, False) from None
-            raise
-        m.write(ref, value)
+        self._member(ref, key).write(ref, value)
 
     # --------------------------------------------------------- member tables
 
@@ -255,7 +241,6 @@ class OutboundBridge:
             """An overload's invoker, is it void, and the class of its
             results that pass back as they are."""
             return reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns)
-        shape = site_shape(cands)
         select = call_site(cands, cname, conv.to_host, shape, record)
         to_script = conv.to_script
         # how a method whose one overload is nullary refuses arguments
@@ -285,14 +270,15 @@ class OutboundBridge:
                 if no_args:
                     e = NoMatch(no_args)
                 if static and args and args[0] is conv.class_proxy(cname):
-                    e = NoMatch(f"{e}; {key!r} is static, call it with '.'")
+                    e = NoMatch(f"{e.message}; {key!r} is static, "
+                                f"call it with '.'")
                 raise e from None
             r = invoke(receiver, args)
             if void:
                 return _EMPTY
             return [r if r.__class__ is as_is else to_script(r)]
 
-        if len(cands) == 1 and shape is type:
+        if len(cands) == 1 and all(t in AS_IS for t in cands[0].params):
             # a lone overload of FLOAT, TEXT and BOOLEAN slots is the
             # verdict for arguments of their classes: such calls skip
             # the call site

@@ -33,6 +33,7 @@ from bridgescript.objects import (
     NIL,
     NativeFunction,
     Table,
+    set_fallback,
     table_get,
     table_set,
 )
@@ -176,6 +177,24 @@ def test_method_removed_after_export_falls_back(interp):
     assert w.invoke_method("bye", []) == "mine"
     interp.run("t.bye = nil")
     assert w.invoke_method("bye", []) == "goodbye"
+
+
+def test_method_supplied_by_the_index_fallback_is_seen(interp):
+    interp.run("t = {}\n"
+               "one = function(t, k) return function(self) "
+               "return k .. ':one' end end\n"
+               "two = function(t, k) return function(self) "
+               "return k .. ':two' end end\n"
+               "none = function(t, k) return nil end")
+    t = interp.global_value("t")
+    w = interp.inbound.host_export(t, "demo.Greeter")
+    set_fallback(t, "index", interp.global_value("one"))
+    assert w.invoke_method("hello", []) == "hello:one"
+    set_fallback(t, "index", interp.global_value("two"))
+    assert w.invoke_method("hello", []) == "hello:two"
+    # a class target falls through to the backing instance on nil
+    set_fallback(t, "index", interp.global_value("none"))
+    assert w.invoke_method("hello", []) == "hello"
 
 
 def test_class_without_default_constructor():

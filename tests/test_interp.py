@@ -73,6 +73,17 @@ def test_tostring(bare_interp, out):
         "nil\t12\n"
 
 
+def test_tostring_of_tables_and_functions(bare_interp, out):
+    printed = run(bare_interp, out,
+                  "local a = {}\nlocal b = {}\n"
+                  "print(tostring(a), tostring(b), tostring(function() end))"
+                  ).rstrip("\n").split("\t")
+    assert printed[0].startswith("table: 0x")
+    assert printed[1].startswith("table: 0x")
+    assert printed[0] != printed[1]
+    assert printed[2].startswith("function: 0x")
+
+
 # ----------------------------------------------------------------- scoping
 
 def test_chunk_locals_do_not_leak(bare_interp, out):

@@ -400,6 +400,18 @@ def test_static_nullary_method_called_with_colon_hints_at_dot():
     tick.fn([])
 
 
+def test_static_method_colon_hint_names_its_error_class_once():
+    desc = HostClassDescriptor(name="Clock", methods={"tick": [
+        MethodDescriptor("tick", (), VOID, True, lambda: None)]})
+    reg, outb, conv = _world(desc)
+    clock = conv.class_proxy("Clock")
+    tick = outb.proxy_index(clock, "tick")
+    with pytest.raises(NoMatch) as e:
+        tick.fn([clock])
+    assert e.value.message == ("Clock.tick takes no arguments; 'tick' is "
+                               "static, call it with '.'")
+
+
 def test_subclass_receiver_is_accepted(interp, out):
     # Button sits two levels below Component in the chain
     interp.run('comp = javaNewInstance("demo.Component")\n'
@@ -592,6 +604,11 @@ def test_instance_proxy_hides_static_members(interp):
     interp.run('m = javaNewInstance("demo.MathUtil")')
     with pytest.raises(NoSuchMember):
         interp.run("m.twice(3)")
+    interp.run('m = hostNewInstance("demo.MathUtil")')
+    for stmt in ("x = m.twice", "m.twice = 1"):
+        with pytest.raises(NoSuchMember) as e:
+            interp.run(f"local y = 1\n{stmt}")
+        assert e.value.line == 2, stmt
 
 
 def test_class_proxy_write_errors(interp):
@@ -1032,10 +1049,10 @@ def test_dispatcher_refusals_keep_their_texts(interp):
         ('p:move(1, "2")', (NoMatch, "no overload of Point.move accepts "
                             "these arguments", 2)),
         ("c:inc(1)", (NoMatch, "bench.Counter.inc takes no arguments", 2)),
-        ("m:twice(2)", (NoMatch, "NoMatch: no overload of "
+        ("m:twice(2)", (NoMatch, "no overload of "
                         "demo.MathUtil.twice accepts these arguments; "
                         "'twice' is static, call it with '.'", 2)),
-        ("m:describe(2)", (NoMatch, "NoMatch: no overload of "
+        ("m:describe(2)", (NoMatch, "no overload of "
                            "demo.MathUtil.describe accepts these "
                            "arguments; 'describe' is static, call it with "
                            "'.'", 2)),

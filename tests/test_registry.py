@@ -32,6 +32,7 @@ from bridgescript.manifest import (
 )
 from bridgescript.objects import NativeFunction, Table
 from bridgescript.registry import (
+    BOOLEAN,
     FLOAT,
     INTEGER,
     TEXT,
@@ -587,6 +588,23 @@ def test_array_element_type(demo):
         demo.array_set(a, 0, "x")
     with pytest.raises(IndexOutOfBounds):
         demo.array_new(FLOAT, -1)
+
+
+def test_array_new_checks_its_element_tag(demo):
+    with pytest.raises(ClassNotFound):
+        demo.array_new(ClassTag("nope"), 2)
+    with pytest.raises(DescriptorError):
+        demo.array_new(ClassTag("demo.ActionListener"), 2)
+    with pytest.raises(DescriptorError):
+        demo.array_new(InterfaceTag("demo.Frame"), 2)
+    with pytest.raises(ClassNotFound):
+        demo.array_new(ArrayTag(ClassTag("nope")), 2)
+    for tag, zero in ((BOOLEAN, False), (INTEGER, 0), (FLOAT, 0.0),
+                      (TEXT, ""), (ClassTag("demo.Frame"), None),
+                      (InterfaceTag("demo.ActionListener"), None),
+                      (ArrayTag(INTEGER), None)):
+        a = demo.array_new(tag, 2)
+        assert a.elem_tag == tag and a.elements == [zero, zero]
 
 
 # --------------------------------------------------------------- manifests

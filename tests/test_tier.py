@@ -103,6 +103,8 @@ CASES = {
     "compare_mixed": ("return a < b", 1.0, "x"),
     "compare_literal_right": ("\nreturn a < 'x'", 1.0),
     "compare_bools": ("return a <= b", True, False),
+    "compare_known_left": ("return 3 < a, 'x' >= b", 5.0, "w"),
+    "compare_known_left_error": ("\nreturn 3 < a", "s"),
     "equality": ("return a == b, a ~= b, a == nil, nil == a, a == 1, "
                  "a == 'x', a == true, {} == {}, b == b", 1.0, "1"),
     "equality_nan": ("local n = 0 / 0\nreturn n == n, n ~= n",),
@@ -161,6 +163,8 @@ CASES = {
     "upvalues": ("local x = 1\nlocal f = function()\n"
                  "  return function() x = x + 1 return x end\nend\n"
                  "local g = f()\ng()\nreturn g(), x",),
+    "assign_captured": ("local x = 1\nlocal f = function() return x end\n"
+                        "x = a\nreturn f(), x", 5.0),
     "captured_param": ("local f = function() a = a .. '!' return a end\n"
                        "f()\nreturn f(), a", "p"),
     "local_function_recursion": ("local fact = function(n)\n"
