@@ -294,7 +294,9 @@ class OutboundBridge:
             return shared
 
         def write(ref, v):
-            raise _unassignable(key, cname, static)
+            raise TypeMismatch(
+                f"{key!r} is a {'static method' if static else 'method'} "
+                f"of {cname!r} and cannot be assigned")
         return _Member((cname, key), read, write)
 
 
@@ -335,10 +337,3 @@ def _lone_form(static: bool, n: int):
     exec(compile(source, f"<dispatch {'static' if static else 'method'} "
                          f"{n}>", "exec"), env)
     return env["lone"]
-
-
-def _unassignable(key: str, cname: str, static: bool) -> TypeMismatch:
-    return TypeMismatch(
-        f"{key!r} is a {'static method' if static else 'method'} "
-        f"of {cname!r} and cannot be assigned")
-
