@@ -202,13 +202,23 @@ class Converter:
         return proxy
 
 
+def site_shape(cands) -> object:
+    """The shape a call site over to_host keys its verdicts by: type,
+    the value's class, when every slot of cands is FLOAT, TEXT or
+    BOOLEAN, since to_host keeps a value of such a slot's class and
+    refuses any other; else shape."""
+    if all(tag in AS_IS for m in cands for tag in m.params):
+        return type
+    return shape
+
+
 def shape(v):
     """v's row in to_host's rule: integral number, fractional number,
     string, boolean, nil, host class name, array element tag or plain
     table.  Values of one shape get the same score in every slot, and
     to_host either keeps every one of them or converts every one.  Class
     proxies fit no slot and share the shape None; other values, closures
-    say, fit none either.  Every outbound call site keys by it."""
+    say, fit none either."""
     cls = v.__class__
     if cls is float:
         return INTEGRAL if v.is_integer() else float

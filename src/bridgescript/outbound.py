@@ -34,16 +34,19 @@ same errors.
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
 number, fractional number, string, boolean, nil, host class name, array
-element tag, plain table).  The site returns the chosen overload's
-record and the arguments converted for its slots.  A method's record is
-its registry invoker, whether it is void and the class of results that
-pass back as they are; a constructor's is its invoker.  A method whose
-one overload is nullary refuses arguments as one that "takes no
-arguments".  The invoker runs the body, wraps host errors as
-HostException and checks the result against the return tag; the result
-goes back through to_script.  NoMatch and Ambiguous are never cached; a
-plain table is wrapped on every call.  A static method called with ':'
-is told to call it with '.'.
+element tag, plain table), or by the arguments' classes where every
+slot is FLOAT, TEXT or BOOLEAN (convert.site_shape), since those alone
+decide such a call and its arguments pass as they are.  The site
+returns the chosen overload's record and the arguments converted for
+its slots.  A method's record is its registry invoker, whether it is
+void and the class of results that pass back as they are; a
+constructor's is its invoker.  A method whose one overload is nullary
+refuses arguments as one that "takes no arguments".  The invoker runs
+the body, wraps host errors as HostException and checks the result
+against the return tag; the result goes back through to_script.
+NoMatch and Ambiguous are never cached; a plain table is wrapped on
+every call.  A static method called with ':' is told to call it with
+'.'.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing, and their bounds errors name the index
@@ -63,7 +66,7 @@ from .errors import (
     ReservedField,
     TypeMismatch,
 )
-from .convert import shape
+from .convert import site_shape
 from .objects import NativeFunction, Table, render
 from .registry import (
     AS_IS,
@@ -148,7 +151,7 @@ class OutboundBridge:
         """The call site of the constructors of the class name."""
         cands = self.registry.constructors(name)
         return call_site(cands, name, self.converter.to_host,
-                         shape, self.registry.invokers.__getitem__)
+                         site_shape(cands), self.registry.invokers.__getitem__)
 
     # ------------------------------------------------------------ fallbacks
 
@@ -241,6 +244,7 @@ class OutboundBridge:
             """An overload's invoker, is it void, and the class of its
             results that pass back as they are."""
             return reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns)
+        shape = site_shape(cands)
         select = call_site(cands, cname, conv.to_host, shape, record)
         to_script = conv.to_script
         # how a method whose one overload is nullary refuses arguments
@@ -278,7 +282,7 @@ class OutboundBridge:
                 return _EMPTY
             return [r if r.__class__ is as_is else to_script(r)]
 
-        if len(cands) == 1 and all(t in AS_IS for t in cands[0].params):
+        if len(cands) == 1 and shape is type:
             # a lone overload of FLOAT, TEXT and BOOLEAN slots is the
             # verdict for arguments of their classes: such calls skip
             # the call site

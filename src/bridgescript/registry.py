@@ -25,10 +25,10 @@ site is resolve_overload behind a cache keyed by argument shapes, which
 keeps no refusal.  The cache remembers, per shape, the winner's record
 and whether the front kept the arguments as they were; a hit of any
 other shape converts them again through the front, so only to_host and
-score_host know how a value converts.  Script-side sites key by
-convert.shape and host-side ones by host_shape.  A site whose one
-overload is nullary returns that overload's record for no arguments at
-once.
+score_host know how a value converts.  A site whose one overload is
+nullary returns that overload's record for no arguments at once.  A
+class-keyed site keys by the arguments' classes, where they alone
+decide the verdict and the front keeps every value it accepts.
 
 invokers[m] is the one way a native body runs, for calls from either
 side: host errors become HostException and a RecursionError the
@@ -300,7 +300,11 @@ def call_site(cands, owner: str, front, shape, record):
     verdicts for up to SHAPES_PER_SITE argument shapes remembered.  Values
     of one shape must score alike on every tag, and front must either
     keep every one of them or convert every one.  A site whose one
-    candidate is nullary returns its record for no arguments at once."""
+    candidate is nullary returns its record for no arguments at once.
+    A class-keyed site passes type as shape, which costs less than a
+    shape function: it suits candidates on whose slots front's verdict
+    hangs on a value's class alone and keeps the value as it is, as
+    to_host's does on FLOAT, TEXT and BOOLEAN slots."""
     records = {m: record(m) for m in cands}  # built once per candidate
     nullary = len(cands) == 1 and not cands[0].params
     only = records[cands[0]] if nullary else None
