@@ -26,16 +26,23 @@ KEYWORDS = {
     "if", "local", "nil", "not", "or", "return", "then", "true", "while",
 }
 
-# The text always ends in a newline, which the group's last alternative
-# takes, so a match never backtracks into the skipped blanks and comments.
+# One lexeme per match, after any blanks.  Strings come before numbers,
+# marks that start no longer lexeme before both, and a comment takes the
+# newline that ends it, so it lexes as that newline.  The text always
+# ends in a newline, which the last alternative takes, so no blank or
+# comment is ever left unmatched.
 _TOKEN = re.compile(
-    r"(?:[ \t\r]+|--[^\n]*)*"
+    r"[ \t\r]*"
     r"([A-Za-z_][A-Za-z0-9_]*"
+    r"|[(){}\[\],;:+*/\n]"
+    r"|\"[^\"\\\n]*(?:\\.[^\"\\\n]*)*\""
     r"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-    r"|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'"
-    r"|==|~=|<=|>=|\.\."
+    r"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
+    r"|[=~<>]=?|\.\.?|--[^\n]*\n"
     r"|[^ \t\r])")
 
+# the kinds of the lexemes that make a token
+_KINDS = frozenset((IDENT, NUMBER, STRING, KEYWORD, OP, PUNCT))
 _NEWLINE = "newline"
 _UNTERMINATED = "unterminated"
 
@@ -47,11 +54,11 @@ _FIXED = {
     "\n": _NEWLINE, '"': _UNTERMINATED, "'": _UNTERMINATED,
 }
 
-# first character -> kind, for every other lexeme
+# first character -> kind, for every other lexeme; "-" starts a comment
 _FIRST = {
     **dict.fromkeys(string.ascii_letters + "_", IDENT),
     **dict.fromkeys(string.digits, NUMBER),
-    '"': STRING, "'": STRING,
+    '"': STRING, "'": STRING, "-": _NEWLINE,
 }
 
 
@@ -65,16 +72,16 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
     append = tokens.append
     fixed = _FIXED.get
     first = _FIRST.get
-    newline, unterminated = _NEWLINE, _UNTERMINATED
+    kinds, newline = _KINDS, _NEWLINE
     line = 1
     for text in _TOKEN.findall(source + "\n"):
         kind = fixed(text) or first(text[0])
-        if kind is newline:
+        if kind in kinds:
+            append((kind, text, line))
+        elif kind is newline:
             line += 1
         elif kind is None:
             raise LexError(f"illegal character {text!r}", line)
-        elif kind is unterminated:
-            raise LexError("unterminated string", line)
         else:
-            append((kind, text, line))
+            raise LexError("unterminated string", line)
     return tokens

@@ -69,6 +69,9 @@ _EMPTY: list = []
 LOCAL, CELL, UPVAL, GLOBAL = range(4)
 _GLOBAL = (GLOBAL, None)
 
+# what a compiled call gives: its first value, its value list, or None
+ONE, ALL, NONE = "one", "all", "none"
+
 
 class Scope:
     """Compile-time view of one function body: its slots and upvalues.
@@ -89,13 +92,17 @@ class Scope:
         self.captured = captured
         self.names: dict = {}
         self.shadowed: list = []  # (name, earlier entry or None)
-        self.top = self.size = 2  # frame[0] is globals, frame[1] upvals
+        # frame[0] is globals, frame[1] upvals; size is the largest top
+        # a closed block reached
+        self.top = self.size = 2
         self.sources: list = []
 
     def open(self):
         return self.top, len(self.shadowed)
 
     def close(self, mark) -> None:
+        if self.top > self.size:
+            self.size = self.top
         self.top, n = mark
         names = self.names
         shadowed = self.shadowed
@@ -110,8 +117,6 @@ class Scope:
         """Bind name to a fresh slot until the current block ends."""
         slot = self.top
         self.top = slot + 1
-        if self.top > self.size:
-            self.size = self.top
         entry = (CELL if name in self.captured else LOCAL), slot
         self.shadowed.append((name, self.names.get(name)))
         self.names[name] = entry
@@ -143,10 +148,10 @@ class Node:
 
 # ------------------------------------------------------------- expressions
 
-class NumberLit(Node):
+class _Literal(Node):
     __slots__ = ("value",)
 
-    def __init__(self, value: float, line: int):
+    def __init__(self, value, line: int):
         self.value = value
         self.line = line
 
@@ -158,34 +163,16 @@ class NumberLit(Node):
         return g.literal(self.value)
 
 
-class StringLit(Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
-
-    def compile(self, scope):
-        v = self.value
-        return lambda fr: v
-
-    def gen(self, g):
-        return g.literal(self.value)
+class NumberLit(_Literal):
+    __slots__ = ()
 
 
-class BoolLit(Node):
-    __slots__ = ("value",)
+class StringLit(_Literal):
+    __slots__ = ()
 
-    def __init__(self, value: bool, line: int):
-        self.value = value
-        self.line = line
 
-    def compile(self, scope):
-        v = self.value
-        return lambda fr: v
-
-    def gen(self, g):
-        return g.literal(self.value)
+class BoolLit(_Literal):
+    __slots__ = ()
 
 
 class NilLit(Node):
@@ -214,7 +201,8 @@ class VarExpr(Node):
         self.where = None  # (kind, index), set when compiled
 
     def compile(self, scope):
-        self.where = kind, i = scope.resolve(self.name)
+        self.where = kind, i = (scope.names.get(self.name)
+                                or scope.resolve(self.name))
         if kind == LOCAL:
             return operator.itemgetter(i)
         if kind == CELL:
@@ -313,13 +301,13 @@ class CallExpr(Node):
         self.line = line
         self.name = name
 
-    def compile(self, scope, listed=False):
-        """fr -> the call's value list, which may be None, if listed, else
-        its first value."""
+    def compile(self, scope, want=ONE):
+        """fr -> the call's first value (want ONE), its value list, which
+        may be None (ALL), or None (NONE, a call statement)."""
         line = self.line
         name = self.name
         callee_c = self.callee.compile(scope)
-        args_c = tuple(a.compile(scope) for a in self.args)
+        args_c = [a.compile(scope) for a in self.args]
 
         def call(fr):
             if name is None:
@@ -345,9 +333,9 @@ class CallExpr(Node):
                 raise
             except RecursionError:
                 raise ScriptRuntimeError("stack overflow", line) from None
-            if listed:
-                return vals
-            return vals[0] if vals else NIL
+            if want is ONE:
+                return vals[0] if vals else NIL
+            return vals if want is ALL else None
 
         return call
 
@@ -400,30 +388,26 @@ def _proto(scope, captured: set, params: list, body: "Block", line: int):
     and the upvalue sources of its scope.  The body counts calls and is
     generated as Python source at the K-th."""
     inner = Scope(scope, captured)
-    cells = []  # parameters that nested functions use, boxed on entry
-    for name in params:
-        kind, slot = inner.declare(name)
-        if kind == CELL:
-            cells.append(slot)
-    body_c = body.compile(inner)
+    cells = [slot for kind, slot in map(inner.declare, params) if kind == CELL]
+    body_c = body.sequence(inner)
     n = len(params)
     proto = Proto(None, n)
-    pad = (NIL,) * (inner.size - 2 - n)
+    pad = (NIL,) * (max(inner.size, inner.top) - 2 - n)
     left = K
     # count reaches the body rather than the node, which refers to the
     # proto, and the proto only weakly: with no reference cycle, a
     # dropped function and its tree go at once
     home = weakref.ref(proto)
 
-    def gen_unit(g) -> str:
-        g.block(body)
-        g.lines[:0] = [f"    s{i} = [s{i}]" for i in cells]
-        return ", ".join(["G", "U", *[f"s{i}" for i in range(2, 2 + n)]])
-
     def count(G, U, *args):
         nonlocal left
         left -= 1
         if not left:
+            def gen_unit(g) -> str:
+                g.block(body)
+                g.lines[:0] = [f"    s{i} = [s{i}]" for i in cells]
+                return ", ".join(["G", "U", *[f"s{i}" for i in range(2, 2 + n)]])
+
             hot = _generate(gen_unit, line)
             if hot is not None:
                 home().body = hot  # alive: its caller holds it
@@ -480,8 +464,7 @@ class TableCtor(Node):
         self.line = line
 
     def compile(self, scope):
-        fields_c = tuple((name, expr.compile(scope))
-                         for name, expr in self.fields)
+        fields_c = [(name, expr.compile(scope)) for name, expr in self.fields]
 
         def make(fr):
             t = Table()
@@ -689,17 +672,24 @@ class Block:
         self.stmts = stmts
 
     def compile(self, scope):
-        """Sequence closure; the block's locals go out of scope at its end.
-        A statement too deeply nested to compile, such as a long chain
-        of calls or operators, is a stack overflow at its line."""
+        """The block's sequence closure; its locals go out of scope at its
+        end."""
         mark = scope.open()
+        run = self.sequence(scope)
+        scope.close(mark)
+        return run
+
+    def sequence(self, scope):
+        """Sequence closure, as the whole of a function body or chunk,
+        whose locals end with its scope.  A statement too deeply nested
+        to compile, such as a long chain of calls or operators, is a
+        stack overflow at its line."""
         codes = []
         for s in self.stmts:
             try:
                 codes.append(s.compile_stmt(scope))
             except RecursionError:
                 raise ScriptRuntimeError("stack overflow", s.line) from None
-        scope.close(mark)
         if len(codes) == 1:
             return codes[0]
 
@@ -721,6 +711,8 @@ class ExprStat(Node):
         self.line = line
 
     def compile_stmt(self, scope):
+        if self.expr.__class__ is CallExpr:
+            return self.expr.compile(scope, NONE)
         c = self.expr.compile(scope)
 
         def run(fr):
@@ -746,7 +738,8 @@ class AssignName(Node):
 
     def compile_stmt(self, scope):
         expr_c = self.expr.compile(scope)
-        self.where = kind, i = scope.resolve(self.name)
+        self.where = kind, i = (scope.names.get(self.name)
+                                or scope.resolve(self.name))
         if kind == LOCAL:
             def assign(fr):
                 fr[i] = expr_c(fr)
@@ -885,9 +878,8 @@ class IfStat(Node):
         self.line = line
 
     def compile_stmt(self, scope):
-        clauses_c = tuple(
-            (cond.compile(scope), block.compile(scope))
-            for cond, block in self.clauses)
+        clauses_c = [(cond.compile(scope), block.compile(scope))
+                     for cond, block in self.clauses]
         else_c = (self.else_block.compile(scope)
                   if self.else_block is not None else None)
 
@@ -1109,10 +1101,10 @@ class ReturnStat(Node):
     def compile_stmt(self, scope):
         exprs = self.exprs
         if not exprs or exprs[-1].__class__ is not CallExpr:
-            codes = tuple(e.compile(scope) for e in exprs)
+            codes = [e.compile(scope) for e in exprs]
             return lambda fr: [c(fr) for c in codes]
-        codes = tuple(e.compile(scope) for e in exprs[:-1])
-        last = exprs[-1].compile(scope, listed=True)
+        codes = [e.compile(scope) for e in exprs[:-1]]
+        last = exprs[-1].compile(scope, ALL)
         return lambda fr: [*[c(fr) for c in codes], *(last(fr) or _EMPTY)]
 
     def gen_stmt(self, g):

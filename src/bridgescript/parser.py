@@ -67,6 +67,9 @@ _BINARY = {
 }
 _UNARY = 5
 
+# the marks that may follow an operand: index, method call, call
+_POSTFIX = frozenset(".[:(")
+
 _BLOCK_ENDS = frozenset(("end",))
 _IF_ENDS = frozenset(("elseif", "else", "end"))
 _RETURN_ENDS = frozenset(("end", "else", "elseif", ";", _EOF))
@@ -89,10 +92,8 @@ def parse_source(source: str) -> Chunk:
     return parse(tokenize(source))
 
 
-def _decode_string(lexeme: str, line: int) -> str:
-    body = lexeme[1:-1]
-    if "\\" not in body:
-        return body
+def _decode_string(body: str) -> str:
+    """The text of a string body that holds a backslash."""
     out = []
     i = 0
     n = len(body)
@@ -124,20 +125,23 @@ class _Parser:
         self.tok = self._next()
         return tok
 
-    def _accept(self, text: str) -> tuple | None:
-        if self.tok[1] == text:
-            return self._advance()
-        return None
+    def _accept(self, text: str) -> bool:
+        if self.tok[1] != text:
+            return False
+        self.tok = self._next()
+        return True
 
-    def _expect(self, text: str) -> tuple:
+    def _expect(self, text: str) -> None:
         if self.tok[1] != text:
             self._error(f"'{text}'")
-        return self._advance()
+        self.tok = self._next()
 
     def _name(self) -> str:
-        if self.tok[0] != IDENT:
+        kind, name, _ = self.tok
+        if kind != IDENT:
             self._error(IDENT)
-        return self._advance()[1]
+        self.tok = self._next()
+        return name
 
     def _error(self, expected: str):
         tok = self.tok
@@ -151,25 +155,29 @@ class _Parser:
 
     def _block(self, terminators: frozenset) -> Block:
         stmts = []
-        while self.tok[1] not in terminators and self.tok is not self.end:
-            if not self._accept(";"):
-                stmt = self._statement()
-                stmts.append(stmt)
-                if stmt.__class__ is ReturnStat:
-                    # as in Lua, return (and one ';') ends its block
-                    self._accept(";")
-                    break
+        end = self.end
+        while self.tok[1] not in terminators and self.tok is not end:
+            if self.tok[1] == ";":
+                self.tok = self._next()
+                continue
+            stmt = self._statement()
+            stmts.append(stmt)
+            if stmt.__class__ is ReturnStat:
+                # as in Lua, return (and one ';') ends its block
+                self._accept(";")
+                break
         if self.tok[1] not in terminators:
             self._error("'" + "' or '".join(sorted(terminators)) + "'")
         return Block(stmts)
 
     def _statement(self):
-        line = self.tok[2]
-        keyword = _STATEMENTS.get(self.tok[1])
+        _, word, line = self.tok
+        keyword = _STATEMENTS.get(word)
         if keyword is not None:
             return keyword(self)
         expr = self._expression()
-        if self._accept("="):
+        if self.tok[1] == "=":
+            self.tok = self._next()
             value = self._expression()
             if isinstance(expr, VarExpr):
                 return AssignName(expr.name, value, line)
@@ -179,10 +187,13 @@ class _Parser:
         return ExprStat(expr, line)
 
     def _local_stat(self):
-        line = self._advance()[2]
+        line = self.tok[2]
+        self.tok = self._next()
         name = self._name()
-        expr = self._expression() if self._accept("=") else None
-        return LocalDecl(name, expr, line)
+        if self.tok[1] != "=":
+            return LocalDecl(name, None, line)
+        self.tok = self._next()
+        return LocalDecl(name, self._expression(), line)
 
     def _if_stat(self):
         line = self._advance()[2]
@@ -244,7 +255,10 @@ class _Parser:
         line = self._advance()[2]
         if self.tok[1] in _RETURN_ENDS:
             return ReturnStat([], line)
-        return ReturnStat(self._expression_list(), line)
+        exprs = [self._expression()]
+        while self._accept(","):
+            exprs.append(self._expression())
+        return ReturnStat(exprs, line)
 
     def _funcbody(self):
         """Parameters, body and the names the body's own nested bodies
@@ -269,69 +283,84 @@ class _Parser:
     # ---------------------------------------------------------- expressions
 
     def _expression(self, limit: int = 0):
-        """Parse operators binding tighter than limit, then stop."""
-        if self.tok[1] == "-":
-            line = self._advance()[2]
+        """Parse operators binding tighter than limit, then stop.  The
+        operand's first token picks how it is read; a name, number or
+        string that no postfix mark follows is built here, with no call."""
+        kind, word, line = self.tok
+        if kind == IDENT:
+            self.tok = self._next()
+            self.used.add(word)
+            left = VarExpr(word, line)
+        elif kind == NUMBER:
+            self.tok = self._next()
+            left = NumberLit(float(word), line)
+        elif kind == STRING:
+            self.tok = self._next()
+            word = word[1:-1]
+            if "\\" in word:
+                word = _decode_string(word)
+            left = StringLit(word, line)
+        elif word == "-":
+            self.tok = self._next()
             left = UnaryOp("-", self._expression(_UNARY), line)
         else:
-            left = self._postfix()
-        while True:
-            _, op, line = self.tok
-            strength = _BINARY.get(op, 0)
-            if strength <= limit:
-                return left
-            self._advance()
-            right = self._expression(
-                strength - 1 if op == ".." else strength)
+            left = self._primary()
+        op = self.tok[1]
+        if op in _POSTFIX:
+            left = self._postfix(left)
+            op = self.tok[1]
+        strength = _BINARY.get(op, 0)
+        while strength > limit:
+            line = self.tok[2]
+            self.tok = self._next()
+            right = self._expression(strength - 1 if op == ".." else strength)
             left = BinOp(op, left, right, line)
+            op = self.tok[1]
+            strength = _BINARY.get(op, 0)
+        return left
 
-    def _expression_list(self) -> list:
-        exprs = [self._expression()]
-        while self._accept(","):
-            exprs.append(self._expression())
-        return exprs
-
-    def _postfix(self):
-        expr = self._primary()
+    def _postfix(self, expr):
+        """The index and call marks that follow an operand."""
         while True:
             _, mark, line = self.tok
-            if mark == ".":
-                self._advance()
-                name_line = self.tok[2]
-                expr = IndexExpr(expr, StringLit(self._name(), name_line),
-                                 line)
+            if mark == "(":
+                expr = CallExpr(expr, self._call_args(), line)
+            elif mark == ":" or mark == ".":
+                kind, name, name_line = self.tok = self._next()
+                if kind != IDENT:
+                    self._error(IDENT)
+                self.tok = self._next()
+                if mark == ":":
+                    expr = CallExpr(expr, self._call_args(), line, name)
+                else:
+                    expr = IndexExpr(expr, StringLit(name, name_line), line)
             elif mark == "[":
-                self._advance()
+                self.tok = self._next()
                 key = self._expression()
                 self._expect("]")
                 expr = IndexExpr(expr, key, line)
-            elif mark == ":":
-                self._advance()
-                name = self._name()
-                expr = CallExpr(expr, self._call_args(), line, name)
-            elif mark == "(":
-                expr = CallExpr(expr, self._call_args(), line)
             else:
                 return expr
 
     def _call_args(self) -> list:
-        self._expect("(")
-        args = self._expression_list() if self.tok[1] != ")" else []
-        self._expect(")")
+        if self.tok[1] != "(":
+            self._error("'('")
+        self.tok = self._next()
+        if self.tok[1] == ")":
+            self.tok = self._next()
+            return []
+        args = [self._expression()]
+        while self.tok[1] == ",":
+            self.tok = self._next()
+            args.append(self._expression())
+        if self.tok[1] != ")":
+            self._error("')'")
+        self.tok = self._next()
         return args
 
     def _primary(self):
-        kind, word, line = self.tok
-        if kind == NUMBER:
-            self._advance()
-            return NumberLit(float(word), line)
-        if kind == STRING:
-            self._advance()
-            return StringLit(_decode_string(word, line), line)
-        if kind == IDENT:
-            self._advance()
-            self.used.add(word)
-            return VarExpr(word, line)
+        """An operand that starts with a keyword or a mark."""
+        _, word, line = self.tok
         if word == "nil":
             self._advance()
             return NilLit(line)

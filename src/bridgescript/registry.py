@@ -618,9 +618,15 @@ class HostRegistry:
                 raise DescriptorError(f"{where}: {tag.name!r} is not an interface")
             return
         if isinstance(tag, ArrayTag):
-            self._check_tag(tag.elem, where)
+            self._check_element(tag.elem, where)
             return
         raise DescriptorError(f"{where}: invalid type tag {tag!r}")
+
+    def _check_element(self, tag, where: str) -> None:
+        """An array's element tag: any valid tag but void, at any depth."""
+        if tag is VOID:
+            raise DescriptorError(f"{where}: void is not an element type")
+        self._check_tag(tag, where)
 
     # -------------------------------------------------------------- lookups
 
@@ -807,7 +813,7 @@ class HostRegistry:
     # --------------------------------------------------------------- arrays
 
     def array_new(self, elem_tag, length: int) -> HostArray:
-        self._check_tag(elem_tag, "array element")
+        self._check_element(elem_tag, "array element")
         if not isinstance(length, int) or isinstance(length, bool) or length < 0:
             raise IndexOutOfBounds(f"invalid array length {length!r}")
         return HostArray(elem_tag, [zero_value(elem_tag)] * length)

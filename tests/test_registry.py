@@ -168,6 +168,26 @@ def test_void_field_rejected():
         reg.register_class(desc("A", fields={"x": FieldSpec(VOID)}))
 
 
+@pytest.mark.parametrize("tag", [ArrayTag(VOID), ArrayTag(ArrayTag(VOID))])
+def test_void_array_field_rejected(tag):
+    reg = HostRegistry()
+    reg.register_class(desc("A", fields={"xs": FieldSpec(tag)}))
+    with pytest.raises(DescriptorError) as e:
+        reg.freeze()
+    assert str(e.value) == ("DescriptorError: field A.xs: "
+                            "void is not an element type")
+
+
+def test_void_array_parameter_rejected():
+    reg = HostRegistry()
+    reg.register_class(desc("A", methods={
+        "m": [method("m", (ArrayTag(VOID),), body=lambda s, xs: None)]}))
+    with pytest.raises(DescriptorError) as e:
+        reg.freeze()
+    assert str(e.value) == ("DescriptorError: parameter of A.m: "
+                            "void is not an element type")
+
+
 def test_body_arity_checked_at_registration():
     reg = HostRegistry()
     with pytest.raises(DescriptorError) as e:
@@ -599,6 +619,10 @@ def test_array_new_checks_its_element_tag(demo):
         demo.array_new(InterfaceTag("demo.Frame"), 2)
     with pytest.raises(ClassNotFound):
         demo.array_new(ArrayTag(ClassTag("nope")), 2)
+    for tag in (VOID, ArrayTag(VOID)):
+        with pytest.raises(DescriptorError) as e:
+            demo.array_new(tag, 2)
+        assert e.value.message == "array element: void is not an element type"
     for tag, zero in ((BOOLEAN, False), (INTEGER, 0), (FLOAT, 0.0),
                       (TEXT, ""), (ClassTag("demo.Frame"), None),
                       (InterfaceTag("demo.ActionListener"), None),
