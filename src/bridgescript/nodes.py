@@ -201,16 +201,15 @@ class VarExpr(Node):
         self.where = None  # (kind, index), set when compiled
 
     def compile(self, scope):
-        self.where = kind, i = (scope.names.get(self.name)
-                                or scope.resolve(self.name))
+        name = self.name
+        self.where = kind, i = scope.names.get(name) or scope.resolve(name)
+        if kind == GLOBAL:
+            return lambda fr: fr[0].get(name, NIL)
         if kind == LOCAL:
             return operator.itemgetter(i)
         if kind == CELL:
             return lambda fr: fr[i][0]
-        if kind == UPVAL:
-            return lambda fr: fr[1][i][0]
-        name = self.name
-        return lambda fr: fr[0].get(name, NIL)
+        return lambda fr: fr[1][i][0]
 
     def gen(self, g):
         v = g.variable(self)
@@ -274,17 +273,6 @@ def _call_error(f, line):
     return NotCallable(f"attempt to call a {type_name(f)} value", line)
 
 
-def _method(t, name, line):
-    """What t.name reads for a method call on t: t must be a table, and
-    a name it lacks goes to its index fallback."""
-    if t.__class__ is not Table:
-        raise _index_error(t, line)
-    f = t.entries.get(name, _MISS)
-    if f is _MISS:
-        return _index_fallback(t, name, line)
-    return f
-
-
 class CallExpr(Node):
     """A call.  With a name it is the method call callee:name(args): the
     receiver callee is evaluated once and must be a table, name is
@@ -314,8 +302,14 @@ class CallExpr(Node):
                 f = callee_c(fr)
                 args = []
             else:
+                # the receiver must be a table; a method it lacks comes
+                # from its index fallback
                 t = callee_c(fr)
-                f = _method(t, name, line)
+                if t.__class__ is not Table:
+                    raise _index_error(t, line)
+                f = t.entries.get(name, _MISS)
+                if f is _MISS:
+                    f = _index_fallback(t, name, line)
                 args = [t]
             for c in args_c:
                 args.append(c(fr))
@@ -388,6 +382,7 @@ def _proto(scope, captured: set, params: list, body: "Block", line: int):
     and the upvalue sources of its scope.  The body counts calls and is
     generated as Python source at the K-th."""
     inner = Scope(scope, captured)
+    # parameters that nested functions use, boxed on entry
     cells = [slot for kind, slot in map(inner.declare, params) if kind == CELL]
     body_c = body.sequence(inner)
     n = len(params)
@@ -406,7 +401,8 @@ def _proto(scope, captured: set, params: list, body: "Block", line: int):
             def gen_unit(g) -> str:
                 g.block(body)
                 g.lines[:0] = [f"    s{i} = [s{i}]" for i in cells]
-                return ", ".join(["G", "U", *[f"s{i}" for i in range(2, 2 + n)]])
+                return ", ".join(["G", "U",
+                                  *[f"s{i}" for i in range(2, 2 + n)]])
 
             hot = _generate(gen_unit, line)
             if hot is not None:
@@ -639,6 +635,9 @@ class UnaryOp(Node):
         self.line = line
 
     def compile(self, scope):
+        if self.operand.__class__ is NumberLit:
+            v = -self.operand.value
+            return lambda fr: v
         c = self.operand.compile(scope)
         line = self.line
 

@@ -320,43 +320,40 @@ class _Parser:
         return left
 
     def _postfix(self, expr):
-        """The index and call marks that follow an operand."""
+        """The index and call marks that follow an operand; a call's
+        arguments are read here too."""
         while True:
             _, mark, line = self.tok
-            if mark == "(":
-                expr = CallExpr(expr, self._call_args(), line)
-            elif mark == ":" or mark == ".":
+            name = None
+            if mark == ":" or mark == ".":
                 kind, name, name_line = self.tok = self._next()
                 if kind != IDENT:
                     self._error(IDENT)
                 self.tok = self._next()
-                if mark == ":":
-                    expr = CallExpr(expr, self._call_args(), line, name)
-                else:
+                if mark == ".":
                     expr = IndexExpr(expr, StringLit(name, name_line), line)
+                    continue
+                if self.tok[1] != "(":
+                    self._error("'('")
             elif mark == "[":
                 self.tok = self._next()
                 key = self._expression()
                 self._expect("]")
                 expr = IndexExpr(expr, key, line)
-            else:
+                continue
+            elif mark != "(":
                 return expr
-
-    def _call_args(self) -> list:
-        if self.tok[1] != "(":
-            self._error("'('")
-        self.tok = self._next()
-        if self.tok[1] == ")":
             self.tok = self._next()
-            return []
-        args = [self._expression()]
-        while self.tok[1] == ",":
+            args = []
+            if self.tok[1] != ")":
+                args.append(self._expression())
+                while self.tok[1] == ",":
+                    self.tok = self._next()
+                    args.append(self._expression())
+                if self.tok[1] != ")":
+                    self._error("')'")
             self.tok = self._next()
-            args.append(self._expression())
-        if self.tok[1] != ")":
-            self._error("')'")
-        self.tok = self._next()
-        return args
+            expr = CallExpr(expr, args, line, name)
 
     def _primary(self):
         """An operand that starts with a keyword or a mark."""
