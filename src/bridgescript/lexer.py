@@ -1,12 +1,16 @@
 """Tokenizer for the scripting language.
 
 One findall pass over one pattern lexes the source.  Each match skips
-blanks and comments, then takes an identifier, a number, a closed
-string, a two-character operator or any one non-blank character, a
-newline included.  Its kind comes from the table of fixed lexemes
-(keywords, operators, marks), else from its first character; a newline
-counts a line and makes no token.  Identifiers and numbers are ASCII
-only.  Tokens are plain (kind, lexeme, line) tuples.
+blanks, then takes one lexeme: an identifier, a number, a closed
+string, an operator, a comment with the newline that ends it, or any
+one other non-blank character, a newline included.  Its kind comes
+from the table of fixed lexemes (keywords, operators, marks), else from
+its first character.  A newline, and so a comment, counts a line and
+makes no token; one Python loop turns the rest into tokens, checking
+first whether a lexeme's kind is a token's, so the other kinds (a
+newline, an illegal character, an unterminated string) cost the common
+case nothing.  Identifiers and numbers are ASCII only.  Tokens are
+plain (kind, lexeme, line) tuples.
 """
 
 import re

@@ -6,17 +6,26 @@ once into a closure frame -> value, and each statement into a closure
 frame -> None | list, where a list is the in-flight result of a return
 statement; block runners propagate it upward.
 
-Variables are resolved while compiling, by a Scope per function body.
-Each local, parameter and for variable gets a slot, which later blocks
-reuse once its own block has ended.  A name that no enclosing scope
-declares is a global, read and written straight in the globals dict.
-The parser tells each function body which names its nested functions
-use; a local with such a name lives in its slot as a cell, a
-one-element list, and a nested function copies the cells it needs into
-its closure's upvals when the closure is made.  A local is in scope
-from the statement after its declaration, except that a local whose
-initializer is a function literal is already in scope inside it, so
-local functions can recurse.
+Variables are resolved while compiling, not while parsing, by a Scope
+per function body.  Each local, parameter and for variable gets a slot,
+which later blocks reuse once its own block has ended; a body's own
+statements end with its scope, so only nested blocks mark and restore
+it.  A name that no enclosing scope declares is a global, read and
+written straight in the globals dict.  The first use of a name in a
+body resolves it through the enclosing scopes, and the body keeps the
+answer, so every later use costs one dict lookup.  The parser tells
+each function body which names its nested functions use; a local with
+such a name lives in its slot as a cell, a one-element list, and a
+nested function copies the cells it needs into its closure's upvals
+when the closure is made.  Whether a local is a cell is known only once
+its whole body has been read, which is why the parser does not resolve
+names itself.  A local is in scope from the statement after its
+declaration, except that a local whose initializer is a function
+literal is already in scope inside it, so local functions can recurse.
+
+A call compiles to one closure that gives what its place needs: its
+first value, its value list (the last expression of a return), or
+nothing, as a statement.
 
 A function is entered through its Proto as body(globals, upvals, a1,
 ..., an), which every closure of the literal shares (see objects).  A
@@ -333,11 +342,11 @@ class CallExpr(Node):
 
         return call
 
-    def gen(self, g, listed=False):
-        """The call as statements; the temporary of its value list, which
-        may be None, if listed, else of its first value.  A closure with
-        as many parameters as there are arguments gets its body called
-        directly."""
+    def gen(self, g, want=ONE):
+        """The call as statements; the temporary of its first value, or
+        of its value list, which may be None, for ALL and NONE alike.  A
+        closure with as many parameters as there are arguments gets its
+        body called directly."""
         line = self.line
         f = self.callee.gen(g)
         vals = []
@@ -363,7 +372,7 @@ class CallExpr(Node):
         g.emit("except RecursionError:")
         g.emit(f"    raise ScriptRuntimeError('stack overflow', {line}) "
                f"from None")
-        if listed:
+        if want is not ONE:
             return r
         v = g.temp()
         g.emit(f"{v} = {r}[0] if {r} else NIL")
@@ -721,7 +730,7 @@ class ExprStat(Node):
 
     def gen_stmt(self, g):
         if self.expr.__class__ is CallExpr:
-            self.expr.gen(g, listed=True)
+            self.expr.gen(g, NONE)
         else:
             self.expr.gen(g)
 
@@ -1110,7 +1119,7 @@ class ReturnStat(Node):
         exprs = self.exprs
         vals = [e.gen(g) for e in exprs[:-1]]
         if exprs and exprs[-1].__class__ is CallExpr:
-            vals.append(f"*({exprs[-1].gen(g, listed=True)} or _EMPTY)")
+            vals.append(f"*({exprs[-1].gen(g, ALL)} or _EMPTY)")
         elif exprs:
             vals.append(exprs[-1].gen(g))
         g.emit(f"return [{', '.join(vals)}]" if vals else "return _EMPTY")

@@ -11,11 +11,20 @@ Tokens are the lexer's (kind, lexeme, line) tuples, read by position
 or unpacking.  The parser reads through one cursor, self.tok, over a
 copy of the token list that ends in the sentinel (<eof>, <eof>, line),
 whose lexeme the lexer never produces; the caller's list is left as it
-is.  Keywords, operators and marks are matched by their text alone: no
-identifier, number or string lexeme can equal one.  All binary operators
-are parsed by one loop, _expression, over the binding strengths in
-_BINARY: comparison 1, .. 2 (right associative), + - 3, * / 4; unary
-minus binds tighter than all of them.
+is.  The hot paths move the cursor inline, self.tok = self._next(),
+rather than through a method.  Keywords, operators and marks are
+matched by their text alone: no identifier, number or string lexeme can
+equal one.
+
+An operand's first token picks how it is read, in _expression itself,
+as Pratt's top-down operator precedence parser does (Pratt, POPL 1973):
+a name, number or string becomes its node there, and only a postfix
+mark after it (. [ : or a call's '(') costs a call, to _postfix, which
+also reads call arguments; an operand that starts with a keyword or '('
+or '{' goes to _primary.  All binary operators are then parsed by one
+loop over the binding strengths in _BINARY, as Lua's subexpr does:
+comparison 1, .. 2 (right associative), + - 3, * / 4; unary minus binds
+tighter than all of them.
 
 A colon call recv:name(args) is one CallExpr whose name is set: the
 call evaluates recv once, looks name up in it and passes it first.  A
