@@ -746,8 +746,7 @@ class AssignName(Node):
 
     def compile_stmt(self, scope):
         expr_c = self.expr.compile(scope)
-        self.where = kind, i = (scope.names.get(self.name)
-                                or scope.resolve(self.name))
+        self.where = kind, i = scope.resolve(self.name)
         if kind == LOCAL:
             def assign(fr):
                 fr[i] = expr_c(fr)

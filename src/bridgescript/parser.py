@@ -164,29 +164,25 @@ class _Parser:
 
     def _block(self, terminators: frozenset) -> Block:
         stmts = []
-        end = self.end
-        while self.tok[1] not in terminators and self.tok is not end:
-            if self.tok[1] == ";":
-                self.tok = self._next()
-                continue
-            stmt = self._statement()
-            stmts.append(stmt)
-            if stmt.__class__ is ReturnStat:
-                # as in Lua, return (and one ';') ends its block
-                self._accept(";")
-                break
+        while self.tok[1] not in terminators and self.tok is not self.end:
+            if not self._accept(";"):
+                stmt = self._statement()
+                stmts.append(stmt)
+                if stmt.__class__ is ReturnStat:
+                    # as in Lua, return (and one ';') ends its block
+                    self._accept(";")
+                    break
         if self.tok[1] not in terminators:
             self._error("'" + "' or '".join(sorted(terminators)) + "'")
         return Block(stmts)
 
     def _statement(self):
-        _, word, line = self.tok
-        keyword = _STATEMENTS.get(word)
+        line = self.tok[2]
+        keyword = _STATEMENTS.get(self.tok[1])
         if keyword is not None:
             return keyword(self)
         expr = self._expression()
-        if self.tok[1] == "=":
-            self.tok = self._next()
+        if self._accept("="):
             value = self._expression()
             if isinstance(expr, VarExpr):
                 return AssignName(expr.name, value, line)
@@ -196,13 +192,10 @@ class _Parser:
         return ExprStat(expr, line)
 
     def _local_stat(self):
-        line = self.tok[2]
-        self.tok = self._next()
+        line = self._advance()[2]
         name = self._name()
-        if self.tok[1] != "=":
-            return LocalDecl(name, None, line)
-        self.tok = self._next()
-        return LocalDecl(name, self._expression(), line)
+        expr = self._expression() if self._accept("=") else None
+        return LocalDecl(name, expr, line)
 
     def _if_stat(self):
         line = self._advance()[2]
