@@ -101,17 +101,13 @@ class Scope:
         self.captured = captured
         self.names: dict = {}
         self.shadowed: list = []  # (name, earlier entry or None)
-        # frame[0] is globals, frame[1] upvals; size is the largest top
-        # a closed block reached
-        self.top = self.size = 2
+        self.top = self.size = 2  # frame[0] is globals, frame[1] upvals
         self.sources: list = []
 
     def open(self):
         return self.top, len(self.shadowed)
 
     def close(self, mark) -> None:
-        if self.top > self.size:
-            self.size = self.top
         self.top, n = mark
         names = self.names
         shadowed = self.shadowed
@@ -126,6 +122,8 @@ class Scope:
         """Bind name to a fresh slot until the current block ends."""
         slot = self.top
         self.top = slot + 1
+        if self.top > self.size:
+            self.size = self.top
         entry = (CELL if name in self.captured else LOCAL), slot
         self.shadowed.append((name, self.names.get(name)))
         self.names[name] = entry
@@ -391,12 +389,15 @@ def _proto(scope, captured: set, params: list, body: "Block", line: int):
     and the upvalue sources of its scope.  The body counts calls and is
     generated as Python source at the K-th."""
     inner = Scope(scope, captured)
-    # parameters that nested functions use, boxed on entry
-    cells = [slot for kind, slot in map(inner.declare, params) if kind == CELL]
+    cells = []  # parameters that nested functions use, boxed on entry
+    for name in params:
+        kind, slot = inner.declare(name)
+        if kind == CELL:
+            cells.append(slot)
     body_c = body.sequence(inner)
     n = len(params)
     proto = Proto(None, n)
-    pad = (NIL,) * (max(inner.size, inner.top) - 2 - n)
+    pad = (NIL,) * (inner.size - 2 - n)
     left = K
     # count reaches the body rather than the node, which refers to the
     # proto, and the proto only weakly: with no reference cycle, a
