@@ -290,18 +290,18 @@ class _Parser:
         string that no postfix mark follows is built here, with no call."""
         kind, word, line = self.tok
         if kind == IDENT:
-            self.tok = self._next()
             self.used.add(word)
             left = VarExpr(word, line)
+            self.tok = self._next()
         elif kind == NUMBER:
-            self.tok = self._next()
             left = NumberLit(float(word), line)
-        elif kind == STRING:
             self.tok = self._next()
+        elif kind == STRING:
             word = word[1:-1]
             if "\\" in word:
                 word = _decode_string(word)
             left = StringLit(word, line)
+            self.tok = self._next()
         elif word == "-":
             self.tok = self._next()
             left = UnaryOp("-", self._expression(_UNARY), line)
