@@ -48,7 +48,27 @@ at its normal end.  No other generated line touches a frame.  A for
 loop's unit is handed its counter, limit and step, since every run
 checks its bounds and makes its variable on closures.  A return or an
 error ends the frame, since the language has no pcall and no break, so
-neither stores back.  If Python refuses the source, the node stays on
+neither stores back.
+
+A call site on closures records, once and weakly, the Proto of the
+first closure it calls.  When a unit is generated, a site that wants
+one value or none, whose recorded Proto is alive and whose body is
+small, with no loop, function literal or return but a last one, and
+takes as many parameters as the site passes arguments, gets that body
+written in place, unless it is the unit's own.  It runs when the callee
+is a closure whose Proto has that same tree; any other callee takes
+the generic call, in the guard's else.  The guard holds the tree, which
+refers to no Proto, so units that write each other's bodies make no
+cycle.  The body's slots are fresh Python locals, its G and U the
+closure's, its first return value the site's, and what the site knows
+of the arguments, such as a receiver being a table, it knows too.  It
+sits in the site's try, so its errors keep their classes, texts and
+lines.
+Only one level is written in place.  A loop with no loop inside is
+peeled: its first iteration runs apart, with every check, and the
+iterations after keep what it established of the slots the loop never
+assigns.  If Python refuses the source, the unit is generated again
+plain, with neither, and if it refuses that too, the node stays on
 closures.
 
 Every node carries the line of its first token.
@@ -286,15 +306,17 @@ class CallExpr(Node):
     looked up in it before the arguments are evaluated, and the receiver
     goes first into the call.  Python running out of stack inside a
     call, as unbounded script recursion does, becomes a
-    ScriptRuntimeError at its line."""
+    ScriptRuntimeError at its line.  proto, once set, is a weak reference
+    to the Proto of the first closure the site called on closures."""
 
-    __slots__ = ("callee", "args", "name")
+    __slots__ = ("callee", "args", "name", "proto")
 
     def __init__(self, callee, args: list, line: int, name=None):
         self.callee = callee
         self.args = args
         self.line = line
         self.name = name
+        self.proto = None  # set by the first closure call
 
     def compile(self, scope, want=ONE):
         """fr -> the call's first value (want ONE), its value list, which
@@ -323,6 +345,8 @@ class CallExpr(Node):
             cls = f.__class__
             try:
                 if cls is Closure:
+                    if self.proto is None:
+                        self.proto = weakref.ref(f.proto)
                     vals = f.invoke(args)
                 elif cls is NativeFunction:
                     vals = f.fn(args)
@@ -344,7 +368,9 @@ class CallExpr(Node):
         """The call as statements; the temporary of its first value, or
         of its value list, which may be None, for ALL and NONE alike.  A
         closure with as many parameters as there are arguments gets its
-        body called directly."""
+        body called directly.  A closure of the small function the site
+        saw on closures, if any (see _Gen.inlinable), runs that body
+        written in place, inside the same try."""
         line = self.line
         f = self.callee.gen(g)
         vals = []
@@ -356,21 +382,35 @@ class CallExpr(Node):
         arglist = ", ".join(vals)
         entry = ", ".join([f"{f}.globals", f"{f}.upvals", *vals])
         r = g.temp()
+        tree = g.inlinable(self, len(vals), want)
+        depth = g.depth
         g.emit("try:")
-        g.emit(f"    if {f}.__class__ is Closure:")
-        g.emit(f"        p = {f}.proto")
-        g.emit(f"        if p.nparams == {len(vals)}: {r} = p.body({entry})")
-        g.emit(f"        else: {r} = {f}.invoke([{arglist}])")
-        g.emit(f"    elif {f}.__class__ is NativeFunction: "
+        g.depth += 1
+        if tree is not None:
+            v = g.temp()
+            g.emit(f"if {f}.__class__ is Closure and "
+                   f"{f}.proto.tree is {g.const(tree)}:")
+            g.inline(tree, f, vals, v if want is ONE else None)
+            g.emit("else:")
+            g.depth += 1
+        g.emit(f"if {f}.__class__ is Closure:")
+        g.emit(f"    p = {f}.proto")
+        g.emit(f"    if p.nparams == {len(vals)}: {r} = p.body({entry})")
+        g.emit(f"    else: {r} = {f}.invoke([{arglist}])")
+        g.emit(f"elif {f}.__class__ is NativeFunction: "
                f"{r} = {f}.fn([{arglist}])")
-        g.emit(f"    else: raise _call_error({f}, {line})")
+        g.emit(f"else: raise _call_error({f}, {line})")
+        if tree is not None and want is ONE:
+            g.emit(f"{v} = {r}[0] if {r} else NIL")
+            r = v
+        g.depth = depth
         g.emit("except BridgeScriptError as e:")
         g.emit(f"    if e.line is None: e.line = {line}")
         g.emit("    raise")
         g.emit("except RecursionError:")
         g.emit(f"    raise ScriptRuntimeError('stack overflow', {line}) "
                f"from None")
-        if want is not ONE:
+        if want is not ONE or tree is not None:
             return r
         v = g.temp()
         g.emit(f"{v} = {r}[0] if {r} else NIL")
@@ -396,7 +436,7 @@ def _proto(scope, captured: set, params: list, body: "Block", line: int):
             cells.append(slot)
     body_c = body.sequence(inner)
     n = len(params)
-    proto = Proto(None, n)
+    proto = Proto(None, n, body)
     pad = (NIL,) * (inner.size - 2 - n)
     left = K
     # count reaches the body rather than the node, which refers to the
@@ -409,6 +449,7 @@ def _proto(scope, captured: set, params: list, body: "Block", line: int):
         left -= 1
         if not left:
             def gen_unit(g) -> str:
+                g.own = body
                 g.block(body)
                 g.lines[:0] = [f"    s{i} = [s{i}]" for i in cells]
                 return ", ".join(["G", "U",
@@ -628,11 +669,14 @@ class BinOp(Node):
                    else f"{t} = {test}")
             return t
         t = g.temp(str)
-        if lt is str and rt is str:
-            g.emit(f"{t} = {l} + {r}")
-        else:
-            g.emit(f"{t} = {l} + {r} if {l}.__class__ is str is "
-                   f"{r}.__class__ else _concat({l}, {r}, {line})")
+        if lt not in (str, None) or rt not in (str, None):
+            g.emit(f"{t} = _concat({l}, {r}, {line})")
+            return t
+        # only a side whose class is unknown is tested
+        test = " and ".join(f"{x}.__class__ is str"
+                            for x, xt in ((l, lt), (r, rt)) if xt is None)
+        g.emit(f"{t} = {l} + {r}" + (test and f" if {test} else "
+                                     f"_concat({l}, {r}, {line})"))
         return t
 
 
@@ -960,12 +1004,14 @@ class WhileStat(Node):
         return run
 
     def gen_stmt(self, g):
-        g.forget()
+        depth = g.depth
+        g.peel(self.body, lambda: g.test(self.cond),
+               lambda: g.block(self.body))
         g.emit("while True:")
         g.depth += 1
         g.emit(f"if not ({g.test(self.cond)}): break")
         g.block(self.body)
-        g.depth -= 1
+        g.depth = depth
         g.forget()
 
     def gen_unit(self, g) -> str:
@@ -1063,9 +1109,7 @@ class ForNum(Node):
 
     def gen_loop(self, g, i, stop, step) -> None:
         """The iterations from counter i on."""
-        g.forget()
         g.types.update(dict.fromkeys((i, stop, step), float))
-        kind, slot = self.where
         s = self.step
         if s is None or s.__class__ is NumberLit:
             cond = f"{i} <= {stop}"
@@ -1073,16 +1117,24 @@ class ForNum(Node):
             cond = f"{i} >= {stop}"
         else:
             cond = f"{i} <= {stop} if {step} > 0.0 else {i} >= {stop}"
+        depth = g.depth
+        g.peel(self.body, lambda: cond,
+               lambda: self.gen_iteration(g, i, step))
         g.emit(f"while {cond}:")
         g.depth += 1
+        self.gen_iteration(g, i, step)
+        g.depth = depth
+        g.forget()
+
+    def gen_iteration(self, g, i, step) -> None:
+        """One iteration: the variable, the body and the step."""
+        kind, slot = self.where
         if kind == CELL:
             g.emit(f"{g.slot(slot)}[0] = {i}")
         else:
             g.assign(slot, i)
         g.block(self.body)
         g.emit(f"{i} += {step}")
-        g.depth -= 1
-        g.forget()
 
     def gen_stmt(self, g):
         # in temporaries, since the body may assign a local they name
@@ -1166,6 +1218,39 @@ class Chunk:
 # times never is.
 K = 200
 
+# The most nodes a function body may have to be written in place at the
+# call sites that call it.
+INLINE_NODES = 32
+
+
+def _nodes(todo: list):
+    """Every node in the list todo of nodes and blocks, nested ones and
+    function literals' bodies included."""
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is Block:
+            todo += x.stmts
+        elif cls is list or cls is tuple:
+            todo += x
+        elif isinstance(x, Node):
+            yield x
+            todo += [getattr(x, a) for c in cls.__mro__[:-1]
+                     for a in c.__slots__]
+
+
+def _small(body: Block) -> bool:
+    """Whether body is small and has no loop, function literal or return
+    but a last one, so a call site may run it written in place."""
+    todo = list(body.stmts)
+    if todo and todo[-1].__class__ is ReturnStat:
+        todo[-1:] = todo[-1].exprs
+    for n, x in enumerate(_nodes(todo), 1):
+        if n > INLINE_NODES or x.__class__ in (WhileStat, ForNum, ReturnStat,
+                                               FunctionExpr):
+            return False
+    return True
+
 
 class _Gen:
     """The source of one hot unit: a loop statement or a function body.
@@ -1177,9 +1262,16 @@ class _Gen:
     literal to the class its value is known to have, facts does so for
     what checks and stores established so far, and checks that cannot
     fail are left out.
+
+    A rich unit also writes small callees in place at the call sites
+    that saw them (inlinable, inline) and peels each loop with no loop
+    inside (peel); own is the body of the unit's own function, which is
+    never written in place.  S, G and U name the slots, globals and
+    upvals of the body being written: the unit's own, or a callee's.
+    inlined and peeled count the sites and loops, for tools.
     """
 
-    def __init__(self):
+    def __init__(self, rich: bool):
         self.lines = []
         self.depth = 1
         self.n = 0
@@ -1187,6 +1279,11 @@ class _Gen:
         self.types = {}
         self.facts = {}  # what checks so far established, as types
         self.locals = set()  # the slots named
+        self.rich = rich
+        self.own = None
+        self.S, self.G, self.U = "s", "G", "U"
+        self.assigned = set()  # the slot names assign was given
+        self.inlined = self.peeled = 0
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -1225,11 +1322,12 @@ class _Gen:
     def slot(self, i: int) -> str:
         """The Python local of slot i."""
         self.locals.add(i)
-        return f"s{i}"
+        return f"{self.S}{i}"
 
     def assign(self, slot: int, v: str) -> None:
         """Store v in slot; what is known of v is now known of it."""
         s = self.slot(slot)
+        self.assigned.add(s)
         self.emit(f"{s} = {v}")
         t = self.kind(v)
         if t is None:
@@ -1261,10 +1359,10 @@ class _Gen:
         if kind == CELL:
             return f"{self.slot(i)}[0]"
         if kind == UPVAL:
-            return f"U[{i}][0]"
+            return f"{self.U}[{i}][0]"
         if node.__class__ is VarExpr:
-            return f"G.get({node.name!r}, NIL)"
-        return f"G[{node.name!r}]"
+            return f"{self.G}.get({node.name!r}, NIL)"
+        return f"{self.G}[{node.name!r}]"
 
     def test(self, expr) -> str:
         """A Python condition: expr's value is neither nil nor false."""
@@ -1287,6 +1385,70 @@ class _Gen:
         self.depth += 1
         self.block(block)
         self.depth -= 1
+
+    def inlinable(self, site, n: int, want):
+        """The body to write in place of site, a call with n arguments
+        that wants one value or none: that of the function whose closure
+        the site called first on closures, while it lives, takes n
+        parameters and is small (see _small); else None."""
+        seen = site.proto
+        proto = seen() if seen is not None and self.rich else None
+        if proto is None or want is ALL or proto.nparams != n \
+                or proto.tree is self.own or not _small(proto.tree):
+            return None
+        return proto.tree
+
+    def inline(self, tree, f: str, args: list, result) -> None:
+        """Write tree, a callee's body, one level deeper, as closure f
+        would run it with args: its slots are fresh Python locals, its
+        globals and upvals f's, and its first return value goes to the
+        temporary result, unless that is None.  The facts known here
+        hold again after it, since it cannot assign what they name."""
+        saved = self.facts, self.locals, self.S, self.G, self.U
+        # one level only: no callee is written into a callee
+        self.facts, self.locals, self.rich = dict(self.facts), set(), False
+        self.n += 1
+        self.S, self.G, self.U = f"i{self.n}s", f"{f}.globals", f"{f}.upvals"
+        self.depth += 1
+        start = len(self.lines)
+        for i, a in enumerate(args, 2):
+            self.assign(i, a)
+        stmts, exprs = tree.stmts, []
+        if stmts and stmts[-1].__class__ is ReturnStat:
+            stmts, exprs = stmts[:-1], stmts[-1].exprs
+        for s in stmts:
+            s.gen_stmt(self)
+        vals = [e.gen(self) if e.__class__ is not CallExpr
+                else e.gen(self, ONE if k == 0 and result else NONE)
+                for k, e in enumerate(exprs)]
+        if result is not None:
+            self.emit(f"{result} = {vals[0] if vals else 'NIL'}")
+        if len(self.lines) == start:
+            self.emit("pass")
+        self.depth -= 1
+        self.facts, self.locals, self.S, self.G, self.U = saved
+        self.rich = True
+        self.inlined += 1
+
+    def peel(self, body, head, iteration) -> None:
+        """Open a loop with this body.  In a rich unit and when body has
+        no loop inside, so that its code at most doubles, the loop's first
+        iteration, written by iteration(), runs with every check if the
+        Python condition head() holds, and the rest of the loop goes one
+        level deeper, after it, and keeps what it established of the slots
+        the loop never assigns.  Else nothing is known at the loop head."""
+        if not self.rich or any(x.__class__ in (WhileStat, ForNum)
+                                for x in _nodes([body])):
+            self.forget()
+            return
+        self.emit(f"if {head()}:")
+        self.depth += 1
+        outer, self.assigned = self.assigned, set()
+        iteration()
+        self.facts = {k: v for k, v in self.facts.items()
+                      if k not in self.assigned}
+        self.assigned |= outer
+        self.peeled += 1
 
     def on_frame(self) -> None:
         """End a loop unit, which works on its caller's frame: it loads
@@ -1316,12 +1478,16 @@ _GEN_ENV = {
 
 def _generate(gen_unit, line: int):
     """A unit's second tier: the function compiled from the source that
-    gen_unit writes, None when Python refuses that source (too many
-    nested blocks or indent levels, or too deep to compile)."""
-    g = _Gen()
-    try:
-        params = gen_unit(g)
-        exec(compile(g.function(params), f"<line {line}>", "exec"), g.env)
-    except (SyntaxError, RecursionError, MemoryError):
-        return None
-    return g.env.pop("run")  # env keeps no reference back to it
+    gen_unit writes, rich and else plain, or None when Python refuses
+    both (too many nested blocks or indent levels, or too deep to
+    compile)."""
+    for rich in (True, False):
+        g = _Gen(rich)
+        try:
+            params = gen_unit(g)
+            exec(compile(g.function(params), f"<line {line}>", "exec"),
+                 g.env)
+        except (SyntaxError, RecursionError, MemoryError):
+            continue
+        return g.env.pop("run")  # env keeps no reference back to it
+    return None

@@ -74,13 +74,16 @@ class Proto:
     when the function is hot enough to be generated as Python source
     that keeps its slots in Python locals (see nodes), and every
     closure of the literal, old or new, runs the new body from then on.
+    tree is the literal's body as nodes, which the second tier may write
+    out in place at a call site.
     """
 
-    __slots__ = ("body", "nparams", "__weakref__")
+    __slots__ = ("body", "nparams", "tree", "__weakref__")
 
-    def __init__(self, body, nparams: int):
+    def __init__(self, body, nparams: int, tree=None):
         self.body = body
         self.nparams = nparams
+        self.tree = tree
 
 
 class Closure:

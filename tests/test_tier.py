@@ -16,9 +16,14 @@ import weakref
 import pytest
 
 from bridgescript import Interpreter
-from bridgescript.errors import BridgeScriptError, KeyIsNil, ScriptRuntimeError
+from bridgescript.errors import (
+    BridgeScriptError,
+    KeyIsNil,
+    NotCallable,
+    ScriptRuntimeError,
+)
 from bridgescript.interp import eval_chunk
-from bridgescript.nodes import K
+from bridgescript.nodes import K, Block
 from bridgescript.objects import (
     NIL,
     Closure,
@@ -26,6 +31,7 @@ from bridgescript.objects import (
     Table,
     set_fallback,
     table_get,
+    table_set,
 )
 from bridgescript.parser import parse_source
 
@@ -218,6 +224,55 @@ CASES = {
         "function m:f(p, q) return self.w + p + q end\n"
         "local t = {}\nt[1] = m\nlocal x = a\n"
         "return t[1]:f(x, h.o:get())", 3.0),
+    # small callees written in place at the sites that call them
+    "inline_arity": ("local f = function(x, y) return y, x end\n"
+                     "return f(a), f(a, b), f(a, b, c), (f(b, a))",
+                     1.0, 2.0, 3.0),
+    "inline_statement_and_values": (
+        "local n = 0\nlocal bump = function(k) n = n + k end\n"
+        "local none = function() end\nlocal pair = function(x)\n"
+        "  return x, bump(x)\nend\nbump(a)\nnone()\n"
+        "return pair(2) + n, none(), n", 5.0),
+    "inline_error": ("local bad = function(t)\n  local k = 'x'\n"
+                     "  return t[k] + 1\nend\nlocal r = bad(a)", 1.0),
+    "inline_error_after_effects": (
+        "local t = {}\nlocal put = function(v)\n  t.v = v\n"
+        "  t.w = v .. '!'\nend\nput(a)", True),
+    "inline_native_error": ("local f = function(x)\n  return dostring(x)\n"
+                            "end\nreturn (f(1))",),
+    "inline_recursion": ("local g = function(n) return probe(n + 1) end "
+                         "return (g(a))", 1.0),
+    "inline_index_fallback": (
+        "local base = {}\nfunction base:get(k) return self.v .. k end\n"
+        "function base:miss() return self.nope end\n"
+        "local o = {v = 'o'}\nfallback(o, 'index', "
+        "function(t, k) return base[k] end)\n"
+        "return o:get('!'), o:get(a), o:miss(), 0", "?"),
+    "inline_globals_and_upvals": (
+        "local k = 10\nlocal add = function(x) k = k + x g1 = k "
+        "return g1 end\nreturn add(a), add(a), k, g1", 1.0),
+    "inline_if_in_callee": (
+        "local pick = function(x) local r = 'no' "
+        "if x then r = 'yes' end return r end\n"
+        "return pick(a), pick(nil), pick(false), 0", 0.0),
+    # loops whose first iteration is peeled
+    "peel_error_first": ("local t = a\nlocal n = 0\nwhile n < 3 do\n"
+                         "  n = n + 1\n  local v = t.x\nend\nreturn n", 1.0),
+    "peel_error_later": ("local t = {x = 1}\nlocal i = 0\nwhile i < 5 do\n"
+                         "  i = i + 1\n  t.x = t.x + 1\n"
+                         "  if i == 3 then t.x = a end\nend\nreturn t.x",
+                         "s"),
+    "peel_for_error_later": ("local t = {}\nfor i = 1, 4 do\n  t[i] = i\n"
+                             "  if i == 3 then t = a end\nend", 1.0),
+    "peel_zero_times": ("local n = 0\nlocal t = a\n"
+                        "while n > 1 do n = t.x end\n"
+                        "for i = 1, 0 do n = t.y end\nreturn n", 5.0),
+    "peel_assigned_changes_class": ("local x = 1\nlocal y = 2\nlocal z = 0\n"
+                                    "for i = 1, 3 do\n  z = x + 1\n"
+                                    "  x = y\n  y = 'a'\nend\nreturn z",),
+    "peel_unassigned_kept": ("local t = {x = 0}\nlocal s = a\n"
+                             "for i = 1, 4 do t.x = t.x + s .. '' end\n"
+                             "return t.x", 2.0),
 }
 
 
@@ -349,6 +404,185 @@ def test_dropped_function_goes_without_the_cycle_collector(bare_interp):
         assert proto() is None
     finally:
         gc.enable()
+
+
+# ------------------------------------------- callees written in place
+
+def inlined(f: Closure) -> int:
+    """At how many sites f's generated body runs a callee's body written
+    in place: each such site keeps that body's tree for its guard."""
+    return sum(v.__class__ is Block
+               for v in f.proto.body.__globals__.values())
+
+
+def hot(interp, name: str, *args):
+    """Call global function name K + 1 times with args; its last values."""
+    f = interp.global_value(name)
+    for _ in range(K + 1):
+        vals = f.invoke(list(args))
+    assert generated(f)
+    return vals
+
+
+@pytest.mark.parametrize("name, sites", [
+    ("inline_arity", 2), ("inline_statement_and_values", 4),
+    ("inline_error", 1), ("inline_native_error", 1),
+    ("inline_recursion", 1), ("inline_index_fallback", 3),
+    ("inline_globals_and_upvals", 2), ("inline_if_in_callee", 3)])
+def test_small_callees_are_written_in_place(name, sites):
+    it, out = world()
+    body, *args = CASES[name]
+    it.run("function probe(a, b, c)\n" + body + "\nend")
+    f = it.global_value("probe")
+    for _ in range(K + 1):
+        outcome(out, f, args)
+    assert generated(f) and inlined(f) == sites
+
+
+def test_inlined_error_keeps_the_callee_line():
+    first, last = both_tiers(*CASES["inline_error"])
+    assert first == last == (
+        "error", "ScriptRuntimeError",
+        "ScriptRuntimeError (line 4): attempt to index a number value", 4, "")
+
+
+def test_inlined_recursion_is_a_stack_overflow_at_its_line():
+    # both sites are on line 2, since which of two sites a stack overflow
+    # names depends on how deep Python's stack was when it began
+    first, last = both_tiers(*CASES["inline_recursion"])
+    assert first == last == (
+        "error", "ScriptRuntimeError",
+        "ScriptRuntimeError (line 2): stack overflow", 2, "")
+
+
+def test_inlined_site_follows_a_swapped_callee(bare_interp):
+    bare_interp.run("function mk(k) return function(x) return x + k end end\n"
+                    "o = {f = mk(1)}\n"
+                    "function probe(x) local r = o.f(x) return r end")
+    probe = bare_interp.global_value("probe")
+    assert hot(bare_interp, "probe", 1.0) == [2.0]
+    assert inlined(probe) == 1
+    o = bare_interp.global_value("o")
+    # another closure of the same literal passes the guard, with its own
+    # upvals; another literal, a native function and a number miss it
+    bare_interp.run("o.f = mk(100)")
+    assert probe.invoke([1.0]) == [101.0]
+    bare_interp.run("o.f = function(x, y) return x .. '!', y end")
+    assert probe.invoke([1.0]) == ["1!"]
+    table_set(o, "f", NativeFunction(lambda args: [args[0] * 10, 0.0]))
+    assert probe.invoke([1.0]) == [10.0]
+    bare_interp.run("o.f = 5")
+    with pytest.raises(NotCallable) as e:
+        probe.invoke([1.0])
+    assert (str(e.value), e.value.line) == (
+        "NotCallable (line 3): attempt to call a number value", 3)
+    bare_interp.run("o.f = mk(-1)")
+    assert probe.invoke([1.0]) == [0.0]
+
+
+def test_hot_loop_writes_a_callee_with_more_slots_in_place(bare_interp):
+    # the loop's unit loads and stores back only its own frame's slots
+    bare_interp.run("function f(a, b, c) local d = a + b return d * c end")
+    n = 3 * K
+    bare_interp.define_global("n", float(n))
+    assert bare_interp.run("local i = 0\nlocal s = 0\nwhile i < n do\n"
+                           "  i = i + 1\n  s = s + f(i, 1, 2)\nend\n"
+                           "return s, i") == [float(n * (n + 3)), float(n)]
+
+
+def test_callee_with_a_loop_or_function_literal_stays_a_call(bare_interp):
+    bare_interp.run("function loop(x) while x > 0 do x = x - 1 end "
+                    "return x end\n"
+                    "function mk(x) return function() return x end end\n"
+                    "function early(x) if x then return 1 end return 2 end\n"
+                    "function big(x) return x + x + x + x + x + x + x + x + x "
+                    "+ x + x + x + x + x + x + x + x + x + x + x end\n"
+                    "function probe(x) return loop(x), mk(x) ~= nil, "
+                    "early(x), big(x), 0 end")
+    assert hot(bare_interp, "probe", 2.0) == [0.0, True, 1.0, 40.0, 0.0]
+    assert inlined(bare_interp.global_value("probe")) == 0
+
+
+def test_function_is_not_written_into_itself(bare_interp):
+    bare_interp.run("function down(n) if n > 0 then down(n - 1) end end")
+    hot(bare_interp, "down", 3.0)
+    assert inlined(bare_interp.global_value("down")) == 0
+
+
+def test_functions_written_into_each_other_go_without_the_cycle_collector(
+        bare_interp):
+    bare_interp.run("function a(n) if n > 0 then b(n - 1) end end\n"
+                    "function b(n) if n > 0 then a(n - 1) end end")
+    hot(bare_interp, "a", 3.0)
+    hot(bare_interp, "b", 3.0)
+    fa, fb = bare_interp.global_value("a"), bare_interp.global_value("b")
+    assert inlined(fa) == inlined(fb) == 1
+    protos = [weakref.ref(fa.proto), weakref.ref(fb.proto)]
+    del fa, fb
+    gc.disable()
+    try:
+        bare_interp.run("a = nil b = nil")
+        assert [p() for p in protos] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_peeled_loop_keeps_checks_of_what_it_assigns(bare_interp):
+    # t is never assigned in the loop, so only its first iteration checks
+    # it; s and the table read are checked on every iteration
+    bare_interp.run("function probe(t, n)\n  local s = 0\n"
+                    "  for i = 1, n do\n    s = s + t[i]\n  end\n"
+                    "  return s\nend")
+    t = Table()
+    for i in range(1, 4):
+        table_set(t, float(i), float(i))
+    assert hot(bare_interp, "probe", t, 3.0) == [6.0]
+    table_set(t, 2.0, "x")
+    probe = bare_interp.global_value("probe")
+    with pytest.raises(ScriptRuntimeError) as e:
+        probe.invoke([t, 3.0])
+    assert (str(e.value), e.value.line) == (
+        "ScriptRuntimeError (line 4): attempt to perform arithmetic on a "
+        "string value", 4)
+    with pytest.raises(ScriptRuntimeError) as e:
+        probe.invoke([1.0, 3.0])
+    assert (str(e.value), e.value.line) == (
+        "ScriptRuntimeError (line 4): attempt to index a number value", 4)
+    assert probe.invoke([1.0, 0.0]) == [0.0]
+
+
+def _loops_around_a_try() -> int:
+    """How many loops Python lets a function nest around a try with an
+    except clause, which takes two more of its nested blocks."""
+    n = 1
+    while True:
+        pad = "    " * (n + 2)
+        src = "def f():\n" + "".join(
+            "    " * (i + 1) + "while x:\n" for i in range(n + 1)) \
+            + f"{pad}try: f()\n{pad}except E: raise\n"
+        try:
+            compile(src, "<probe>", "exec")
+        except SyntaxError:
+            return n
+        n += 1
+
+
+@pytest.mark.parametrize("spare", [1, 0])
+def test_unit_refused_with_a_callee_in_place_is_generated_plain(
+        bare_interp, spare):
+    # a call site is a try inside its loops, and a call in a callee
+    # written in place there is a try inside that one: with no block to
+    # spare, Python refuses the unit with leaf in place, and it is
+    # generated without
+    loops = _loops_around_a_try() - spare
+    bare_interp.run("function leaf(x) return tostring(x) end")
+    src = ("function deep(n)\n  local c = 0\n"
+           + "  while c < n do\n" * loops + "  c = c + 1\n  r = leaf(c)\n"
+           + "  end\n" * loops + "  return c\nend")
+    bare_interp.run(src)
+    assert hot(bare_interp, "deep", 1.0) == [1.0]
+    assert (inlined(bare_interp.global_value("deep")) > 0) is bool(spare)
+    assert bare_interp.run("return deep(3), r") == [3.0, "3"]
 
 
 # ------------------------------------------------- source Python refuses
