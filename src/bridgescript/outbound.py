@@ -2,19 +2,27 @@
 
 A proxy is an ordinary table whose "__hostref" entry holds the host
 reference; everything else about it is supplied lazily by its
-fallbacks, which are the bridge's own proxy_index and proxy_newindex,
-bound once and called directly on a miss or a store (see objects).
+fallbacks, called directly on a miss or a store (see objects).
 
-Member tables.  The index and newindex fallbacks find a key in a member
-table: one for the instance members and one for the static members of
-each class, shared by every proxy of that class.  A member is built on
-its first use after freeze(), once per (class, member).  A field gets a
-bound getter and a bound setter, the setter with its tag's conversion
-and check fixed when it is built; a method gets one call site.  Host
-arrays get one element setter per element tag.  Getters read the host on
-every access: field values and array elements are never cached, so
-scripts always see current host state.  A key that names no member is
-refused, and neither remembered nor counted in DispatchStats.
+Fallbacks per class and kind.  build_proxy gives a proxy the pair of
+index and newindex fallbacks of its kind and owner: one pair per class
+for the proxies of its instances, one per class for its class proxy
+(the statics), and one per element tag for arrays.  Each pair is built
+on first use and is shared by every proxy of its owner, and the pair of
+a class closes over one {key: member} table of that class's members,
+so a miss costs one dict lookup.  A member is built on its first use
+after freeze(), once per (class, member).  A field's member holds its
+tag's store, with the conversion and check fixed when it is built; the
+fallbacks read and write the field themselves, and an array's read and
+write its elements.  They read the host on every access: field values
+and array elements are never cached, so scripts always see current
+host state.  A value of a FLOAT, TEXT or BOOLEAN slot goes to the
+script as it is, any other through to_script.  Every read that reaches
+a member counts one fallback fire under (class name, member), and one
+that reaches an element or an array's length under (element tag,
+ELEMENTS or "length").  A key that names no member is refused, and
+neither remembered nor counted in DispatchStats.  proxy_index and
+proxy_newindex call a proxy's own fallbacks.
 
 Dispatch.  Each (class, method) has one dispatcher, shared by every
 proxy of the class: it checks the receiver, chooses through the call
@@ -22,14 +30,17 @@ site, invokes and converts the result.  The first read of a method name
 on a proxy stores the shared dispatcher into the proxy under that name
 and returns it, so the fallback fires once per method per proxy, and
 p.move == p.move holds before any call, as on a plain table.  The
-dispatcher refers to no proxy, so the proxy table is the only state the
+dispatcher refers to no proxy, and the fallbacks to no proxy but the
+one they are called with, so the proxy table is the only state the
 bridge keeps per proxy.  A method with one overload, all of whose
 slots are FLOAT, TEXT or BOOLEAN, gets a dispatcher generated from
-source, one spelling per arity and receiver kind: a call with arguments
-of the slots' classes and, for an instance method, a receiver of the
-declaring class itself runs the invoker at once; any other call goes to
-the general dispatcher, which decides it through the call site with the
-same errors.
+source, one spelling per arity, receiver kind and result: a call with
+arguments of the slots' classes and, for an instance method, a receiver
+of the dispatcher's own class runs the body at once, with the
+invoker's error handling and result check (registry.run_body and
+HostRegistry.result_check); any other call goes to the general
+dispatcher, which decides it through the call site with the same
+errors.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -75,7 +86,9 @@ from .registry import (
     HostObject,
     Memo,
     call_site,
+    define,
     index_error,
+    run_body,
 )
 
 _EMPTY: list = []
@@ -105,15 +118,21 @@ class DispatchStats:
 
 
 class _Member:
-    """One member of one class: its fallback_fires key, read(proxy, ref)
-    -> script value and write(ref, value)."""
+    """One member of one class, as the class's fallbacks use it: its
+    fallback_fires key; method, a method's shared dispatcher, or None for
+    a field; as_is, the class of a field's values that scripts take as
+    they are; values, the dict holding a static field; and store(v),
+    what the field holds for the script value v, or a method's refusal
+    to be assigned."""
 
-    __slots__ = ("fires_key", "read", "write")
+    __slots__ = ("fires_key", "method", "as_is", "values", "store")
 
-    def __init__(self, fires_key, read, write):
+    def __init__(self, fires_key, method, as_is, values, store):
         self.fires_key = fires_key
-        self.read = read
-        self.write = write
+        self.method = method
+        self.as_is = as_is
+        self.values = values
+        self.store = store
 
 
 class OutboundBridge:
@@ -121,24 +140,23 @@ class OutboundBridge:
         self.registry = registry
         self.converter = None  # wired by convert.Converter
         self.stats = DispatchStats()
-        # (class name, key) -> _Member, built on first use
-        self._members = Memo(partial(self._build_member, static=False))
-        self._static_members = Memo(partial(self._build_member, static=True))
-        # array element tag -> setter, and -> its elements' and length's
-        # fallback_fires keys; class name -> constructors' call_site
-        self._element_stores = Memo(lambda tag: self.converter.storer(
-            tag, "cannot store into the array"))
-        self._array_keys = Memo(lambda t: ((t, ELEMENTS), (t, "length")))
+        # the (index, newindex) fallbacks of the proxies of each class's
+        # instances, of each class itself and of each array element tag,
+        # built on first use
+        self._instances = Memo(partial(self._fallbacks, static=False))
+        self._classes = Memo(partial(self._fallbacks, static=True))
+        self._arrays = Memo(self._array_fallbacks)
+        # class name -> constructors' call_site
         self._constructors = Memo(self._constructor_site)
-        # every proxy's fallbacks, bound once
-        self._index_handler = self.proxy_index
-        self._newindex_handler = self.proxy_newindex
 
     def build_proxy(self, ref) -> Table:
         t = Table()
         t.entries["__hostref"] = ref
-        t.index_handler = self._index_handler
-        t.newindex_handler = self._newindex_handler
+        cls = ref.__class__
+        t.index_handler, t.newindex_handler = \
+            self._instances[ref.class_name] if cls is HostObject else \
+            self._arrays[ref.elem_tag] if cls is HostArray else \
+            self._classes[ref.name]
         return t
 
     # ------------------------------------------------------------ built-ins
@@ -156,84 +174,107 @@ class OutboundBridge:
     # ------------------------------------------------------------ fallbacks
 
     def proxy_index(self, proxy: Table, key):
-        ref = proxy.entries["__hostref"]
+        return proxy.index_handler(proxy, key)
+
+    def proxy_newindex(self, proxy: Table, key, value) -> None:
+        proxy.newindex_handler(proxy, key, value)
+
+    def _fallbacks(self, cname: str, static: bool):
+        """The index and newindex fallbacks of the proxies of the
+        instances of the class cname, or of the class itself if static,
+        over one {key: member} table built on first use.  A field is
+        read and written here."""
+        members: dict = {}
+        build = partial(self._member, members, cname, static)
         fires = self.stats.fallback_fires
-        if ref.__class__ is HostArray:
+        to_script = self.converter.to_script
+
+        def index(proxy, key):
+            m = members.get(key) or build(key)
+            fires[m.fires_key] += 1
+            f = m.method
+            if f is not None:
+                proxy.entries[key] = f  # later reads find it there
+                return f
+            v = m.values[key] if static else \
+                proxy.entries["__hostref"].fields[key]
+            return v if v.__class__ is m.as_is else to_script(v)
+
+        def newindex(proxy, key, value):
+            if key == "__hostref":
+                raise ReservedField("'__hostref' is reserved")
+            m = members.get(key) or build(key)
+            h = m.store(value)
+            if static:
+                m.values[key] = h
+            else:
+                proxy.entries["__hostref"].fields[key] = h
+        return index, newindex
+
+    def _array_fallbacks(self, tag):
+        """The index and newindex fallbacks of the proxies of arrays of
+        tag elements."""
+        fires = self.stats.fallback_fires
+        elements_key, length_key = (tag, ELEMENTS), (tag, "length")
+        to_script = self.converter.to_script
+        as_is = AS_IS.get(tag)
+        store = self.converter.storer(tag, "cannot store into the array")
+
+        def index(proxy, key):
             if key.__class__ is float:
                 if key.is_integer():
                     i = int(key) - 1
-                    elements = ref.elements
+                    elements = proxy.entries["__hostref"].elements
                     if 0 <= i < len(elements):
-                        fires[self._array_keys[ref.elem_tag][0]] += 1
-                        return self.converter.to_script(elements[i])
+                        fires[elements_key] += 1
+                        v = elements[i]
+                        return v if v.__class__ is as_is else to_script(v)
                     raise index_error(render(key), len(elements))
             elif key == "length":
-                fires[self._array_keys[ref.elem_tag][1]] += 1
-                return float(len(ref.elements))
+                fires[length_key] += 1
+                return float(len(proxy.entries["__hostref"].elements))
             raise NoSuchMember("array", render(key))
-        m = self._member(ref, key)
-        fires[m.fires_key] += 1
-        return m.read(proxy, ref)
 
-    def proxy_newindex(self, proxy: Table, key, value) -> None:
-        if key == "__hostref":
-            raise ReservedField("'__hostref' is reserved")
-        ref = proxy.entries["__hostref"]
-        if ref.__class__ is HostArray:
+        def newindex(proxy, key, value):
             if key.__class__ is float and key.is_integer():
-                h = self._element_stores[ref.elem_tag](value)
+                h = store(value)
                 i = int(key) - 1
-                elements = ref.elements
+                elements = proxy.entries["__hostref"].elements
                 if not 0 <= i < len(elements):
                     raise index_error(render(key), len(elements))
                 elements[i] = h
-                return
-            if key == "length":
+            elif key == "length":
                 raise TypeMismatch("array length is read-only")
-            raise NoSuchMember("array", render(key))
-        self._member(ref, key).write(ref, value)
+            elif key == "__hostref":
+                raise ReservedField("'__hostref' is reserved")
+            else:
+                raise NoSuchMember("array", render(key))
+        return index, newindex
 
-    # --------------------------------------------------------- member tables
+    # ------------------------------------------------------------- members
 
-    def _member(self, ref, key) -> _Member:
-        """The member key of ref's class (instance members for a host
-        object, statics for a class reference), built on first use."""
-        if ref.__class__ is HostObject:
-            return self._members[ref.class_name, key]
-        return self._static_members[ref.name, key]
-
-    def _build_member(self, member: tuple, static: bool) -> _Member:
-        cname, key = member
+    def _member(self, members: dict, cname: str, static: bool, key):
+        """members[key], built: the field or method key of the class
+        cname, a static one if static; NoSuchMember, remembered nowhere,
+        if there is none."""
         if key.__class__ is not str:
             raise NoSuchMember(cname, render(key))
         flat = self.registry.lookup_class(cname)
         spec = flat.fields.get(key)
         if spec is not None and spec.static == static:
-            return self._field(cname, key, spec.tag, static)
-        cands = flat.methods.get(key)
-        if cands is not None and cands[0].static == static:
-            return self._method(cname, key, cands, static)
-        raise NoSuchMember(cname, key)
-
-    def _field(self, cname: str, key: str, tag, static: bool) -> _Member:
-        to_script = self.converter.to_script
-        store = self.converter.storer(
-            tag, f"cannot store into {cname}.{key}")
-        if static:
-            _, values = self.registry.resolve_field(cname, key)
-
-            def read(proxy, ref):
-                return to_script(values[key])
-
-            def write(ref, v):
-                values[key] = store(v)
+            values = self.registry.resolve_field(cname, key)[1] \
+                if static else None
+            store = self.converter.storer(
+                spec.tag, f"cannot store into {cname}.{key}")
+            m = _Member((cname, key), None, AS_IS.get(spec.tag), values,
+                        store)
         else:
-            def read(proxy, ref):
-                return to_script(ref.fields[key])
-
-            def write(ref, v):
-                ref.fields[key] = store(v)
-        return _Member((cname, key), read, write)
+            cands = flat.methods.get(key)
+            if cands is None or cands[0].static != static:
+                raise NoSuchMember(cname, key)
+            m = self._method(cname, key, cands, static)
+        members[key] = m
+        return m
 
     def _method(self, cname: str, key: str, cands, static: bool) -> _Member:
         conv = self.converter
@@ -285,47 +326,48 @@ class OutboundBridge:
         if len(cands) == 1 and shape is type:
             # a lone overload of FLOAT, TEXT and BOOLEAN slots is the
             # verdict for arguments of their classes: such calls skip
-            # the call site
+            # the call site and run the body at once
             m = cands[0]
-            dispatch = _lone_form(static, len(m.params))(
-                stats, cname, dispatch, *record(m), to_script,
-                *(AS_IS[t] for t in m.params))
+            result, plain, finish = reg.result_check(m)
+            # results of the tag's class pass back as they are, unless
+            # they are to be checked
+            as_is = AS_IS.get(m.returns) if plain is not None else None
+            dispatch = _lone_form(
+                static, len(m.params), m.returns is VOID, result)(
+                stats, cname, dispatch, m.body, m.name, plain, finish,
+                as_is, to_script, *(AS_IS[t] for t in m.params))
 
-        shared = NativeFunction(dispatch, key)
-
-        def read(proxy, ref):
-            proxy.entries[key] = shared
-            return shared
-
-        def write(ref, v):
+        def refuse(v):
             raise TypeMismatch(
                 f"{key!r} is a {'static method' if static else 'method'} "
                 f"of {cname!r} and cannot be assigned")
-        return _Member((cname, key), read, write)
+        return _Member((cname, key), NativeFunction(dispatch, key), None,
+                       None, refuse)
 
 
 # The dispatcher of a method with one overload whose slots are all
-# FLOAT, TEXT or BOOLEAN, for one spelling of its arity and receiver
-# kind.  A call whose arguments are of the slots' classes and, for an
-# instance method, whose receiver is an object of the declaring class
-# itself is that overload's: it runs the invoker at once.  Any other
-# call goes to the method's general dispatcher, which decides it as
-# the call site does.
-_LONE = """def lone(stats, cname, general, invoke, void, as_is, to_script{classes}):
+# FLOAT, TEXT or BOOLEAN, for one spelling of its arity, receiver kind
+# and result.  A call whose arguments are of the slots' classes and, for
+# an instance method, whose receiver is an object of the dispatcher's
+# own class is that overload's: it runs the body at once, as the
+# overload's invoker would, and finishes the result as the invoker does
+# (HostRegistry.result_check).  Any other call goes to the method's
+# general dispatcher, which decides it as the call site does.
+_LONE = """def form(stats, cname, general, body, name, plain, finish, as_is,
+         to_script{classes}):
+    receiver = None  # a static method's
     def dispatch(args):
         if len(args) == {n}{guard}:
             stats.dispatches += 1
-            r = invoke({receiver}, {passed})
-            if void:
-                return _EMPTY
-            return [r if r.__class__ is as_is else to_script(r)]
+{run}
+            {ret}
         return general(args)
     return dispatch
 """
 
 
 @cache  # one per spelling, shared by every bridge
-def _lone_form(static: bool, n: int):
+def _lone_form(static: bool, n: int, void: bool, result: str):
     first = 0 if static else 1  # where the arguments start
     guard = "".join(f" and args[{first + i}].__class__ is c{i}"
                     for i in range(n))
@@ -333,11 +375,14 @@ def _lone_form(static: bool, n: int):
         guard += (" and args[0].__class__ is Table and (receiver := "
                   "args[0].entries.get('__hostref')).__class__ is HostObject"
                   " and receiver.class_name == cname")
+    passed = [f"args[{first + i}]" for i in range(n)]
     source = _LONE.format(
         classes="".join(f", c{i}" for i in range(n)), n=first + n,
-        guard=guard, receiver="None" if static else "receiver",
-        passed="args" if static else "args[1:]" if n else "_EMPTY")
-    env = {"_EMPTY": _EMPTY, "HostObject": HostObject, "Table": Table}
-    exec(compile(source, f"<dispatch {'static' if static else 'method'} "
-                         f"{n}>", "exec"), env)
-    return env["lone"]
+        guard=guard,
+        run=run_body(", ".join(passed if static else ["receiver", *passed]),
+                     12),
+        ret=f"{result}\n            return _EMPTY" if void else
+        f"return [r if r.__class__ is as_is else to_script({result})]")
+    return define(source, f"<dispatch {'static' if static else 'method'} "
+                          f"{n}>", _EMPTY=_EMPTY, HostObject=HostObject,
+                  Table=Table)

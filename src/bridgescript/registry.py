@@ -30,11 +30,13 @@ nullary returns that overload's record for no arguments at once.  A
 class-keyed site keys by the arguments' classes, where they alone
 decide the verdict and the front keeps every value it accepts.
 
-invokers[m] is the one way a native body runs, for calls from either
-side: host errors become HostException and a RecursionError the
-script's "stack overflow", the result is checked against the return
-tag, and validate_invokes re-checks the receiver.  An invoker passes up
-to two arguments one by one.  A constructor's invoker makes, fills and
+invokers[m] runs a native body for calls from either side: host
+errors become HostException and a RecursionError the script's "stack
+overflow", the result is checked against the return tag, and
+validate_invokes re-checks the receiver.  An invoker passes up to two
+arguments one by one.  It is generated from run_body's text, the one
+text that runs a body, which outbound's lone dispatchers also use, with
+the result check of result_check(m).  A constructor's invoker makes, fills and
 returns the new object; both sides find constructors through
 constructors(name).
 
@@ -679,7 +681,6 @@ class HostRegistry:
         checked against the return tag (None for void), and the receiver
         checked if validate_invokes was on."""
         body, name, tag, static = m.body, m.name, m.returns, m.static
-        validate = self.validate_invokes
         # up to two arguments are passed one by one: body(receiver, *args)
         # costs over twice what a direct body(receiver, a) does
         n = len(m.params)
@@ -692,11 +693,23 @@ class HostRegistry:
                 self.validate_object(obj)
                 return obj
             form = _invoker_form(
-                call, "finish(r, receiver)" if validate else "receiver", True)
+                call, "finish(r, receiver)" if self.validate_invokes
+                else "receiver", True)
             return form(_no_body if body is None else body,
                         f"constructor of {cname}", None, finish, cname, inits)
+        result, plain, finish = self.result_check(m)
+        return _invoker_form(call, result)(body, name, plain, finish)
+
+    def result_check(self, m: MethodDescriptor):
+        """How invokers[m] finishes its body's result r: the text of the
+        value it returns, over r and receiver, and the plain and finish
+        that text reads.  A result of class plain passes unchecked;
+        finish(r, receiver) normalizes and checks any other, and the
+        receiver if validate_invokes is on."""
+        tag, name = m.returns, m.name
+        validate = self.validate_invokes
         if tag is VOID and not validate:
-            return _invoker_form(call, "None")(body, name, None, None)
+            return "None", None, None
         conforms = self.conforms
 
         def finish(r, receiver):
@@ -712,8 +725,8 @@ class HostRegistry:
                 self.validate_object(receiver)
             return r
         plain = None if validate else _PLAIN.get(tag)  # passes unchecked
-        checked = "r if r.__class__ is plain else finish(r, receiver)"
-        return _invoker_form(call, checked)(body, name, plain, finish)
+        return ("r if r.__class__ is plain else finish(r, receiver)", plain,
+                finish)
 
     def _site(self, key):
         """entries[key]: the call_site of host calls of the constructors of
@@ -864,21 +877,45 @@ class HostRegistry:
         return False
 
 
+# How a native body runs, in an invoker and in a dispatcher that runs
+# the body itself (outbound's lone dispatchers): host errors become
+# HostException, and a runaway recursion through the bridge is a stack
+# overflow, as it is in a script.
+_RUN = """try:
+    r = body({call})
+except BridgeScriptError:
+    raise
+except RecursionError:
+    raise ScriptRuntimeError("stack overflow") from None
+except Exception as e:  # host code
+    raise HostException(f"{{name}}: {{e}}") from e"""
+
+
+def run_body(call: str, indent: int) -> str:
+    """The text that runs body(call) into r, indented by indent spaces;
+    it reads body and name."""
+    pad = " " * indent
+    return "\n".join(pad + line
+                     for line in _RUN.format(call=call).split("\n"))
+
+
+def define(source: str, filename: str, **env):
+    """The function form that source defines, with the errors run_body's
+    text raises and env as its globals."""
+    env.update(BridgeScriptError=BridgeScriptError,
+               HostException=HostException,
+               ScriptRuntimeError=ScriptRuntimeError)
+    exec(compile(source, filename, "exec"), env)
+    return env["form"]
+
+
 # An invoker (see HostRegistry._invoker) for one spelling of the body's
 # call and of the result that follows it; a constructor's first makes
-# the receiver.  A runaway recursion through the bridge is a stack
-# overflow, as it is in a script.
-_INVOKER = """def invoker(body, name, plain, finish, cname=None, inits=None):
-    def invoke(receiver, args):%s
-        try:
-            r = body(%s)
-        except BridgeScriptError:
-            raise
-        except RecursionError:
-            raise ScriptRuntimeError("stack overflow") from None
-        except Exception as e:  # host code
-            raise HostException(f"{name}: {e}") from e
-        return %s
+# the receiver.
+_INVOKER = """def form(body, name, plain, finish, cname=None, inits=None):
+    def invoke(receiver, args):{make}
+{run}
+        return {result}
     return invoke
 """
 
@@ -889,13 +926,10 @@ def _no_body(*args):
 
 @functools.cache  # one per spelling, shared by every registry: at most 24
 def _invoker_form(call: str, result: str, new: bool = False):
-    env = {"BridgeScriptError": BridgeScriptError,
-           "HostException": HostException, "HostObject": HostObject,
-           "ScriptRuntimeError": ScriptRuntimeError}
     make = "\n        receiver = HostObject(cname, dict(inits))" if new else ""
-    exec(compile(_INVOKER % (make, call, result), f"<invoke {call}>", "exec"),
-         env)
-    return env["invoker"]
+    return define(_INVOKER.format(make=make, run=run_body(call, 8),
+                                  result=result),
+                  f"<invoke {call}>", HostObject=HostObject)
 
 
 def normalize(tag, v):

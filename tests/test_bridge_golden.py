@@ -204,8 +204,8 @@ def show(v):
 
 def counts(it: Interpreter) -> list:
     stats = it.outbound.stats
-    fires = sorted([repr(owner) if owner.__class__ is not str else owner,
-                    key, n] for (owner, key), n in stats.fallback_fires.items())
+    fires = sorted([owner if owner.__class__ is str else repr(owner), key, n]
+                   for (owner, key), n in stats.fallback_fires.items())
     return [fires, stats.dispatches]
 
 

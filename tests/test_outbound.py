@@ -87,8 +87,47 @@ def test_proxy_table_starts_nearly_empty(interp):
     assert isinstance(p, Table)
     assert set(p.entries) == {"__hostref"}
     assert isinstance(p.entries["__hostref"], HostObject)
-    assert p.index_handler is interp.outbound._index_handler
-    assert p.newindex_handler is interp.outbound._newindex_handler
+    assert p.index_handler is not None and p.newindex_handler is not None
+
+
+def test_proxies_of_one_class_share_their_fallbacks(interp):
+    interp.run('p = hostNewInstance("demo.Point") q = hostNewInstance('
+               '"demo.Point") f = hostNewInstance("demo.Frame")\n'
+               'a = hostBindClass("demo.MathUtil").intArray(2)\n'
+               'b = hostBindClass("demo.MathUtil").intArray(3)\n'
+               'M = hostBindClass("demo.MathUtil")\n'
+               'B = hostBindClass("demo.BorderLayout")')
+    p, q, f, a, b, m, border = map(interp.global_value, "pqfabMB")
+    for one, other in ((p, q), (a, b)):  # one class, one element tag
+        assert one.index_handler is other.index_handler
+        assert one.newindex_handler is other.newindex_handler
+    for one, other in ((p, f), (p, a), (m, border), (p, m)):
+        assert one.index_handler is not other.index_handler
+        assert one.newindex_handler is not other.newindex_handler
+
+
+def test_subclass_proxy_reaches_inherited_members_through_its_own_fallbacks(
+        interp):
+    results = interp.run('c = hostNewInstance("demo.Component")\n'
+               'b = hostNewInstance("demo.Button", "ok")\n'
+               'c.id = "c1" b.id = "b1"\n'
+               'return c.id, b.id, c:describe(), b:describe(), b:describe()')
+    c, b = map(interp.global_value, "cb")
+    assert results == [
+        "c1", "b1", "component:c1", "component:b1", "component:b1"]
+    assert b.index_handler is not c.index_handler
+    assert b.newindex_handler is not c.newindex_handler
+    stats = interp.outbound.stats
+    assert stats.fallback_fires[("demo.Button", "id")] == 1
+    assert stats.fallback_fires[("demo.Component", "id")] == 1
+    assert stats.fires(b, "describe") == stats.fires(c, "describe") == 1
+    assert stats.dispatches == 3
+    # each class has its own dispatcher, and the subclass's runs the
+    # inherited body itself, as the base's does
+    shared = b.entries["describe"], c.entries["describe"]
+    assert shared[0] is not shared[1]
+    assert {f.fn.__code__.co_filename for f in shared} == {
+        "<dispatch method 0>"}
 
 
 def test_proxy_reports_hostobject_type(interp, out):
@@ -136,8 +175,8 @@ def test_interpreters_over_one_registry_keep_their_own_proxies(out):
     pa, pb = a.run("return get()")[0], b.run("return get()")[0]
     assert pa is not pb
     assert pa.entries["__hostref"] is pb.entries["__hostref"] is box
-    assert pa.index_handler.__self__ is a.outbound
-    assert pb.index_handler.__self__ is b.outbound
+    assert pa.index_handler is not pb.index_handler
+    assert pa.newindex_handler is not pb.newindex_handler
     for _ in range(3):  # interleaved reads keep each one's proxy
         assert a.run("return get()")[0] is pa
         assert b.run("return get()")[0] is pb
