@@ -40,7 +40,6 @@ from .registry import (
     ClassTag,
     Converted,
     HostArray,
-    HostClassRef,
     HostObject,
     Incompatible,
     InterfaceTag,
@@ -71,6 +70,8 @@ class Converter:
         self.registry = registry
         # host reference -> fresh proxy Table
         self.proxy_factory = outbound.build_proxy
+        # class name -> its fresh class proxy Table
+        self.class_proxy_factory = outbound.build_class_proxy
         # (Table, type name) -> ScriptWrapper, through the export cache
         self.auto_wrap = inbound.host_export
         outbound.converter = inbound.converter = self
@@ -197,7 +198,7 @@ class Converter:
         proxy = self._class_proxies.get(name)
         if proxy is None:
             self.registry.lookup_class(name)  # raises ClassNotFound
-            proxy = self.proxy_factory(HostClassRef(name))
+            proxy = self.class_proxy_factory(name)
             self._class_proxies[name] = proxy
         return proxy
 

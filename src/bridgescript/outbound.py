@@ -4,25 +4,26 @@ A proxy is an ordinary table whose "__hostref" entry holds the host
 reference; everything else about it is supplied lazily by its
 fallbacks, called directly on a miss or a store (see objects).
 
-Fallbacks per class and kind.  build_proxy gives a proxy the pair of
-index and newindex fallbacks of its kind and owner: one pair per class
-for the proxies of its instances, one per class for its class proxy
-(the statics), and one per element tag for arrays.  Each pair is built
-on first use and is shared by every proxy of its owner, and the pair of
-a class closes over one {key: member} table of that class's members,
-so a miss costs one dict lookup.  A member is built on its first use
-after freeze(), once per (class, member).  A field's member holds its
-tag's store, with the conversion and check fixed when it is built; the
-fallbacks read and write the field themselves, and an array's read and
-write its elements.  They read the host on every access: field values
-and array elements are never cached, so scripts always see current
-host state.  A value of a FLOAT, TEXT or BOOLEAN slot goes to the
-script as it is, any other through to_script.  Every read that reaches
-a member counts one fallback fire under (class name, member), and one
-that reaches an element or an array's length under (element tag,
-ELEMENTS or "length").  A key that names no member is refused, and
-neither remembered nor counted in DispatchStats.  proxy_index and
-proxy_newindex call a proxy's own fallbacks.
+Fallbacks per class and kind.  A proxy has the pair of index and
+newindex fallbacks of its kind and owner: build_proxy gives it one pair
+per class for the proxies of its instances, and one per element tag for
+arrays, each built with the first such proxy and shared by every later
+one; build_class_proxy gives the one class proxy of a class (the
+statics) a pair of its own.  The pair of a class closes over one
+{key: member} table of that class's members, so a miss costs one dict
+lookup.  A member is built on its first use after freeze(), once per
+(class, member).  A field's member holds its tag's store, with the
+conversion and check fixed when it is built; the fallbacks read and
+write the field themselves, and an array's read and write its elements.
+They read the host on every access: field values and array elements
+are never cached, so scripts always see current host state.  A value of
+a FLOAT, TEXT or BOOLEAN slot goes to the script as it is, any other
+through to_script.  Every read that reaches a member counts one
+fallback fire under (class name, member), and one that reaches an
+element or an array's length under (element tag, ELEMENTS or "length").
+A key that names no member is refused, and neither remembered nor
+counted in DispatchStats.  proxy_index and proxy_newindex call a
+proxy's own fallbacks.
 
 Dispatch.  Each (class, method) has one dispatcher, shared by every
 proxy of the class: it checks the receiver, chooses through the call
@@ -83,6 +84,7 @@ from .registry import (
     AS_IS,
     VOID,
     HostArray,
+    HostClassRef,
     HostObject,
     Memo,
     call_site,
@@ -141,22 +143,38 @@ class OutboundBridge:
         self.converter = None  # wired by convert.Converter
         self.stats = DispatchStats()
         # the (index, newindex) fallbacks of the proxies of each class's
-        # instances, of each class itself and of each array element tag,
-        # built on first use
-        self._instances = Memo(partial(self._fallbacks, static=False))
-        self._classes = Memo(partial(self._fallbacks, static=True))
-        self._arrays = Memo(self._array_fallbacks)
+        # instances, by class name, and of each array element tag, by
+        # tag, built on first use (see build_proxy)
+        self._instances: dict = {}
+        self._arrays: dict = {}
         # class name -> constructors' call_site
         self._constructors = Memo(self._constructor_site)
 
     def build_proxy(self, ref) -> Table:
+        """A fresh proxy of the host object or array ref, with the
+        fallbacks of its class or element tag."""
         t = Table()
         t.entries["__hostref"] = ref
-        cls = ref.__class__
-        t.index_handler, t.newindex_handler = \
-            self._instances[ref.class_name] if cls is HostObject else \
-            self._arrays[ref.elem_tag] if cls is HostArray else \
-            self._classes[ref.name]
+        try:
+            t.index_handler, t.newindex_handler = \
+                self._instances[ref.class_name] \
+                if ref.__class__ is HostObject else self._arrays[ref.elem_tag]
+        except KeyError:  # the first proxy of its class or tag
+            if ref.__class__ is HostObject:
+                pair = self._instances[ref.class_name] = \
+                    self._fallbacks(ref.class_name, False)
+            else:
+                pair = self._arrays[ref.elem_tag] = \
+                    self._array_fallbacks(ref.elem_tag)
+            t.index_handler, t.newindex_handler = pair
+        return t
+
+    def build_class_proxy(self, name: str) -> Table:
+        """The proxy of the class name, with fallbacks of its own: the
+        converter builds one per class."""
+        t = Table()
+        t.entries["__hostref"] = HostClassRef(name)
+        t.index_handler, t.newindex_handler = self._fallbacks(name, True)
         return t
 
     # ------------------------------------------------------------ built-ins

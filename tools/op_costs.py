@@ -1,6 +1,6 @@
 """Net cost of one loop line, over host proxies and over script tables.
 
-    python tools/op_costs.py [--iterations 200000] [--best 7] [--json]
+    python tools/op_costs.py [--iterations 200000] [--best 7]
 
 Two worlds are built with the package under src/ of this checkout: in
 the bridge world counter, point, mathutil and arr are a bench.Counter,
@@ -22,7 +22,6 @@ status is 1 if any is.
 
 import argparse
 import io
-import json
 import sys
 import time
 from pathlib import Path
@@ -111,8 +110,6 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--iterations", type=int, default=200_000)
     ap.add_argument("--best", type=int, default=7)
-    ap.add_argument("--json", action="store_true",
-                    help="print one JSON object instead of a table")
     args = ap.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
     worlds = {"bridge": world(BRIDGE), "native": world(NATIVE)}
@@ -128,30 +125,23 @@ def main() -> None:
             for w in order:
                 seconds, results[w][line] = timed(worlds[w][line], n)
                 best[w][line] = min(best[w][line], seconds)
-    rows = []
+    empty = {w: best[w][""] / n * 1e6 for w in worlds}
+    print(f"{args.iterations} iterations, best of {args.best}; empty loop "
+          f"{empty['bridge']:.3f} us (bridge), {empty['native']:.3f} us "
+          f"(native) per iteration, subtracted")
+    print("| operation | bridge | native | bridge / native |")
+    print("| --- | --- | --- | --- |")
+    failed = False
     for line in LINES[1:]:
-        net = {w: (best[w][line] - best[w][""]) / n * 1e6 for w in worlds}
-        rows.append({"line": line, "bridge_us": round(net["bridge"], 3),
-                     "native_us": round(net["native"], 3),
-                     "same": results["bridge"][line]
-                     == results["native"][line]})
-    empty = {w: round(best[w][""] / n * 1e6, 3) for w in worlds}
-    if args.json:
-        print(json.dumps({"iterations": args.iterations, "best": args.best,
-                          "empty_us": empty, "lines": rows}))
-    else:
-        print(f"{args.iterations} iterations, best of {args.best}; empty "
-              f"loop {empty['bridge']} us (bridge), {empty['native']} us "
-              f"(native) per iteration, subtracted")
-        print("| operation | bridge | native | bridge / native |")
-        print("| --- | --- | --- | --- |")
-        for row in rows:
-            ratio = row["bridge_us"] / row["native_us"] \
-                if row["native_us"] > 0 else float("nan")
-            mark = "" if row["same"] else " FAIL: results differ"
-            print(f"| `{row['line']}` | {row['bridge_us']:.2f} us | "
-                  f"{row['native_us']:.2f} us | {ratio:.2f}{mark} |")
-    sys.exit(0 if all(row["same"] for row in rows) else 1)
+        bridge, native = ((best[w][line] - best[w][""]) / n * 1e6
+                          for w in ("bridge", "native"))
+        ratio = bridge / native if native > 0 else float("nan")
+        same = results["bridge"][line] == results["native"][line]
+        failed = failed or not same
+        mark = "" if same else " FAIL: results differ"
+        print(f"| `{line}` | {bridge:.2f} us | {native:.2f} us | "
+              f"{ratio:.2f}{mark} |")
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":
