@@ -2,18 +2,22 @@
 
 hostExport(t, "demo.ActionListener") produces a wrapper the host side can
 call methods on.  Host calls of one method on every wrapper of one
-target type share one entry, built on the first call (see _entry).  Its
-one shared part is a registry.call_site over score_host, which picks
-the overload from the host arguments and returns that overload's result
-store.  The entry looks the method up in the table on every call, index
-fallback included, so a script can add or replace methods after
-exporting and the host sees the change on the next call.  It calls the
-function with the table as self and stores the single result as the
-chosen overload's return type.  A script closure that takes exactly
-self and the host arguments, when there is at most one, is entered
-positionally (proto.body(globals, upvals, t[, arg])), with no argument
-list; any other call gets a list, which a closure pads with nil or
-cuts to its parameters.  The errors
+target type share one entry, built on the first call and kept in a
+plain dict (see _entry).  The entry chooses the overload from the host
+arguments through a registry.call_site over score_host, which returns
+the chosen overload's return handling.  A lone overload that is nullary,
+or whose one slot is a class, is the verdict for no arguments, or for
+one host object of that very class, which it takes as they are: such a
+call skips the site.  The entry looks the method up in the table on
+every call, index fallback included, so a script can add or replace
+methods after exporting and the host sees the change on the next call.
+It calls the function with the table as self and returns the single
+result as the chosen overload's return type: nothing for void, a result
+of the tag's AS_IS class as it is, any other through the tag's store.
+A script closure that takes exactly self and the host arguments, when
+there is at most one, is entered positionally (proto.body(globals,
+upvals, t[, arg])), with no argument list; any other call gets a list,
+which a closure pads with nil or cuts to its parameters.  The errors
 come in one order: NoSuchMember when the type declares no such method
 (no entry is built), then UnimplementedMethod or the fall-through
 below, then NotCallable, then the site's NoMatch.
@@ -55,9 +59,10 @@ from .objects import (
     type_name,
 )
 from .registry import (
+    AS_IS,
     VOID,
+    ClassTag,
     HostObject,
-    Memo,
     ScriptWrapper,
     call_site,
     host_shape,
@@ -69,7 +74,7 @@ class InboundBridge:
         self.registry = registry
         self.converter = None  # wired by convert.Converter
         self._wrappers = weakref.WeakValueDictionary()
-        self.entries = Memo(self._entry)  # see _entry
+        self.entries: dict = {}  # see _entry
 
     def host_export(self, t, target_type: str) -> ScriptWrapper:
         if t.__class__ is not Table:
@@ -98,20 +103,36 @@ class InboundBridge:
         return w
 
     def _entry(self, key):
-        """entries[(type, name)]: entry(w, host args) for every wrapper
-        exported as type, holding the call site of method name, which
-        records a result store per overload."""
+        """entries[key], built and stored: entry(w, host args) for every
+        wrapper exported as type, for the key (type, name), holding the
+        call site of method name, which records per overload None for
+        void, else the class of results that pass as they are and the
+        store of any other."""
         reg, conv = self.registry, self.converter
         target_type, name = key
         refusal = (f"result of {target_type}.{name} does not convert "
                    f"to the declared return type")
-        select = call_site(  # NoSuchMember
-            reg.methods(target_type, name), target_type, reg.score_host,
-            host_shape, lambda m: None if m.returns is VOID else conv.storer(
-                m.returns, refusal, ReturnTypeMismatch))
+        cands = reg.methods(target_type, name)  # NoSuchMember
+
+        def record(m):
+            if m.returns is VOID:
+                return None
+            return AS_IS.get(m.returns), conv.storer(
+                m.returns, refusal, ReturnTypeMismatch)
+        select = call_site(cands, target_type, reg.score_host, host_shape,
+                           record)
+        # a lone overload that is nullary or has one class slot is the
+        # verdict for no arguments, or one host object of that class:
+        # such calls skip the call site
+        params = cands[0].params
+        lone_class = params[0].name if len(params) == 1 \
+            and params[0].__class__ is ClassTag else None
+        lone_n = len(params) if reg.lone_entries and len(cands) == 1 \
+            and (not params or lone_class) else -1
+        lone = record(cands[0])
         # a class target's backing is of that class: fall through to its
         # own entry
-        fall = reg.entries[key] \
+        fall = (reg.entries.get(key) or reg._entry(key)) \
             if reg.lookup_class(target_type).kind == "class" else None
         to_script = conv.to_script
 
@@ -125,16 +146,20 @@ class InboundBridge:
                     raise UnimplementedMethod(
                         f"the table exported as {target_type!r} does not "
                         f"define {name!r}")
-                invoke, host_args = fall(host_args)
-                return invoke(w.backing, host_args)
+                return fall(w.backing, host_args)
             cls = fn.__class__
             if cls is not Closure and cls is not NativeFunction:
                 raise NotCallable(
                     f"{name!r} on the table exported as {target_type!r} "
                     f"is a {type_name(fn)}, not a function")
             # the overload fixes the return tag; choose it before the call
-            store, host_args = select(host_args)
             n = len(host_args)
+            if n == lone_n and (not n or (
+                    host_args[0].__class__ is HostObject
+                    and host_args[0].class_name == lone_class)):
+                result = lone
+            else:
+                result, host_args = select(host_args)
             # the commonest calls, nullary and a listener given its event,
             # reach a closure that takes exactly self and them positionally
             if n < 2 and cls is Closure and fn.proto.nparams == n + 1:
@@ -145,7 +170,12 @@ class InboundBridge:
                     vals = fn.proto.body(fn.globals, fn.upvals, t)
             else:  # padded or cut to its parameters, or native
                 vals = call_value(fn, [t, *map(to_script, host_args)])
-            return None if store is None else store(vals[0] if vals else NIL)
+            if result is None:
+                return None
+            r = vals[0] if vals else NIL
+            as_is, store = result
+            return r if r.__class__ is as_is else store(r)
+        self.entries[key] = entry
         return entry
 
 

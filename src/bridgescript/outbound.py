@@ -86,7 +86,6 @@ from .registry import (
     HostArray,
     HostClassRef,
     HostObject,
-    Memo,
     call_site,
     define,
     index_error,
@@ -147,8 +146,8 @@ class OutboundBridge:
         # tag, built on first use (see build_proxy)
         self._instances: dict = {}
         self._arrays: dict = {}
-        # class name -> constructors' call_site
-        self._constructors = Memo(self._constructor_site)
+        # class name -> constructors' call_site, built on first use
+        self._constructors: dict = {}
 
     def build_proxy(self, ref) -> Table:
         """A fresh proxy of the host object or array ref, with the
@@ -180,14 +179,18 @@ class OutboundBridge:
     # ------------------------------------------------------------ built-ins
 
     def host_new_instance(self, name: str, script_args: list) -> Table:
-        invoke, args = self._constructors[name](script_args)
+        select = self._constructors.get(name) or self._constructor_site(name)
+        invoke, args = select(script_args)
         return self.converter.to_script(invoke(None, args))
 
     def _constructor_site(self, name: str):
-        """The call site of the constructors of the class name."""
+        """_constructors[name], built and stored: the call site of the
+        constructors of the class name."""
         cands = self.registry.constructors(name)
-        return call_site(cands, name, self.converter.to_host,
-                         site_shape(cands), self.registry.invokers.__getitem__)
+        select = self._constructors[name] = call_site(
+            cands, name, self.converter.to_host, site_shape(cands),
+            self.registry.invoker)
+        return select
 
     # ------------------------------------------------------------ fallbacks
 
@@ -302,7 +305,7 @@ class OutboundBridge:
         def record(m):
             """An overload's invoker, is it void, and the class of its
             results that pass back as they are."""
-            return reg.invokers[m], m.returns is VOID, AS_IS.get(m.returns)
+            return reg.invoker(m), m.returns is VOID, AS_IS.get(m.returns)
         shape = site_shape(cands)
         select = call_site(cands, cname, conv.to_host, shape, record)
         to_script = conv.to_script

@@ -30,8 +30,8 @@ nullary returns that overload's record for no arguments at once.  A
 class-keyed site keys by the arguments' classes, where they alone
 decide the verdict and the front keeps every value it accepts.
 
-invokers[m] runs a native body for calls from either side: host
-errors become HostException and a RecursionError the script's "stack
+invoker(m) runs a native body for calls from either side: host errors
+become HostException and a RecursionError the script's "stack
 overflow", the result is checked against the return tag, and
 validate_invokes re-checks the receiver.  An invoker passes up to two
 arguments one by one.  It is generated from run_body's text, the one
@@ -40,17 +40,28 @@ the result check of result_check(m).  A constructor's invoker makes, fills and
 returns the new object; both sides find constructors through
 constructors(name).
 
-The registry keeps the host-side sites, recording invokers:
-entries[class] for constructors and entries[(class, method)] for the
-methods of host objects.  methods(class, method) finds those methods,
-or refuses with NoSuchMember, for the registry and inbound alike.
-call_method on a host object is one lookup and one call: invoke, args =
-entries[(class, method)](args), then invoke(target, args).  On a
-wrapper it calls the inbound bridge's entry, so a host object of class
-X and a wrapper exported as X never share one.  An entry is built on
-the first call and every receiver of its type shares it.  These tables
-are Memos: a key's value is built on its first lookup, and a failed
-build (an undeclared method, say) stores nothing.
+The registry keeps the host-side entries: entries[class] for
+constructors and entries[(class, method)] for the methods of host
+objects.  methods(class, method) finds those methods, or refuses with
+NoSuchMember, for the registry and inbound alike.  An entry does the
+whole call: entry(receiver, host args) -> host result, with None as a
+constructor's receiver.  The general entry selects through a call site
+that records the overloads' invokers, then invokes.  A lone overload
+(one candidate of at most two slots, each FLOAT, TEXT, BOOLEAN or a
+class) gets an entry made from the invoker's own form, guarded by a
+class test per argument: when there are as many arguments as slots, each
+of its slot's class (for a class slot, a host object of that class
+name), the verdict is that overload with the arguments as they are, and
+the entry runs the body and the result check itself.  Any other call
+goes to the general entry, with its errors.  With lone_entries off,
+every entry, the inbound bridge's too, is the general one.  call_method
+on a host object and instantiate are one lookup and one call.  On a
+wrapper call_method calls the inbound bridge's entry, so a host object
+of class X and a wrapper exported as X never share one.  An entry is
+built on the first call and every receiver of its type shares it.  The
+tables are plain dicts, since a dict subclass's lookup costs more; a
+miss builds the entry, and a failed build (an undeclared method, say)
+stores nothing.
 """
 
 import functools
@@ -225,7 +236,9 @@ class ScriptWrapper:
         self.backing = backing  # HostObject for class targets, else None
 
     def invoke_method(self, name: str, host_args: list):
-        return self._bridge.entries[self.target_type, name](self, host_args)
+        key, bridge = (self.target_type, name), self._bridge
+        entry = bridge.entries.get(key) or bridge._entry(key)
+        return entry(self, host_args)
 
     def __repr__(self) -> str:
         return f"<wrapper {self.target_type} over table#{id(self.script_object)}>"
@@ -356,18 +369,6 @@ def host_shape(v):
     return cls
 
 
-class Memo(dict):
-    """key -> build(key), built on the key's first lookup.  A build that
-    raises stores nothing."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 class HostRegistry:
     def __init__(self, validate_invokes: bool = False):
         self._classes: dict[str, HostClassDescriptor] = {}
@@ -377,8 +378,10 @@ class HostRegistry:
         self._static_home: dict[str, dict] = {}
         self._instance_inits: dict[str, dict] = {}
         self._frozen = False
-        self.invokers = Memo(self._invoker)  # see _invoker
-        self.entries = Memo(self._site)  # see _site
+        self.entries: dict = {}  # see _entry
+        # False gives every host-side entry, the inbound bridge's too, the
+        # general form, which tools/op_costs.py times the lone ones against
+        self.lone_entries = True
         # Conformance re-check of receiver fields after every invoke.
         # Costly, so off by default; the test suite turns it on.
         self.validate_invokes = validate_invokes
@@ -671,21 +674,24 @@ class HostRegistry:
 
     def instantiate(self, name: str, args: list):
         """Construct name from host values, by the overload rule."""
-        invoke, args = self.entries[name](args)
-        return invoke(None, args)
+        return (self.entries.get(name) or self._entry(name))(None, args)
 
-    def _invoker(self, m: MethodDescriptor):
-        """invokers[m]: invoke(receiver, host args) -> host result of m:
-        the body run with host errors wrapped as HostException and a
-        RecursionError as a stack overflow, the result normalized and
-        checked against the return tag (None for void), and the receiver
-        checked if validate_invokes was on."""
+    def invoker(self, m: MethodDescriptor, general=None):
+        """invoke(receiver, host args) -> host result of m: the body run
+        with host errors wrapped as HostException and a RecursionError
+        as a stack overflow, the result normalized and checked against
+        the return tag (None for void), and the receiver checked if
+        validate_invokes was on.  With general, m's lone entry: it does
+        so for arguments _guard admits, and hands any other call to
+        general(receiver, host args)."""
         body, name, tag, static = m.body, m.name, m.returns, m.static
         # up to two arguments are passed one by one: body(receiver, *args)
         # costs over twice what a direct body(receiver, a) does
         n = len(m.params)
         passed = [f"args[{i}]" for i in range(n)] if n <= 2 else ["*args"]
         call = ", ".join(passed if static else ["receiver", *passed])
+        guard, slots = (None, (None,) * 4) if general is None \
+            else _guard(m.params)
         if name == "<init>":
             cname, inits = tag.name, self._instance_inits[tag.name]
 
@@ -694,14 +700,16 @@ class HostRegistry:
                 return obj
             form = _invoker_form(
                 call, "finish(r, receiver)" if self.validate_invokes
-                else "receiver", True)
+                else "receiver", True, guard)
             return form(_no_body if body is None else body,
-                        f"constructor of {cname}", None, finish, cname, inits)
+                        f"constructor of {cname}", None, finish, cname, inits,
+                        general, *slots)
         result, plain, finish = self.result_check(m)
-        return _invoker_form(call, result)(body, name, plain, finish)
+        return _invoker_form(call, result, False, guard)(
+            body, name, plain, finish, None, None, general, *slots)
 
     def result_check(self, m: MethodDescriptor):
-        """How invokers[m] finishes its body's result r: the text of the
+        """How invoker(m) finishes its body's result r: the text of the
         value it returns, over r and receiver, and the plain and finish
         that text reads.  A result of class plain passes unchecked;
         finish(r, receiver) normalizes and checks any other, and the
@@ -728,26 +736,38 @@ class HostRegistry:
         return ("r if r.__class__ is plain else finish(r, receiver)", plain,
                 finish)
 
-    def _site(self, key):
-        """entries[key]: the call_site of host calls of the constructors of
-        the class key, or of the instance method (class, name) key, each
-        recording its overloads' invokers."""
+    def _entry(self, key):
+        """entries[key], built and stored: the entry of host calls of the
+        constructors of the class key, or of the instance method
+        (class, name) key."""
         if key.__class__ is str:
             owner, cands = key, self.constructors(key)
         else:
             owner, cands = key[0], self.methods(*key)
-        return call_site(cands, owner, self.score_host, host_shape,
-                         self.invokers.__getitem__)
+        select = call_site(cands, owner, self.score_host, host_shape,
+                           self.invoker)
+
+        def entry(receiver, args: list):
+            invoke, args = select(args)
+            return invoke(receiver, args)
+        m = cands[0]
+        if self.lone_entries and len(cands) == 1 and len(m.params) <= 2 \
+                and all(tag in AS_IS or tag.__class__ is ClassTag
+                        for tag in m.params):
+            entry = self.invoker(m, entry)
+        self.entries[key] = entry
+        return entry
 
     def call_method(self, target, name: str, args: list):
         """Host-side dynamic dispatch on a host object or a wrapper,
         through the one entry of the receiver's type and name."""
         if target.__class__ is HostObject:
-            invoke, args = self.entries[target.class_name, name](args)
-            return invoke(target, args)
+            key = target.class_name, name
+            return (self.entries.get(key) or self._entry(key))(target, args)
         if target.__class__ is ScriptWrapper:
-            return target._bridge.entries[target.target_type, name](
-                target, args)
+            key, bridge = (target.target_type, name), target._bridge
+            entry = bridge.entries.get(key) or bridge._entry(key)
+            return entry(target, args)
         raise HostException(f"cannot call {name!r} on {target!r}")
 
     def score_host(self, v, tag):
@@ -909,13 +929,13 @@ def define(source: str, filename: str, **env):
     return env["form"]
 
 
-# An invoker (see HostRegistry._invoker) for one spelling of the body's
-# call and of the result that follows it; a constructor's first makes
-# the receiver.
-_INVOKER = """def form(body, name, plain, finish, cname=None, inits=None):
-    def invoke(receiver, args):{make}
+# An invoker (see HostRegistry.invoker) for one spelling of the body's
+# call, of the result that follows it, of whether it first makes the
+# receiver (a constructor's) and of its guard, if it is a lone entry.
+_INVOKER = """def form(body, name, plain, finish, cname, inits, general,
+         c0, c1, n0, n1):
+    def invoke(receiver, args):
 {run}
-        return {result}
     return invoke
 """
 
@@ -924,12 +944,34 @@ def _no_body(*args):
     """The body of a constructor declared without one: no host code."""
 
 
-@functools.cache  # one per spelling, shared by every registry: at most 24
-def _invoker_form(call: str, result: str, new: bool = False):
-    make = "\n        receiver = HostObject(cname, dict(inits))" if new else ""
-    return define(_INVOKER.format(make=make, run=run_body(call, 8),
-                                  result=result),
-                  f"<invoke {call}>", HostObject=HostObject)
+@functools.cache  # one per spelling, shared by every registry
+def _invoker_form(call: str, result: str, new: bool, guard):
+    pad = " " * (8 if guard is None else 12)
+    run = run_body(call, len(pad)) + f"\n{pad}return {result}"
+    if new:
+        run = f"{pad}receiver = HostObject(cname, dict(inits))\n{run}"
+    if guard is not None:
+        run = (f"        if {guard}:\n{run}\n"
+               "        return general(receiver, args)")
+    return define(_INVOKER.format(run=run), f"<invoke {call}>",
+                  HostObject=HostObject)
+
+
+def _guard(params):
+    """A lone entry's guard over slots of params, and what it reads as
+    c0, c1, n0 and n1: as many arguments as slots, each of its slot's
+    class, and a class slot's a host object of its class name.  Such
+    arguments fit the slots exactly and stay as they are."""
+    tests = [f"len(args) == {len(params)}"]
+    classes, names = [None, None], [None, None]
+    for i, tag in enumerate(params):
+        tests.append(f"args[{i}].__class__ is c{i}")
+        if tag.__class__ is ClassTag:
+            classes[i], names[i] = HostObject, tag.name
+            tests.append(f"args[{i}].class_name == n{i}")
+        else:
+            classes[i] = AS_IS[tag]
+    return " and ".join(tests), (*classes, *names)
 
 
 def normalize(tag, v):

@@ -474,3 +474,137 @@ def run_host_site_trials(calls: int, seed: int = 20261020):
         elif example is None:
             example = (kind, args, want, got)
     return agree, calls, example, max(map(len, shapes.values()))
+
+
+# the slots a lone entry's guard tests by class
+LONE_TAGS = (FLOAT, TEXT, BOOLEAN, ClassTag("ora.Base"),
+             ClassTag("ora.Derived"), ClassTag("ora.Leaf"))
+
+
+def _same_values(got, want) -> bool:
+    """Are got and want the same host values, class and all?"""
+    return len(got) == len(want) and all(
+        g is w or (g.__class__ is w.__class__ and g == w)
+        for g, w in zip(got, want))
+
+
+def run_lone_entry_trials(calls: int, seed: int = 20261022,
+                          validate_invokes: bool = False):
+    """Drive host values through lone host-side entries: instance
+    methods and constructors with one overload of up to two FLOAT, TEXT,
+    BOOLEAN or class slots (every one-slot signature and a few random
+    pairs), called on objects of the declaring class and of a subclass,
+    whose entries are their own; and the lone entries of an interface
+    wrapper, one nullary and one of a class slot.  Most arguments fit
+    their slots exactly or are values a slot takes by coercion (a
+    subclass object, None, an int in a float slot, a wrapper); the rest
+    are any host values, objects of unrelated classes among them, in
+    the slots' arity or any other.  Each call must choose what oracle.decide
+    chooses for the script values to_script makes, or, beyond the
+    referee, what a direct resolve_overload call chooses.  A method or
+    constructor body must get exactly the values resolve_overload
+    converts the arguments to, a method's int result come back as its
+    FLOAT return tag holds it, and an interface method's result be what
+    the table returned, converted to its return tag.  Returns
+    (agreements, calls, first disagreement, the number of lone entries
+    the registry built, the number of its entries)."""
+    rng = random.Random(seed)
+    sigs = [()] + [(tag,) for tag in LONE_TAGS] + sorted(
+        {(rng.choice(LONE_TAGS), rng.choice(LONE_TAGS)) for _ in range(6)},
+        key=repr)
+    seen = []
+
+    def body(obj, *args):
+        seen.append(args)
+        return len(args)  # an int: the FLOAT return tag makes it a float
+
+    lone = HostClassDescriptor(name="ora.Lone", methods={
+        f"m{i}": [MethodDescriptor(f"m{i}", sig, FLOAT, False, body)]
+        for i, sig in enumerate(sigs)})
+    kid = HostClassDescriptor(name="ora.LoneKid", base="ora.Lone")
+    makes = [HostClassDescriptor(name=f"ora.Make{i}", constructors=[
+        MethodDescriptor("<init>", sig, VOID, False, body)])
+        for i, sig in enumerate(sigs)]
+    base = ClassTag("ora.Base")
+    ear = HostClassDescriptor(name="ora.LoneEar", kind="interface", methods={
+        "ping": [MethodDescriptor("ping", (), TEXT)],
+        "hear": [MethodDescriptor("hear", (base,), base)]})
+    reg, conv = build_world(lone, kid, *makes, ear,
+                            validate_invokes=validate_invokes)
+    receivers = [reg.instantiate("ora.Lone", []),
+                 reg.instantiate("ora.LoneKid", [])]
+    pool = host_site_pool(reg, conv) + receivers  # of no slot's class
+    exact = {FLOAT: [3.0, 2.5, -0.75, math.inf, math.nan], TEXT: ["s", ""],
+             BOOLEAN: [True, False]}
+    for tag in LONE_TAGS[3:]:
+        exact[tag] = [reg.instantiate(tag.name, [])]
+    fits = {tag: [h for h in pool
+                  if reg.score_host(h, tag).__class__ is not Incompatible]
+            for tag in LONE_TAGS}
+    table = Table()
+    table.entries["ping"] = NativeFunction(lambda args: ["pong"], "ping")
+    table.entries["hear"] = NativeFunction(lambda args: [args[1]], "hear")
+    w = conv.auto_wrap(table, "ora.LoneEar")
+    kinds = [("method", i) for i in range(len(sigs))] + \
+        [("new", i) for i in range(len(sigs))] + [("ping", 0), ("hear", 1)]
+    agree = 0
+    example = None
+    for _ in range(calls):
+        kind, i = rng.choice(kinds)
+        if kind == "ping":
+            cands = reg.lookup_class("ora.LoneEar").methods["ping"]
+        elif kind == "hear":
+            cands = reg.lookup_class("ora.LoneEar").methods["hear"]
+        elif kind == "new":
+            cands = reg.constructors(f"ora.Make{i}")
+        else:
+            cands = reg.lookup_class("ora.Lone").methods[f"m{i}"]
+        r = rng.random()
+        if r < 0.1:  # any arity, any values
+            args = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        elif r < 0.3:  # any values in the slots
+            args = [rng.choice(pool) for _ in cands[0].params]
+        else:
+            table_of = fits if r < 0.6 else exact
+            args = [rng.choice(table_of[tag]) for tag in cands[0].params]
+        if any(map(_beyond_referee, args)):
+            want = host_decide(reg, cands, args)[0]
+        else:
+            want = oracle.decide(
+                reg, cands, [conv.to_script(h) for h in args])[0]
+        seen.clear()
+        try:
+            if kind == "new":
+                result = reg.instantiate(f"ora.Make{i}", args)
+            elif kind in ("ping", "hear"):
+                result = reg.call_method(w, kind, args)
+            else:
+                result = reg.call_method(rng.choice(receivers), f"m{i}",
+                                         args)
+            got = "selected"
+        except NoMatch:
+            got = "no_match"
+        ok = got == want
+        if ok and got == "selected":
+            converted = resolve_overload(cands, args, reg.score_host,
+                                         "ora")[1]
+            if kind == "ping":
+                ok = result == "pong"
+            elif kind == "hear":  # a wrapper's table comes back a Base
+                h = converted[0]
+                ok = result is h if h.__class__ is not ScriptWrapper else (
+                    result.script_object is h.script_object
+                    and result.target_type == "ora.Base")
+            elif kind == "new":
+                ok = result.class_name == f"ora.Make{i}" \
+                    and _same_values(seen[-1], converted)
+            else:
+                ok = _same_values(seen[-1], converted) \
+                    and _same_values([result], [float(len(args))])
+        if ok:
+            agree += 1
+        elif example is None:
+            example = (kind, cands[0].params, args, want, got)
+    # a lone entry is an invoker's form; a general one is named entry
+    lone = sum(e.__name__ == "invoke" for e in reg.entries.values())
+    return agree, calls, example, lone, len(reg.entries)

@@ -33,6 +33,7 @@ from overload_trials import (
     host_decide,
     run_host_site_trials,
     run_host_trials,
+    run_lone_entry_trials,
     run_trials,
     select_overload,
 )
@@ -282,6 +283,14 @@ def test_host_sites_agree_with_referee():
     agree, total, example, widest = run_host_site_trials(3_000)
     assert (agree, total) == (3_000, 3_000), example
     assert widest > SHAPES_PER_SITE
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_lone_host_entries_agree_with_referee(validate):
+    agree, total, example, lone, built = run_lone_entry_trials(
+        3_000, validate_invokes=validate)
+    assert (agree, total) == (3_000, 3_000), example
+    assert lone == built > 30  # every entry the trials built is lone
 
 
 def test_host_selection_converts_to_the_chosen_tags(world):

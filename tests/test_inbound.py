@@ -15,6 +15,7 @@ import pytest
 
 from bridgescript.errors import (
     ClassNotFound,
+    HostException,
     NoDefaultConstructor,
     NoMatch,
     NoSuchMember,
@@ -42,6 +43,7 @@ from bridgescript.registry import (
     FLOAT,
     TEXT,
     VOID,
+    ClassTag,
     HostClassDescriptor,
     HostRegistry,
     MethodDescriptor,
@@ -560,3 +562,207 @@ def test_host_calls_reach_native_functions(interp):
     assert me is listener and you is speaker
     assert ev.entries["__hostref"].class_name == "demo.ActionEvent"
     assert ev.entries["__hostref"].fields["source"] is source
+
+
+# ------------------------------------------------- errors through lone entries
+
+def _lone_world(out, lone: bool = True, validate: bool = False):
+    """An interpreter over a registry whose host-side entries are all
+    lone ones, or all general if not lone: lone.Host's f(float) and
+    back(text) and lone.Thing's one constructor(float) fail on request,
+    and the interface lone.Ear has a nullary ping and a hear and a take
+    of one lone.Host slot each."""
+    host, thing = ClassTag("lone.Host"), ClassTag("lone.Thing")
+
+    def fail(x):
+        if x == -1.0:
+            raise ValueError("refused")
+        if x == -3.0:
+            raise RecursionError("deep")
+
+    def f(obj, x):
+        fail(x)
+        return "text" if x == -2.0 else x * 2
+
+    def make(obj, x):
+        fail(x)
+
+    reg = HostRegistry(validate_invokes=validate)
+    reg.lone_entries = lone
+    reg.register_class(HostClassDescriptor(
+        name="lone.Host", constructors=[MethodDescriptor("<init>", (), VOID)],
+        methods={"f": [MethodDescriptor("f", (FLOAT,), FLOAT, False, f)],
+                 "back": [MethodDescriptor(
+                     "back", (TEXT,), host, False,
+                     lambda obj, s: it.inbound.host_export(
+                         Table(), "lone.Ear"))]}))
+    reg.register_class(HostClassDescriptor(
+        name="lone.Thing", constructors=[MethodDescriptor(
+            "<init>", (FLOAT,), VOID, False, make)]))
+    reg.register_class(HostClassDescriptor(
+        name="lone.Ear", kind="interface", methods={
+            "ping": [MethodDescriptor("ping", (), TEXT)],
+            "hear": [MethodDescriptor("hear", (host,), thing)],
+            "take": [MethodDescriptor("take", (host,), VOID)]}))
+    reg.freeze()
+    it = Interpreter(reg, out=out)
+    it.run('h = hostNewInstance("lone.Host") t = {}')
+    return it
+
+
+def _outcome(call):
+    """(class, message) of what call raises, else ("ok", its result)."""
+    try:
+        r = call()
+    except Exception as e:
+        return type(e), e.message
+    return "ok", r if r is None or type(r) in (float, str) else type(r)
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_lone_host_entry_errors_keep_their_class_and_text(out, validate):
+    """Through a lone method entry and a lone constructor entry, on a
+    cold and a warm entry, each error has the class and text the
+    general entry gives it."""
+    cases = (
+        ("f", [-1.0], HostException, "f: refused"),
+        ("f", [-2.0], HostException, "native body of 'f' returned a value "
+                                     "that does not conform to float"),
+        ("f", [-3.0], ScriptRuntimeError, "stack overflow"),
+        ("f", ["x"], NoMatch, "no overload of lone.Host.f accepts these "
+                              "arguments"),
+        ("f", [], NoMatch, "no overload of lone.Host.f accepts these "
+                           "arguments"),
+        ("f", [2], "ok", 4.0),
+        ("back", ["w"], HostException,
+         "native body of 'back' returned a value that does not conform "
+         "to class:lone.Host"),
+        ("<init>", [-1.0], HostException, "constructor of lone.Thing: "
+                                          "refused"),
+        ("<init>", [-3.0], ScriptRuntimeError, "stack overflow"),
+        ("<init>", [True], NoMatch, "no constructor of 'lone.Thing' accepts "
+                                    "these arguments"))
+    worlds = [_lone_world(out, lone, validate) for lone in (True, False)]
+    for name, args, error, text in cases:
+        got = []
+        for it in worlds:
+            reg = it.registry
+            obj = it.global_value("h").entries["__hostref"]
+            for _ in range(2):
+                got.append(_outcome(
+                    (lambda: reg.instantiate("lone.Thing", list(args)))
+                    if name == "<init>" else
+                    (lambda: reg.call_method(obj, name, list(args)))))
+        assert got == [(error, text)] * 4, name
+    lone, general = (it.registry.entries for it in worlds)
+    assert {k: e.__name__ for k, e in lone.items()} == dict.fromkeys(
+        lone, "invoke")
+    assert {k: e.__name__ for k, e in general.items()} == dict.fromkeys(
+        lone, "entry")
+
+
+LONE_EAR = ("", 'function t:ping() error("boom") end',
+            "function t:ping() local x = self:ping() return x end",
+            "function t:ping() return 5 end",
+            "function t:ping() return nil end",
+            'function t:ping() return "pong" end',
+            "function t:hear(o) return o:f(-1) end",
+            "function t:hear(o) return self end",
+            "function t:hear(o) return o end",
+            "function t:take(o) self.got = o end")
+
+
+@pytest.mark.parametrize("source", LONE_EAR)
+def test_lone_inbound_entry_errors_keep_their_class_and_text(out, source):
+    """A wrapper's lone entries (ping of no slot, hear and take of one
+    class slot) keep the errors of the general entry, in its order:
+    NoSuchMember, UnimplementedMethod, NotCallable, then NoMatch; a
+    script's raise, a stack overflow, a result that does not convert
+    (a number for text, the wrapper's own table or a proxy of another
+    class for lone.Thing, which cannot back a table) and the call made
+    by a listener keep their classes and texts."""
+    got = []
+    for lone in (True, False):
+        it = _lone_world(out, lone)
+        it.run(source)
+        w = it.inbound.host_export(it.global_value("t"), "lone.Ear")
+        h = it.global_value("h").entries["__hostref"]
+        other = it.registry.instantiate("lone.Thing", [1.0])
+        for name, args in (("nope", []), ("ping", []), ("ping", [h]),
+                           ("hear", [h]), ("hear", [None]), ("hear", []),
+                           ("hear", [other]),
+                           ("take", [h]), ("take", ["x"])):
+            for _ in range(2):
+                got.append((name, lone, _outcome(
+                    lambda: it.registry.call_method(w, name, list(args)))))
+        got.append(("took", lone, _outcome(
+            lambda: table_get(it.global_value("t"), "got"))))
+    half = len(got) // 2
+    assert [g[::2] for g in got[:half]] == [g[::2] for g in got[half:]]
+    kinds = {name: outcome for name, _, outcome in got}
+    assert kinds["nope"][0] is NoSuchMember
+    if not source:
+        assert kinds["ping"] == (UnimplementedMethod, "the table exported as "
+                                 "'lone.Ear' does not define 'ping'")
+    if "hear" in source:
+        assert kinds["take"][0] is UnimplementedMethod
+
+
+def test_lone_inbound_entry_texts(out):
+    """The texts the test above compares, as the general entry gives
+    them, spelt out for the lone entries."""
+    it = _lone_world(out)
+    w = it.inbound.host_export(it.global_value("t"), "lone.Ear")
+    h = it.global_value("h").entries["__hostref"]
+    call = it.registry.call_method
+    refusal = ("result of lone.Ear.{} does not convert to the declared "
+               "return type: {}")
+    steps = (
+        ("", "ping", [], UnimplementedMethod,
+         "the table exported as 'lone.Ear' does not define 'ping'"),
+        ("t.ping = 5", "ping", [h], NotCallable,
+         "'ping' on the table exported as 'lone.Ear' is a number, "
+         "not a function"),
+        ("t.ping = 5", "ping", [], NotCallable,
+         "'ping' on the table exported as 'lone.Ear' is a number, "
+         "not a function"),
+        ("function t:ping() return 5 end", "ping", [h], NoMatch,
+         "no overload of lone.Ear.ping accepts these arguments"),
+        ("", "ping", [], ReturnTypeMismatch,
+         refusal.format("ping", "expected a string, got number")),
+        ("function t:ping() local x = self:ping() return x end", "ping", [],
+         ScriptRuntimeError, "stack overflow"),
+        ("function t:hear(o) return o:f(-1) end", "hear", [h],
+         HostException, "f: refused"),
+        ("function t:hear(o) return self end", "hear", [h],
+         ReturnTypeMismatch,
+         refusal.format("hear", "'lone.Thing' cannot back a plain table")),
+        ("function t:hear(o) return o end", "hear", [h], ReturnTypeMismatch,
+         refusal.format("hear", "'lone.Host' is not a 'lone.Thing'")),
+        ("", "hear", ["x"], NoMatch,
+         "no overload of lone.Ear.hear accepts these arguments"))
+    for source, name, args, error, text in steps:
+        it.run(source)
+        for _ in range(2):
+            with pytest.raises(error) as e:
+                call(w, name, args)
+            assert type(e.value) is error and e.value.message == text
+
+
+@pytest.mark.parametrize("lone", [True, False])
+def test_class_fall_through_reaches_a_lone_entry(out, lone):
+    """A class wrapper's missing method runs the backing's entry, lone
+    or general, with its errors."""
+    it = _lone_world(out, lone)
+    w = it.inbound.host_export(it.global_value("t"), "lone.Host")
+    assert it.registry.call_method(w, "f", [3.0]) == 6.0
+    assert w.invoke_method("f", [1]) == 2.0
+    for args, error, text in (([-1.0], HostException, "f: refused"),
+                              ([-3.0], ScriptRuntimeError, "stack overflow"),
+                              (["x"], NoMatch, "no overload of lone.Host.f "
+                                               "accepts these arguments")):
+        with pytest.raises(error) as e:
+            it.registry.call_method(w, "f", args)
+        assert type(e.value) is error and e.value.message == text
+    assert it.registry.entries["lone.Host", "f"].__name__ == \
+        ("invoke" if lone else "entry")

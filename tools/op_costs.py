@@ -1,4 +1,5 @@
-"""Net cost of one loop line, over host proxies and over script tables.
+"""Net cost of one loop line, over host proxies and over script tables,
+and of one host-side call, through lone entries and general ones.
 
     python tools/op_costs.py [--iterations 200000] [--best 7]
 
@@ -16,8 +17,15 @@ first, --best times, and its best time, less the best time of the empty
 loop, is divided by the iterations.  Prints one row per line: the net
 cost in microseconds in each world and their ratio.  Every run of a
 line also returns its locals and its world's state; a line whose bridge
-results differ from its native results is marked FAIL, and the exit
-status is 1 if any is.
+results differ from its native results is marked FAIL.
+
+The host calls of HOST_CALLS, as in perfbench's host_callbacks, are
+timed the same way in a Python loop of a tenth of the iterations, less
+the loop's cost with an empty call, in two interpreters after
+HOST_PRELUDE: one with the registry's lone entries, one with every
+host-side entry the general one (HostRegistry.lone_entries off).  A
+call whose last result or whose listener's hit count differs between
+the two is marked FAIL.  The exit status is 1 if any row is.
 """
 
 import argparse
@@ -83,6 +91,24 @@ while i <= 16 do arr[i] = 0 i = i + 1 end
 """
 
 
+# a script listener on a demo.EventSource and a class-backed speaker
+# that defines hello and lets bye fall through to its backing
+HOST_PRELUDE = """
+hits = 0
+src = hostNewInstance("demo.EventSource")
+listener = {}
+function listener:actionPerformed(ev) hits = hits + 1 end
+src:addActionListener(listener)
+speaker = {}
+function speaker:hello() return "script:hello" end
+"""
+
+HOST_CALLS = ("src.fireAction() into the script listener",
+              "speaker.hello() on the wrapper",
+              "speaker.bye() falling through",
+              'instantiate("demo.ActionEvent", [src])')
+
+
 def world(prelude: str) -> dict:
     """line -> its loop function, each in a fresh interpreter over the
     demo registry after prelude, so that a line's results show only its
@@ -96,6 +122,44 @@ def world(prelude: str) -> dict:
         it.run(prelude)
         loops[line] = it.run(LOOP.format(line=line))[0]
     return loops
+
+
+def host_world(lone: bool):
+    """(call -> a function making it once, a function reading its
+    last result and the listener's hits) over the demo registry with
+    lone entries or with every entry the general one."""
+    from bridgescript.demo import build_demo_registry
+    from bridgescript.interp import Interpreter
+
+    reg = build_demo_registry()
+    reg.lone_entries = lone
+    it = Interpreter(reg, out=io.StringIO())
+    it.run(HOST_PRELUDE)
+    src = it.global_value("src").entries["__hostref"]
+    speaker = it.inbound.host_export(it.global_value("speaker"),
+                                     "demo.Speaker")
+    call = reg.call_method
+    calls = dict(zip(HOST_CALLS, (
+        lambda: call(src, "fireAction", []),
+        lambda: call(speaker, "hello", []),
+        lambda: call(speaker, "bye", []),
+        lambda: reg.instantiate("demo.ActionEvent", [src]))))
+
+    def state(r):
+        if r is not None and r.__class__ is not str:  # the event
+            r = (r.class_name, r.fields["source"] is src)
+        return r, it.global_value("hits")
+    return calls, state
+
+
+def timed_calls(call, n: int):
+    """(seconds, last result) of n calls of call."""
+    clock = time.perf_counter
+    r = None
+    t0 = clock()
+    for _ in range(n):
+        r = call()
+    return clock() - t0, r
 
 
 def timed(loop, n: float):
@@ -141,7 +205,41 @@ def main() -> None:
         mark = "" if same else " FAIL: results differ"
         print(f"| `{line}` | {bridge:.2f} us | {native:.2f} us | "
               f"{ratio:.2f}{mark} |")
+    failed = host_rows(args.iterations // 10, args.best) or failed
     sys.exit(1 if failed else 0)
+
+
+def host_rows(n: int, best_of: int) -> bool:
+    """Prints the host calls' table; True if a row is marked FAIL."""
+    sides = {"lone": host_world(True), "general": host_world(False)}
+    rows = ("", *HOST_CALLS)
+    best = {s: dict.fromkeys(rows, float("inf")) for s in sides}
+    results = {s: {} for s in sides}
+    for side, (calls, _) in sides.items():  # build every entry, untimed
+        calls[""] = lambda: None
+        for call in calls.values():
+            call()
+    for r in range(best_of):
+        order = list(sides) if r % 2 == 0 else list(reversed(sides))
+        for row in rows:
+            for side in order:
+                calls, state = sides[side]
+                seconds, last = timed_calls(calls[row], n)
+                best[side][row] = min(best[side][row], seconds)
+                results[side][row] = state(last)
+    print(f"{n} calls, best of {best_of}; an empty call's loop subtracted")
+    print("| host call | lone entry | general entry | lone / general |")
+    print("| --- | --- | --- | --- |")
+    failed = False
+    for row in HOST_CALLS:
+        lone, general = ((best[s][row] - best[s][""]) / n * 1e6
+                         for s in ("lone", "general"))
+        same = results["lone"][row] == results["general"][row]
+        failed = failed or not same
+        mark = "" if same else " FAIL: results differ"
+        print(f"| `{row}` | {lone:.2f} us | {general:.2f} us | "
+              f"{lone / general:.2f}{mark} |")
+    return failed
 
 
 if __name__ == "__main__":
