@@ -5,12 +5,12 @@ call methods on.  Host calls of one method on every wrapper of one
 target type share one entry, built on the first call and kept in a
 plain dict (see _entry).  The entry chooses the overload from the host
 arguments through a registry.call_site over score_host, which returns
-the chosen overload's return handling.  A lone overload that is nullary,
-or whose one slot is a class, is the verdict for no arguments, or for
-one host object of that very class, which it takes as they are: such a
-call skips the site.  The entry looks the method up in the table on
-every call, index fallback included, so a script can add or replace
-methods after exporting and the host sees the change on the next call.
+the chosen overload's return handling.  A lone overload of no slot or
+one (registry.lone_slots) is the verdict for a call whose argument, if
+any, fits its slot as it is: such a call skips the site.  The entry
+looks the method up in the table on every call, index fallback
+included, so a script can add or replace methods after exporting and
+the host sees the change on the next call.
 It calls the function with the table as self and returns the single
 result as the chosen overload's return type: nothing for void, a result
 of the tag's AS_IS class as it is, any other through the tag's store.
@@ -61,11 +61,11 @@ from .objects import (
 from .registry import (
     AS_IS,
     VOID,
-    ClassTag,
     HostObject,
     ScriptWrapper,
     call_site,
     host_shape,
+    lone_slots,
 )
 
 
@@ -119,17 +119,16 @@ class InboundBridge:
                 return None
             return AS_IS.get(m.returns), conv.storer(
                 m.returns, refusal, ReturnTypeMismatch)
+        records = {m: record(m) for m in cands}
         select = call_site(cands, target_type, reg.score_host, host_shape,
-                           record)
-        # a lone overload that is nullary or has one class slot is the
-        # verdict for no arguments, or one host object of that class:
-        # such calls skip the call site
-        params = cands[0].params
-        lone_class = params[0].name if len(params) == 1 \
-            and params[0].__class__ is ClassTag else None
-        lone_n = len(params) if reg.lone_entries and len(cands) == 1 \
-            and (not params or lone_class) else -1
-        lone = record(cands[0])
+                           records.__getitem__)
+        # a lone overload of no slot or one is the verdict for a call
+        # whose argument fits its slot (lone_slots): such calls skip the
+        # call site
+        slots = lone_slots(cands)
+        lone_n = len(slots) if slots is not None and len(slots) < 2 else -1
+        lone_class, lone_name = slots[0] if lone_n == 1 else (None, None)
+        lone = records[cands[0]]
         # a class target's backing is of that class: fall through to its
         # own entry
         fall = (reg.entries.get(key) or reg._entry(key)) \
@@ -155,8 +154,9 @@ class InboundBridge:
             # the overload fixes the return tag; choose it before the call
             n = len(host_args)
             if n == lone_n and (not n or (
-                    host_args[0].__class__ is HostObject
-                    and host_args[0].class_name == lone_class)):
+                    host_args[0].__class__ is lone_class and (
+                        lone_name is None
+                        or host_args[0].class_name == lone_name))):
                 result = lone
             else:
                 result, host_args = select(host_args)

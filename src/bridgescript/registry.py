@@ -53,15 +53,15 @@ class test per argument: when there are as many arguments as slots, each
 of its slot's class (for a class slot, a host object of that class
 name), the verdict is that overload with the arguments as they are, and
 the entry runs the body and the result check itself.  Any other call
-goes to the general entry, with its errors.  With lone_entries off,
-every entry, the inbound bridge's too, is the general one.  call_method
-on a host object and instantiate are one lookup and one call.  On a
-wrapper call_method calls the inbound bridge's entry, so a host object
-of class X and a wrapper exported as X never share one.  An entry is
-built on the first call and every receiver of its type shares it.  The
-tables are plain dicts, since a dict subclass's lookup costs more; a
-miss builds the entry, and a failed build (an undeclared method, say)
-stores nothing.
+goes to the general entry, with its errors.  lone_slots(cands) is the
+one rule for which overloads are lone and what their guard tests; the
+inbound bridge's entries take it too.  call_method on a host object and
+instantiate are one lookup and one call.  On a wrapper call_method calls
+the inbound bridge's entry, so a host object of class X and a wrapper
+exported as X never share one.  An entry is built on the first call and
+every receiver of its type shares it.  The tables are plain dicts, since
+a dict subclass's lookup costs more; a miss builds the entry, and a
+failed build (an undeclared method, say) stores nothing.
 """
 
 import functools
@@ -379,9 +379,6 @@ class HostRegistry:
         self._instance_inits: dict[str, dict] = {}
         self._frozen = False
         self.entries: dict = {}  # see _entry
-        # False gives every host-side entry, the inbound bridge's too, the
-        # general form, which tools/op_costs.py times the lone ones against
-        self.lone_entries = True
         # Conformance re-check of receiver fields after every invoke.
         # Costly, so off by default; the test suite turns it on.
         self.validate_invokes = validate_invokes
@@ -676,22 +673,22 @@ class HostRegistry:
         """Construct name from host values, by the overload rule."""
         return (self.entries.get(name) or self._entry(name))(None, args)
 
-    def invoker(self, m: MethodDescriptor, general=None):
+    def invoker(self, m: MethodDescriptor, general=None, slots=None):
         """invoke(receiver, host args) -> host result of m: the body run
         with host errors wrapped as HostException and a RecursionError
         as a stack overflow, the result normalized and checked against
         the return tag (None for void), and the receiver checked if
-        validate_invokes was on.  With general, m's lone entry: it does
-        so for arguments _guard admits, and hands any other call to
-        general(receiver, host args)."""
+        validate_invokes was on.  Given general and lone_slots([m]) as
+        slots, m's lone entry: it does so for arguments that fit slots,
+        and hands any other call to general(receiver, host args)."""
         body, name, tag, static = m.body, m.name, m.returns, m.static
         # up to two arguments are passed one by one: body(receiver, *args)
         # costs over twice what a direct body(receiver, a) does
         n = len(m.params)
         passed = [f"args[{i}]" for i in range(n)] if n <= 2 else ["*args"]
         call = ", ".join(passed if static else ["receiver", *passed])
-        guard, slots = (None, (None,) * 4) if general is None \
-            else _guard(m.params)
+        guard, reads = (None, (None,) * 4) if general is None \
+            else _guard(slots)
         if name == "<init>":
             cname, inits = tag.name, self._instance_inits[tag.name]
 
@@ -703,10 +700,10 @@ class HostRegistry:
                 else "receiver", True, guard)
             return form(_no_body if body is None else body,
                         f"constructor of {cname}", None, finish, cname, inits,
-                        general, *slots)
+                        general, *reads)
         result, plain, finish = self.result_check(m)
         return _invoker_form(call, result, False, guard)(
-            body, name, plain, finish, None, None, general, *slots)
+            body, name, plain, finish, None, None, general, *reads)
 
     def result_check(self, m: MethodDescriptor):
         """How invoker(m) finishes its body's result r: the text of the
@@ -750,11 +747,9 @@ class HostRegistry:
         def entry(receiver, args: list):
             invoke, args = select(args)
             return invoke(receiver, args)
-        m = cands[0]
-        if self.lone_entries and len(cands) == 1 and len(m.params) <= 2 \
-                and all(tag in AS_IS or tag.__class__ is ClassTag
-                        for tag in m.params):
-            entry = self.invoker(m, entry)
+        slots = lone_slots(cands)
+        if slots is not None:
+            entry = self.invoker(cands[0], entry, slots)
         self.entries[key] = entry
         return entry
 
@@ -957,20 +952,36 @@ def _invoker_form(call: str, result: str, new: bool, guard):
                   HostObject=HostObject)
 
 
-def _guard(params):
-    """A lone entry's guard over slots of params, and what it reads as
-    c0, c1, n0 and n1: as many arguments as slots, each of its slot's
-    class, and a class slot's a host object of its class name.  Such
-    arguments fit the slots exactly and stay as they are."""
-    tests = [f"len(args) == {len(params)}"]
-    classes, names = [None, None], [None, None]
-    for i, tag in enumerate(params):
-        tests.append(f"args[{i}].__class__ is c{i}")
+def lone_slots(cands):
+    """The slots of cands' lone overload, if cands is one candidate of
+    at most two slots, each FLOAT, TEXT, BOOLEAN or a class, else None:
+    per slot the class an argument must have and, for a class slot, the
+    class name of that host object.  A call whose arguments fit them,
+    one per slot, has that overload for its verdict and the arguments
+    as they are, since they fit their slots exactly."""
+    if len(cands) != 1 or len(cands[0].params) > 2:
+        return None
+    slots = []
+    for tag in cands[0].params:
         if tag.__class__ is ClassTag:
-            classes[i], names[i] = HostObject, tag.name
-            tests.append(f"args[{i}].class_name == n{i}")
+            slots.append((HostObject, tag.name))
+        elif tag in AS_IS:
+            slots.append((AS_IS[tag], None))
         else:
-            classes[i] = AS_IS[tag]
+            return None
+    return slots
+
+
+def _guard(slots):
+    """A lone entry's guard over lone_slots' slots, and what it reads as
+    c0, c1, n0 and n1."""
+    tests = [f"len(args) == {len(slots)}"]
+    classes, names = [None, None], [None, None]
+    for i, (cls, name) in enumerate(slots):
+        classes[i], names[i] = cls, name
+        tests.append(f"args[{i}].__class__ is c{i}")
+        if name is not None:
+            tests.append(f"args[{i}].class_name == n{i}")
     return " and ".join(tests), (*classes, *names)
 
 

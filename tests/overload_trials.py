@@ -495,7 +495,8 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
     BOOLEAN or class slots (every one-slot signature and a few random
     pairs), called on objects of the declaring class and of a subclass,
     whose entries are their own; and the lone entries of an interface
-    wrapper, one nullary and one of a class slot.  Most arguments fit
+    wrapper, one nullary, one of a FLOAT slot, one of a class slot and
+    one of a TEXT and a FLOAT slot, which takes the call site.  Most arguments fit
     their slots exactly or are values a slot takes by coercion (a
     subclass object, None, an int in a float slot, a wrapper); the rest
     are any host values, objects of unrelated classes among them, in
@@ -528,6 +529,8 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
     base = ClassTag("ora.Base")
     ear = HostClassDescriptor(name="ora.LoneEar", kind="interface", methods={
         "ping": [MethodDescriptor("ping", (), TEXT)],
+        "echo": [MethodDescriptor("echo", (FLOAT,), FLOAT)],
+        "pair": [MethodDescriptor("pair", (TEXT, FLOAT), FLOAT)],
         "hear": [MethodDescriptor("hear", (base,), base)]})
     reg, conv = build_world(lone, kid, *makes, ear,
                             validate_invokes=validate_invokes)
@@ -543,18 +546,19 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
             for tag in LONE_TAGS}
     table = Table()
     table.entries["ping"] = NativeFunction(lambda args: ["pong"], "ping")
+    table.entries["echo"] = NativeFunction(lambda args: [args[1]], "echo")
+    table.entries["pair"] = NativeFunction(lambda args: [args[2]], "pair")
     table.entries["hear"] = NativeFunction(lambda args: [args[1]], "hear")
     w = conv.auto_wrap(table, "ora.LoneEar")
     kinds = [("method", i) for i in range(len(sigs))] + \
-        [("new", i) for i in range(len(sigs))] + [("ping", 0), ("hear", 1)]
+        [("new", i) for i in range(len(sigs))] + \
+        [("ping", 0), ("echo", 0), ("hear", 0), ("pair", 0)]
     agree = 0
     example = None
     for _ in range(calls):
         kind, i = rng.choice(kinds)
-        if kind == "ping":
-            cands = reg.lookup_class("ora.LoneEar").methods["ping"]
-        elif kind == "hear":
-            cands = reg.lookup_class("ora.LoneEar").methods["hear"]
+        if kind in ("ping", "echo", "hear", "pair"):
+            cands = reg.lookup_class("ora.LoneEar").methods[kind]
         elif kind == "new":
             cands = reg.constructors(f"ora.Make{i}")
         else:
@@ -576,7 +580,7 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
         try:
             if kind == "new":
                 result = reg.instantiate(f"ora.Make{i}", args)
-            elif kind in ("ping", "hear"):
+            elif kind in ("ping", "echo", "hear", "pair"):
                 result = reg.call_method(w, kind, args)
             else:
                 result = reg.call_method(rng.choice(receivers), f"m{i}",
@@ -590,6 +594,10 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
                                          "ora")[1]
             if kind == "ping":
                 ok = result == "pong"
+            elif kind == "echo":  # the argument as its slot holds it
+                ok = _same_values([result], converted)
+            elif kind == "pair":
+                ok = _same_values([result], converted[1:])
             elif kind == "hear":  # a wrapper's table comes back a Base
                 h = converted[0]
                 ok = result is h if h.__class__ is not ScriptWrapper else (

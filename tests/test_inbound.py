@@ -566,12 +566,12 @@ def test_host_calls_reach_native_functions(interp):
 
 # ------------------------------------------------- errors through lone entries
 
-def _lone_world(out, lone: bool = True, validate: bool = False):
+def _lone_world(out, validate: bool = False):
     """An interpreter over a registry whose host-side entries are all
-    lone ones, or all general if not lone: lone.Host's f(float) and
-    back(text) and lone.Thing's one constructor(float) fail on request,
-    and the interface lone.Ear has a nullary ping and a hear and a take
-    of one lone.Host slot each."""
+    lone ones: lone.Host's f(float) and back(text) and lone.Thing's one
+    constructor(float) fail on request, and the interface lone.Ear has
+    a nullary ping, a say of one text slot, and a hear and a take of
+    one lone.Host slot each."""
     host, thing = ClassTag("lone.Host"), ClassTag("lone.Thing")
 
     def fail(x):
@@ -588,7 +588,6 @@ def _lone_world(out, lone: bool = True, validate: bool = False):
         fail(x)
 
     reg = HostRegistry(validate_invokes=validate)
-    reg.lone_entries = lone
     reg.register_class(HostClassDescriptor(
         name="lone.Host", constructors=[MethodDescriptor("<init>", (), VOID)],
         methods={"f": [MethodDescriptor("f", (FLOAT,), FLOAT, False, f)],
@@ -602,6 +601,7 @@ def _lone_world(out, lone: bool = True, validate: bool = False):
     reg.register_class(HostClassDescriptor(
         name="lone.Ear", kind="interface", methods={
             "ping": [MethodDescriptor("ping", (), TEXT)],
+            "say": [MethodDescriptor("say", (TEXT,), TEXT)],
             "hear": [MethodDescriptor("hear", (host,), thing)],
             "take": [MethodDescriptor("take", (host,), VOID)]}))
     reg.freeze()
@@ -622,8 +622,10 @@ def _outcome(call):
 @pytest.mark.parametrize("validate", [False, True])
 def test_lone_host_entry_errors_keep_their_class_and_text(out, validate):
     """Through a lone method entry and a lone constructor entry, on a
-    cold and a warm entry, each error has the class and text the
-    general entry gives it."""
+    cold and a warm entry, each error has the class and text of the
+    general entry's: a raising body, a stack overflow, a non-conforming
+    return, and arguments that do not fit, which the general entry
+    refuses."""
     cases = (
         ("f", [-1.0], HostException, "f: refused"),
         ("f", [-2.0], HostException, "native body of 'f' returned a value "
@@ -642,75 +644,108 @@ def test_lone_host_entry_errors_keep_their_class_and_text(out, validate):
         ("<init>", [-3.0], ScriptRuntimeError, "stack overflow"),
         ("<init>", [True], NoMatch, "no constructor of 'lone.Thing' accepts "
                                     "these arguments"))
-    worlds = [_lone_world(out, lone, validate) for lone in (True, False)]
+    it = _lone_world(out, validate)
+    reg = it.registry
+    obj = it.global_value("h").entries["__hostref"]
     for name, args, error, text in cases:
-        got = []
-        for it in worlds:
-            reg = it.registry
-            obj = it.global_value("h").entries["__hostref"]
-            for _ in range(2):
-                got.append(_outcome(
-                    (lambda: reg.instantiate("lone.Thing", list(args)))
-                    if name == "<init>" else
-                    (lambda: reg.call_method(obj, name, list(args)))))
-        assert got == [(error, text)] * 4, name
-    lone, general = (it.registry.entries for it in worlds)
-    assert {k: e.__name__ for k, e in lone.items()} == dict.fromkeys(
-        lone, "invoke")
-    assert {k: e.__name__ for k, e in general.items()} == dict.fromkeys(
-        lone, "entry")
+        for _ in range(2):
+            got = _outcome(
+                (lambda: reg.instantiate("lone.Thing", list(args)))
+                if name == "<init>" else
+                (lambda: reg.call_method(obj, name, list(args))))
+            assert got == (error, text), name
+    # a lone entry is an invoker's form; a general one is named entry
+    assert {k: e.__name__ for k, e in reg.entries.items()} == dict.fromkeys(
+        reg.entries, "invoke")
 
 
-LONE_EAR = ("", 'function t:ping() error("boom") end',
-            "function t:ping() local x = self:ping() return x end",
-            "function t:ping() return 5 end",
-            "function t:ping() return nil end",
-            'function t:ping() return "pong" end',
-            "function t:hear(o) return o:f(-1) end",
-            "function t:hear(o) return self end",
-            "function t:hear(o) return o end",
-            "function t:take(o) self.got = o end")
+UNDEFINED = "the table exported as 'lone.Ear' does not define {!r}"
+REFUSAL = "result of lone.Ear.{} does not convert to the declared " \
+    "return type: {}"
+
+# the calls each exported table gets: h is a lone.Host, other a lone.Thing
+EAR_CALLS = (("nope", ()), ("ping", ()), ("ping", ("h",)), ("say", ("x",)),
+             ("say", (1.0,)), ("say", (None,)), ("hear", ("h",)),
+             ("hear", (None,)), ("hear", ()), ("hear", ("other",)),
+             ("take", ("h",)), ("take", ("x",)))
+
+# each table's source, and what the calls of EAR_CALLS its one method
+# accepts give; the method refuses its other calls with NoMatch
+LONE_EAR = (
+    ("", {}),
+    ("function t:ping() return nil .. 'x' end", {
+        ("ping", ()): (ScriptRuntimeError,
+                       "attempt to concatenate a nil value")}),
+    ("function t:ping() local x = self:ping() return x end", {
+        ("ping", ()): (ScriptRuntimeError, "stack overflow")}),
+    ("function t:ping() return 5 end", {
+        ("ping", ()): (ReturnTypeMismatch, REFUSAL.format(
+            "ping", "expected a string, got number"))}),
+    ("function t:ping() return nil end", {
+        ("ping", ()): (ReturnTypeMismatch, REFUSAL.format(
+            "ping", "expected a string, got nil"))}),
+    ('function t:ping() return "pong" end', {("ping", ()): ("ok", "pong")}),
+    ("function t:say(s) return s .. '!' end", {
+        ("say", ("x",)): ("ok", "x!")}),
+    ("function t:say(s) return self end", {
+        ("say", ("x",)): (ReturnTypeMismatch, REFUSAL.format(
+            "say", "expected a string, got table"))}),
+    ("function t:hear(o) return o:f(-1) end", {
+        ("hear", ("h",)): (HostException, "f: refused"),
+        ("hear", (None,)): (ScriptRuntimeError,
+                            "attempt to index a nil value")}),
+    ("function t:hear(o) return self end", {
+        ("hear", ("h",)): (ReturnTypeMismatch, REFUSAL.format(
+            "hear", "'lone.Thing' cannot back a plain table")),
+        ("hear", (None,)): (ReturnTypeMismatch, REFUSAL.format(
+            "hear", "'lone.Thing' cannot back a plain table"))}),
+    ("function t:hear(o) return o end", {
+        ("hear", ("h",)): (ReturnTypeMismatch, REFUSAL.format(
+            "hear", "'lone.Host' is not a 'lone.Thing'")),
+        ("hear", (None,)): ("ok", None)}),
+    ("function t:take(o) self.got = o end", {
+        ("take", ("h",)): ("ok", None)}))
 
 
-@pytest.mark.parametrize("source", LONE_EAR)
-def test_lone_inbound_entry_errors_keep_their_class_and_text(out, source):
-    """A wrapper's lone entries (ping of no slot, hear and take of one
-    class slot) keep the errors of the general entry, in its order:
-    NoSuchMember, UnimplementedMethod, NotCallable, then NoMatch; a
-    script's raise, a stack overflow, a result that does not convert
-    (a number for text, the wrapper's own table or a proxy of another
-    class for lone.Thing, which cannot back a table) and the call made
-    by a listener keep their classes and texts."""
-    got = []
-    for lone in (True, False):
-        it = _lone_world(out, lone)
-        it.run(source)
-        w = it.inbound.host_export(it.global_value("t"), "lone.Ear")
-        h = it.global_value("h").entries["__hostref"]
-        other = it.registry.instantiate("lone.Thing", [1.0])
-        for name, args in (("nope", []), ("ping", []), ("ping", [h]),
-                           ("hear", [h]), ("hear", [None]), ("hear", []),
-                           ("hear", [other]),
-                           ("take", [h]), ("take", ["x"])):
-            for _ in range(2):
-                got.append((name, lone, _outcome(
-                    lambda: it.registry.call_method(w, name, list(args)))))
-        got.append(("took", lone, _outcome(
-            lambda: table_get(it.global_value("t"), "got"))))
-    half = len(got) // 2
-    assert [g[::2] for g in got[:half]] == [g[::2] for g in got[half:]]
-    kinds = {name: outcome for name, _, outcome in got}
-    assert kinds["nope"][0] is NoSuchMember
-    if not source:
-        assert kinds["ping"] == (UnimplementedMethod, "the table exported as "
-                                 "'lone.Ear' does not define 'ping'")
-    if "hear" in source:
-        assert kinds["take"][0] is UnimplementedMethod
+@pytest.mark.parametrize("source, accepted", LONE_EAR)
+def test_lone_inbound_entry_errors_keep_their_class_and_text(
+        out, source, accepted):
+    """A wrapper's lone entries (ping of no slot, say of a text slot,
+    hear and take of one class slot), cold and warm, keep the general
+    entry's errors in its order: NoSuchMember, UnimplementedMethod,
+    NotCallable, then NoMatch; a script's raise, a stack overflow and a
+    result that does not convert (a number or a table for text, the
+    wrapper's own table or a proxy of another class for lone.Thing,
+    which cannot back a table) keep their classes and texts."""
+    it = _lone_world(out)
+    it.run(source)
+    w = it.inbound.host_export(it.global_value("t"), "lone.Ear")
+    values = {"h": it.global_value("h").entries["__hostref"],
+              "other": it.registry.instantiate("lone.Thing", [1.0])}
+    for name, args in EAR_CALLS:
+        if name == "nope":
+            want = NoSuchMember, "'lone.Ear' has no member 'nope'"
+        elif f"t:{name}(" not in source:
+            want = UnimplementedMethod, UNDEFINED.format(name)
+        else:
+            want = accepted.get((name, args), (
+                NoMatch, f"no overload of lone.Ear.{name} accepts these "
+                         f"arguments"))
+        host_args = [values.get(a, a) if a.__class__ is str else a
+                     for a in args]
+        for _ in range(2):
+            assert _outcome(lambda: it.registry.call_method(
+                w, name, list(host_args))) == want, (name, args)
+    if "take" in source:  # the host object reached the table, as a proxy
+        got = table_get(it.global_value("t"), "got")
+        assert got.entries["__hostref"] is values["h"]
+    assert {k: e.__name__ for k, e in it.inbound.entries.items()} \
+        == dict.fromkeys(it.inbound.entries, "entry")
 
 
 def test_lone_inbound_entry_texts(out):
-    """The texts the test above compares, as the general entry gives
-    them, spelt out for the lone entries."""
+    """One table changed between calls through the lone entries: each
+    call's error has the class and text of the general entry's."""
     it = _lone_world(out)
     w = it.inbound.host_export(it.global_value("t"), "lone.Ear")
     h = it.global_value("h").entries["__hostref"]
@@ -749,11 +784,10 @@ def test_lone_inbound_entry_texts(out):
             assert type(e.value) is error and e.value.message == text
 
 
-@pytest.mark.parametrize("lone", [True, False])
-def test_class_fall_through_reaches_a_lone_entry(out, lone):
-    """A class wrapper's missing method runs the backing's entry, lone
-    or general, with its errors."""
-    it = _lone_world(out, lone)
+def test_class_fall_through_reaches_a_lone_entry(out):
+    """A class wrapper's missing method runs the backing's lone entry,
+    with its errors."""
+    it = _lone_world(out)
     w = it.inbound.host_export(it.global_value("t"), "lone.Host")
     assert it.registry.call_method(w, "f", [3.0]) == 6.0
     assert w.invoke_method("f", [1]) == 2.0
@@ -764,5 +798,4 @@ def test_class_fall_through_reaches_a_lone_entry(out, lone):
         with pytest.raises(error) as e:
             it.registry.call_method(w, "f", args)
         assert type(e.value) is error and e.value.message == text
-    assert it.registry.entries["lone.Host", "f"].__name__ == \
-        ("invoke" if lone else "entry")
+    assert it.registry.entries["lone.Host", "f"].__name__ == "invoke"

@@ -1,5 +1,5 @@
 """Net cost of one loop line, over host proxies and over script tables,
-and of one host-side call, through lone entries and general ones.
+and of one host-side call.
 
     python tools/op_costs.py [--iterations 200000] [--best 7]
 
@@ -21,11 +21,10 @@ results differ from its native results is marked FAIL.
 
 The host calls of HOST_CALLS, as in perfbench's host_callbacks, are
 timed the same way in a Python loop of a tenth of the iterations, less
-the loop's cost with an empty call, in two interpreters after
-HOST_PRELUDE: one with the registry's lone entries, one with every
-host-side entry the general one (HostRegistry.lone_entries off).  A
-call whose last result or whose listener's hit count differs between
-the two is marked FAIL.  The exit status is 1 if any row is.
+the loop's cost with an empty call, in an interpreter after
+HOST_PRELUDE.  A call whose last result differs from the one HOST_CALLS
+gives it is marked FAIL, and so is the listener if it did not run once
+per fireAction.  The exit status is 1 if anything is marked FAIL.
 """
 
 import argparse
@@ -103,10 +102,13 @@ speaker = {}
 function speaker:hello() return "script:hello" end
 """
 
-HOST_CALLS = ("src.fireAction() into the script listener",
-              "speaker.hello() on the wrapper",
-              "speaker.bye() falling through",
-              'instantiate("demo.ActionEvent", [src])')
+# each call and its result; an event shows as its class and whether its
+# source is src
+HOST_CALLS = {"src.fireAction() into the script listener": None,
+              "speaker.hello() on the wrapper": "script:hello",
+              "speaker.bye() falling through": "base:bye",
+              'instantiate("demo.ActionEvent", [src])':
+              ("demo.ActionEvent", True)}
 
 
 def world(prelude: str) -> dict:
@@ -124,15 +126,14 @@ def world(prelude: str) -> dict:
     return loops
 
 
-def host_world(lone: bool):
+def host_world():
     """(call -> a function making it once, a function reading its
-    last result and the listener's hits) over the demo registry with
-    lone entries or with every entry the general one."""
+    result as HOST_CALLS gives it, a function reading the listener's
+    hits) over the demo registry."""
     from bridgescript.demo import build_demo_registry
     from bridgescript.interp import Interpreter
 
     reg = build_demo_registry()
-    reg.lone_entries = lone
     it = Interpreter(reg, out=io.StringIO())
     it.run(HOST_PRELUDE)
     src = it.global_value("src").entries["__hostref"]
@@ -145,11 +146,11 @@ def host_world(lone: bool):
         lambda: call(speaker, "bye", []),
         lambda: reg.instantiate("demo.ActionEvent", [src]))))
 
-    def state(r):
+    def result(r):
         if r is not None and r.__class__ is not str:  # the event
             r = (r.class_name, r.fields["source"] is src)
-        return r, it.global_value("hits")
-    return calls, state
+        return r
+    return calls, result, lambda: it.global_value("hits")
 
 
 def timed_calls(call, n: int):
@@ -210,35 +211,31 @@ def main() -> None:
 
 
 def host_rows(n: int, best_of: int) -> bool:
-    """Prints the host calls' table; True if a row is marked FAIL."""
-    sides = {"lone": host_world(True), "general": host_world(False)}
+    """Prints the host calls' table; True if anything is marked FAIL."""
+    calls, result, hits = host_world()
+    calls[""] = lambda: None
     rows = ("", *HOST_CALLS)
-    best = {s: dict.fromkeys(rows, float("inf")) for s in sides}
-    results = {s: {} for s in sides}
-    for side, (calls, _) in sides.items():  # build every entry, untimed
-        calls[""] = lambda: None
-        for call in calls.values():
-            call()
-    for r in range(best_of):
-        order = list(sides) if r % 2 == 0 else list(reversed(sides))
+    best = dict.fromkeys(rows, float("inf"))
+    results = {row: result(calls[row]()) for row in rows}  # warm, untimed
+    for _ in range(best_of):
         for row in rows:
-            for side in order:
-                calls, state = sides[side]
-                seconds, last = timed_calls(calls[row], n)
-                best[side][row] = min(best[side][row], seconds)
-                results[side][row] = state(last)
+            seconds, last = timed_calls(calls[row], n)
+            best[row] = min(best[row], seconds)
+            results[row] = result(last)
     print(f"{n} calls, best of {best_of}; an empty call's loop subtracted")
-    print("| host call | lone entry | general entry | lone / general |")
-    print("| --- | --- | --- | --- |")
+    print("| host call | net cost |")
+    print("| --- | --- |")
     failed = False
-    for row in HOST_CALLS:
-        lone, general = ((best[s][row] - best[s][""]) / n * 1e6
-                         for s in ("lone", "general"))
-        same = results["lone"][row] == results["general"][row]
+    for row, want in HOST_CALLS.items():
+        same = results[row] == want
         failed = failed or not same
-        mark = "" if same else " FAIL: results differ"
-        print(f"| `{row}` | {lone:.2f} us | {general:.2f} us | "
-              f"{lone / general:.2f}{mark} |")
+        mark = "" if same else f" FAIL: returned {results[row]!r}"
+        print(f"| `{row}` | {(best[row] - best['']) / n * 1e6:.2f} us{mark} |")
+    fired = 1 + n * best_of  # fireAction calls, the untimed one included
+    if hits() != fired:
+        print(f"FAIL: the listener ran {hits()} times for {fired} "
+              f"fireAction calls")
+        failed = True
     return failed
 
 
