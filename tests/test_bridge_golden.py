@@ -30,6 +30,7 @@ from bridgescript.registry import (
     TEXT,
     VOID,
     ArrayTag,
+    ClassTag,
     FieldSpec,
     HostArray,
     HostClassDescriptor,
@@ -57,8 +58,21 @@ def _move(self, dx, dy):
     self.fields["y"] += dy
 
 
-def _fail(self):
+def _fail(self, *args):
     raise ValueError("boom")
+
+
+def _kind(self, v):
+    """What a class slot got: nil, an object's class or a wrapper."""
+    if v is None:
+        return "nil"
+    if v.__class__ is HostObject:
+        return v.class_name
+    return f"wrapper of {v.target_type}"
+
+
+def _hold(self, v):
+    self.fields["held"] = v
 
 
 SHAPE = HostClassDescriptor(
@@ -78,6 +92,10 @@ SHAPE = HostClassDescriptor(
         "huge": [_method("huge", (), INTEGER, lambda self: HUGE)],
         "bad": [_method("bad", (), FLOAT, lambda self: "not a number")],
         "fail": [_method("fail", (), VOID, _fail)],
+        "take": [_method("take", (ClassTag("Shape"),), TEXT, _kind)],
+        "clash": [_method("clash", (ClassTag("Shape"),), VOID, _fail)],
+        "place": [_method("place", (FLOAT, FLOAT, FLOAT), FLOAT,
+                          lambda self, a, b, c: a + b + c)],
         "pick": [_method("pick", (INTEGER,), TEXT, lambda self, i: "int"),
                  _method("pick", (TEXT,), TEXT, lambda self, s: "text")],
         "twice": [_method("twice", (FLOAT,), FLOAT, lambda v: v * 2.0,
@@ -93,14 +111,18 @@ CIRCLE = HostClassDescriptor(
 OTHER = HostClassDescriptor(
     name="Other", constructors=[_method("<init>", (), VOID, None)],
     methods={"move": [_method("move", (FLOAT, FLOAT), VOID, _move)]})
+HOLDER = HostClassDescriptor(
+    name="Holder", fields={"held": FieldSpec(ClassTag("Shape"))},
+    constructors=[_method("<init>", (ClassTag("Shape"),), VOID, _hold)])
 
 
 def world(validate: bool = False) -> Interpreter:
     """An interpreter whose globals s, c and o are a Shape, a Circle and
     an Other, S and C the class proxies of Shape and Circle, a an array
-    of three integers and b Shape.bigs, the array [1, HUGE]."""
+    of three integers and b Shape.bigs, the array [1, HUGE].  A Holder
+    is made from one Shape, which it keeps in its field held."""
     reg = HostRegistry(validate_invokes=validate)
-    for d in (SHAPE, CIRCLE, OTHER):
+    for d in (SHAPE, CIRCLE, OTHER, HOLDER):
         reg.register_class(d)
     reg.freeze()
     reg.resolve_field("Shape", "bigs")[1]["bigs"] = HostArray(
@@ -175,12 +197,46 @@ CASES = {
     "host integer too large as a result": "return s:huge()",
     "body result of the wrong tag": "return s:bad()",
     "host exception in a body": "\ns:fail()",
+    "lone class-slot method": "return s:take(s), s:take(c), s:take(nil), "
+                              "c:take(c)",
+    "lone class-slot method with another class": "return s:take(o)",
+    "lone class-slot method with a plain table": "local t = {}\n"
+                                                 "return s:take(t), t.__base",
+    "lone class-slot method with the class proxy": "return s:take(S)",
+    "lone class-slot method with an array": "return s:take(a)",
+    "lone class-slot method with a number": "return s:take(1)",
+    "lone class-slot method without arguments": "return s:take()",
+    "lone class-slot method on another class": "return s.take(o, s)",
+    "lone method of three floats": "return s:place(1, 2, 3.5)",
+    "lone method of three floats with too few arguments":
+        "return s:place(1, 2)",
+    "lone method of three floats with a string": "return s:place(1, 'a', 3)",
+    "lone class-slot constructor": "return hostNewInstance('Holder', s).held, "
+                                   "hostNewInstance('Holder', c).held, "
+                                   "hostNewInstance('Holder', nil).held",
+    "lone class-slot constructor with another class":
+        "return hostNewInstance('Holder', o)",
+    "lone class-slot constructor with a plain table":
+        "local t = {}\nlocal h = hostNewInstance('Holder', t)\n"
+        "return h.held == t, t.__base",
+    "lone class-slot constructor with the class proxy":
+        "return hostNewInstance('Holder', S)",
+    "lone class-slot constructor with an array":
+        "return hostNewInstance('Holder', a)",
+    "lone class-slot constructor with a number":
+        "return hostNewInstance('Holder', 1)",
+    "lone class-slot constructor without arguments":
+        "return hostNewInstance('Holder')",
+    "host exception in a class-slot lone method": "\ns:clash(s)",
 }
 
 # cases also run with validate_invokes on
 VALIDATED = ("lone methods", "inherited members of a subclass",
              "lone static method", "body result of the wrong tag",
-             "host exception in a body", "general dispatch")
+             "host exception in a body", "general dispatch",
+             "lone class-slot method", "lone method of three floats",
+             "lone class-slot constructor",
+             "host exception in a class-slot lone method")
 
 
 def show(v):
