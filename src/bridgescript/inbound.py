@@ -5,9 +5,11 @@ call methods on.  Host calls of one method on every wrapper of one
 target type share one entry, built on the first call and kept in a
 plain dict (see _entry).  The entry chooses the overload from the host
 arguments through a registry.call_site over score_host, which returns
-the chosen overload's return handling.  A lone overload of no slot or
-one (registry.lone_slots) is the verdict for a call whose argument, if
-any, fits its slot as it is: such a call skips the site.  The entry
+the chosen overload's return handling.  Whether an overload is lone
+comes from registry.lone_slots alone; for a lone overload of no slot
+or one, the entry tests inline whether the call's argument, if any,
+fits its slot as it is, and such a call skips the site.  A wider lone
+overload is chosen through the site, as any other.  The entry
 looks the method up in the table on every call, index fallback
 included, so a script can add or replace methods after exporting and
 the host sees the change on the next call.

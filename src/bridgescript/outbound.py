@@ -33,15 +33,15 @@ and returns it, so the fallback fires once per method per proxy, and
 p.move == p.move holds before any call, as on a plain table.  The
 dispatcher refers to no proxy, and the fallbacks to no proxy but the
 one they are called with, so the proxy table is the only state the
-bridge keeps per proxy.  A method with one overload, all of whose
-slots are FLOAT, TEXT or BOOLEAN, gets a dispatcher generated from
-source, one spelling per arity, receiver kind and result: a call with
-arguments of the slots' classes and, for an instance method, a receiver
-of the dispatcher's own class runs the body at once, with the
-invoker's error handling and result check (registry.run_body and
-HostRegistry.result_check); any other call goes to the general
-dispatcher, which decides it through the call site with the same
-errors.
+bridge keeps per proxy.  A method whose overload is lone
+(registry.lone_slots) gets its crossing from the registry's one
+template in front of the general dispatcher (HostRegistry.invoker): a
+call with arguments of the slots' classes (a proxy of a host object of
+exactly the slot's class, for a class slot) and, for an instance
+method, a receiver of the dispatcher's own class runs the body at once,
+with the invoker's error handling and result check; any other call goes
+to the general dispatcher, which decides it through the call site with
+the same errors.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -52,7 +52,9 @@ decide such a call and its arguments pass as they are.  The site
 returns the chosen overload's record and the arguments converted for
 its slots.  A method's record is its registry invoker, whether it is
 void and the class of results that pass back as they are; a
-constructor's is its invoker.  A method whose one overload is nullary
+constructor's is its invoker.  A class's constructors are one new(script
+args) per class, built on first use: the site, or a lone constructor's
+crossing in front of it.  A method whose one overload is nullary
 refuses arguments as one that "takes no arguments".  The invoker runs
 the body, wraps host errors as HostException and checks the result
 against the return tag; the result goes back through to_script.
@@ -69,7 +71,7 @@ reading or storing one raises NoSuchMember.
 """
 
 from collections import defaultdict
-from functools import cache, partial
+from functools import partial
 
 from .errors import (
     NoMatch,
@@ -79,7 +81,7 @@ from .errors import (
     TypeMismatch,
 )
 from .convert import site_shape
-from .objects import NativeFunction, Table, render
+from .objects import _EMPTY, NativeFunction, Table, render
 from .registry import (
     AS_IS,
     VOID,
@@ -87,12 +89,10 @@ from .registry import (
     HostClassRef,
     HostObject,
     call_site,
-    define,
     index_error,
-    run_body,
+    lone_slots,
 )
 
-_EMPTY: list = []
 # The fallback_fires member of every element read of an array, so that
 # an array's reads make one entry however many indices they use.
 ELEMENTS = "[element]"
@@ -146,7 +146,7 @@ class OutboundBridge:
         # tag, built on first use (see build_proxy)
         self._instances: dict = {}
         self._arrays: dict = {}
-        # class name -> constructors' call_site, built on first use
+        # class name -> its new(script args), built on first use
         self._constructors: dict = {}
 
     def build_proxy(self, ref) -> Table:
@@ -179,18 +179,25 @@ class OutboundBridge:
     # ------------------------------------------------------------ built-ins
 
     def host_new_instance(self, name: str, script_args: list) -> Table:
-        select = self._constructors.get(name) or self._constructor_site(name)
-        invoke, args = select(script_args)
-        return self.converter.to_script(invoke(None, args))
+        new = self._constructors.get(name) or self._constructor(name)
+        return new(script_args)
 
-    def _constructor_site(self, name: str):
-        """_constructors[name], built and stored: the call site of the
-        constructors of the class name."""
-        cands = self.registry.constructors(name)
-        select = self._constructors[name] = call_site(
-            cands, name, self.converter.to_host, site_shape(cands),
-            self.registry.invoker)
-        return select
+    def _constructor(self, name: str):
+        """_constructors[name], built and stored: new(script args) -> the
+        proxy of a new object of the class name, through the call site
+        of its constructors, or its lone constructor's crossing."""
+        reg, to_script = self.registry, self.converter.to_script
+        cands = reg.constructors(name)
+        select = call_site(cands, name, self.converter.to_host,
+                           site_shape(cands), reg.invoker)
+
+        def new(args: list) -> Table:
+            invoke, args = select(args)
+            return to_script(invoke(None, args))
+        if lone_slots(cands) is not None:
+            new = reg.invoker(cands[0], new, to_script)
+        self._constructors[name] = new
+        return new
 
     # ------------------------------------------------------------ fallbacks
 
@@ -306,8 +313,8 @@ class OutboundBridge:
             """An overload's invoker, is it void, and the class of its
             results that pass back as they are."""
             return reg.invoker(m), m.returns is VOID, AS_IS.get(m.returns)
-        shape = site_shape(cands)
-        select = call_site(cands, cname, conv.to_host, shape, record)
+        select = call_site(cands, cname, conv.to_host, site_shape(cands),
+                           record)
         to_script = conv.to_script
         # how a method whose one overload is nullary refuses arguments
         no_args = f"{cname}.{key} takes no arguments" \
@@ -344,19 +351,9 @@ class OutboundBridge:
                 return _EMPTY
             return [r if r.__class__ is as_is else to_script(r)]
 
-        if len(cands) == 1 and shape is type:
-            # a lone overload of FLOAT, TEXT and BOOLEAN slots is the
-            # verdict for arguments of their classes: such calls skip
-            # the call site and run the body at once
-            m = cands[0]
-            result, plain, finish = reg.result_check(m)
-            # results of the tag's class pass back as they are, unless
-            # they are to be checked
-            as_is = AS_IS.get(m.returns) if plain is not None else None
-            dispatch = _lone_form(
-                static, len(m.params), m.returns is VOID, result)(
-                stats, cname, dispatch, m.body, m.name, plain, finish,
-                as_is, to_script, *(AS_IS[t] for t in m.params))
+        if lone_slots(cands) is not None:
+            dispatch = reg.invoker(cands[0], dispatch, to_script, stats,
+                                   cname)
 
         def refuse(v):
             raise TypeMismatch(
@@ -364,46 +361,3 @@ class OutboundBridge:
                 f"of {cname!r} and cannot be assigned")
         return _Member((cname, key), NativeFunction(dispatch, key), None,
                        None, refuse)
-
-
-# The dispatcher of a method with one overload whose slots are all
-# FLOAT, TEXT or BOOLEAN, for one spelling of its arity, receiver kind
-# and result.  A call whose arguments are of the slots' classes and, for
-# an instance method, whose receiver is an object of the dispatcher's
-# own class is that overload's: it runs the body at once, as the
-# overload's invoker would, and finishes the result as the invoker does
-# (HostRegistry.result_check).  Any other call goes to the method's
-# general dispatcher, which decides it as the call site does.
-_LONE = """def form(stats, cname, general, body, name, plain, finish, as_is,
-         to_script{classes}):
-    receiver = None  # a static method's
-    def dispatch(args):
-        if len(args) == {n}{guard}:
-            stats.dispatches += 1
-{run}
-            {ret}
-        return general(args)
-    return dispatch
-"""
-
-
-@cache  # one per spelling, shared by every bridge
-def _lone_form(static: bool, n: int, void: bool, result: str):
-    first = 0 if static else 1  # where the arguments start
-    guard = "".join(f" and args[{first + i}].__class__ is c{i}"
-                    for i in range(n))
-    if not static:
-        guard += (" and args[0].__class__ is Table and (receiver := "
-                  "args[0].entries.get('__hostref')).__class__ is HostObject"
-                  " and receiver.class_name == cname")
-    passed = [f"args[{first + i}]" for i in range(n)]
-    source = _LONE.format(
-        classes="".join(f", c{i}" for i in range(n)), n=first + n,
-        guard=guard,
-        run=run_body(", ".join(passed if static else ["receiver", *passed]),
-                     12),
-        ret=f"{result}\n            return _EMPTY" if void else
-        f"return [r if r.__class__ is as_is else to_script({result})]")
-    return define(source, f"<dispatch {'static' if static else 'method'} "
-                          f"{n}>", _EMPTY=_EMPTY, HostObject=HostObject,
-                  Table=Table)

@@ -25,20 +25,33 @@ site is resolve_overload behind a cache keyed by argument shapes, which
 keeps no refusal.  The cache remembers, per shape, the winner's record
 and whether the front kept the arguments as they were; a hit of any
 other shape converts them again through the front, so only to_host and
-score_host know how a value converts.  A site whose one overload is
-nullary returns that overload's record for no arguments at once.  A
-class-keyed site keys by the arguments' classes, where they alone
-decide the verdict and the front keeps every value it accepts.
+score_host know how a value converts.  A class-keyed site keys by the
+arguments' classes, where they alone decide the verdict and the front
+keeps every value it accepts.
+
+lone_slots(cands) is the one rule for a lone overload: cands is one
+candidate whose slots, however many, are each FLOAT, TEXT, BOOLEAN or a
+class.  A call whose arguments are, one per slot, of the slot's class
+(for a class slot, a host object of exactly that class name) has that
+overload for its verdict, with the arguments as they are, so it needs
+no call site.
 
 invoker(m) runs a native body for calls from either side: host errors
 become HostException and a RecursionError the script's "stack
 overflow", the result is checked against the return tag, and
-validate_invokes re-checks the receiver.  An invoker passes up to two
-arguments one by one.  It is generated from run_body's text, the one
-text that runs a body, which outbound's lone dispatchers also use, with
-the result check of result_check(m).  A constructor's invoker makes, fills and
-returns the new object; both sides find constructors through
-constructors(name).
+validate_invokes re-checks the receiver.  A constructor's invoker
+makes, fills and returns the new object; both sides find constructors
+through constructors(name).  invoker(m, general, ...) makes m's lone
+crossing instead: for arguments that fit lone_slots([m]) it runs the
+body and the result check as the invoker would, and it hands any other
+call to general, the crossing's general path, with its errors.  A
+host-side crossing takes (receiver, host args); a script-side one, a
+dispatcher's or a hostNewInstance's, takes the script's arguments,
+where a class slot's argument is a proxy and an instance method's
+receiver is such a slot, placed first.  Every invoker and every
+crossing is made from the one template _FORM, compiled once per
+spelling (arity, slot kinds, side and result) and shared by every
+registry; the arguments are passed to the body one by one.
 
 The registry keeps the host-side entries: entries[class] for
 constructors and entries[(class, method)] for the methods of host
@@ -46,22 +59,14 @@ objects.  methods(class, method) finds those methods, or refuses with
 NoSuchMember, for the registry and inbound alike.  An entry does the
 whole call: entry(receiver, host args) -> host result, with None as a
 constructor's receiver.  The general entry selects through a call site
-that records the overloads' invokers, then invokes.  A lone overload
-(one candidate of at most two slots, each FLOAT, TEXT, BOOLEAN or a
-class) gets an entry made from the invoker's own form, guarded by a
-class test per argument: when there are as many arguments as slots, each
-of its slot's class (for a class slot, a host object of that class
-name), the verdict is that overload with the arguments as they are, and
-the entry runs the body and the result check itself.  Any other call
-goes to the general entry, with its errors.  lone_slots(cands) is the
-one rule for which overloads are lone and what their guard tests; the
-inbound bridge's entries take it too.  call_method on a host object and
-instantiate are one lookup and one call.  On a wrapper call_method calls
-the inbound bridge's entry, so a host object of class X and a wrapper
-exported as X never share one.  An entry is built on the first call and
-every receiver of its type shares it.  The tables are plain dicts, since
-a dict subclass's lookup costs more; a miss builds the entry, and a
-failed build (an undeclared method, say) stores nothing.
+that records the overloads' invokers, then invokes; a lone overload's
+entry is its crossing in front of the general one.  call_method on a
+host object and instantiate are one lookup and one call.  On a wrapper
+call_method calls the inbound bridge's entry, so a host object of class
+X and a wrapper exported as X never share one.  An entry is built on
+the first call and every receiver of its type shares it.  The tables
+are plain dicts, since a dict subclass's lookup costs more; a miss
+builds the entry, and a failed build (an undeclared method, say) stores nothing.
 """
 
 import functools
@@ -89,6 +94,7 @@ from .errors import (
     TypeMismatch,
     UnknownBase,
 )
+from .objects import _EMPTY, Table
 
 _FLOAT_MAX = sys.float_info.max
 # The argument shape of an integral float, script or host, and of a host
@@ -314,20 +320,15 @@ def call_site(cands, owner: str, front, shape, record):
     that resolve_overload(cands, args, front, owner) chooses, with the
     verdicts for up to SHAPES_PER_SITE argument shapes remembered.  Values
     of one shape must score alike on every tag, and front must either
-    keep every one of them or convert every one.  A site whose one
-    candidate is nullary returns its record for no arguments at once.
-    A class-keyed site passes type as shape, which costs less than a
-    shape function: it suits candidates on whose slots front's verdict
-    hangs on a value's class alone and keeps the value as it is, as
-    to_host's does on FLOAT, TEXT and BOOLEAN slots."""
+    keep every one of them or convert every one.  A class-keyed site
+    passes type as shape, which costs less than a shape function: it
+    suits candidates on whose slots front's verdict hangs on a value's
+    class alone and keeps the value as it is, as to_host's does on
+    FLOAT, TEXT and BOOLEAN slots."""
     records = {m: record(m) for m in cands}  # built once per candidate
-    nullary = len(cands) == 1 and not cands[0].params
-    only = records[cands[0]] if nullary else None
     cache: dict = {}  # argument shapes -> (record, tags to convert to or None)
 
     def select(args: list):
-        if nullary and not args:
-            return only, args
         n = len(args)  # short calls spelt out: map() costs more
         if n == 1:
             key = (shape(args[0]),)
@@ -673,52 +674,86 @@ class HostRegistry:
         """Construct name from host values, by the overload rule."""
         return (self.entries.get(name) or self._entry(name))(None, args)
 
-    def invoker(self, m: MethodDescriptor, general=None, slots=None):
+    def invoker(self, m: MethodDescriptor, general=None, to_script=None,
+                stats=None, owner=None):
         """invoke(receiver, host args) -> host result of m: the body run
         with host errors wrapped as HostException and a RecursionError
         as a stack overflow, the result normalized and checked against
         the return tag (None for void), and the receiver checked if
-        validate_invokes was on.  Given general and lone_slots([m]) as
-        slots, m's lone entry: it does so for arguments that fit slots,
-        and hands any other call to general(receiver, host args)."""
-        body, name, tag, static = m.body, m.name, m.returns, m.static
-        # up to two arguments are passed one by one: body(receiver, *args)
-        # costs over twice what a direct body(receiver, a) does
-        n = len(m.params)
-        passed = [f"args[{i}]" for i in range(n)] if n <= 2 else ["*args"]
-        call = ", ".join(passed if static else ["receiver", *passed])
-        guard, reads = (None, (None,) * 4) if general is None \
-            else _guard(slots)
-        if name == "<init>":
-            cname, inits = tag.name, self._instance_inits[tag.name]
+        validate_invokes was on.  Given general, m's lone crossing (see
+        lone_slots): it does so for arguments that fit m's slots, and
+        hands any other call to general with the same arguments.  Given
+        to_script too, the crossing is a script's: invoke(script args),
+        with an instance method's receiver first, as a slot of the class
+        owner; a method's returns the script's results and counts in
+        stats.dispatches, a constructor's returns the new object's
+        proxy."""
+        new, script = m.name == "<init>", to_script is not None
+        lead = script and not (m.static or new)  # the receiver is args[0]
+        slots = [] if general is None else lone_slots([m])
+        if lead:
+            slots.insert(0, (HostObject, owner))
+        tests, values = [f"len(args) == {len(slots)}"], []
+        for i, (cls, name) in enumerate(slots):
+            v = f"args[{i}]"
+            if name is None:
+                tests.append(f"{v}.__class__ is k{i}")
+            elif script:  # a proxy of a host object of that very class
+                h = "receiver" if lead and not i else f"h{i}"
+                tests.append(f"{v}.__class__ is Table and ({h} := {v}.entries"
+                             f".get('__hostref')).__class__ is HostObject "
+                             f"and {h}.class_name == k{i}")
+                v = h
+            else:
+                tests.append(f"{v}.__class__ is HostObject and "
+                             f"{v}.class_name == k{i}")
+            values.append(v)
+        if general is None:
+            values = [f"args[{i}]" for i in range(len(m.params))]
+        if not (m.static or lead):
+            values.insert(0, "receiver")
+        result, plain, finish = self._finish(m)
+        if not script:
+            ret = f"return {result}"
+        elif new:
+            ret = f"return to_script({result})"
+        elif m.returns is VOID:
+            ret = f"{result}; return _EMPTY"
+        else:
+            ret = f"return [r if r.__class__ is as_is else to_script({result})]"
+        params = "args" if script else "receiver, args"
+        form = _form(_FORM.format(
+            consts="".join(f", k{i}" for i in range(len(slots))),
+            params=params, call=", ".join(values), ret=ret,
+            guard=" and ".join(tests) if general else "True",
+            first="receiver = HostObject(cname, dict(inits))" if new
+            else "stats.dispatches += 1" if stats else "pass"),
+            "<lone>" if general else "<invoke>")
+        cname = m.returns.name if new else None
+        return form(
+            _no_body if m.body is None else m.body,
+            f"constructor of {cname}" if new else m.name, plain, finish,
+            cname, self._instance_inits.get(cname), general, stats,
+            None if plain is None else AS_IS.get(m.returns), to_script,
+            *(cls if name is None else name for cls, name in slots))
 
-            def finish(r, obj):
-                self.validate_object(obj)
-                return obj
-            form = _invoker_form(
-                call, "finish(r, receiver)" if self.validate_invokes
-                else "receiver", True, guard)
-            return form(_no_body if body is None else body,
-                        f"constructor of {cname}", None, finish, cname, inits,
-                        general, *reads)
-        result, plain, finish = self.result_check(m)
-        return _invoker_form(call, result, False, guard)(
-            body, name, plain, finish, None, None, general, *reads)
-
-    def result_check(self, m: MethodDescriptor):
+    def _finish(self, m: MethodDescriptor):
         """How invoker(m) finishes its body's result r: the text of the
         value it returns, over r and receiver, and the plain and finish
-        that text reads.  A result of class plain passes unchecked;
-        finish(r, receiver) normalizes and checks any other, and the
-        receiver if validate_invokes is on."""
-        tag, name = m.returns, m.name
+        that text reads.  A constructor returns the receiver, its new
+        object.  A result of class plain passes unchecked; finish(r,
+        receiver) normalizes and checks any other, and the receiver if
+        validate_invokes is on."""
+        tag, name, new = m.returns, m.name, m.name == "<init>"
         validate = self.validate_invokes
-        if tag is VOID and not validate:
-            return "None", None, None
+        if not validate and (new or tag is VOID):
+            return "receiver" if new else "None", None, None
         conforms = self.conforms
 
         def finish(r, receiver):
-            if tag is VOID:
+            if new:
+                r = receiver
+            elif tag is VOID:
                 r = None
             else:
                 r = normalize(tag, r)
@@ -729,7 +764,7 @@ class HostRegistry:
             if validate and receiver is not None:
                 self.validate_object(receiver)
             return r
-        plain = None if validate else _PLAIN.get(tag)  # passes unchecked
+        plain = None if validate or new else _PLAIN.get(tag)
         return ("r if r.__class__ is plain else finish(r, receiver)", plain,
                 finish)
 
@@ -747,9 +782,8 @@ class HostRegistry:
         def entry(receiver, args: list):
             invoke, args = select(args)
             return invoke(receiver, args)
-        slots = lone_slots(cands)
-        if slots is not None:
-            entry = self.invoker(cands[0], entry, slots)
+        if lone_slots(cands) is not None:
+            entry = self.invoker(cands[0], entry)
         self.entries[key] = entry
         return entry
 
@@ -892,74 +926,52 @@ class HostRegistry:
         return False
 
 
-# How a native body runs, in an invoker and in a dispatcher that runs
-# the body itself (outbound's lone dispatchers): host errors become
-# HostException, and a runaway recursion through the bridge is a stack
-# overflow, as it is in a script.
-_RUN = """try:
-    r = body({call})
-except BridgeScriptError:
-    raise
-except RecursionError:
-    raise ScriptRuntimeError("stack overflow") from None
-except Exception as e:  # host code
-    raise HostException(f"{{name}}: {{e}}") from e"""
-
-
-def run_body(call: str, indent: int) -> str:
-    """The text that runs body(call) into r, indented by indent spaces;
-    it reads body and name."""
-    pad = " " * indent
-    return "\n".join(pad + line
-                     for line in _RUN.format(call=call).split("\n"))
-
-
-def define(source: str, filename: str, **env):
-    """The function form that source defines, with the errors run_body's
-    text raises and env as its globals."""
-    env.update(BridgeScriptError=BridgeScriptError,
-               HostException=HostException,
-               ScriptRuntimeError=ScriptRuntimeError)
-    exec(compile(source, filename, "exec"), env)
-    return env["form"]
-
-
-# An invoker (see HostRegistry.invoker) for one spelling of the body's
-# call, of the result that follows it, of whether it first makes the
-# receiver (a constructor's) and of its guard, if it is a lone entry.
-_INVOKER = """def form(body, name, plain, finish, cname, inits, general,
-         c0, c1, n0, n1):
-    def invoke(receiver, args):
-{run}
+# Every crossing invoker makes, guarded or not, spelt once per arity,
+# kind of slot, side and result.  form(...) returns invoke, which runs
+# the body when guard holds (always, for a plain invoker): host errors
+# become HostException, and a runaway recursion through the bridge is a
+# stack overflow, as it is in a script.  Any other call goes to general.
+_FORM = """def form(body, name, plain, finish, cname, inits, general, stats,
+         as_is, to_script{consts}):
+    receiver = None  # a static method's, called from a script
+    def invoke({params}):
+        if {guard}:
+            {first}
+            try:
+                r = body({call})
+            except BridgeScriptError:
+                raise
+            except RecursionError:
+                raise ScriptRuntimeError("stack overflow") from None
+            except Exception as e:  # host code
+                raise HostException(f"{{name}}: {{e}}") from e
+            {ret}
+        return general({params})
     return invoke
 """
+
+
+@functools.cache  # one per spelling, shared by every registry
+def _form(source: str, filename: str):
+    env = {"BridgeScriptError": BridgeScriptError, "HostObject": HostObject,
+           "HostException": HostException, "Table": Table, "_EMPTY": _EMPTY,
+           "ScriptRuntimeError": ScriptRuntimeError}
+    exec(compile(source, filename, "exec"), env)
+    return env["form"]
 
 
 def _no_body(*args):
     """The body of a constructor declared without one: no host code."""
 
 
-@functools.cache  # one per spelling, shared by every registry
-def _invoker_form(call: str, result: str, new: bool, guard):
-    pad = " " * (8 if guard is None else 12)
-    run = run_body(call, len(pad)) + f"\n{pad}return {result}"
-    if new:
-        run = f"{pad}receiver = HostObject(cname, dict(inits))\n{run}"
-    if guard is not None:
-        run = (f"        if {guard}:\n{run}\n"
-               "        return general(receiver, args)")
-    return define(_INVOKER.format(run=run), f"<invoke {call}>",
-                  HostObject=HostObject)
-
-
 def lone_slots(cands):
-    """The slots of cands' lone overload, if cands is one candidate of
-    at most two slots, each FLOAT, TEXT, BOOLEAN or a class, else None:
-    per slot the class an argument must have and, for a class slot, the
-    class name of that host object.  A call whose arguments fit them,
-    one per slot, has that overload for its verdict and the arguments
-    as they are, since they fit their slots exactly."""
-    if len(cands) != 1 or len(cands[0].params) > 2:
+    """The slots of cands' lone overload, if cands is one candidate whose
+    slots are each FLOAT, TEXT, BOOLEAN or a class, else None: per slot
+    the class an argument must have and, for a class slot, the class
+    name of that host object.  A call whose arguments fit them, one per
+    slot, has that overload for its verdict and the arguments as they
+    are, since they fit their slots exactly."""
+    if len(cands) != 1:
         return None
     slots = []
     for tag in cands[0].params:
@@ -970,19 +982,6 @@ def lone_slots(cands):
         else:
             return None
     return slots
-
-
-def _guard(slots):
-    """A lone entry's guard over lone_slots' slots, and what it reads as
-    c0, c1, n0 and n1."""
-    tests = [f"len(args) == {len(slots)}"]
-    classes, names = [None, None], [None, None]
-    for i, (cls, name) in enumerate(slots):
-        classes[i], names[i] = cls, name
-        tests.append(f"args[{i}].__class__ is c{i}")
-        if name is not None:
-            tests.append(f"args[{i}].class_name == n{i}")
-    return " and ".join(tests), (*classes, *names)
 
 
 def normalize(tag, v):

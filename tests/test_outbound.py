@@ -123,11 +123,13 @@ def test_subclass_proxy_reaches_inherited_members_through_its_own_fallbacks(
     assert stats.fires(b, "describe") == stats.fires(c, "describe") == 1
     assert stats.dispatches == 3
     # each class has its own dispatcher, and the subclass's runs the
-    # inherited body itself, as the base's does
+    # inherited body itself, as the base's does: both are the one lone
+    # form, made twice
     shared = b.entries["describe"], c.entries["describe"]
     assert shared[0] is not shared[1]
-    assert {f.fn.__code__.co_filename for f in shared} == {
-        "<dispatch method 0>"}
+    assert shared[0].fn is not shared[1].fn
+    assert shared[0].fn.__code__ is shared[1].fn.__code__
+    assert {f.fn.__code__.co_filename for f in shared} == {"<lone>"}
 
 
 def test_proxy_reports_hostobject_type(interp, out):
@@ -1168,8 +1170,11 @@ def test_site_beyond_its_cache_still_chooses():
 
 
 def test_site_remembers_at_most_its_bound(monkeypatch):
+    # a second overload keeps g from being lone, so that every call,
+    # those of a Base and a float too, reaches the site
     reg, conv = build_world(site_class(
-        "Two", {"g": [(ClassTag("ora.Base"), FLOAT)]}, []))
+        "Two", {"g": [(ClassTag("ora.Base"), FLOAT),
+                      (ClassTag("ora.Base"), INTEGER)]}, []))
     objects = [NIL, Table()] + [conv.to_script(reg.instantiate(n, []))
                                 for n in ("ora.Base", "ora.Derived",
                                           "ora.Leaf")]
