@@ -66,7 +66,8 @@ call_method calls the inbound bridge's entry, so a host object of class
 X and a wrapper exported as X never share one.  An entry is built on
 the first call and every receiver of its type shares it.  The tables
 are plain dicts, since a dict subclass's lookup costs more; a miss
-builds the entry, and a failed build (an undeclared method, say) stores nothing.
+builds the entry, and a failed build (an undeclared method, say)
+stores nothing.
 """
 
 import functools
@@ -689,53 +690,21 @@ class HostRegistry:
         stats.dispatches, a constructor's returns the new object's
         proxy."""
         new, script = m.name == "<init>", to_script is not None
-        lead = script and not (m.static or new)  # the receiver is args[0]
-        slots = [] if general is None else lone_slots([m])
-        if lead:
+        slots = None if general is None else lone_slots([m])
+        if script and not (m.static or new):  # the receiver comes first
             slots.insert(0, (HostObject, owner))
-        tests, values = [f"len(args) == {len(slots)}"], []
-        for i, (cls, name) in enumerate(slots):
-            v = f"args[{i}]"
-            if name is None:
-                tests.append(f"{v}.__class__ is k{i}")
-            elif script:  # a proxy of a host object of that very class
-                h = "receiver" if lead and not i else f"h{i}"
-                tests.append(f"{v}.__class__ is Table and ({h} := {v}.entries"
-                             f".get('__hostref')).__class__ is HostObject "
-                             f"and {h}.class_name == k{i}")
-                v = h
-            else:
-                tests.append(f"{v}.__class__ is HostObject and "
-                             f"{v}.class_name == k{i}")
-            values.append(v)
-        if general is None:
-            values = [f"args[{i}]" for i in range(len(m.params))]
-        if not (m.static or lead):
-            values.insert(0, "receiver")
         result, plain, finish = self._finish(m)
-        if not script:
-            ret = f"return {result}"
-        elif new:
-            ret = f"return to_script({result})"
-        elif m.returns is VOID:
-            ret = f"{result}; return _EMPTY"
-        else:
-            ret = f"return [r if r.__class__ is as_is else to_script({result})]"
-        params = "args" if script else "receiver, args"
-        form = _form(_FORM.format(
-            consts="".join(f", k{i}" for i in range(len(slots))),
-            params=params, call=", ".join(values), ret=ret,
-            guard=" and ".join(tests) if general else "True",
-            first="receiver = HostObject(cname, dict(inits))" if new
-            else "stats.dispatches += 1" if stats else "pass"),
-            "<lone>" if general else "<invoke>")
+        form = _form(None if slots is None else
+                     tuple(name is not None for _, name in slots),
+                     len(m.params), m.static, new, result,
+                     m.returns is VOID, script, stats is not None)
         cname = m.returns.name if new else None
         return form(
             _no_body if m.body is None else m.body,
             f"constructor of {cname}" if new else m.name, plain, finish,
             cname, self._instance_inits.get(cname), general, stats,
             None if plain is None else AS_IS.get(m.returns), to_script,
-            *(cls if name is None else name for cls, name in slots))
+            *(cls if name is None else name for cls, name in slots or ()))
 
     def _finish(self, m: MethodDescriptor):
         """How invoker(m) finishes its body's result r: the text of the
@@ -952,11 +921,51 @@ _FORM = """def form(body, name, plain, finish, cname, inits, general, stats,
 
 
 @functools.cache  # one per spelling, shared by every registry
-def _form(source: str, filename: str):
+def _form(classes, n: int, static: bool, new: bool, result: str,
+          void: bool, script: bool, counted: bool):
+    """The form of invoker's crossings of one spelling.  classes holds,
+    per slot of a lone crossing, whether it is a class slot, and is None
+    for a plain invoker of n arguments; result is _finish's text.  A
+    lone crossing is compiled as "<lone>", which tools and tests look
+    for, a plain invoker as "<invoke>"."""
+    lead = script and not (static or new)  # the receiver is args[0]
+    tests = [f"len(args) == {len(classes or ())}"]
+    values = [f"args[{i}]" for i in range(n if classes is None
+                                          else len(classes))]
+    for i, is_class in enumerate(classes or ()):
+        v = values[i]
+        if not is_class:
+            tests.append(f"{v}.__class__ is k{i}")
+        elif script:  # a proxy of a host object of that very class
+            h = values[i] = "receiver" if lead and not i else f"h{i}"
+            tests.append(f"{v}.__class__ is Table and ({h} := {v}.entries"
+                         f".get('__hostref')).__class__ is HostObject "
+                         f"and {h}.class_name == k{i}")
+        else:
+            tests.append(f"{v}.__class__ is HostObject and "
+                         f"{v}.class_name == k{i}")
+    if not (static or lead):
+        values.insert(0, "receiver")
+    if not script:
+        ret = f"return {result}"
+    elif new:
+        ret = f"return to_script({result})"
+    elif void:
+        ret = f"{result}; return _EMPTY"
+    else:
+        ret = f"return [r if r.__class__ is as_is else to_script({result})]"
+    params = "args" if script else "receiver, args"
+    source = _FORM.format(
+        consts="".join(f", k{i}" for i in range(len(classes or ()))),
+        params=params, call=", ".join(values), ret=ret,
+        guard="True" if classes is None else " and ".join(tests),
+        first="receiver = HostObject(cname, dict(inits))" if new
+        else "stats.dispatches += 1" if counted else "pass")
     env = {"BridgeScriptError": BridgeScriptError, "HostObject": HostObject,
            "HostException": HostException, "Table": Table, "_EMPTY": _EMPTY,
            "ScriptRuntimeError": ScriptRuntimeError}
-    exec(compile(source, filename, "exec"), env)
+    exec(compile(source, "<invoke>" if classes is None else "<lone>",
+                 "exec"), env)
     return env["form"]
 
 

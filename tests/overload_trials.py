@@ -11,7 +11,10 @@ through the outbound bridge's warm call sites, whose shape caches must
 not change any verdict, and run_method_trials does the same for instance
 methods called with ':' on receivers of every kind; run_host_site_trials does the same for the
 registry's host-side sites behind call_method, on host objects and on
-wrappers, and instantiate.
+wrappers, and instantiate.  run_lone_entry_trials and
+run_lone_dispatch_trials drive lone crossings, host-side and
+script-side, whose guards must hand every call they do not fit to the
+general path.
 """
 
 import math
@@ -616,3 +619,102 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
     # a lone entry is an invoker's form; a general one is named entry
     lone = sum(e.__name__ == "invoke" for e in reg.entries.values())
     return agree, calls, example, lone, len(reg.entries)
+
+
+def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
+                             validate_invokes: bool = False):
+    """Drive script values through lone script-side crossings: instance
+    methods with one overload of one class slot, of two class slots, of
+    three FLOAT, TEXT and BOOLEAN slots and of a mix, called with ':' on
+    proxies of ora.Lones and of its subclass ora.LonesKid, and classes
+    whose one constructor has one of those signatures, called through
+    host_new_instance.  Receivers and arguments are of every kind:
+    proxies of the exact class, of a subclass and of an unrelated class,
+    nil, plain tables, a class proxy, array proxies and plain values,
+    in the slots' arity or any other, and a method call sometimes has no
+    receiver at all.  A method call must raise ReceiverMismatch where
+    the receiver is no object of the dispatcher's class or a subclass,
+    else do what oracle.decide decides, and count exactly one dispatch;
+    a constructor call must do what the referee decides and make an
+    object of its class.  A body must get exactly the values
+    resolve_overload converts the arguments to.  Returns (agreements,
+    calls, first disagreement, the number of crossings built that are
+    the registry's lone form, the number built)."""
+    rng = random.Random(seed)
+    as_is = (FLOAT, TEXT, BOOLEAN)
+    base, derived, leaf = (ClassTag(f"ora.{n}")
+                           for n in ("Base", "Derived", "Leaf"))
+    sigs = {"one": (base,), "oneD": (derived,), "two": (base, leaf),
+            "three": tuple(rng.choice(as_is) for _ in range(3)),
+            "mixed": (rng.choice(as_is), derived, rng.choice(as_is))}
+    seen = []  # per call that reached a body, (tags, the values it got)
+
+    def body(obj, *args):
+        seen.append((None, args))
+
+    news = [HostClassDescriptor(name=f"ora.New{i}", constructors=[
+        MethodDescriptor("<init>", sig, VOID, False, body)])
+        for i, sig in enumerate(sigs.values())]
+    reg, conv = build_world(
+        site_class("ora.Lones", {f: [sig] for f, sig in sigs.items()}, seen,
+                   static=False),
+        HostClassDescriptor(name="ora.LonesKid", base="ora.Lones"), *news,
+        validate_invokes=validate_invokes)
+    outb = conv.proxy_factory.__self__
+    pool = value_pool(reg, conv)
+    fits = {tag: [v for v in pool
+                  if oracle.score_value(reg, v, tag) is not None]
+            for tag in (*as_is, base, derived, leaf)}
+    owners = ("ora.Lones", "ora.LonesKid")
+    receivers = [conv.to_script(reg.instantiate(n, [])) for n in owners]
+    others = pool + receivers  # a receiver of any kind
+    kinds = [("method", f) for f in sigs] + \
+        [("new", f"ora.New{i}") for i in range(len(news))]
+    agree = 0
+    example = None
+    for _ in range(calls):
+        kind, name = rng.choice(kinds)
+        cands = reg.constructors(name) if kind == "new" \
+            else reg.lookup_class("ora.Lones").methods[name]
+        sig = cands[0].params
+        if rng.random() < 0.1:  # any arity, any values
+            sig = (None,) * rng.randint(0, 4)
+        args = [rng.choice(fits[tag] if tag in fits and rng.random() < 0.75
+                           else pool)
+                for tag in sig]
+        seen.clear()
+        if kind == "new":
+            want = oracle.decide(reg, cands, args)[0], None
+            try:
+                made = outb.host_new_instance(name, args)
+                got = "selected", None
+                ok = made.entries["__hostref"].class_name == name
+            except NoMatch:
+                got, ok = ("no_match", None), True
+        else:
+            k = rng.randrange(2)
+            owner = owners[k]
+            receiver = receivers[k] if rng.random() < 0.6 \
+                else rng.choice(others)
+            given = [receiver, *args] if rng.random() < 0.95 else []
+            if given and oracle.receives(reg, receiver, owner):
+                want = site_decide(reg, owner, name, args)
+            else:
+                want = ("receiver", None)
+            before = outb.stats.dispatches
+            try:
+                got = site_call(table_get(receivers[k], name), given)
+            except ReceiverMismatch:
+                got = ("receiver", None)
+            ok = outb.stats.dispatches == before + 1
+        if ok and got == want and got[0] == "selected":
+            converted = resolve_overload(cands, args, conv.to_host, "ora")[1]
+            ok = _same_values(seen[-1][1], converted)
+        if ok and got == want:
+            agree += 1
+        elif example is None:
+            example = (kind, name, sig, args, want, got)
+    built = [receivers[k].entries[f].fn for k in range(2) for f in sigs
+             if f in receivers[k].entries] + list(outb._constructors.values())
+    lone = sum(f.__code__.co_filename == "<lone>" for f in built)
+    return agree, calls, example, lone, len(built)

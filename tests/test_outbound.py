@@ -58,6 +58,7 @@ from bridgescript.registry import (
 from overload_trials import (
     build_world,
     converted_as_declared,
+    run_lone_dispatch_trials,
     run_method_trials,
     run_site_trials,
     site_call,
@@ -1030,6 +1031,14 @@ def test_call_sites_agree_with_referee():
 def test_instance_dispatchers_agree_with_referee():
     agree, total, example = run_method_trials(3_000)
     assert (agree, total) == (3_000, 3_000), example
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_lone_script_crossings_agree_with_referee(validate):
+    agree, total, example, lone, built = run_lone_dispatch_trials(
+        3_000, validate_invokes=validate)
+    assert (agree, total) == (3_000, 3_000), example
+    assert lone == built == 15  # 5 methods on 2 classes, 5 constructors
 
 
 # ------------------------------------------------------- dispatcher edges

@@ -24,7 +24,14 @@ timed the same way in a Python loop of a tenth of the iterations, less
 the loop's cost with an empty call, in an interpreter after
 HOST_PRELUDE.  A call whose last result differs from the one HOST_CALLS
 gives it is marked FAIL, and so is the listener if it did not run once
-per fireAction.  The exit status is 1 if anything is marked FAIL.
+per fireAction.
+
+The crossings of LONE_LINES and LONE_HOST must run the registry's lone
+form, the one generated crossing that runs a lone overload's body
+itself: the dispatcher a bridge line leaves in its proxy, or the entry
+a host call leaves in the registry, must be compiled from it (file name
+"<lone>").  One that is not is marked FAIL.  The exit status is 1 if
+anything is marked FAIL.
 """
 
 import argparse
@@ -39,6 +46,16 @@ ROOT = Path(__file__).resolve().parent.parent
 LINES = ("", "c:empty()", "c:inc()", "f()", "t:hello()", "x = c.count",
          "y = p.x", "c.count = 1", "m.twice(2)", "m.describe(2)",
          "p:move(1, 2)", "x = a[1]", "a[1] = 1")
+
+# the bridge lines that must run the registry's lone form -> the global
+# and member whose dispatcher the line leaves behind, and the host calls
+# that must -> the registry entry they leave behind
+LONE_LINES = {"c:empty()": ("counter", "empty"), "c:inc()": ("counter", "inc"),
+              "m.twice(2)": ("mathutil", "twice"),
+              "p:move(1, 2)": ("point", "move")}
+LONE_HOST = {"src.fireAction() into the script listener":
+             ("demo.EventSource", "fireAction"),
+             'instantiate("demo.ActionEvent", [src])': "demo.ActionEvent"}
 
 # one loop; {line} is its body, N its iterations
 LOOP = """return function(N)
@@ -111,25 +128,31 @@ HOST_CALLS = {"src.fireAction() into the script listener": None,
               ("demo.ActionEvent", True)}
 
 
-def world(prelude: str) -> dict:
-    """line -> its loop function, each in a fresh interpreter over the
-    demo registry after prelude, so that a line's results show only its
-    own effects."""
+def world(prelude: str):
+    """(line -> its loop function, line -> its interpreter), each in a
+    fresh interpreter over the demo registry after prelude, so that a
+    line's results show only its own effects."""
     from bridgescript.demo import build_demo_registry
     from bridgescript.interp import Interpreter
 
-    loops = {}
+    loops, its = {}, {}
     for line in LINES:
-        it = Interpreter(build_demo_registry(), out=io.StringIO())
+        it = its[line] = Interpreter(build_demo_registry(),
+                                     out=io.StringIO())
         it.run(prelude)
         loops[line] = it.run(LOOP.format(line=line))[0]
-    return loops
+    return loops, its
+
+
+def lone(f) -> bool:
+    """Is f compiled from the registry's lone form?"""
+    return f.__code__.co_filename == "<lone>"
 
 
 def host_world():
     """(call -> a function making it once, a function reading its
     result as HOST_CALLS gives it, a function reading the listener's
-    hits) over the demo registry."""
+    hits, the registry) over the demo registry."""
     from bridgescript.demo import build_demo_registry
     from bridgescript.interp import Interpreter
 
@@ -150,7 +173,7 @@ def host_world():
         if r is not None and r.__class__ is not str:  # the event
             r = (r.class_name, r.fields["source"] is src)
         return r
-    return calls, result, lambda: it.global_value("hits")
+    return calls, result, lambda: it.global_value("hits"), reg
 
 
 def timed_calls(call, n: int):
@@ -177,7 +200,8 @@ def main() -> None:
     ap.add_argument("--best", type=int, default=7)
     args = ap.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
-    worlds = {"bridge": world(BRIDGE), "native": world(NATIVE)}
+    (bridge, its), (native, _) = world(BRIDGE), world(NATIVE)
+    worlds = {"bridge": bridge, "native": native}
     n = float(args.iterations)
     best = {w: dict.fromkeys(LINES, float("inf")) for w in worlds}
     results = {w: {} for w in worlds}
@@ -206,13 +230,17 @@ def main() -> None:
         mark = "" if same else " FAIL: results differ"
         print(f"| `{line}` | {bridge:.2f} us | {native:.2f} us | "
               f"{ratio:.2f}{mark} |")
+    for line, (name, member) in LONE_LINES.items():
+        if not lone(its[line].global_value(name).entries[member].fn):
+            print(f"FAIL: `{line}` did not run the registry's lone form")
+            failed = True
     failed = host_rows(args.iterations // 10, args.best) or failed
     sys.exit(1 if failed else 0)
 
 
 def host_rows(n: int, best_of: int) -> bool:
     """Prints the host calls' table; True if anything is marked FAIL."""
-    calls, result, hits = host_world()
+    calls, result, hits, reg = host_world()
     calls[""] = lambda: None
     rows = ("", *HOST_CALLS)
     best = dict.fromkeys(rows, float("inf"))
@@ -236,6 +264,10 @@ def host_rows(n: int, best_of: int) -> bool:
         print(f"FAIL: the listener ran {hits()} times for {fired} "
               f"fireAction calls")
         failed = True
+    for row, key in LONE_HOST.items():
+        if not lone(reg.entries[key]):
+            print(f"FAIL: `{row}` did not run the registry's lone form")
+            failed = True
     return failed
 
 
