@@ -697,7 +697,7 @@ class HostRegistry:
         form = _form(None if slots is None else
                      tuple(name is not None for _, name in slots),
                      len(m.params), m.static, new, result,
-                     m.returns is VOID, script, stats is not None)
+                     script and m.returns is VOID, script)
         cname = m.returns.name if new else None
         return form(
             _no_body if m.body is None else m.body,
@@ -922,12 +922,13 @@ _FORM = """def form(body, name, plain, finish, cname, inits, general, stats,
 
 @functools.cache  # one per spelling, shared by every registry
 def _form(classes, n: int, static: bool, new: bool, result: str,
-          void: bool, script: bool, counted: bool):
+          void: bool, script: bool):
     """The form of invoker's crossings of one spelling.  classes holds,
     per slot of a lone crossing, whether it is a class slot, and is None
-    for a plain invoker of n arguments; result is _finish's text.  A
-    lone crossing is compiled as "<lone>", which tools and tests look
-    for, a plain invoker as "<invoke>"."""
+    for a plain invoker of n arguments; result is _finish's text; void
+    tells a script's method crossing to return no results.  A lone
+    crossing is compiled as "<lone>", which tools and tests look for, a
+    plain invoker as "<invoke>"."""
     lead = script and not (static or new)  # the receiver is args[0]
     tests = [f"len(args) == {len(classes or ())}"]
     values = [f"args[{i}]" for i in range(n if classes is None
@@ -960,7 +961,7 @@ def _form(classes, n: int, static: bool, new: bool, result: str,
         params=params, call=", ".join(values), ret=ret,
         guard="True" if classes is None else " and ".join(tests),
         first="receiver = HostObject(cname, dict(inits))" if new
-        else "stats.dispatches += 1" if counted else "pass")
+        else "stats.dispatches += 1" if script else "pass")
     env = {"BridgeScriptError": BridgeScriptError, "HostObject": HostObject,
            "HostException": HostException, "Table": Table, "_EMPTY": _EMPTY,
            "ScriptRuntimeError": ScriptRuntimeError}
