@@ -64,12 +64,16 @@ closure's, its first return value the site's, and what the site knows
 of the arguments, such as a receiver being a table, it knows too.  It
 sits in the site's try, so its errors keep their classes, texts and
 lines.
-Only one level is written in place.  A loop with no loop inside is
-peeled: its first iteration runs apart, with every check, and the
-iterations after keep what it established of the slots the loop never
-assigns.  If Python refuses the source, the unit is generated again
-plain, with neither, and if it refuses that too, the node stays on
-closures.
+Only one level is written in place.  A site records its first callee
+weakly also when that is a native function, and a read or store the
+first fallback it reaches; a lone host method's crossing, or a read or
+store of a host field or element, is then written in place too, behind
+a guard on that object's identity (see inplace).  A loop with no loop
+inside is peeled: its first iteration runs apart, with every check, and
+the iterations after keep what it established of the slots the loop
+never assigns.  If Python refuses the source, the unit is generated
+again plain, with none of these, and if it refuses that too, the node
+stays on closures.
 
 Every node carries the line of its first token.
 """
@@ -78,6 +82,7 @@ import operator
 import weakref
 from math import copysign, isfinite
 
+from . import inplace
 from .errors import BridgeScriptError, NotCallable, ScriptRuntimeError
 from .objects import (
     NIL,
@@ -247,6 +252,11 @@ class VarExpr(Node):
         return t
 
 
+def _name(key):
+    """The string key's literal text, if it is one, else None."""
+    return key.value if key.__class__ is StringLit else None
+
+
 def _index_error(v, line):
     return ScriptRuntimeError(f"attempt to index a {type_name(v)} value", line)
 
@@ -264,17 +274,22 @@ def _index_fallback(t, key, line):
 
 
 class IndexExpr(Node):
-    __slots__ = ("obj", "key")
+    """t[key], and t.name.  seen, once set, is a weak reference to the
+    index fallback of the first table the read missed on, on closures."""
+
+    __slots__ = ("obj", "key", "seen")
 
     def __init__(self, obj, key, line: int):
         self.obj = obj
         self.key = key
         self.line = line
+        self.seen = None
 
     def compile(self, scope):
         obj_c = self.obj.compile(scope)
         line = self.line
         key_c = self.key.compile(scope)
+        node = self
 
         def index(fr):
             t = obj_c(fr)
@@ -285,6 +300,8 @@ class IndexExpr(Node):
                 v = t.entries.get(key, _MISS)
                 if v is not _MISS:
                     return v
+                if t.index_handler is not None and node.seen is None:
+                    node.seen = weakref.ref(t.index_handler)
                 return _index_fallback(t, key, line)
             check_key(key, line)  # raises: nil or not a string or number
 
@@ -293,7 +310,7 @@ class IndexExpr(Node):
     def gen(self, g):
         t = self.obj.gen(g)
         g.check_table(t, self.line)
-        return g.index(t, self.key.gen(g), self.line)
+        return g.index(t, self.key.gen(g), self.line, self)
 
 
 def _call_error(f, line):
@@ -306,17 +323,18 @@ class CallExpr(Node):
     looked up in it before the arguments are evaluated, and the receiver
     goes first into the call.  Python running out of stack inside a
     call, as unbounded script recursion does, becomes a
-    ScriptRuntimeError at its line.  proto, once set, is a weak reference
-    to the Proto of the first closure the site called on closures."""
+    ScriptRuntimeError at its line.  seen, once set, is a weak reference
+    to the Proto of the first closure the site called on closures, or to
+    the first native function, if that came first."""
 
-    __slots__ = ("callee", "args", "name", "proto")
+    __slots__ = ("callee", "args", "name", "seen")
 
     def __init__(self, callee, args: list, line: int, name=None):
         self.callee = callee
         self.args = args
         self.line = line
         self.name = name
-        self.proto = None  # set by the first closure call
+        self.seen = None  # set by the first call of a function
 
     def compile(self, scope, want=ONE):
         """fr -> the call's first value (want ONE), its value list, which
@@ -345,10 +363,12 @@ class CallExpr(Node):
             cls = f.__class__
             try:
                 if cls is Closure:
-                    if self.proto is None:
-                        self.proto = weakref.ref(f.proto)
+                    if self.seen is None:
+                        self.seen = weakref.ref(f.proto)
                     vals = f.invoke(args)
                 elif cls is NativeFunction:
+                    if self.seen is None:
+                        self.seen = weakref.ref(f)
                     vals = f.fn(args)
                 else:
                     raise _call_error(f, line)
@@ -370,7 +390,9 @@ class CallExpr(Node):
         closure with as many parameters as there are arguments gets its
         body called directly.  A closure of the small function the site
         saw on closures, if any (see _Gen.inlinable), runs that body
-        written in place, inside the same try."""
+        written in place, inside the same try; so does the dispatcher
+        of a lone host method the site saw, its crossing (see
+        inplace)."""
         line = self.line
         f = self.callee.gen(g)
         vals = []
@@ -383,6 +405,8 @@ class CallExpr(Node):
         entry = ", ".join([f"{f}.globals", f"{f}.upvals", *vals])
         r = g.temp()
         tree = g.inlinable(self, len(vals), want)
+        host = None if tree is not None else \
+            inplace.dispatcher(g.seen(self), len(vals))
         depth = g.depth
         g.emit("try:")
         g.depth += 1
@@ -391,6 +415,11 @@ class CallExpr(Node):
             g.emit(f"if {f}.__class__ is Closure and "
                    f"{f}.proto.tree is {g.const(tree)}:")
             g.inline(tree, f, vals, v if want is ONE else None)
+        elif host is not None:
+            v = g.temp()
+            inplace.call(g, host, f, vals, v if want is ONE else None,
+                         r if want is ALL else None)
+        if tree is not None or host is not None:
             g.emit("else:")
             g.depth += 1
         g.emit(f"if {f}.__class__ is Closure:")
@@ -400,7 +429,7 @@ class CallExpr(Node):
         g.emit(f"elif {f}.__class__ is NativeFunction: "
                f"{r} = {f}.fn([{arglist}])")
         g.emit(f"else: raise _call_error({f}, {line})")
-        if tree is not None and want is ONE:
+        if (tree is not None or host is not None) and want is ONE:
             g.emit(f"{v} = {r}[0] if {r} else NIL")
             r = v
         g.depth = depth
@@ -410,7 +439,7 @@ class CallExpr(Node):
         g.emit("except RecursionError:")
         g.emit(f"    raise ScriptRuntimeError('stack overflow', {line}) "
                f"from None")
-        if want is not ONE or tree is not None:
+        if want is not ONE or tree is not None or host is not None:
             return r
         v = g.temp()
         g.emit(f"{v} = {r}[0] if {r} else NIL")
@@ -827,19 +856,25 @@ def _newindex(t, key, v, line):
 
 
 class AssignIndex(Node):
-    __slots__ = ("obj", "key", "expr")
+    """t[key] = expr, and t.name = expr.  seen, once set, is a weak
+    reference to the newindex fallback of the first table with one that
+    the statement stored into, on closures."""
+
+    __slots__ = ("obj", "key", "expr", "seen")
 
     def __init__(self, obj, key, expr, line: int):
         self.obj = obj
         self.key = key
         self.expr = expr
         self.line = line
+        self.seen = None
 
     def compile_stmt(self, scope):
         obj_c = self.obj.compile(scope)
         line = self.line
         key_c = self.key.compile(scope)
         expr_c = self.expr.compile(scope)
+        node = self
 
         def store(fr):
             t = obj_c(fr)
@@ -851,6 +886,8 @@ class AssignIndex(Node):
                 check_key(key, line)  # raises: nil, NaN or neither
             v = expr_c(fr)
             if t.newindex_handler is not None:
+                if node.seen is None:
+                    node.seen = weakref.ref(t.newindex_handler)
                 _newindex(t, key, v, line)
             elif v is NIL:
                 t.entries.pop(key, None)
@@ -871,8 +908,11 @@ class AssignIndex(Node):
             g.emit(f"if not ({k}.__class__ is str or {k}.__class__ is "
                    f"float) or {k} != {k}: check_key({k}, {line})")
         v = self.expr.gen(g)
-        g.emit(f"if {t}.newindex_handler is not None: "
-               f"_newindex({t}, {k}, {v}, {line})")
+        store = f"_newindex({t}, {k}, {v}, {line})"
+        hosted = inplace.store(g, g.seen(self), _name(self.key), t, k, v,
+                               store)
+        g.emit(f"{'el' if hosted else ''}if {t}.newindex_handler is not "
+               f"None: {store}")
         if not g.kind(v):
             g.emit(f"elif {v} is NIL: {t}.entries.pop({k}, None)")
         g.emit(f"else: {t}.entries[{k}] = {v}")
@@ -1268,7 +1308,15 @@ class _Gen:
     inside (peel); own is the body of the unit's own function, which is
     never written in place.  S, G and U name the slots, globals and
     upvals of the body being written: the unit's own, or a callee's.
-    inlined and peeled count the sites and loops, for tools.
+
+    A rich unit also writes host crossings in place at the sites that
+    saw one on closures (see inplace): a call of a lone host method, and
+    a read or store of an instance field or an array element that missed
+    on a proxy.  Each is guarded by the identity of the bridge object the
+    site saw, the dispatcher or the proxy's fallback, which the unit
+    holds weakly and takes once on entry, so that a hot unit keeps no
+    dropped bridge alive.  inlined, peeled and hosted count the
+    sites and loops, for tools.
     """
 
     def __init__(self, rich: bool):
@@ -1283,7 +1331,8 @@ class _Gen:
         self.own = None
         self.S, self.G, self.U = "s", "G", "U"
         self.assigned = set()  # the slot names assign was given
-        self.inlined = self.peeled = 0
+        self.inlined = self.peeled = self.hosted = 0
+        self.held = {}  # the bridge objects held (see inplace.hold)
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -1341,15 +1390,26 @@ class _Gen:
                       f"raise _index_error({t}, {line})")
             self.facts[t] = Table
 
-    def index(self, t: str, k: str, line: int) -> str:
-        """The value of key k in table t, fallback included."""
+    def index(self, t: str, k: str, line: int, site=None) -> str:
+        """The value of key k in table t, fallback included; site, if
+        given, is the read, which may read a host field or element in
+        place (see inplace)."""
         if self.kind(k) not in (str, float):
             self.emit(f"if {k}.__class__ is not str and {k}.__class__ is "
                       f"not float: check_key({k}, {line})")
         v = self.temp()
         self.emit(f"{v} = {t}.entries.get({k}, _MISS)")
-        self.emit(f"if {v} is _MISS: {v} = _index_fallback({t}, {k}, {line})")
+        fallback = f"{v} = _index_fallback({t}, {k}, {line})"
+        if site is None or not inplace.read(
+                self, self.seen(site), _name(site.key), t, k, v, fallback):
+            self.emit(f"if {v} is _MISS: {fallback}")
         return v
+
+    def seen(self, site):
+        """What site recorded on closures, while it lives, in a rich
+        unit; else None."""
+        seen = site.seen
+        return seen() if seen is not None and self.rich else None
 
     def variable(self, node) -> str:
         """Where a VarExpr or AssignName's name lives, as an lvalue."""
@@ -1391,9 +1451,8 @@ class _Gen:
         that wants one value or none: that of the function whose closure
         the site called first on closures, while it lives, takes n
         parameters and is small (see _small); else None."""
-        seen = site.proto
-        proto = seen() if seen is not None and self.rich else None
-        if proto is None or want is ALL or proto.nparams != n \
+        proto = self.seen(site)
+        if proto.__class__ is not Proto or want is ALL or proto.nparams != n \
                 or proto.tree is self.own or not _small(proto.tree):
             return None
         return proto.tree
@@ -1461,7 +1520,8 @@ class _Gen:
             self.emit(f"fr[{i}] = s{i}")
 
     def function(self, params: str) -> str:
-        return "\n".join([f"def run({params}):", *self.lines]) + "\n"
+        return "\n".join([f"def run({params}):", *inplace.entry(self.held),
+                          *self.lines]) + "\n"
 
 
 _GEN_ENV = {

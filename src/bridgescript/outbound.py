@@ -41,7 +41,16 @@ exactly the slot's class, for a class slot) and, for an instance
 method, a receiver of the dispatcher's own class runs the body at once,
 with the invoker's error handling and result check; any other call goes
 to the general dispatcher, which decides it through the call site with
-the same errors.
+the same errors.  Hot code makes the same crossing without calling the
+dispatcher (see inplace): a call site that called it on closures runs
+its text in place, read from the spelling and reads the dispatcher's
+function carries, when the callee is that dispatcher.  Likewise each
+fallback carries reads, (the member table, fallback_fires, to_script),
+whose field members and, for an array, the one member of its elements
+give what a read or store in place needs: the fire key, as_is, store
+and whether the member is a field; a read or store that reached a
+proxy's fallback on closures then reads or writes the host value in
+place when the table has that fallback, with the same count.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -119,14 +128,16 @@ class DispatchStats:
 
 
 class _Member:
-    """One member of one class, as the class's fallbacks use it: its
-    fallback_fires key; method, a method's shared dispatcher, or None for
-    a field; as_is, the class of a field's values that scripts take as
-    they are; values, the dict holding a static field; and store(v),
-    what the field holds for the script value v, or a method's refusal
-    to be assigned."""
+    """One member of one class, or the elements of arrays of one tag, as
+    the fallbacks use it: its fallback_fires key; method, a method's
+    shared dispatcher, or None for a field; as_is, the class of a field's
+    values that scripts take as they are; values, the dict holding a
+    static field; store(v), what the field holds for the script value v,
+    or a method's refusal to be assigned; and field, whether its values
+    live in each host object or array, as an instance field's and
+    elements' do."""
 
-    __slots__ = ("fires_key", "method", "as_is", "values", "store")
+    __slots__ = ("fires_key", "method", "as_is", "values", "store", "field")
 
     def __init__(self, fires_key, method, as_is, values, store):
         self.fires_key = fires_key
@@ -134,6 +145,7 @@ class _Member:
         self.as_is = as_is
         self.values = values
         self.store = store
+        self.field = method is None and values is None
 
 
 class OutboundBridge:
@@ -237,6 +249,7 @@ class OutboundBridge:
                 m.values[key] = h
             else:
                 proxy.entries["__hostref"].fields[key] = h
+        index.reads = newindex.reads = members, fires, to_script
         return index, newindex
 
     def _array_fallbacks(self, tag):
@@ -247,6 +260,7 @@ class OutboundBridge:
         to_script = self.converter.to_script
         as_is = AS_IS.get(tag)
         store = self.converter.storer(tag, "cannot store into the array")
+        members = {ELEMENTS: _Member(elements_key, None, as_is, None, store)}
 
         def index(proxy, key):
             if key.__class__ is float:
@@ -277,6 +291,7 @@ class OutboundBridge:
                 raise ReservedField("'__hostref' is reserved")
             else:
                 raise NoSuchMember("array", render(key))
+        index.reads = newindex.reads = members, fires, to_script
         return index, newindex
 
     # ------------------------------------------------------------- members

@@ -51,7 +51,9 @@ where a class slot's argument is a proxy and an instance method's
 receiver is such a slot, placed first.  Every invoker and every
 crossing is made from the one template _FORM, compiled once per
 spelling (arity, slot kinds, side and result) and shared by every
-registry; the arguments are passed to the body one by one.
+registry; the arguments are passed to the body one by one.  The text
+of the crossing itself, crossing(), is also what the second tier
+writes in place of a call of a script's lone crossing (see inplace).
 
 The registry keeps the host-side entries: entries[class] for
 constructors and entries[(class, method)] for the methods of host
@@ -688,27 +690,33 @@ class HostRegistry:
         with an instance method's receiver first, as a slot of the class
         owner; a method's returns the script's results and counts in
         stats.dispatches, a constructor's returns the new object's
-        proxy."""
+        proxy.  A script's lone method crossing carries its spelling and
+        its reads, _form's arguments and the values its form closes over,
+        so that the second tier can write it in place (see crossing)."""
         new, script = m.name == "<init>", to_script is not None
         slots = None if general is None else lone_slots([m])
         if script and not (m.static or new):  # the receiver comes first
             slots.insert(0, (HostObject, owner))
         result, plain, finish = self._finish(m)
-        form = _form(None if slots is None else
-                     tuple(name is not None for _, name in slots),
-                     len(m.params), m.static, new, result,
-                     script and m.returns is VOID, script)
+        spelling = (None if slots is None else
+                    tuple(name is not None for _, name in slots),
+                    len(m.params), m.static, new, result,
+                    script and m.returns is VOID, script)
         cname = m.returns.name if new else None
-        return form(
-            _no_body if m.body is None else m.body,
-            f"constructor of {cname}" if new else m.name, plain, finish,
-            cname, self._instance_inits.get(cname), general, stats,
-            None if plain is None else AS_IS.get(m.returns), to_script,
-            *(cls if name is None else name for cls, name in slots or ()))
+        reads = (_no_body if m.body is None else m.body,
+                 f"constructor of {cname}" if new else m.name, plain, finish,
+                 cname, self._instance_inits.get(cname), general, stats,
+                 None if plain is None else AS_IS.get(m.returns), to_script,
+                 *(cls if name is None else name for cls, name in slots or ()))
+        invoke = _form(*spelling)(*reads)
+        if script and general is not None and not new:  # see inplace
+            invoke.spelling, invoke.reads = spelling, reads
+        return invoke
 
     def _finish(self, m: MethodDescriptor):
         """How invoker(m) finishes its body's result r: the text of the
-        value it returns, over r and receiver, and the plain and finish
+        value it returns, over r and receiver (None for a static method),
+        each with the prefix {p} (see crossing), and the plain and finish
         that text reads.  A constructor returns the receiver, its new
         object.  A result of class plain passes unchecked; finish(r,
         receiver) normalizes and checks any other, and the receiver if
@@ -716,7 +724,7 @@ class HostRegistry:
         tag, name, new = m.returns, m.name, m.name == "<init>"
         validate = self.validate_invokes
         if not validate and (new or tag is VOID):
-            return "receiver" if new else "None", None, None
+            return "{p}receiver" if new else "None", None, None
         conforms = self.conforms
 
         def finish(r, receiver):
@@ -734,8 +742,9 @@ class HostRegistry:
                 self.validate_object(receiver)
             return r
         plain = None if validate or new else _PLAIN.get(tag)
-        return ("r if r.__class__ is plain else finish(r, receiver)", plain,
-                finish)
+        receiver = "None" if m.static else "{p}receiver"
+        return (f"{{p}}r if {{p}}r.__class__ is {{p}}plain else "
+                f"{{p}}finish({{p}}r, {receiver})", plain, finish)
 
     def _entry(self, key):
         """entries[key], built and stored: the entry of host calls of the
@@ -895,73 +904,108 @@ class HostRegistry:
         return False
 
 
+# What a form closes over, in the order of its arguments, before the
+# classes k0, k1, ... of a lone crossing's slots.
+READS = ("body", "name", "plain", "finish", "cname", "inits", "general",
+         "stats", "as_is", "to_script")
+
 # Every crossing invoker makes, guarded or not, spelt once per arity,
-# kind of slot, side and result.  form(...) returns invoke, which runs
-# the body when guard holds (always, for a plain invoker): host errors
-# become HostException, and a runaway recursion through the bridge is a
-# stack overflow, as it is in a script.  Any other call goes to general.
-_FORM = """def form(body, name, plain, finish, cname, inits, general, stats,
-         as_is, to_script{consts}):
-    receiver = None  # a static method's, called from a script
+# kind of slot, side and result: _CROSSING, in the function _FORM puts
+# around it.  The crossing runs the body when guard holds (always, for a
+# plain invoker): host errors become HostException, and a runaway
+# recursion through the bridge is a stack overflow, as it is in a
+# script; the form hands any other call to general.  The second tier
+# writes a script's lone method crossing in place at a call site with
+# the same text (see inplace): there every name the crossing reads
+# carries the site's prefix {p}, bound on the unit's entry from the
+# dispatcher's reads, and its value goes to the site's temporary.
+_CROSSING = """if {guard}:
+    {first}
+    try:
+        {p}r = {p}body({call})
+    except BridgeScriptError:
+        raise
+    except RecursionError:
+        raise ScriptRuntimeError("stack overflow") from None
+    except Exception as e:  # host code
+        raise HostException(f"{{{p}name}}: {{e}}") from e
+    {done}"""
+
+_FORM = """def form({reads}):
     def invoke({params}):
-        if {guard}:
-            {first}
-            try:
-                r = body({call})
-            except BridgeScriptError:
-                raise
-            except RecursionError:
-                raise ScriptRuntimeError("stack overflow") from None
-            except Exception as e:  # host code
-                raise HostException(f"{{name}}: {{e}}") from e
-            {ret}
+{crossing}
         return general({params})
     return invoke
 """
 
 
-@functools.cache  # one per spelling, shared by every registry
-def _form(classes, n: int, static: bool, new: bool, result: str,
-          void: bool, script: bool):
-    """The form of invoker's crossings of one spelling.  classes holds,
-    per slot of a lone crossing, whether it is a class slot, and is None
-    for a plain invoker of n arguments; result is _finish's text; void
-    tells a script's method crossing to return no results.  A lone
-    crossing is compiled as "<lone>", which tools and tests look for, a
-    plain invoker as "<invoke>"."""
+def crossing(spelling, done: str, p: str = "", values=None, sure=(),
+             tests=()) -> str:
+    """The text of one crossing of spelling, _form's arguments, ending in
+    done, a statement over {v}, the crossing's value: the host result,
+    for a script the new object's proxy, a method's result as a script
+    value, or a void method's finished result, which is None unless
+    validate_invokes checks it.  A form's arguments are args[i], and its
+    guard tests their count; the second tier passes p, values, the texts
+    of exactly the arguments the crossing takes, and sure, the indices of
+    those whose class test cannot fail (a table's, for a class slot), and
+    tests, conditions its guard tests first."""
+    classes, n, static, new, result, void, script = spelling
     lead = script and not (static or new)  # the receiver is args[0]
-    tests = [f"len(args) == {len(classes or ())}"]
-    values = [f"args[{i}]" for i in range(n if classes is None
-                                          else len(classes))]
+    tests = list(tests)
+    if values is None:
+        if classes is not None:
+            tests.append(f"len(args) == {len(classes)}")
+        values = [f"args[{i}]" for i in range(n if classes is None
+                                              else len(classes))]
+    else:
+        values = list(values)
     for i, is_class in enumerate(classes or ()):
-        v = values[i]
+        v, k = values[i], f"{p}k{i}"
         if not is_class:
-            tests.append(f"{v}.__class__ is k{i}")
+            if i not in sure:
+                tests.append(f"{v}.__class__ is {k}")
         elif script:  # a proxy of a host object of that very class
-            h = values[i] = "receiver" if lead and not i else f"h{i}"
-            tests.append(f"{v}.__class__ is Table and ({h} := {v}.entries"
-                         f".get('__hostref')).__class__ is HostObject "
-                         f"and {h}.class_name == k{i}")
+            h = values[i] = f"{p}receiver" if lead and not i else f"{p}h{i}"
+            tests.append(("" if i in sure else f"{v}.__class__ is Table and ")
+                         + f"({h} := {v}.entries.get('__hostref')).__class__ "
+                         f"is HostObject and {h}.class_name == {k}")
         else:
             tests.append(f"{v}.__class__ is HostObject and "
-                         f"{v}.class_name == k{i}")
+                         f"{v}.class_name == {k}")
     if not (static or lead):
-        values.insert(0, "receiver")
-    if not script:
-        ret = f"return {result}"
-    elif new:
-        ret = f"return to_script({result})"
-    elif void:
-        ret = f"{result}; return _EMPTY"
-    else:
-        ret = f"return [r if r.__class__ is as_is else to_script({result})]"
+        values.insert(0, f"{p}receiver")
+    result = result.format(p=p)
+    if script and new:
+        result = f"{p}to_script({result})"
+    elif script and not void:
+        result = (f"{p}r if {p}r.__class__ is {p}as_is else "
+                  f"{p}to_script({result})")
+    return _CROSSING.format(
+        p=p, guard=" and ".join(tests) or "True", call=", ".join(values),
+        first=f"{p}receiver = HostObject({p}cname, dict({p}inits))" if new
+        else f"{p}stats.dispatches += 1" if script else "pass",
+        done=done.format(v=result))
+
+
+@functools.cache  # one per spelling, shared by every registry
+def _form(*spelling):
+    """The form of invoker's crossings of one spelling: classes, holding
+    per slot of a lone crossing whether it is a class slot, or None for a
+    plain invoker; n, its arguments; static and new, the method's kind;
+    result, _finish's text; void, whether a script's method crossing
+    returns no results; script, the side.  A lone crossing is compiled
+    as "<lone>", which tools and tests look for, a plain invoker as
+    "<invoke>"."""
+    classes, _, _, new, _, void, script = spelling
+    done = ("return [{v}]" if script and not (new or void)
+            else "{v}; return _EMPTY" if script and void else "return {v}")
     params = "args" if script else "receiver, args"
+    ks = [f"k{i}" for i in range(len(classes or ()))]
     source = _FORM.format(
-        consts="".join(f", k{i}" for i in range(len(classes or ()))),
-        params=params, call=", ".join(values), ret=ret,
-        guard="True" if classes is None else " and ".join(tests),
-        first="receiver = HostObject(cname, dict(inits))" if new
-        else "stats.dispatches += 1" if script else "pass")
+        reads=", ".join([*READS, *ks]), params=params,
+        crossing="\n".join(" " * 8 + line for line in
+                            crossing(spelling, done).split("\n")))
     env = {"BridgeScriptError": BridgeScriptError, "HostObject": HostObject,
            "HostException": HostException, "Table": Table, "_EMPTY": _EMPTY,
            "ScriptRuntimeError": ScriptRuntimeError}

@@ -32,8 +32,8 @@ HERE = pathlib.Path(__file__).parent
 GOLDEN = HERE / "frontend_golden.json"
 DEMOS = HERE.parent / "demos"
 
-# slots that compiling fills in
-_COMPILED = {"where", "proto", "sources", "_code"}
+# slots that compiling, or running on closures, fills in
+_COMPILED = {"where", "proto", "seen", "sources", "_code"}
 
 SIDES = ("CENTER", "EAST", "NORTH", "SOUTH", "WEST")
 

@@ -34,6 +34,16 @@ from bridgescript.objects import (
     table_set,
 )
 from bridgescript.parser import parse_source
+from bridgescript.registry import (
+    FLOAT,
+    INTEGER,
+    VOID,
+    ArrayTag,
+    FieldSpec,
+    HostClassDescriptor,
+    HostRegistry,
+    MethodDescriptor,
+)
 
 
 def generated(f: Closure) -> bool:
@@ -902,3 +912,202 @@ def test_for_unit_entered_again_checks_its_bounds(bare_interp):
     assert table_get(first, 1.0).invoke([]) == [float(2 * K)]
     assert table_get(second, 1.0).invoke([]) == [3.0]
     assert table_get(third, 5.0).invoke([]) == [1.0]
+
+
+# ------------------------------------- host crossings written in place
+
+def _tally_registry(validate=False) -> HostRegistry:
+    """Tally: an integer field n, a float field x, a lone bump(float) ->
+    float whose body fails on a negative and returns a string for 99,
+    and a lone void touch(); its subclass SubTally; Other, an unrelated
+    class with the same members; and the statics Util.ints(n) and
+    Util.reals(n), arrays of integers and of floats."""
+    reg = HostRegistry(validate_invokes=validate)
+
+    def bump(self, v):
+        if v < 0:
+            raise ValueError("negative")
+        if v == 99:
+            return "ninety-nine"
+        self.fields["x"] += v
+        return self.fields["x"]
+
+    def touch(self):
+        self.fields["n"] += 1
+
+    def array_of(tag):
+        return lambda n: reg.array_new(tag, int(n))
+    ctor = [MethodDescriptor("<init>", (), VOID, False, None)]
+    members = {
+        "fields": {"n": FieldSpec(INTEGER), "x": FieldSpec(FLOAT)},
+        "methods": {
+            "bump": [MethodDescriptor("bump", (FLOAT,), FLOAT, False, bump)],
+            "touch": [MethodDescriptor("touch", (), VOID, False, touch)]}}
+    reg.register_class(HostClassDescriptor(
+        name="Tally", constructors=ctor, **members))
+    reg.register_class(HostClassDescriptor(
+        name="SubTally", base="Tally", constructors=ctor))
+    reg.register_class(HostClassDescriptor(
+        name="Other", constructors=ctor, **members))
+    reg.register_class(HostClassDescriptor(name="Util", methods={
+        name: [MethodDescriptor(name, (FLOAT,), ArrayTag(tag), True,
+                                array_of(tag))]
+        for name, tag in (("ints", INTEGER), ("reals", FLOAT))}))
+    reg.freeze()
+    return reg
+
+
+# method calls that want no value, one and all, field reads and stores,
+# and element reads and stores, each kind in a function of its own;
+# plain() and plain_array() make script tables with the members a Tally
+# and an array have
+TALLY = """U = hostBindClass("Util")
+function call(o, v)
+  o:touch()
+  o:bump(0)
+  local z = o:touch()
+  local b = o:bump(v)
+  return b, z, o:bump(0)
+end
+function touch(o)
+  return o:touch()
+end
+function field(o, v)
+  local n = o.n
+  o.n = v
+  return n, o.n
+end
+function element(a, i, j, v)
+  local e = a[i]
+  a[j] = v
+  return e, a[j]
+end
+function plain()
+  local t = {n = 0, x = 0}
+  function t:touch() self.n = self.n + 1 end
+  function t:bump(v) self.x = self.x + v return self.x end
+  return t
+end
+function plain_array()
+  local a = {}
+  a[1] = 0
+  a[2] = 0
+  return a
+end"""
+
+# what makes each function hot: the arguments of its K + 1 calls, and
+# the bridge objects its generated body then guards on
+WARM = {"call": ("hostNewInstance('Tally'), 1", 2),
+        "touch": ("hostNewInstance('Tally')", 1),
+        "field": ("hostNewInstance('Tally'), 2", 2),
+        "element": ("U.ints(3), 1, 2, 5", 2)}
+
+# each function called with arguments that its warm calls did not see,
+# or that fail; the flag takes them from a second interpreter
+GUARDED = [
+    ("call", "hostNewInstance('Tally'), 1.5", False),
+    ("call", "hostNewInstance('SubTally'), 1", False),
+    ("call", "hostNewInstance('Other'), 1", False),
+    ("call", "plain(), 1", False),
+    ("call", "hostNewInstance('Tally'), 1", True),
+    ("call", "hostNewInstance('Tally'), -1", False),
+    ("call", "hostNewInstance('Tally'), 'one'", False),
+    ("call", "hostNewInstance('Tally'), 99", False),
+    ("touch", "hostNewInstance('Tally')", False),
+    ("touch", "hostNewInstance('SubTally')", False),
+    ("touch", "plain()", False),
+    ("field", "hostNewInstance('Tally'), 7", False),
+    ("field", "hostNewInstance('SubTally'), 2", False),
+    ("field", "hostNewInstance('Other'), 2", False),
+    ("field", "plain(), 2", False),
+    ("field", "hostNewInstance('Tally'), 2", True),
+    ("field", "hostNewInstance('Tally'), 'two'", False),
+    ("field", "hostNewInstance('Tally'), 2.5", False),
+    ("element", "U.ints(3), 3, 1, 4", False),
+    ("element", "U.ints(3), 4, 1, 1", False),
+    ("element", "U.ints(3), 0, 1, 1", False),
+    ("element", "U.ints(3), 1.5, 1, 1", False),
+    ("element", "U.ints(3), 1, 4, 1", False),
+    ("element", "U.ints(3), 1, 2.5, 1", False),
+    ("element", "U.ints(3), 1, 2, 'five'", False),
+    ("element", "U.ints(3), 1, 2, 2.5", False),
+    ("element", "U.reals(3), 1, 2, 2.5", False),
+    ("element", "plain_array(), 1, 2, 5", False),
+    ("element", "U.ints(3), 1, 2, 5", True),
+]
+
+
+def _tally_world(reg):
+    it = Interpreter(reg, out=io.StringIO())
+    it.run(TALLY)
+    return it
+
+
+def _counts(it):
+    stats = it.outbound.stats
+    return stats.dispatches, dict(stats.fallback_fires)
+
+
+def _crossing_outcome(it, other, name, args: str, second: bool):
+    """The outcome of calling it's function name with args, evaluated in
+    other if second, else in it, and how the counts of it and of other
+    moved."""
+    values = (other if second else it).run("return " + args)
+    before = [_counts(it), _counts(other)]
+    try:
+        out = ("ok", [snapshot(v) for v in
+                      it.global_value(name).invoke(values)])
+    except BridgeScriptError as e:
+        out = ("error", type(e).__name__, str(e), e.line)
+    moved = []
+    for (d0, f0), (d1, f1) in zip(before, [_counts(it), _counts(other)]):
+        moved.append((d1 - d0, {k: v - f0.get(k, 0) for k, v in f1.items()
+                                if v != f0.get(k, 0)}))
+    return out, moved
+
+
+def _held(body) -> int:
+    """How many bridge objects a generated body guards on, each held
+    weakly in its globals."""
+    return sum(v.__class__ is weakref.ref for v in body.__globals__.values())
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_guard_failures_keep_the_closure_outcome(validate):
+    reg = _tally_registry(validate)
+    hot, hot_other, cold, cold_other = (_tally_world(reg) for _ in range(4))
+    for name, (args, held) in WARM.items():
+        f = hot.global_value(name)
+        for _ in range(K + 1):
+            f.invoke(hot.run("return " + args))
+        assert generated(f) and _held(f.proto.body) == held, name
+    ends = set()
+    for name, args, second in GUARDED:
+        want = _crossing_outcome(cold, cold_other, name, args, second)
+        assert not generated(cold.global_value(name))
+        got = _crossing_outcome(hot, hot_other, name, args, second)
+        assert got == want, (name, args, second)
+        ends.add(want[0][1] if want[0][0] == "error" else "ok")
+    assert ends == {"ok", "HostException", "NoMatch", "TypeMismatch",
+                    "IndexOutOfBounds", "NoSuchMember"}
+
+
+def test_hot_chunk_keeps_no_dropped_bridge_alive():
+    reg = _tally_registry()
+    chunk = parse_source(
+        "local o = hostNewInstance('Tally')\nlocal a = U.ints(2)\n"
+        "o:touch()\nlocal b = o:bump(1.5)\no.n = o.n + 1\n"
+        "a[2] = a[1] + 3\nreturn b, o.n, o.x, a[2]")
+    first = _tally_world(reg)
+    for _ in range(K + 1):
+        assert eval_chunk(chunk, first.globals) == [1.5, 2.0, 1.5, 3.0]
+    # three dispatchers, the fallbacks of Tally and of integer arrays
+    (proto,) = [c.cell_contents for c in chunk.code().__closure__]
+    assert chunk_generated(chunk) and _held(proto.body) == 7
+    bridge = weakref.ref(first.outbound)
+    del first
+    gc.collect()
+    assert bridge() is None
+    second = _tally_world(reg)
+    assert eval_chunk(chunk, second.globals) == [1.5, 2.0, 1.5, 3.0]
+    assert second.outbound.stats.dispatches == 3  # U.ints, touch, bump

@@ -30,14 +30,19 @@ The crossings of LONE_LINES and LONE_HOST must run the registry's lone
 form, the one generated crossing that runs a lone overload's body
 itself: the dispatcher a bridge line leaves in its proxy, or the entry
 a host call leaves in the registry, must be compiled from it (file name
-"<lone>").  One that is not is marked FAIL.  The exit status is 1 if
-anything is marked FAIL.
+"<lone>").  One that is not is marked FAIL.  The crossings of
+LONE_LINES and FIELD_LINES must also run in place in their loop's
+generated unit: the unit must guard on the line's dispatcher, or on its
+proxy's index or newindex fallback, which it holds weakly.  One that
+does not is marked FAIL.  The exit status is 1 if anything is marked
+FAIL.
 """
 
 import argparse
 import io
 import sys
 import time
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +58,12 @@ LINES = ("", "c:empty()", "c:inc()", "f()", "t:hello()", "x = c.count",
 LONE_LINES = {"c:empty()": ("counter", "empty"), "c:inc()": ("counter", "inc"),
               "m.twice(2)": ("mathutil", "twice"),
               "p:move(1, 2)": ("point", "move")}
+# the field and element lines that must run in place -> the global and
+# the fallback of its proxy that the line's unit guards on
+FIELD_LINES = {"x = c.count": ("counter", "index_handler"),
+               "c.count = 1": ("counter", "newindex_handler"),
+               "x = a[1]": ("arr", "index_handler"),
+               "a[1] = 1": ("arr", "newindex_handler")}
 LONE_HOST = {"src.fireAction() into the script listener":
              ("demo.EventSource", "fireAction"),
              'instantiate("demo.ActionEvent", [src])': "demo.ActionEvent"}
@@ -149,6 +160,36 @@ def lone(f) -> bool:
     return f.__code__.co_filename == "<lone>"
 
 
+def guarded(units: list, obj) -> bool:
+    """Does one of the generated units, given by their globals, hold obj
+    weakly, as a unit does the bridge objects it guards on?"""
+    return any(v.__class__ is weakref.ref and v() is obj
+               for env in units for v in env.values())
+
+
+def warm(loops, n: float) -> dict:
+    """Run each loop once, untimed, so it moves to the second tier;
+    line -> the globals of the units generated on the way."""
+    from bridgescript import nodes
+
+    made = []
+    generate = nodes._generate
+
+    def watch(gen_unit, line):
+        made.append(generate(gen_unit, line))
+        return made[-1]
+    nodes._generate = watch
+    try:
+        units = {}
+        for line, loop in loops.items():
+            del made[:]
+            loop.invoke([n])
+            units[line] = [u.__globals__ for u in made if u is not None]
+        return units
+    finally:
+        nodes._generate = generate
+
+
 def host_world():
     """(call -> a function making it once, a function reading its
     result as HOST_CALLS gives it, a function reading the listener's
@@ -205,9 +246,8 @@ def main() -> None:
     n = float(args.iterations)
     best = {w: dict.fromkeys(LINES, float("inf")) for w in worlds}
     results = {w: {} for w in worlds}
-    for loops in worlds.values():  # to the second tier, untimed
-        for loop in loops.values():
-            loop.invoke([n])
+    units = warm(bridge, n)
+    warm(native, n)
     for r in range(args.best):
         order = list(worlds) if r % 2 == 0 else list(reversed(worlds))
         for line in LINES:
@@ -231,8 +271,17 @@ def main() -> None:
         print(f"| `{line}` | {bridge:.2f} us | {native:.2f} us | "
               f"{ratio:.2f}{mark} |")
     for line, (name, member) in LONE_LINES.items():
-        if not lone(its[line].global_value(name).entries[member].fn):
+        f = its[line].global_value(name).entries[member]
+        if not lone(f.fn):
             print(f"FAIL: `{line}` did not run the registry's lone form")
+            failed = True
+        if not guarded(units[line], f):
+            print(f"FAIL: `{line}` did not run in place in its unit")
+            failed = True
+    for line, (name, fallback) in FIELD_LINES.items():
+        if not guarded(units[line],
+                       getattr(its[line].global_value(name), fallback)):
+            print(f"FAIL: `{line}` did not run in place in its unit")
             failed = True
     failed = host_rows(args.iterations // 10, args.best) or failed
     sys.exit(1 if failed else 0)

@@ -6,13 +6,16 @@ Sets up one workload of perfbench/workloads.py with the package under
 src/ of this checkout, runs its warm-up ops, each checked against
 perfbench/reference.py, and prints the source of every unit the second
 tier generated on the way, each under a header naming the line of its
-loop or function and, in brackets, the sites it inlined and the loops
-it peeled.  A unit that Python refused rich and was generated plain is
-marked so.  The last line is one JSON object: the count of units
-generated and refused, of units generated plain, of inlined sites and
-of peeled loops, and one entry per generated unit ({"line",
-"params", "rich", "inlined", "peeled"}), in the order made.  A chunk's
-unit is the one with line 1 and params "G, U".
+loop or function, the sites it inlined, the loops it peeled and the
+host crossings it wrote in place: calls of lone host methods, and reads
+and stores of instance fields and array elements, each counted once
+per copy, so a crossing in a peeled loop counts twice.  A unit that
+Python refused rich and was generated plain is marked so.  The last
+line is one JSON object: the count of units generated and refused, of
+units generated plain, of inlined sites, of peeled loops and of host
+crossings in place, and one entry per generated unit ({"line",
+"params", "rich", "inlined", "peeled", "hosted"}), in the order made.
+A chunk's unit is the one with line 1 and params "G, U".
 """
 
 import argparse
@@ -65,11 +68,12 @@ def main() -> None:
     entries = []
     for line, params, g in units:
         entries.append({"line": line, "params": params, "rich": g.rich,
-                        "inlined": g.inlined, "peeled": g.peeled})
+                        "inlined": g.inlined, "peeled": g.peeled,
+                        "hosted": g.hosted})
         if not args.quiet:
             plain = "" if g.rich else ", generated plain"
-            print(f"# line {line}: {g.inlined} inlined, {g.peeled} peeled"
-                  f"{plain}")
+            print(f"# line {line}: {g.inlined} inlined, {g.peeled} peeled, "
+                  f"{g.hosted} hosted{plain}")
             print(g.function(params))
     print(json.dumps({
         "workload": args.workload, "seed": args.seed,
@@ -77,6 +81,7 @@ def main() -> None:
         "plain": sum(not e["rich"] for e in entries),
         "inlined": sum(e["inlined"] for e in entries),
         "peeled": sum(e["peeled"] for e in entries),
+        "hosted": sum(e["hosted"] for e in entries),
         "units": entries}))
 
 
