@@ -7,7 +7,8 @@ generated source.  An entry records, for the first and for the last
 call, the values returned or the error's class, message and line, and
 after each of the two the outbound bridge's fallback fires per (owner,
 member) and its dispatch count.  The cases cover member lookup, fields,
-statics, arrays, lone and general dispatch, and the errors of each.
+statics, arrays, lone and general dispatch, overloaded methods and
+constructors, and the errors of each.
 After a deliberate change of what scripts see of the bridge, record the
 file again:
 
@@ -21,7 +22,9 @@ import sys
 import pytest
 
 from bridgescript import Interpreter
+from bridgescript.demo import demo_bodies, load_demo_manifest
 from bridgescript.errors import BridgeScriptError
+from bridgescript.manifest import register_from_manifest
 from bridgescript.nodes import K
 from bridgescript.objects import NIL, Closure, NativeFunction, Table
 from bridgescript.registry import (
@@ -120,8 +123,11 @@ def world(validate: bool = False) -> Interpreter:
     """An interpreter whose globals s, c and o are a Shape, a Circle and
     an Other, S and C the class proxies of Shape and Circle, a an array
     of three integers and b Shape.bigs, the array [1, HUGE].  A Holder
-    is made from one Shape, which it keeps in its field held."""
+    is made from one Shape, which it keeps in its field held.  The demo
+    classes are registered too, and m is the class proxy of
+    demo.MathUtil."""
     reg = HostRegistry(validate_invokes=validate)
+    register_from_manifest(reg, load_demo_manifest(), demo_bodies(reg))
     for d in (SHAPE, CIRCLE, OTHER, HOLDER):
         reg.register_class(d)
     reg.freeze()
@@ -131,7 +137,7 @@ def world(validate: bool = False) -> Interpreter:
     it.run('s = hostNewInstance("Shape") c = hostNewInstance("Circle")\n'
            'o = hostNewInstance("Other")\n'
            'S = hostBindClass("Shape") C = hostBindClass("Circle")\n'
-           "a = S.ints(3) b = S.bigs")
+           "a = S.ints(3) b = S.bigs m = hostBindClass('demo.MathUtil')")
     return it
 
 
@@ -228,6 +234,24 @@ CASES = {
     "lone class-slot constructor without arguments":
         "return hostNewInstance('Holder')",
     "host exception in a class-slot lone method": "\ns:clash(s)",
+    "overloaded static method with a number":
+        "return m.describe(2), m.describe(2.5)",
+    "overloaded static method with a string": "return m.describe('s')",
+    "overloaded static method with true": "return m.describe(true)",
+    "overloaded static method with nil": "return m.describe(nil)",
+    "overloaded static method without arguments": "return m.describe()",
+    "overloaded static method with two arguments":
+        "return m.describe(1, 'a')",
+    "overloaded constructor without arguments":
+        "local p = hostNewInstance('demo.Point')\nreturn p.x, p.y",
+    "overloaded constructor with one argument":
+        "return hostNewInstance('demo.Point', 1)",
+    "overloaded constructor with two arguments":
+        "local p = hostNewInstance('demo.Point', 1, 2.5)\nreturn p.x, p.y",
+    "overloaded constructor with three arguments":
+        "return hostNewInstance('demo.Point', 1, 2, 3)",
+    "overloaded constructor with a string":
+        "return hostNewInstance('demo.Point', 'a', 2)",
 }
 
 # cases also run with validate_invokes on
@@ -236,7 +260,9 @@ VALIDATED = ("lone methods", "inherited members of a subclass",
              "host exception in a body", "general dispatch",
              "lone class-slot method", "lone method of three floats",
              "lone class-slot constructor",
-             "host exception in a class-slot lone method")
+             "host exception in a class-slot lone method",
+             "overloaded static method with a number",
+             "overloaded constructor with two arguments")
 
 
 def show(v):
