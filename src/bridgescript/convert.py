@@ -203,16 +203,6 @@ class Converter:
         return proxy
 
 
-def site_shape(cands) -> object:
-    """The shape a call site over to_host keys its verdicts by: type,
-    the value's class, when every slot of cands is FLOAT, TEXT or
-    BOOLEAN, since to_host keeps a value of such a slot's class and
-    refuses any other; else shape."""
-    if all(tag in AS_IS for m in cands for tag in m.params):
-        return type
-    return shape
-
-
 def shape(v):
     """v's row in to_host's rule: integral number, fractional number,
     string, boolean, nil, host class name, array element tag or plain

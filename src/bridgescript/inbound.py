@@ -127,7 +127,7 @@ class InboundBridge:
         # a lone overload of no slot or one is the verdict for a call
         # whose argument fits its slot (lone_slots): such calls skip the
         # call site
-        slots = lone_slots(cands)
+        slots = lone_slots(cands[0]) if len(cands) == 1 else None
         lone_n = len(slots) if slots is not None and len(slots) < 2 else -1
         lone_class, lone_name = slots[0] if lone_n == 1 else (None, None)
         lone = records[cands[0]]

@@ -5,11 +5,13 @@ closures, and a read or store the first fallback it reaches (see
 nodes).  When a rich unit is generated, a site whose recorded object
 still lives gets its host crossing written in place, if the object is:
 
-- the dispatcher of a lone host method whose crossing takes as many
-  arguments as the site passes: the site runs the registry's crossing,
-  the text the dispatcher itself was compiled from (registry.crossing),
-  with its receiver and argument checks, its count of dispatches, its
-  wrapping of host errors and its result check;
+- the dispatcher of a host method whose chain has lone crossings that
+  take as many arguments as the site passes: the site runs those
+  crossings, in the chain's order, as one if and elifs, each the text
+  the dispatcher itself was compiled from (registry.crossing), with its
+  receiver and argument checks, its count of dispatches, its wrapping of
+  host errors and its result check, its reads bound under a prefix of
+  its own;
 - the index or newindex fallback of a proxy's class, with a string
   literal key naming an instance field: the site reads or stores the
   field itself;
@@ -18,14 +20,16 @@ still lives gets its host crossing written in place, if the object is:
   within the array's bounds.
 
 Each runs behind a guard on the identity of that object, the callee or
-the table's fallback, and any other value takes the site's generic
-path, which is what the site ran before.  A read keeps the lookup in
-the table's own entries first and counts its fallback fire under the
-member's key once its value has converted; an index out of bounds or
-not integral, a store the member's store refuses, and a value that
-to_script refuses go to the fallback, so every error keeps its class,
-text and line.  The unit holds each object weakly and takes it, and
-what the crossing reads from it, once on entry (hold).
+the table's fallback, and any other value, or a call that no crossing
+written takes, takes the site's generic path, which is what the site ran
+before.  A read keeps the lookup in the table's own entries first and
+counts its fallback fire under the member's key once its value has
+converted: an int of an integer member becomes a float in place, any
+other value goes through to_script.  An index out of bounds or not
+integral, a store the member's store refuses, an int too large for a
+float and a value that to_script refuses go to the fallback, so every
+error keeps its class, text and line.  The unit holds each object weakly
+and takes it, and what the crossing reads from it, once on entry (hold).
 """
 
 import weakref
@@ -33,7 +37,7 @@ import weakref
 from .errors import HostException
 from .objects import NativeFunction, Table
 from .outbound import ELEMENTS
-from .registry import READS, HostObject, crossing
+from .registry import INTEGER, READS, HostObject, crossing
 
 _ENV = {"HostObject": HostObject, "HostException": HostException}
 
@@ -72,42 +76,48 @@ def entry(held: dict) -> list:
 
 
 def dispatcher(f, n: int):
-    """f, if it is the dispatcher of a lone host method whose crossing
-    takes n arguments; else None."""
+    """f, if it is the dispatcher of a host method whose chain has a lone
+    crossing that takes n arguments; else None."""
     if f.__class__ is NativeFunction:
-        spelling = getattr(f.fn, "spelling", None)
-        if spelling is not None and len(spelling[0]) == n:
+        spelling = getattr(f.fn, "spelling", ())
+        if any(len(entry[0]) == n for entry in spelling):
             return f
     return None
 
 
 def call(g, f, callee: str, args: list, one=None, many=None) -> None:
-    """Write into g the crossing of the dispatcher f, run when the text
-    callee is f, with args; its value goes to the temporary one as the
-    site's first value, or to many as its value list, if either is
-    given."""
-    spelling, reads = f.fn.spelling, f.fn.reads
+    """Write into g the crossings of the dispatcher f's chain that take
+    as many arguments as args, as one if, run when the text callee is f,
+    with args; the value goes to the temporary one as the site's first
+    value, or to many as its value list, if either is given."""
     k = hold(g, f)
     p = k + "_"
-    names = [*READS, *(f"k{i}" for i in range(len(spelling[0])))]
-    hold(g, f, "{k}.fn.reads", ", ".join(p + x for x in names))
-    sure = [i for i, is_class in enumerate(spelling[0])
-            if g.kind(args[i]) is (Table if is_class
-                                   else reads[len(READS) + i])]
-    if spelling[5]:  # void: a result that is checked runs for its check
-        done = [f"{one} = NIL" if one else f"{many} = _EMPTY" if many
-                else ""]
-        if spelling[4] != "None":
-            done.insert(0, "{v}")
-        done = "; ".join(filter(None, done))
-    else:
-        done = f"{one} = {{v}}" if one else f"{many} = [{{v}}]" if many \
-            else "{v}"
     g.env.update(_ENV)
-    for line in crossing(spelling, done, p, args, sure,
-                         [f"{callee} is {k}"]).split("\n"):
-        if line.strip():
-            g.emit(line)
+    head = "if"
+    for i, (spelling, reads) in enumerate(zip(f.fn.spelling, f.fn.reads)):
+        if len(spelling[0]) != len(args):
+            continue
+        names = [*READS, *(f"k{j}" for j in range(len(spelling[0])))]
+        hold(g, f, f"{{k}}.fn.reads[{i}]",
+             ", ".join(f"{p}e{i}_{x}" for x in names))
+        sure = [j for j, is_class in enumerate(spelling[0])
+                if g.kind(args[j]) is (Table if is_class
+                                       else reads[len(READS) + j])]
+        if spelling[5]:  # void: a result that is checked runs for its check
+            done = [f"{one} = NIL" if one else f"{many} = _EMPTY" if many
+                    else ""]
+            if spelling[4] != "None":
+                done.insert(0, "{v}")
+            done = "; ".join(filter(None, done))
+        else:
+            done = f"{one} = {{v}}" if one else f"{many} = [{{v}}]" if many \
+                else "{v}"
+        text = crossing(spelling, done, p, args, sure, [f"{callee} is {k}"],
+                        i)
+        for line in (head + text[2:]).split("\n"):
+            if line.strip():
+                g.emit(line)
+        head = "elif"
     g.hosted += 1
 
 
@@ -152,13 +162,19 @@ def read(g, h, name, t: str, k: str, v: str, fallback: str) -> bool:
     g.emit(f"if {v} is _MISS:")
     g.emit(f"    if {guard}:")
     g.emit("        try:")
-    if m.as_is is None:
+    if m.tag is INTEGER:  # a script number, unless the host broke the tag
+        g.emit(f"            {v} = {at}")
+        g.emit(f"            {v} = float({v}) if {v}.__class__ is int else "
+               f"{to_script}({v})")
+    elif m.as_is is None:
         g.emit(f"            {v} = {to_script}({at})")
     else:
         g.emit(f"            {v} = {at}")
         g.emit(f"            if {v}.__class__ is not {m.as_is.__name__}: "
                f"{v} = {to_script}({v})")
-    g.emit(f"        except BridgeScriptError: {fallback}")
+    errors = "(BridgeScriptError, OverflowError)" if m.tag is INTEGER \
+        else "BridgeScriptError"
+    g.emit(f"        except {errors}: {fallback}")
     g.emit(f"        else: {hold(g, h, '{k}.reads[1]')}"
            f"[{g.const(m.fires_key)}] += 1")
     g.emit(f"    else: {fallback}")

@@ -33,43 +33,45 @@ and returns it, so the fallback fires once per method per proxy, and
 p.move == p.move holds before any call, as on a plain table.  The
 dispatcher refers to no proxy, and the fallbacks to no proxy but the
 one they are called with, so the proxy table is the only state the
-bridge keeps per proxy.  A method whose overload is lone
-(registry.lone_slots) gets its crossing from the registry's one
-template in front of the general dispatcher (HostRegistry.invoker): a
-call with arguments of the slots' classes (a proxy of a host object of
-exactly the slot's class, for a class slot) and, for an instance
-method, a receiver of the dispatcher's own class runs the body at once,
-with the invoker's error handling and result check; any other call goes
-to the general dispatcher, which decides it through the call site with
-the same errors.  Hot code makes the same crossing without calling the
-dispatcher (see inplace): a call site that called it on closures runs
-its text in place, read from the spelling and reads the dispatcher's
-function carries, when the callee is that dispatcher.  Likewise each
-fallback carries reads, (the member table, fallback_fires, to_script),
-whose field members and, for an array, the one member of its elements
-give what a read or store in place needs: the fire key, as_is, store
-and whether the member is a field; a read or store that reached a
-proxy's fallback on closures then reads or writes the host value in
-place when the table has that fallback, with the same count.
+bridge keeps per proxy.  In front of the general dispatcher stands the
+chain of the method's lone overloads (registry.lone_slots), from the
+registry's one template (HostRegistry.invoker): a crossing per lone
+overload, in the order declared, each of which, for a call with
+arguments of its slots' classes (a proxy of a host object of exactly
+the slot's class, for a class slot) and, for an instance method, a
+receiver of the dispatcher's own class, runs that body at once, with
+the invoker's error handling and result check; a call no crossing takes
+goes to the general dispatcher, which decides it through the call site
+with the same errors.  A method of one lone overload has a chain of one
+crossing, and one with none has the general dispatcher alone.  Hot code
+makes the same crossings without calling the dispatcher (see inplace):
+a call site that called it on closures runs, when the callee is that
+dispatcher, the text of each crossing that takes as many arguments as
+the site passes, read from the spelling and reads the dispatcher's
+function carries.  Likewise each fallback carries reads, (the member
+table, fallback_fires, to_script), whose field members and, for an
+array, the one member of its elements give what a read or store in
+place needs: the fire key, tag, as_is, store and whether the member is
+a field; a read or store that reached a proxy's fallback on closures
+then reads or writes the host value in place when the table has that
+fallback, with the same count.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
 number, fractional number, string, boolean, nil, host class name, array
-element tag, plain table), or by the arguments' classes where every
-slot is FLOAT, TEXT or BOOLEAN (convert.site_shape), since those alone
-decide such a call and its arguments pass as they are.  The site
-returns the chosen overload's record and the arguments converted for
-its slots.  A method's record is its registry invoker, whether it is
-void and the class of results that pass back as they are; a
-constructor's is its invoker.  A class's constructors are one new(script
-args) per class, built on first use: the site, or a lone constructor's
-crossing in front of it.  A method whose one overload is nullary
-refuses arguments as one that "takes no arguments".  The invoker runs
-the body, wraps host errors as HostException and checks the result
-against the return tag; the result goes back through to_script.
-NoMatch and Ambiguous are never cached; a plain table is wrapped on
-every call.  A static method called with ':' is told to call it with
-'.'.
+element tag, plain table).  The site returns the chosen overload's
+record and the arguments converted for its slots.  A method's record is
+its registry invoker, whether it is void and the class of results that
+pass back as they are; a constructor's is its invoker.  Calls that fit
+a lone overload exactly never reach the site: its chain takes them.  A
+class's constructors are one new(script args) per class, built on first
+use: the chain of its constructors in front of the site.  A method
+whose one overload is nullary refuses arguments as one that "takes no
+arguments".  The invoker runs the body, wraps host errors as
+HostException and checks the result against the return tag; the result
+goes back through to_script.  NoMatch and Ambiguous are never cached; a
+plain table is wrapped on every call.  A static method called with ':'
+is told to call it with '.'.
 
 Method names reject assignment, as does "__hostref" itself.  Arrays
 expose 1-based numeric indexing, and their bounds errors name the index
@@ -89,7 +91,7 @@ from .errors import (
     ReservedField,
     TypeMismatch,
 )
-from .convert import site_shape
+from .convert import shape
 from .objects import _EMPTY, NativeFunction, Table, render
 from .registry import (
     AS_IS,
@@ -99,7 +101,6 @@ from .registry import (
     HostObject,
     call_site,
     index_error,
-    lone_slots,
 )
 
 # The fallback_fires member of every element read of an array, so that
@@ -130,19 +131,21 @@ class DispatchStats:
 class _Member:
     """One member of one class, or the elements of arrays of one tag, as
     the fallbacks use it: its fallback_fires key; method, a method's
-    shared dispatcher, or None for a field; as_is, the class of a field's
-    values that scripts take as they are; values, the dict holding a
-    static field; store(v), what the field holds for the script value v,
-    or a method's refusal to be assigned; and field, whether its values
-    live in each host object or array, as an instance field's and
-    elements' do."""
+    shared dispatcher, or None for a field; tag, a field's tag, and
+    as_is, the class of its values that scripts take as they are;
+    values, the dict holding a static field; store(v), what the field
+    holds for the script value v, or a method's refusal to be assigned;
+    and field, whether its values live in each host object or array, as
+    an instance field's and elements' do."""
 
-    __slots__ = ("fires_key", "method", "as_is", "values", "store", "field")
+    __slots__ = ("fires_key", "method", "tag", "as_is", "values", "store",
+                 "field")
 
-    def __init__(self, fires_key, method, as_is, values, store):
+    def __init__(self, fires_key, method, tag, values, store):
         self.fires_key = fires_key
         self.method = method
-        self.as_is = as_is
+        self.tag = tag
+        self.as_is = AS_IS.get(tag)
         self.values = values
         self.store = store
         self.field = method is None and values is None
@@ -196,19 +199,17 @@ class OutboundBridge:
 
     def _constructor(self, name: str):
         """_constructors[name], built and stored: new(script args) -> the
-        proxy of a new object of the class name, through the call site
-        of its constructors, or its lone constructor's crossing."""
+        proxy of a new object of the class name, through the chain of
+        its constructors' lone crossings, then their call site."""
         reg, to_script = self.registry, self.converter.to_script
         cands = reg.constructors(name)
-        select = call_site(cands, name, self.converter.to_host,
-                           site_shape(cands), reg.invoker)
+        select = call_site(cands, name, self.converter.to_host, shape,
+                           reg.invoker)
 
         def new(args: list) -> Table:
             invoke, args = select(args)
             return to_script(invoke(None, args))
-        if lone_slots(cands) is not None:
-            new = reg.invoker(cands[0], new, to_script)
-        self._constructors[name] = new
+        new = self._constructors[name] = reg.invoker(cands, new, to_script)
         return new
 
     # ------------------------------------------------------------ fallbacks
@@ -260,7 +261,7 @@ class OutboundBridge:
         to_script = self.converter.to_script
         as_is = AS_IS.get(tag)
         store = self.converter.storer(tag, "cannot store into the array")
-        members = {ELEMENTS: _Member(elements_key, None, as_is, None, store)}
+        members = {ELEMENTS: _Member(elements_key, None, tag, None, store)}
 
         def index(proxy, key):
             if key.__class__ is float:
@@ -309,8 +310,7 @@ class OutboundBridge:
                 if static else None
             store = self.converter.storer(
                 spec.tag, f"cannot store into {cname}.{key}")
-            m = _Member((cname, key), None, AS_IS.get(spec.tag), values,
-                        store)
+            m = _Member((cname, key), None, spec.tag, values, store)
         else:
             cands = flat.methods.get(key)
             if cands is None or cands[0].static != static:
@@ -328,8 +328,7 @@ class OutboundBridge:
             """An overload's invoker, is it void, and the class of its
             results that pass back as they are."""
             return reg.invoker(m), m.returns is VOID, AS_IS.get(m.returns)
-        select = call_site(cands, cname, conv.to_host, site_shape(cands),
-                           record)
+        select = call_site(cands, cname, conv.to_host, shape, record)
         to_script = conv.to_script
         # how a method whose one overload is nullary refuses arguments
         no_args = f"{cname}.{key} takes no arguments" \
@@ -366,9 +365,7 @@ class OutboundBridge:
                 return _EMPTY
             return [r if r.__class__ is as_is else to_script(r)]
 
-        if lone_slots(cands) is not None:
-            dispatch = reg.invoker(cands[0], dispatch, to_script, stats,
-                                   cname)
+        dispatch = reg.invoker(cands, dispatch, to_script, stats, cname)
 
         def refuse(v):
             raise TypeMismatch(

@@ -25,15 +25,15 @@ site is resolve_overload behind a cache keyed by argument shapes, which
 keeps no refusal.  The cache remembers, per shape, the winner's record
 and whether the front kept the arguments as they were; a hit of any
 other shape converts them again through the front, so only to_host and
-score_host know how a value converts.  A class-keyed site keys by the
-arguments' classes, where they alone decide the verdict and the front
-keeps every value it accepts.
+score_host know how a value converts.
 
-lone_slots(cands) is the one rule for a lone overload: cands is one
-candidate whose slots, however many, are each FLOAT, TEXT, BOOLEAN or a
-class.  A call whose arguments are, one per slot, of the slot's class
-(for a class slot, a host object of exactly that class name) has that
-overload for its verdict, with the arguments as they are, so it needs
+lone_slots(m) is the one rule for a lone overload: m is lone if its
+slots, however many, are each FLOAT, TEXT, BOOLEAN or a class.  A call
+whose arguments are, one per slot, of the slot's class (for a class
+slot, a host object of exactly that class name) has that overload for
+its verdict, with the arguments as they are, however many overloads
+stand beside it: each argument scores the most, 2, only in a slot of
+its own tag, and no two overloads share a signature.  Such a call needs
 no call site.
 
 invoker(m) runs a native body for calls from either side: host errors
@@ -41,19 +41,23 @@ become HostException and a RecursionError the script's "stack
 overflow", the result is checked against the return tag, and
 validate_invokes re-checks the receiver.  A constructor's invoker
 makes, fills and returns the new object; both sides find constructors
-through constructors(name).  invoker(m, general, ...) makes m's lone
-crossing instead: for arguments that fit lone_slots([m]) it runs the
-body and the result check as the invoker would, and it hands any other
-call to general, the crossing's general path, with its errors.  A
-host-side crossing takes (receiver, host args); a script-side one, a
-dispatcher's or a hostNewInstance's, takes the script's arguments,
-where a class slot's argument is a proxy and an instance method's
-receiver is such a slot, placed first.  Every invoker and every
-crossing is made from the one template _FORM, compiled once per
-spelling (arity, slot kinds, side and result) and shared by every
-registry; the arguments are passed to the body one by one.  The text
-of the crossing itself, crossing(), is also what the second tier
-writes in place of a call of a script's lone crossing (see inplace).
+through constructors(name).  invoker(cands, general, ...) makes the
+chain of cands, the overloads of a method or the constructors of a
+class, instead: one lone crossing per lone overload, in order, each of
+which, for arguments that fit its slots, runs the body and the result
+check as the invoker would, and then general, the chain's general path,
+which takes any other call, with its errors.  A single lone overload's
+crossing is the chain of one entry; cands with no lone overload have
+general for their chain.  The chain is built once, with its member, and
+never grows.  A host-side chain takes (receiver, host args); a
+script-side one, a dispatcher's or a hostNewInstance's, takes the
+script's arguments, where a class slot's argument is a proxy and an
+instance method's receiver is such a slot, placed first.  Every invoker
+and every chain is made from the one template _FORM, compiled once per
+spelling (per entry, its arity, slot kinds, side and result) and shared
+by every registry; the arguments are passed to the body one by one.
+The text of a crossing, crossing(), is also what the second tier writes
+in place of a call of a script's method chain (see inplace).
 
 The registry keeps the host-side entries: entries[class] for
 constructors and entries[(class, method)] for the methods of host
@@ -61,8 +65,8 @@ objects.  methods(class, method) finds those methods, or refuses with
 NoSuchMember, for the registry and inbound alike.  An entry does the
 whole call: entry(receiver, host args) -> host result, with None as a
 constructor's receiver.  The general entry selects through a call site
-that records the overloads' invokers, then invokes; a lone overload's
-entry is its crossing in front of the general one.  call_method on a
+that records the overloads' invokers, then invokes; the entry is the
+overloads' chain in front of it.  call_method on a
 host object and instantiate are one lookup and one call.  On a wrapper
 call_method calls the inbound bridge's entry, so a host object of class
 X and a wrapper exported as X never share one.  An entry is built on
@@ -105,9 +109,11 @@ _FLOAT_MAX = sys.float_info.max
 INTEGRAL = object()
 _WHOLE = object()
 # Argument shapes one call site remembers; calls of further shapes
-# resolve every time.  The busiest sites of the perfbench workloads see
-# at most 4 shapes (Point.move: two numbers, each integral or
-# fractional), all of them remembered; 8 leaves room for twice that.
+# resolve every time.  The perfbench workloads' calls all fit a lone
+# crossing of their chains, so their sites see only refusals, which
+# are never remembered; a site taking coercions, an integral number for
+# an integer slot or a subclass's proxy for a class slot, sees few
+# shapes per overload, and 8 leaves room for twice 4.
 SHAPES_PER_SITE = 8
 
 
@@ -323,11 +329,7 @@ def call_site(cands, owner: str, front, shape, record):
     that resolve_overload(cands, args, front, owner) chooses, with the
     verdicts for up to SHAPES_PER_SITE argument shapes remembered.  Values
     of one shape must score alike on every tag, and front must either
-    keep every one of them or convert every one.  A class-keyed site
-    passes type as shape, which costs less than a shape function: it
-    suits candidates on whose slots front's verdict hangs on a value's
-    class alone and keeps the value as it is, as to_host's does on
-    FLOAT, TEXT and BOOLEAN slots."""
+    keep every one of them or convert every one."""
     records = {m: record(m) for m in cands}  # built once per candidate
     cache: dict = {}  # argument shapes -> (record, tags to convert to or None)
 
@@ -677,50 +679,58 @@ class HostRegistry:
         """Construct name from host values, by the overload rule."""
         return (self.entries.get(name) or self._entry(name))(None, args)
 
-    def invoker(self, m: MethodDescriptor, general=None, to_script=None,
-                stats=None, owner=None):
-        """invoke(receiver, host args) -> host result of m: the body run
-        with host errors wrapped as HostException and a RecursionError
-        as a stack overflow, the result normalized and checked against
-        the return tag (None for void), and the receiver checked if
-        validate_invokes was on.  Given general, m's lone crossing (see
-        lone_slots): it does so for arguments that fit m's slots, and
-        hands any other call to general with the same arguments.  Given
-        to_script too, the crossing is a script's: invoke(script args),
-        with an instance method's receiver first, as a slot of the class
-        owner; a method's returns the script's results and counts in
-        stats.dispatches, a constructor's returns the new object's
-        proxy.  A script's lone method crossing carries its spelling and
-        its reads, _form's arguments and the values its form closes over,
-        so that the second tier can write it in place (see crossing)."""
-        new, script = m.name == "<init>", to_script is not None
-        slots = None if general is None else lone_slots([m])
-        if script and not (m.static or new):  # the receiver comes first
-            slots.insert(0, (HostObject, owner))
-        result, plain, finish = self._finish(m)
-        spelling = (None if slots is None else
-                    tuple(name is not None for _, name in slots),
-                    len(m.params), m.static, new, result,
-                    script and m.returns is VOID, script)
-        cname = m.returns.name if new else None
-        reads = (_no_body if m.body is None else m.body,
-                 f"constructor of {cname}" if new else m.name, plain, finish,
-                 cname, self._instance_inits.get(cname), general, stats,
-                 None if plain is None else AS_IS.get(m.returns), to_script,
-                 *(cls if name is None else name for cls, name in slots or ()))
-        invoke = _form(*spelling)(*reads)
+    def invoker(self, m, general=None, to_script=None, stats=None,
+                owner=None):
+        """invoke(receiver, host args) -> host result of the overload m:
+        the body run with host errors wrapped as HostException and a
+        RecursionError as a stack overflow, the result normalized and
+        checked against the return tag (None for void), and the receiver
+        checked if validate_invokes was on.  Given general, m is a list
+        of candidates and invoke their chain: the lone crossing of each
+        candidate that lone_slots allows, which does so for arguments
+        that fit its slots, and general, which takes any other call with
+        the same arguments; with no such candidate, general itself.
+        Given to_script too, the chain is a script's: invoke(script
+        args), with an instance method's receiver first, as a slot of the
+        class owner; a method's returns the script's results and counts
+        in stats.dispatches, a constructor's returns the new object's
+        proxy.  A script's method chain carries its spelling and its
+        reads, per entry _form's arguments after general, so that the
+        second tier can write it in place (see crossing)."""
+        chain = [(m, None)] if general is None else [
+            (c, slots) for c in m if (slots := lone_slots(c)) is not None]
+        if not chain:
+            return general
+        script, spelling, reads = to_script is not None, [], []
+        for m, slots in chain:
+            new = m.name == "<init>"
+            if script and not (m.static or new):  # the receiver comes first
+                slots.insert(0, (HostObject, owner))
+            result, plain, finish = self._finish(m)
+            spelling.append((None if slots is None else
+                             tuple(name is not None for _, name in slots),
+                             len(m.params), m.static, new, result,
+                             script and m.returns is VOID, script))
+            cname = m.returns.name if new else None
+            reads.append((
+                _no_body if m.body is None else m.body,
+                f"constructor of {cname}" if new else m.name, plain, finish,
+                cname, self._instance_inits.get(cname), stats,
+                None if plain is None else AS_IS.get(m.returns), to_script,
+                *(cls if name is None else name for cls, name in slots or ())))
+        invoke = _form(*spelling)(general, *(x for r in reads for x in r))
         if script and general is not None and not new:  # see inplace
-            invoke.spelling, invoke.reads = spelling, reads
+            invoke.spelling, invoke.reads = tuple(spelling), reads
         return invoke
 
     def _finish(self, m: MethodDescriptor):
         """How invoker(m) finishes its body's result r: the text of the
-        value it returns, over r and receiver (None for a static method),
-        each with the prefix {p} (see crossing), and the plain and finish
-        that text reads.  A constructor returns the receiver, its new
-        object.  A result of class plain passes unchecked; finish(r,
-        receiver) normalizes and checks any other, and the receiver if
-        validate_invokes is on."""
+        value it returns, over r and receiver (None for a static
+        method), each with the prefix {p}, and the plain and finish that
+        text reads, with the prefix {q} (see crossing).  A constructor
+        returns the receiver, its new object.  A result of class plain
+        passes unchecked; finish(r, receiver) normalizes and checks any
+        other, and the receiver if validate_invokes is on."""
         tag, name, new = m.returns, m.name, m.name == "<init>"
         validate = self.validate_invokes
         if not validate and (new or tag is VOID):
@@ -743,8 +753,8 @@ class HostRegistry:
             return r
         plain = None if validate or new else _PLAIN.get(tag)
         receiver = "None" if m.static else "{p}receiver"
-        return (f"{{p}}r if {{p}}r.__class__ is {{p}}plain else "
-                f"{{p}}finish({{p}}r, {receiver})", plain, finish)
+        return (f"{{p}}r if {{p}}r.__class__ is {{q}}plain else "
+                f"{{q}}finish({{p}}r, {receiver})", plain, finish)
 
     def _entry(self, key):
         """entries[key], built and stored: the entry of host calls of the
@@ -760,9 +770,7 @@ class HostRegistry:
         def entry(receiver, args: list):
             invoke, args = select(args)
             return invoke(receiver, args)
-        if lone_slots(cands) is not None:
-            entry = self.invoker(cands[0], entry)
-        self.entries[key] = entry
+        entry = self.entries[key] = self.invoker(cands, entry)
         return entry
 
     def call_method(self, target, name: str, args: list):
@@ -904,54 +912,59 @@ class HostRegistry:
         return False
 
 
-# What a form closes over, in the order of its arguments, before the
-# classes k0, k1, ... of a lone crossing's slots.
-READS = ("body", "name", "plain", "finish", "cname", "inits", "general",
-         "stats", "as_is", "to_script")
+# What each entry of a form closes over, in the order of its arguments,
+# before the classes k0, k1, ... of a lone crossing's slots.
+READS = ("body", "name", "plain", "finish", "cname", "inits", "stats",
+         "as_is", "to_script")
 
 # Every crossing invoker makes, guarded or not, spelt once per arity,
-# kind of slot, side and result: _CROSSING, in the function _FORM puts
-# around it.  The crossing runs the body when guard holds (always, for a
-# plain invoker): host errors become HostException, and a runaway
-# recursion through the bridge is a stack overflow, as it is in a
-# script; the form hands any other call to general.  The second tier
-# writes a script's lone method crossing in place at a call site with
-# the same text (see inplace): there every name the crossing reads
-# carries the site's prefix {p}, bound on the unit's entry from the
-# dispatcher's reads, and its value goes to the site's temporary.
+# kind of slot, side and result: _CROSSING, one per entry of a chain, in
+# the function _FORM puts around them.  A crossing runs the body when
+# guard holds (always, for a plain invoker): host errors become
+# HostException, and a runaway recursion through the bridge is a stack
+# overflow, as it is in a script; the form hands a call that no guard
+# takes to general.  The second tier writes the crossings of a script's
+# method chain in place at a call site with the same text (see inplace).
+# Every name a crossing reads carries the prefix {q}, its entry's, and
+# every temporary the prefix {p}: in a form, "e<i>_" and none; in place,
+# the site's prefix before both, with the reads bound on the unit's
+# entry from the dispatcher's, and the value going to the site's
+# temporary.
 _CROSSING = """if {guard}:
     {first}
     try:
-        {p}r = {p}body({call})
+        {p}r = {q}body({call})
     except BridgeScriptError:
         raise
     except RecursionError:
         raise ScriptRuntimeError("stack overflow") from None
     except Exception as e:  # host code
-        raise HostException(f"{{{p}name}}: {{e}}") from e
+        raise HostException(f"{{{q}name}}: {{e}}") from e
     {done}"""
 
-_FORM = """def form({reads}):
+_FORM = """def form(general, {reads}):
     def invoke({params}):
-{crossing}
+{crossings}
         return general({params})
     return invoke
 """
 
 
 def crossing(spelling, done: str, p: str = "", values=None, sure=(),
-             tests=()) -> str:
-    """The text of one crossing of spelling, _form's arguments, ending in
-    done, a statement over {v}, the crossing's value: the host result,
-    for a script the new object's proxy, a method's result as a script
-    value, or a void method's finished result, which is None unless
-    validate_invokes checks it.  A form's arguments are args[i], and its
-    guard tests their count; the second tier passes p, values, the texts
-    of exactly the arguments the crossing takes, and sure, the indices of
-    those whose class test cannot fail (a table's, for a class slot), and
-    tests, conditions its guard tests first."""
+             tests=(), entry: int = 0) -> str:
+    """The text of the crossing of a chain's entry-th entry, of spelling,
+    one of _form's arguments, ending in done, a statement over {v}, the
+    crossing's value: the host result, for a script the new object's
+    proxy, a method's result as a script value, or a void method's
+    finished result, which is None unless validate_invokes checks it.  A
+    form's arguments are args[i], and its guard tests their count; the
+    second tier passes p, values, the texts of exactly the arguments the
+    crossing takes, and sure, the indices of those whose class test
+    cannot fail (a table's, for a class slot), and tests, conditions its
+    guard tests first."""
     classes, n, static, new, result, void, script = spelling
     lead = script and not (static or new)  # the receiver is args[0]
+    q = f"{p}e{entry}_"
     tests = list(tests)
     if values is None:
         if classes is not None:
@@ -961,7 +974,7 @@ def crossing(spelling, done: str, p: str = "", values=None, sure=(),
     else:
         values = list(values)
     for i, is_class in enumerate(classes or ()):
-        v, k = values[i], f"{p}k{i}"
+        v, k = values[i], f"{q}k{i}"
         if not is_class:
             if i not in sure:
                 tests.append(f"{v}.__class__ is {k}")
@@ -975,37 +988,42 @@ def crossing(spelling, done: str, p: str = "", values=None, sure=(),
                          f"{v}.class_name == {k}")
     if not (static or lead):
         values.insert(0, f"{p}receiver")
-    result = result.format(p=p)
+    result = result.format(p=p, q=q)
     if script and new:
-        result = f"{p}to_script({result})"
+        result = f"{q}to_script({result})"
     elif script and not void:
-        result = (f"{p}r if {p}r.__class__ is {p}as_is else "
-                  f"{p}to_script({result})")
+        result = (f"{p}r if {p}r.__class__ is {q}as_is else "
+                  f"{q}to_script({result})")
     return _CROSSING.format(
-        p=p, guard=" and ".join(tests) or "True", call=", ".join(values),
-        first=f"{p}receiver = HostObject({p}cname, dict({p}inits))" if new
-        else f"{p}stats.dispatches += 1" if script else "pass",
+        p=p, q=q, guard=" and ".join(tests) or "True",
+        call=", ".join(values),
+        first=f"{p}receiver = HostObject({q}cname, dict({q}inits))" if new
+        else f"{q}stats.dispatches += 1" if script else "pass",
         done=done.format(v=result))
 
 
 @functools.cache  # one per spelling, shared by every registry
 def _form(*spelling):
-    """The form of invoker's crossings of one spelling: classes, holding
-    per slot of a lone crossing whether it is a class slot, or None for a
-    plain invoker; n, its arguments; static and new, the method's kind;
-    result, _finish's text; void, whether a script's method crossing
-    returns no results; script, the side.  A lone crossing is compiled
-    as "<lone>", which tools and tests look for, a plain invoker as
+    """The form of invoker's chains of one spelling, its entries' in
+    order, each of them: classes, holding per slot of a lone crossing
+    whether it is a class slot, or None for a plain invoker; n, its
+    arguments; static and new, the method's kind; result, _finish's
+    text; void, whether a script's method crossing returns no results;
+    script, the side.  A chain of lone crossings is compiled as
+    "<lone>", which tools and tests look for, a plain invoker as
     "<invoke>"."""
-    classes, _, _, new, _, void, script = spelling
-    done = ("return [{v}]" if script and not (new or void)
-            else "{v}; return _EMPTY" if script and void else "return {v}")
-    params = "args" if script else "receiver, args"
-    ks = [f"k{i}" for i in range(len(classes or ()))]
+    reads, crossings = [], []
+    for i, (classes, _, _, new, _, void, script) in enumerate(spelling):
+        reads += [f"e{i}_{x}" for x in READS] + [
+            f"e{i}_k{j}" for j in range(len(classes or ()))]
+        crossings.append(crossing(spelling[i], (
+            "return [{v}]" if script and not (new or void)
+            else "{v}; return _EMPTY" if script and void else "return {v}"),
+            entry=i))
     source = _FORM.format(
-        reads=", ".join([*READS, *ks]), params=params,
-        crossing="\n".join(" " * 8 + line for line in
-                            crossing(spelling, done).split("\n")))
+        reads=", ".join(reads), params="args" if script else "receiver, args",
+        crossings="\n".join(" " * 8 + line for text in crossings
+                            for line in text.split("\n")))
     env = {"BridgeScriptError": BridgeScriptError, "HostObject": HostObject,
            "HostException": HostException, "Table": Table, "_EMPTY": _EMPTY,
            "ScriptRuntimeError": ScriptRuntimeError}
@@ -1018,17 +1036,15 @@ def _no_body(*args):
     """The body of a constructor declared without one: no host code."""
 
 
-def lone_slots(cands):
-    """The slots of cands' lone overload, if cands is one candidate whose
-    slots are each FLOAT, TEXT, BOOLEAN or a class, else None: per slot
-    the class an argument must have and, for a class slot, the class
-    name of that host object.  A call whose arguments fit them, one per
-    slot, has that overload for its verdict and the arguments as they
-    are, since they fit their slots exactly."""
-    if len(cands) != 1:
-        return None
+def lone_slots(m):
+    """The slots of the overload m if it is lone, if each is FLOAT, TEXT,
+    BOOLEAN or a class, else None: per slot the class an argument must
+    have and, for a class slot, the class name of that host object.  A
+    call whose arguments fit them, one per slot, has m for its verdict
+    among any overloads beside it, and the arguments as they are: they
+    fit m's slots exactly, so m alone scores the most."""
     slots = []
-    for tag in cands[0].params:
+    for tag in m.params:
         if tag.__class__ is ClassTag:
             slots.append((HostObject, tag.name))
         elif tag in AS_IS:

@@ -12,19 +12,29 @@ not change any verdict, and run_method_trials does the same for instance
 methods called with ':' on receivers of every kind; run_host_site_trials does the same for the
 registry's host-side sites behind call_method, on host objects and on
 wrappers, and instantiate.  run_lone_entry_trials and
-run_lone_dispatch_trials drive lone crossings, host-side and
-script-side, whose guards must hand every call they do not fit to the
-general path.
+run_lone_dispatch_trials drive lone crossings and the chains of them
+that overloaded methods and constructors get, host-side and
+script-side, the latter also written in place in hot script functions;
+their guards must hand every call they do not fit to the general path.
 """
 
+import io
 import math
 import random
 import sys
+import weakref
 from dataclasses import dataclass
 
+from bridgescript import Interpreter
 from bridgescript.convert import Converter
-from bridgescript.errors import Ambiguous, NoMatch, ReceiverMismatch
+from bridgescript.errors import (
+    Ambiguous,
+    BridgeScriptError,
+    NoMatch,
+    ReceiverMismatch,
+)
 from bridgescript.inbound import InboundBridge
+from bridgescript.nodes import K
 from bridgescript.objects import NIL, NativeFunction, Table, table_get
 from bridgescript.outbound import OutboundBridge
 from bridgescript.registry import (
@@ -493,43 +503,54 @@ def _same_values(got, want) -> bool:
 
 def run_lone_entry_trials(calls: int, seed: int = 20261022,
                           validate_invokes: bool = False):
-    """Drive host values through lone host-side entries: instance
-    methods and constructors with one overload of up to two FLOAT, TEXT,
-    BOOLEAN or class slots (every one-slot signature and a few random
-    pairs), called on objects of the declaring class and of a subclass,
-    whose entries are their own; and the lone entries of an interface
-    wrapper, one nullary, one of a FLOAT slot, one of a class slot and
-    one of a TEXT and a FLOAT slot, which takes the call site.  Most arguments fit
-    their slots exactly or are values a slot takes by coercion (a
-    subclass object, None, an int in a float slot, a wrapper); the rest
-    are any host values, objects of unrelated classes among them, in
-    the slots' arity or any other.  Each call must choose what oracle.decide
-    chooses for the script values to_script makes, or, beyond the
-    referee, what a direct resolve_overload call chooses.  A method or
-    constructor body must get exactly the values resolve_overload
-    converts the arguments to, a method's int result come back as its
-    FLOAT return tag holds it, and an interface method's result be what
-    the table returned, converted to its return tag.  Returns
-    (agreements, calls, first disagreement, the number of lone entries
-    the registry built, the number of its entries)."""
+    """Drive host values through lone host-side entries and their
+    chains: instance methods and constructors with one overload of up to
+    two FLOAT, TEXT, BOOLEAN or class slots (every one-slot signature
+    and a few random pairs), and with several overloads, some lone (a
+    FLOAT, a TEXT, a class, a class and a FLOAT slot) and some not (an
+    INTEGER or an interface slot), called on objects of the declaring
+    class and of a subclass, whose entries are their own; and the lone
+    entries of an interface wrapper, one nullary, one of a FLOAT slot,
+    one of a class slot and one of a TEXT and a FLOAT slot, which takes
+    the call site.  Most arguments fit their slots exactly or are values
+    a slot takes by coercion (a subclass object, None, an int in a float
+    slot, a wrapper); the rest are any host values, objects of unrelated
+    classes among them, in the slots' arity or any other.  Each call
+    must choose what oracle.decide chooses for the script values
+    to_script makes, or, beyond the referee, what a direct
+    resolve_overload call chooses.  The chosen method or constructor
+    body must run and get exactly the values resolve_overload converts
+    the arguments to, a method's int result come back as its FLOAT
+    return tag holds it, and an interface method's result be what the
+    table returned, converted to its return tag.  Returns (agreements,
+    calls, first disagreement, the number of lone entries the registry
+    built, the number of its entries)."""
     rng = random.Random(seed)
-    sigs = [()] + [(tag,) for tag in LONE_TAGS] + sorted(
-        {(rng.choice(LONE_TAGS), rng.choice(LONE_TAGS)) for _ in range(6)},
-        key=repr)
+    base, iface = ClassTag("ora.Base"), InterfaceTag("ora.Ear")
+    derived, leaf = LONE_TAGS[4:]
+    sigs = [[()]] + [[(tag,)] for tag in LONE_TAGS] + sorted(
+        {((rng.choice(LONE_TAGS), rng.choice(LONE_TAGS)),)
+         for _ in range(6)}, key=repr) + [
+        [(FLOAT,), (TEXT,), (base,), (base, FLOAT), (INTEGER,), (iface,)],
+        [(derived, FLOAT), (base, INTEGER), (leaf, leaf), (BOOLEAN, TEXT),
+         (INTEGER, INTEGER)]]
     seen = []
 
-    def body(obj, *args):
-        seen.append(args)
-        return len(args)  # an int: the FLOAT return tag makes it a float
+    def body(sig):
+        def run(obj, *args):
+            seen.append((sig, args))
+            return len(args)  # an int: the FLOAT return tag makes it float
+        return run
 
     lone = HostClassDescriptor(name="ora.Lone", methods={
-        f"m{i}": [MethodDescriptor(f"m{i}", sig, FLOAT, False, body)]
-        for i, sig in enumerate(sigs)})
+        f"m{i}": [MethodDescriptor(f"m{i}", sig, FLOAT, False, body(sig))
+                  for sig in group]
+        for i, group in enumerate(sigs)})
     kid = HostClassDescriptor(name="ora.LoneKid", base="ora.Lone")
     makes = [HostClassDescriptor(name=f"ora.Make{i}", constructors=[
-        MethodDescriptor("<init>", sig, VOID, False, body)])
-        for i, sig in enumerate(sigs)]
-    base = ClassTag("ora.Base")
+        MethodDescriptor("<init>", sig, VOID, False, body(sig))
+        for sig in group])
+        for i, group in enumerate(sigs)]
     ear = HostClassDescriptor(name="ora.LoneEar", kind="interface", methods={
         "ping": [MethodDescriptor("ping", (), TEXT)],
         "echo": [MethodDescriptor("echo", (FLOAT,), FLOAT)],
@@ -541,12 +562,13 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
                  reg.instantiate("ora.LoneKid", [])]
     pool = host_site_pool(reg, conv) + receivers  # of no slot's class
     exact = {FLOAT: [3.0, 2.5, -0.75, math.inf, math.nan], TEXT: ["s", ""],
-             BOOLEAN: [True, False]}
+             BOOLEAN: [True, False], INTEGER: [3, -1],
+             iface: [conv.auto_wrap(Table(), "ora.Ear")]}
     for tag in LONE_TAGS[3:]:
         exact[tag] = [reg.instantiate(tag.name, [])]
     fits = {tag: [h for h in pool
                   if reg.score_host(h, tag).__class__ is not Incompatible]
-            for tag in LONE_TAGS}
+            for tag in exact}
     table = Table()
     table.entries["ping"] = NativeFunction(lambda args: ["pong"], "ping")
     table.entries["echo"] = NativeFunction(lambda args: [args[1]], "echo")
@@ -567,18 +589,19 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
         else:
             cands = reg.lookup_class("ora.Lone").methods[f"m{i}"]
         r = rng.random()
+        params = rng.choice(cands).params
         if r < 0.1:  # any arity, any values
             args = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         elif r < 0.3:  # any values in the slots
-            args = [rng.choice(pool) for _ in cands[0].params]
+            args = [rng.choice(pool) for _ in params]
         else:
             table_of = fits if r < 0.6 else exact
-            args = [rng.choice(table_of[tag]) for tag in cands[0].params]
+            args = [rng.choice(table_of[tag]) for tag in params]
         if any(map(_beyond_referee, args)):
-            want = host_decide(reg, cands, args)[0]
+            want, m = host_decide(reg, cands, args)
         else:
-            want = oracle.decide(
-                reg, cands, [conv.to_script(h) for h in args])[0]
+            want, m = oracle.decide(
+                reg, cands, [conv.to_script(h) for h in args])
         seen.clear()
         try:
             if kind == "new":
@@ -591,6 +614,8 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
             got = "selected"
         except NoMatch:
             got = "no_match"
+        except Ambiguous:
+            got = "ambiguous"
         ok = got == want
         if ok and got == "selected":
             converted = resolve_overload(cands, args, reg.score_host,
@@ -608,14 +633,16 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
                     and result.target_type == "ora.Base")
             elif kind == "new":
                 ok = result.class_name == f"ora.Make{i}" \
-                    and _same_values(seen[-1], converted)
+                    and seen[-1][0] == m.params \
+                    and _same_values(seen[-1][1], converted)
             else:
-                ok = _same_values(seen[-1], converted) \
+                ok = seen[-1][0] == m.params \
+                    and _same_values(seen[-1][1], converted) \
                     and _same_values([result], [float(len(args))])
         if ok:
             agree += 1
         elif example is None:
-            example = (kind, cands[0].params, args, want, got)
+            example = (kind, params, args, want, got)
     # a lone entry is an invoker's form; a general one is named entry
     lone = sum(e.__name__ == "invoke" for e in reg.entries.values())
     return agree, calls, example, lone, len(reg.entries)
@@ -623,44 +650,58 @@ def run_lone_entry_trials(calls: int, seed: int = 20261022,
 
 def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
                              validate_invokes: bool = False):
-    """Drive script values through lone script-side crossings: instance
-    methods with one overload of one class slot, of two class slots, of
-    three FLOAT, TEXT and BOOLEAN slots and of a mix, called with ':' on
-    proxies of ora.Lones and of its subclass ora.LonesKid, and classes
-    whose one constructor has one of those signatures, called through
-    host_new_instance.  Receivers and arguments are of every kind:
-    proxies of the exact class, of a subclass and of an unrelated class,
-    nil, plain tables, a class proxy, array proxies and plain values,
-    in the slots' arity or any other, and a method call sometimes has no
-    receiver at all.  A method call must raise ReceiverMismatch where
-    the receiver is no object of the dispatcher's class or a subclass,
-    else do what oracle.decide decides, and count exactly one dispatch;
-    a constructor call must do what the referee decides and make an
-    object of its class.  A body must get exactly the values
-    resolve_overload converts the arguments to.  Returns (agreements,
-    calls, first disagreement, the number of crossings built that are
-    the registry's lone form, the number built)."""
+    """Drive script values through lone script-side crossings and their
+    chains: instance methods with one overload of one class slot, of two
+    class slots, of three FLOAT, TEXT and BOOLEAN slots and of a mix, and
+    two with several overloads, some lone (a FLOAT, a TEXT, a class, a
+    class and a FLOAT slot) and some not (an INTEGER or an interface
+    slot), called with ':' on proxies of ora.Lones and of its subclass
+    ora.LonesKid; and classes whose constructors have one of those sets
+    of signatures, called through host_new_instance.  Receivers and
+    arguments are of every kind: proxies of the exact class, of a
+    subclass and of an unrelated class, nil, plain tables, a class
+    proxy, array proxies and plain values, in the slots' arity or any
+    other, and a method call sometimes has no receiver at all.  Each
+    call runs twice: as the closure tier calls, and through a script
+    function that calls its first argument with the rest, made hot
+    (generated, with the crossings of the callee its site saw written in
+    place) before its first trial.  A method call must raise
+    ReceiverMismatch where the receiver is no object of the dispatcher's
+    class or a subclass, else do what oracle.decide decides, and count
+    exactly one dispatch; a constructor call must do what the referee
+    decides and make an object of its class.  A body must get exactly
+    the values resolve_overload converts the arguments to.  Returns
+    (agreements, calls, first disagreement, the number of crossings
+    built that are the registry's lone form, the number built, the
+    number of hot functions that write their callee's crossings in
+    place)."""
     rng = random.Random(seed)
     as_is = (FLOAT, TEXT, BOOLEAN)
     base, derived, leaf = (ClassTag(f"ora.{n}")
                            for n in ("Base", "Derived", "Leaf"))
-    sigs = {"one": (base,), "oneD": (derived,), "two": (base, leaf),
-            "three": tuple(rng.choice(as_is) for _ in range(3)),
-            "mixed": (rng.choice(as_is), derived, rng.choice(as_is))}
+    sigs = {"one": [(base,)], "oneD": [(derived,)], "two": [(base, leaf)],
+            "three": [tuple(rng.choice(as_is) for _ in range(3))],
+            "mixed": [(rng.choice(as_is), derived, rng.choice(as_is))],
+            "over": [(FLOAT,), (TEXT,), (base,), (base, FLOAT), (INTEGER,),
+                     (InterfaceTag("ora.Ear"),)],
+            "pair": [(derived, FLOAT), (base, INTEGER), (leaf, leaf),
+                     (BOOLEAN, TEXT), (INTEGER, INTEGER)]}
     seen = []  # per call that reached a body, (tags, the values it got)
 
-    def body(obj, *args):
-        seen.append((None, args))
+    def body(sig):
+        def run(obj, *args):
+            seen.append((sig, args))
+        return run
 
     news = [HostClassDescriptor(name=f"ora.New{i}", constructors=[
-        MethodDescriptor("<init>", sig, VOID, False, body)])
-        for i, sig in enumerate(sigs.values())]
-    reg, conv = build_world(
-        site_class("ora.Lones", {f: [sig] for f, sig in sigs.items()}, seen,
-                   static=False),
+        MethodDescriptor("<init>", sig, VOID, False, body(sig))
+        for sig in group]) for i, group in enumerate(sigs.values())]
+    reg, _ = build_world(
+        site_class("ora.Lones", sigs, seen, static=False),
         HostClassDescriptor(name="ora.LonesKid", base="ora.Lones"), *news,
         validate_invokes=validate_invokes)
-    outb = conv.proxy_factory.__self__
+    it = Interpreter(reg, out=io.StringIO())
+    conv, outb = it.converter, it.outbound
     pool = value_pool(reg, conv)
     fits = {tag: [v for v in pool
                   if oracle.score_value(reg, v, tag) is not None]
@@ -670,27 +711,65 @@ def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
     others = pool + receivers  # a receiver of any kind
     kinds = [("method", f) for f in sigs] + \
         [("new", f"ora.New{i}") for i in range(len(news))]
+    new_instance = it.global_value("hostNewInstance")
+    hot = {}  # (callee, arity) -> its hot script function
+
+    def tiers(f, given):
+        """Call f with given on closures, then through its hot function;
+        the outcome of each, as site_call reports it, or ("receiver",
+        None), and the dispatches each counted."""
+        fn = hot.get((f, len(given)))
+        if fn is None:
+            params = ", ".join(f"a{j}" for j in range(len(given)))
+            fn = hot[f, len(given)] = it.run(
+                f"return function(f, {params}) return f({params}) end"
+                if params else "return function(f) return f() end")[0]
+            for _ in range(K):  # the site first sees f on closures
+                try:
+                    fn.invoke([f, *given])
+                except BridgeScriptError:
+                    pass
+        got = []
+        for run in (f.fn, lambda args: fn.invoke([f, *args])):
+            before = outb.stats.dispatches
+            try:
+                vals = run(given)
+                got.append((("selected", vals[0] if vals else NIL),
+                            outb.stats.dispatches - before))
+            except ReceiverMismatch:
+                got.append((("receiver", None),
+                            outb.stats.dispatches - before))
+            except NoMatch:
+                got.append((("no_match", None),
+                            outb.stats.dispatches - before))
+            except Ambiguous:
+                got.append((("ambiguous", None),
+                            outb.stats.dispatches - before))
+            if got[-1][0][0] == "selected":
+                got[-1] += (seen[-1],)
+        return got
+
     agree = 0
     example = None
     for _ in range(calls):
         kind, name = rng.choice(kinds)
         cands = reg.constructors(name) if kind == "new" \
             else reg.lookup_class("ora.Lones").methods[name]
-        sig = cands[0].params
+        sig = rng.choice(cands).params
         if rng.random() < 0.1:  # any arity, any values
             sig = (None,) * rng.randint(0, 4)
         args = [rng.choice(fits[tag] if tag in fits and rng.random() < 0.75
                            else pool)
                 for tag in sig]
-        seen.clear()
         if kind == "new":
-            want = oracle.decide(reg, cands, args)[0], None
-            try:
-                made = outb.host_new_instance(name, args)
-                got = "selected", None
-                ok = made.entries["__hostref"].class_name == name
-            except NoMatch:
-                got, ok = ("no_match", None), True
+            status, m = oracle.decide(reg, cands, args)
+            want = status, None if m is None else ["object", name]
+            got = tiers(new_instance, [name, *args])
+            # hostNewInstance counts no dispatch
+            got = [(("selected", ["object", out[0][1].entries[
+                "__hostref"].class_name]), *out[1:])
+                if out[0][0] == "selected" else out for out in got]
+            counted = 0
         else:
             k = rng.randrange(2)
             owner = owners[k]
@@ -698,23 +777,28 @@ def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
                 else rng.choice(others)
             given = [receiver, *args] if rng.random() < 0.95 else []
             if given and oracle.receives(reg, receiver, owner):
+                status, m = oracle.decide(reg, cands, args)
                 want = site_decide(reg, owner, name, args)
             else:
-                want = ("receiver", None)
-            before = outb.stats.dispatches
-            try:
-                got = site_call(table_get(receivers[k], name), given)
-            except ReceiverMismatch:
-                got = ("receiver", None)
-            ok = outb.stats.dispatches == before + 1
-        if ok and got == want and got[0] == "selected":
-            converted = resolve_overload(cands, args, conv.to_host, "ora")[1]
-            ok = _same_values(seen[-1][1], converted)
-        if ok and got == want:
+                m, want = None, ("receiver", None)
+            got = tiers(table_get(receivers[k], name), given)
+            counted = 1
+        ok = True
+        for out in got:
+            ok = ok and out[0] == want and out[1] == counted
+            if ok and m is not None:  # the referee's body, its values
+                converted = resolve_overload(cands, args, conv.to_host,
+                                             "ora")[1]
+                ok = out[2][0] == m.params \
+                    and _same_values(out[2][1], converted)
+        if ok:
             agree += 1
         elif example is None:
             example = (kind, name, sig, args, want, got)
     built = [receivers[k].entries[f].fn for k in range(2) for f in sigs
              if f in receivers[k].entries] + list(outb._constructors.values())
     lone = sum(f.__code__.co_filename == "<lone>" for f in built)
-    return agree, calls, example, lone, len(built)
+    in_place = sum(any(v.__class__ is weakref.ref and v() is f
+                       for v in fn.proto.body.__globals__.values())
+                   for (f, _), fn in hot.items())
+    return agree, calls, example, lone, len(built), in_place

@@ -1035,10 +1035,14 @@ def test_instance_dispatchers_agree_with_referee():
 
 @pytest.mark.parametrize("validate", [False, True])
 def test_lone_script_crossings_agree_with_referee(validate):
-    agree, total, example, lone, built = run_lone_dispatch_trials(
+    agree, total, example, lone, built, in_place = run_lone_dispatch_trials(
         3_000, validate_invokes=validate)
     assert (agree, total) == (3_000, 3_000), example
-    assert lone == built == 15  # 5 methods on 2 classes, 5 constructors
+    assert lone == built == 21  # 7 methods on 2 classes, 7 constructors
+    # per class, a hot function per arity of a chain's lone crossings:
+    # one each for the five methods of one overload, two for one chain
+    # and one for the other
+    assert in_place == 16
 
 
 # ------------------------------------------------------- dispatcher edges
@@ -1080,13 +1084,15 @@ def test_refused_overload_call_is_not_remembered(interp, monkeypatch):
     real = registry.resolve_overload
     monkeypatch.setattr(registry, "resolve_overload",
                         lambda *a: resolved.append(a) or real(*a))
-    refused = (NoMatch, "no overload of demo.MathUtil.describe accepts "
+    # intArray's integer slot is no lone slot, so that both calls reach
+    # its call site
+    refused = (NoMatch, "no overload of demo.MathUtil.intArray accepts "
                "these arguments", 2)
     for body, want, resolutions in (
-            ("m.describe(true)", refused, 1),
-            ("return m.describe(2)", ["number 2"], 2),
-            ("m.describe(true)", refused, 3),  # resolved again
-            ("return m.describe(2)", ["number 2"], 3)):  # remembered
+            ("m.intArray(true)", refused, 1),
+            ("return m.intArray(2).length", [2.0], 2),
+            ("m.intArray(true)", refused, 3),  # resolved again
+            ("return m.intArray(2).length", [2.0], 3)):  # remembered
         interp.run(f"function f()\n{body}\nend")
         assert _outcome(interp.global_value("f")) == want
         assert len(resolved) == resolutions
@@ -1179,14 +1185,16 @@ def test_site_beyond_its_cache_still_chooses():
 
 
 def test_site_remembers_at_most_its_bound(monkeypatch):
-    # a second overload keeps g from being lone, so that every call,
-    # those of a Base and a float too, reaches the site
+    # g's first overload is lone, but no object fits its class slot
+    # exactly: each is nil, a plain table or a proxy of a strict subclass
+    # of ora.Base, so that every call reaches the site
     reg, conv = build_world(site_class(
         "Two", {"g": [(ClassTag("ora.Base"), FLOAT),
-                      (ClassTag("ora.Base"), INTEGER)]}, []))
+                      (ClassTag("ora.Base"), INTEGER)]}, []),
+        HostClassDescriptor(name="ora.Twig", base="ora.Leaf"))
     objects = [NIL, Table()] + [conv.to_script(reg.instantiate(n, []))
-                                for n in ("ora.Base", "ora.Derived",
-                                          "ora.Leaf")]
+                                for n in ("ora.Derived", "ora.Leaf",
+                                          "ora.Twig")]
     calls = [[o, n] for o in objects for n in (3.0, 2.5)]
     assert len(calls) > SHAPES_PER_SITE  # one call per shape
     resolved = []

@@ -495,7 +495,9 @@ def test_refused_host_calls_resolve_every_time(monkeypatch):
                                for t in two]}),
         desc("Picky", kind="interface",
              methods={"pick": [method("pick", (t,)) for t in two]}))
-    base = reg.instantiate("ora.Base", [])
+    # a Derived fits the Base slots by coercion, so that no lone crossing
+    # takes a call of it and each reaches its site
+    base = reg.instantiate("ora.Derived", [])
     obj = reg.instantiate("Amb", [base])
     t = Table()
     t.entries["pick"] = NativeFunction(lambda args: [], "pick")

@@ -1111,3 +1111,44 @@ def test_hot_chunk_keeps_no_dropped_bridge_alive():
     second = _tally_world(reg)
     assert eval_chunk(chunk, second.globals) == [1.5, 2.0, 1.5, 3.0]
     assert second.outbound.stats.dispatches == 3  # U.ints, touch, bump
+
+
+def test_integer_reads_in_place_convert_as_the_fallback_does():
+    """An integer field or element read in place turns a host int into a
+    script number itself.  An int beyond the float range is the
+    fallback's TypeMismatch, with its line, and a value of another class,
+    which a host body can leave in an integer slot, converts as the
+    fallback converts it; the fire counts move as on closures."""
+    reg = _tally_registry()
+    o, a = reg.instantiate("Tally", []), reg.array_new(INTEGER, 2)
+    hot, cold = _tally_world(reg), _tally_world(reg)
+    proxies = {}
+    for it in (hot, cold):
+        it.run("function get(o, a)\n  local n = o.n\n  return n, a[1]\nend")
+        proxies[it] = [it.converter.to_script(h) for h in (o, a)]
+    f = hot.global_value("get")
+    for _ in range(K + 1):
+        assert f.invoke(proxies[hot]) == [0.0, 0.0]
+    assert generated(f) and not generated(cold.global_value("get"))
+
+    def outcome(it):
+        before = dict(it.outbound.stats.fallback_fires)
+        try:  # with each value's class: True == 1.0
+            out = [(v.__class__, v) for v in
+                   it.global_value("get").invoke(proxies[it])]
+        except BridgeScriptError as e:
+            out = (type(e).__name__, str(e), e.line)
+        after = it.outbound.stats.fallback_fires
+        return out, {k: n - before.get(k, 0) for k, n in after.items()}
+
+    ends = []
+    for n, e in ((7, -3), (10 ** 400, 1), (1, -10 ** 400), (True, False),
+                 (2.5, 1), ("seven", 1), (None, 1)):
+        o.fields["n"], a.elements[0] = n, e  # as a host body may
+        want = outcome(cold)
+        assert outcome(hot) == want, (n, e)
+        ends.append(want[0])
+    assert ends[:2] == [[(float, 7.0), (float, -3.0)], (
+        "TypeMismatch", "TypeMismatch (line 2): host integer too large "
+        "for a script number", 2)]
+    assert ends[2][2] == 3 and ends[3] == [(bool, True), (bool, False)]

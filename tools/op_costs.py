@@ -19,23 +19,23 @@ cost in microseconds in each world and their ratio.  Every run of a
 line also returns its locals and its world's state; a line whose bridge
 results differ from its native results is marked FAIL.
 
-The host calls of HOST_CALLS, as in perfbench's host_callbacks, are
-timed the same way in a Python loop of a tenth of the iterations, less
-the loop's cost with an empty call, in an interpreter after
-HOST_PRELUDE.  A call whose last result differs from the one HOST_CALLS
-gives it is marked FAIL, and so is the listener if it did not run once
-per fireAction.
+The host calls of HOST_CALLS, as in perfbench's host_callbacks and
+console_churn, are timed the same way in a Python loop of a tenth of the
+iterations, less the loop's cost with an empty call, in an interpreter
+after HOST_PRELUDE.  A call whose last result differs from the one
+HOST_CALLS gives it is marked FAIL, and so is the listener if it did not
+run once per fireAction.
 
 The crossings of LONE_LINES and LONE_HOST must run the registry's lone
-form, the one generated crossing that runs a lone overload's body
-itself: the dispatcher a bridge line leaves in its proxy, or the entry
-a host call leaves in the registry, must be compiled from it (file name
-"<lone>").  One that is not is marked FAIL.  The crossings of
-LONE_LINES and FIELD_LINES must also run in place in their loop's
-generated unit: the unit must guard on the line's dispatcher, or on its
-proxy's index or newindex fallback, which it holds weakly.  One that
-does not is marked FAIL.  The exit status is 1 if anything is marked
-FAIL.
+form, the one generated chain of crossings that runs a lone overload's
+body itself: the dispatcher a bridge line leaves in its proxy, or the
+entry a host call leaves in the registry or the outbound bridge's
+constructors, must be compiled from it (file name "<lone>").  One that
+is not is marked FAIL.  The crossings of LONE_LINES and FIELD_LINES must
+also run in place in their loop's generated unit: the unit must guard on
+the line's dispatcher, or on its proxy's index or newindex fallback,
+which it holds weakly.  One that does not is marked FAIL.  The exit
+status is 1 if anything is marked FAIL.
 """
 
 import argparse
@@ -50,13 +50,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # the lines of ROADMAP's per-op table, and the element read and write
 LINES = ("", "c:empty()", "c:inc()", "f()", "t:hello()", "x = c.count",
          "y = p.x", "c.count = 1", "m.twice(2)", "m.describe(2)",
-         "p:move(1, 2)", "x = a[1]", "a[1] = 1")
+         'm.describe("s")', "p:move(1, 2)", "x = a[1]", "a[1] = 1")
 
 # the bridge lines that must run the registry's lone form -> the global
 # and member whose dispatcher the line leaves behind, and the host calls
 # that must -> the registry entry they leave behind
 LONE_LINES = {"c:empty()": ("counter", "empty"), "c:inc()": ("counter", "inc"),
               "m.twice(2)": ("mathutil", "twice"),
+              "m.describe(2)": ("mathutil", "describe"),
+              'm.describe("s")': ("mathutil", "describe"),
               "p:move(1, 2)": ("point", "move")}
 # the field and element lines that must run in place -> the global and
 # the fallback of its proxy that the line's unit guards on
@@ -66,7 +68,8 @@ FIELD_LINES = {"x = c.count": ("counter", "index_handler"),
                "a[1] = 1": ("arr", "newindex_handler")}
 LONE_HOST = {"src.fireAction() into the script listener":
              ("demo.EventSource", "fireAction"),
-             'instantiate("demo.ActionEvent", [src])': "demo.ActionEvent"}
+             'instantiate("demo.ActionEvent", [src])': "demo.ActionEvent",
+             'hostNewInstance("demo.Point", 1, 2)': "demo.Point"}
 
 # one loop; {line} is its body, N its iterations
 LOOP = """return function(N)
@@ -136,7 +139,8 @@ HOST_CALLS = {"src.fireAction() into the script listener": None,
               "speaker.hello() on the wrapper": "script:hello",
               "speaker.bye() falling through": "base:bye",
               'instantiate("demo.ActionEvent", [src])':
-              ("demo.ActionEvent", True)}
+              ("demo.ActionEvent", True),
+              'hostNewInstance("demo.Point", 1, 2)': ("demo.Point", 1.0, 2.0)}
 
 
 def world(prelude: str):
@@ -193,9 +197,12 @@ def warm(loops, n: float) -> dict:
 def host_world():
     """(call -> a function making it once, a function reading its
     result as HOST_CALLS gives it, a function reading the listener's
-    hits, the registry) over the demo registry."""
+    hits, key -> the crossing a call left under it: a registry entry,
+    or the constructors of the class key that hostNewInstance calls)
+    over the demo registry."""
     from bridgescript.demo import build_demo_registry
     from bridgescript.interp import Interpreter
+    from bridgescript.registry import HostObject
 
     reg = build_demo_registry()
     it = Interpreter(reg, out=io.StringIO())
@@ -208,13 +215,21 @@ def host_world():
         lambda: call(src, "fireAction", []),
         lambda: call(speaker, "hello", []),
         lambda: call(speaker, "bye", []),
-        lambda: reg.instantiate("demo.ActionEvent", [src]))))
+        lambda: reg.instantiate("demo.ActionEvent", [src]),
+        lambda: it.outbound.host_new_instance("demo.Point", [1.0, 2.0]))))
 
     def result(r):
-        if r is not None and r.__class__ is not str:  # the event
-            r = (r.class_name, r.fields["source"] is src)
-        return r
-    return calls, result, lambda: it.global_value("hits"), reg
+        if r is None or r.__class__ is str:
+            return r
+        if r.__class__ is HostObject:  # the event
+            return r.class_name, r.fields["source"] is src
+        r = r.entries["__hostref"]  # a point's proxy
+        return r.class_name, r.fields["x"], r.fields["y"]
+
+    def crossing(key):
+        return (reg.entries.get(key)
+                or it.outbound._constructors.get(key))
+    return calls, result, lambda: it.global_value("hits"), crossing
 
 
 def timed_calls(call, n: int):
@@ -289,7 +304,7 @@ def main() -> None:
 
 def host_rows(n: int, best_of: int) -> bool:
     """Prints the host calls' table; True if anything is marked FAIL."""
-    calls, result, hits, reg = host_world()
+    calls, result, hits, crossing = host_world()
     calls[""] = lambda: None
     rows = ("", *HOST_CALLS)
     best = dict.fromkeys(rows, float("inf"))
@@ -314,7 +329,7 @@ def host_rows(n: int, best_of: int) -> bool:
               f"fireAction calls")
         failed = True
     for row, key in LONE_HOST.items():
-        if not lone(reg.entries[key]):
+        if not lone(crossing(key)):
             print(f"FAIL: `{row}` did not run the registry's lone form")
             failed = True
     return failed
