@@ -114,7 +114,7 @@ def call(g, f, callee: str, args: list, one=None, many=None) -> None:
                 else "{v}"
         text = crossing(spelling, done, p, args, sure, [f"{callee} is {k}"],
                         i)
-        for line in (head + text[2:]).split("\n"):
+        for line in text.replace("if", head, 1).split("\n"):
             if line.strip():
                 g.emit(line)
         head = "elif"

@@ -247,6 +247,11 @@ def site_decide(reg, owner: str, name: str, args) -> tuple:
     return status, f"{name}{list(m.params)!r}"
 
 
+# the status of a call each refusal stands for
+REFUSALS = {ReceiverMismatch: "receiver", NoMatch: "no_match",
+            Ambiguous: "ambiguous"}
+
+
 def site_call(dispatcher, args) -> tuple:
     """A call through a call site's dispatcher, as site_decide reports."""
     try:
@@ -716,8 +721,8 @@ def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
 
     def tiers(f, given):
         """Call f with given on closures, then through its hot function;
-        the outcome of each, as site_call reports it, or ("receiver",
-        None), and the dispatches each counted."""
+        for each, the outcome as site_call reports it, or ("receiver",
+        None), what the body that ran got, and the dispatches counted."""
         fn = hot.get((f, len(given)))
         if fn is None:
             params = ", ".join(f"a{j}" for j in range(len(given)))
@@ -732,21 +737,13 @@ def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
         got = []
         for run in (f.fn, lambda args: fn.invoke([f, *args])):
             before = outb.stats.dispatches
+            seen.clear()
             try:
                 vals = run(given)
-                got.append((("selected", vals[0] if vals else NIL),
-                            outb.stats.dispatches - before))
-            except ReceiverMismatch:
-                got.append((("receiver", None),
-                            outb.stats.dispatches - before))
-            except NoMatch:
-                got.append((("no_match", None),
-                            outb.stats.dispatches - before))
-            except Ambiguous:
-                got.append((("ambiguous", None),
-                            outb.stats.dispatches - before))
-            if got[-1][0][0] == "selected":
-                got[-1] += (seen[-1],)
+                out = ("selected", vals[0] if vals else NIL), seen[-1]
+            except (ReceiverMismatch, NoMatch, Ambiguous) as e:
+                out = (REFUSALS[e.__class__], None), None
+            got.append((*out, outb.stats.dispatches - before))
         return got
 
     agree = 0
@@ -768,7 +765,7 @@ def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
             # hostNewInstance counts no dispatch
             got = [(("selected", ["object", out[0][1].entries[
                 "__hostref"].class_name]), *out[1:])
-                if out[0][0] == "selected" else out for out in got]
+                if out[1] is not None else out for out in got]
             counted = 0
         else:
             k = rng.randrange(2)
@@ -784,13 +781,13 @@ def run_lone_dispatch_trials(calls: int, seed: int = 20261023,
             got = tiers(table_get(receivers[k], name), given)
             counted = 1
         ok = True
-        for out in got:
-            ok = ok and out[0] == want and out[1] == counted
+        for outcome, body_got, dispatches in got:
+            ok = ok and outcome == want and dispatches == counted
             if ok and m is not None:  # the referee's body, its values
                 converted = resolve_overload(cands, args, conv.to_host,
                                              "ora")[1]
-                ok = out[2][0] == m.params \
-                    and _same_values(out[2][1], converted)
+                ok = body_got[0] == m.params \
+                    and _same_values(body_got[1], converted)
         if ok:
             agree += 1
         elif example is None:

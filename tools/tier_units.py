@@ -6,16 +6,17 @@ Sets up one workload of perfbench/workloads.py with the package under
 src/ of this checkout, runs its warm-up ops, each checked against
 perfbench/reference.py, and prints the source of every unit the second
 tier generated on the way, each under a header naming the line of its
-loop or function, the sites it inlined, the loops it peeled and the
-host crossings it wrote in place: calls of lone host methods, and reads
-and stores of instance fields and array elements, each counted once
-per copy, so a crossing in a peeled loop counts twice.  A unit that
-Python refused rich and was generated plain is marked so.  The last
-line is one JSON object: the count of units generated and refused, of
-units generated plain, of inlined sites, of peeled loops and of host
-crossings in place, and one entry per generated unit ({"line",
-"params", "rich", "inlined", "peeled", "hosted"}), in the order made.
-A chunk's unit is the one with line 1 and params "G, U".
+loop or function, the sites it inlined, the loops it peeled and the host
+crossings it wrote in place: calls of host methods whose chains have
+lone crossings of the call's arity, and reads and stores of instance
+fields and array elements, each site counted once per copy, so a
+crossing in a peeled loop counts twice.  A unit that Python refused rich
+and was generated plain is marked so.  The last line is one JSON object:
+the count of units generated and refused, of units generated plain, of
+inlined sites, of peeled loops and of host crossings in place, and one
+entry per generated unit ({"line", "params", "rich", "inlined",
+"peeled", "hosted"}), in the order made.  A chunk's unit is the one with
+line 1 and params "G, U".
 """
 
 import argparse
