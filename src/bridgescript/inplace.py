@@ -5,6 +5,9 @@ closures, and a read or store the first fallback it reaches (see
 nodes).  When a rich unit is generated, a site whose recorded object
 still lives gets its host crossing written in place, if the object is:
 
+- a native function with a one-value form (NativeFunction.one), called
+  with one argument: the site calls that form;
+
 - the dispatcher of a host method whose chain has lone crossings that
   take as many arguments as the site passes: the site runs those
   crossings, in the chain's order, as one if and elifs, each the text
@@ -83,6 +86,14 @@ def dispatcher(f, n: int):
         if any(len(entry[0]) == n for entry in spelling):
             return f
     return None
+
+
+def native(g, f, n: int):
+    """(the local that holds f, the local of its one-value form), if f is
+    a native function with one and n is 1; else None."""
+    if n != 1 or getattr(f, "one", None) is None:
+        return None
+    return hold(g, f), hold(g, f, "{k}.one")
 
 
 def call(g, f, callee: str, args: list, one=None, many=None) -> None:

@@ -77,8 +77,9 @@ class Interpreter:
             return eval_chunk(parse_source(src), self.globals)
 
         self.define_global("print", NativeFunction(_print, "print"))
-        self.define_global("type", NativeFunction(_type, "type"))
-        self.define_global("tostring", NativeFunction(_tostring, "tostring"))
+        self.define_global("type", NativeFunction(_type, "type", type_name))
+        self.define_global("tostring",
+                           NativeFunction(_tostring, "tostring", render))
         self.define_global("dostring", NativeFunction(_dostring, "dostring"))
 
     def _install_bridge(self, registry) -> None:

@@ -53,22 +53,26 @@ neither stores back.
 A call site on closures records, once and weakly, the Proto of the
 first closure it calls.  When a unit is generated, a site that wants
 one value or none, whose recorded Proto is alive and whose body is
-small, with no loop, function literal or return but a last one, and
-takes as many parameters as the site passes arguments, gets that body
-written in place, unless it is the unit's own.  It runs when the callee
-is a closure whose Proto has that same tree; any other callee takes
-the generic call, in the guard's else.  The guard holds the tree, which
-refers to no Proto, so units that write each other's bodies make no
-cycle.  The body's slots are fresh Python locals, its G and U the
-closure's, its first return value the site's, and what the site knows
-of the arguments, such as a receiver being a table, it knows too.  It
-sits in the site's try, so its errors keep their classes, texts and
-lines.
+small, with no loop or function literal, and takes as many parameters
+as the site passes arguments, gets that body written in place, unless
+it is the unit's own.  It runs when the callee is a closure whose Proto
+has that same tree; any other callee takes the generic call, in the
+guard's else.  The guard holds the tree, which refers to no Proto, so
+units that write each other's bodies make no cycle.  The body's slots
+are fresh Python locals, its G and U the closure's, its first return
+value the site's, and what the site knows of the arguments, such as a
+receiver being a table, it knows too.  A body that returns before its
+end runs inside `while True:`, and each of its returns gives the site
+its value and leaves by `break`.  It sits in the site's try, so its
+errors keep their classes, texts and lines.
 Only one level is written in place.  A site records its first callee
 weakly also when that is a native function, and a read or store the
 first fallback it reaches; a lone host method's crossing, or a read or
 store of a host field or element, is then written in place too, behind
-a guard on that object's identity (see inplace).  A loop with no loop
+a guard on that object's identity (see inplace).  So is the one-value
+form of a native function called with one argument, such as type's and
+tostring's, also inside a callee written in place, since it writes no
+body there.  A loop with no loop
 inside is peeled: its first iteration runs apart, with every check, and
 the iterations after keep what it established of the slots the loop
 never assigns.  If Python refuses the source, the unit is generated
@@ -391,8 +395,9 @@ class CallExpr(Node):
         body called directly.  A closure of the small function the site
         saw on closures, if any (see _Gen.inlinable), runs that body
         written in place, inside the same try; so does the dispatcher
-        of a lone host method the site saw, its crossing (see
-        inplace)."""
+        of a lone host method the site saw, its crossing (see inplace),
+        and a native function with a one-value form, called with one
+        argument, that form."""
         line = self.line
         f = self.callee.gen(g)
         vals = []
@@ -404,22 +409,27 @@ class CallExpr(Node):
         arglist = ", ".join(vals)
         entry = ", ".join([f"{f}.globals", f"{f}.upvals", *vals])
         r = g.temp()
+        v = g.temp() if want is ONE else None
         tree = g.inlinable(self, len(vals), want)
-        host = None if tree is not None else \
-            inplace.dispatcher(g.seen(self), len(vals))
+        seen = None if tree is not None else g.seen(self)
+        host = inplace.dispatcher(seen, len(vals))
+        one = None if host is not None else inplace.native(g, seen, len(vals))
         depth = g.depth
         g.emit("try:")
         g.depth += 1
         if tree is not None:
-            v = g.temp()
             g.emit(f"if {f}.__class__ is Closure and "
                    f"{f}.proto.tree is {g.const(tree)}:")
-            g.inline(tree, f, vals, v if want is ONE else None)
+            g.inline(tree, f, vals, v)
         elif host is not None:
-            v = g.temp()
-            inplace.call(g, host, f, vals, v if want is ONE else None,
-                         r if want is ALL else None)
-        if tree is not None or host is not None:
+            inplace.call(g, host, f, vals, v, r if want is ALL else None)
+        elif one is not None:
+            k, fn = one
+            g.natives += 1
+            x = f"{fn}({vals[0]})"
+            g.emit(f"if {f} is {k}: " + (f"{v} = {x}" if want is ONE else
+                                         f"{r} = [{x}]" if want is ALL else x))
+        if tree is not None or host is not None or one is not None:
             g.emit("else:")
             g.depth += 1
         g.emit(f"if {f}.__class__ is Closure:")
@@ -429,9 +439,8 @@ class CallExpr(Node):
         g.emit(f"elif {f}.__class__ is NativeFunction: "
                f"{r} = {f}.fn([{arglist}])")
         g.emit(f"else: raise _call_error({f}, {line})")
-        if (tree is not None or host is not None) and want is ONE:
+        if want is ONE:
             g.emit(f"{v} = {r}[0] if {r} else NIL")
-            r = v
         g.depth = depth
         g.emit("except BridgeScriptError as e:")
         g.emit(f"    if e.line is None: e.line = {line}")
@@ -439,11 +448,7 @@ class CallExpr(Node):
         g.emit("except RecursionError:")
         g.emit(f"    raise ScriptRuntimeError('stack overflow', {line}) "
                f"from None")
-        if want is not ONE or tree is not None or host is not None:
-            return r
-        v = g.temp()
-        g.emit(f"{v} = {r}[0] if {r} else NIL")
-        return v
+        return r if v is None else v
 
 
 class ParenCall(CallExpr):
@@ -786,6 +791,8 @@ class Block:
 
 
 class ExprStat(Node):
+    """A call as a statement; the parser allows no other expression."""
+
     __slots__ = ("expr",)
 
     def __init__(self, expr, line: int):
@@ -793,20 +800,10 @@ class ExprStat(Node):
         self.line = line
 
     def compile_stmt(self, scope):
-        if self.expr.__class__ is CallExpr:
-            return self.expr.compile(scope, NONE)
-        c = self.expr.compile(scope)
-
-        def run(fr):
-            c(fr)
-
-        return run
+        return self.expr.compile(scope, NONE)
 
     def gen_stmt(self, g):
-        if self.expr.__class__ is CallExpr:
-            self.expr.gen(g, NONE)
-        else:
-            self.expr.gen(g)
+        self.expr.gen(g, NONE)
 
 
 class AssignName(Node):
@@ -1209,6 +1206,9 @@ class ReturnStat(Node):
 
     def gen_stmt(self, g):
         exprs = self.exprs
+        if g.inner:
+            g.give(exprs)
+            return
         vals = [e.gen(g) for e in exprs[:-1]]
         if exprs and exprs[-1].__class__ is CallExpr:
             vals.append(f"*({exprs[-1].gen(g, ALL)} or _EMPTY)")
@@ -1280,13 +1280,10 @@ def _nodes(todo: list):
 
 
 def _small(body: Block) -> bool:
-    """Whether body is small and has no loop, function literal or return
-    but a last one, so a call site may run it written in place."""
-    todo = list(body.stmts)
-    if todo and todo[-1].__class__ is ReturnStat:
-        todo[-1:] = todo[-1].exprs
-    for n, x in enumerate(_nodes(todo), 1):
-        if n > INLINE_NODES or x.__class__ in (WhileStat, ForNum, ReturnStat,
+    """Whether body is small and has no loop or function literal, so a
+    call site may run it written in place."""
+    for n, x in enumerate(_nodes([body]), 1):
+        if n > INLINE_NODES or x.__class__ in (WhileStat, ForNum,
                                                FunctionExpr):
             return False
     return True
@@ -1312,11 +1309,13 @@ class _Gen:
     A rich unit also writes host crossings in place at the sites that
     saw one on closures (see inplace): a call of a lone host method, and
     a read or store of an instance field or an array element that missed
-    on a proxy.  Each is guarded by the identity of the bridge object the
-    site saw, the dispatcher or the proxy's fallback, which the unit
-    holds weakly and takes once on entry, so that a hot unit keeps no
-    dropped bridge alive.  inlined, peeled and hosted count the
-    sites and loops, for tools.
+    on a proxy, and a call of a native function by its one-value form,
+    the last also in a callee written in place (inner).  Each is guarded
+    by the identity of the object the site saw, the function or the
+    proxy's fallback, which the unit holds weakly and takes once on
+    entry, so that a hot unit keeps no dropped bridge or interpreter
+    alive.  inlined, peeled, hosted and natives count the sites and
+    loops, for tools.
     """
 
     def __init__(self, rich: bool):
@@ -1328,10 +1327,14 @@ class _Gen:
         self.facts = {}  # what checks so far established, as types
         self.locals = set()  # the slots named
         self.rich = rich
+        # while a callee is written in place (inner): the temporary of its
+        # first value and whether it returns early (see inline and give)
+        self.inner = self.early = False
+        self.result = None
         self.own = None
         self.S, self.G, self.U = "s", "G", "U"
         self.assigned = set()  # the slot names assign was given
-        self.inlined = self.peeled = self.hosted = 0
+        self.inlined = self.peeled = self.hosted = self.natives = 0
         self.held = {}  # the bridge objects held (see inplace.hold)
 
     def emit(self, line: str) -> None:
@@ -1407,9 +1410,13 @@ class _Gen:
 
     def seen(self, site):
         """What site recorded on closures, while it lives, in a rich
-        unit; else None."""
+        unit; else None.  Inside a callee written in place, only a native
+        function with a one-value form, which writes no body in place."""
         seen = site.seen
-        return seen() if seen is not None and self.rich else None
+        seen = seen() if seen is not None and self.rich else None
+        if self.inner and getattr(seen, "one", None) is None:
+            return None
+        return seen
 
     def variable(self, node) -> str:
         """Where a VarExpr or AssignName's name lives, as an lvalue."""
@@ -1461,33 +1468,50 @@ class _Gen:
         """Write tree, a callee's body, one level deeper, as closure f
         would run it with args: its slots are fresh Python locals, its
         globals and upvals f's, and its first return value goes to the
-        temporary result, unless that is None.  The facts known here
-        hold again after it, since it cannot assign what they name."""
+        temporary result, unless that is None.  A body that returns
+        before its end runs inside `while True:`, and each return leaves
+        it by `break`: the language has no break and a small body no
+        loop, so nothing else can.  The facts known here hold again
+        after it, since it cannot assign what they name."""
         saved = self.facts, self.locals, self.S, self.G, self.U
         # one level only: no callee is written into a callee
-        self.facts, self.locals, self.rich = dict(self.facts), set(), False
+        self.facts, self.locals, self.inner = dict(self.facts), set(), True
         self.n += 1
         self.S, self.G, self.U = f"i{self.n}s", f"{f}.globals", f"{f}.upvals"
         self.depth += 1
         start = len(self.lines)
         for i, a in enumerate(args, 2):
             self.assign(i, a)
-        stmts, exprs = tree.stmts, []
-        if stmts and stmts[-1].__class__ is ReturnStat:
-            stmts, exprs = stmts[:-1], stmts[-1].exprs
+        stmts = tree.stmts
+        last = stmts[-1] if stmts else None
+        self.result = result
+        self.early = any(x.__class__ is ReturnStat and x is not last
+                         for x in _nodes([tree]))
+        if self.early:
+            self.emit("while True:")
+            self.depth += 1
         for s in stmts:
             s.gen_stmt(self)
-        vals = [e.gen(self) if e.__class__ is not CallExpr
-                else e.gen(self, ONE if k == 0 and result else NONE)
-                for k, e in enumerate(exprs)]
-        if result is not None:
-            self.emit(f"{result} = {vals[0] if vals else 'NIL'}")
+        if last.__class__ is not ReturnStat:
+            self.give(())  # the end of the body
         if len(self.lines) == start:
             self.emit("pass")
-        self.depth -= 1
+        self.depth -= 1 + self.early
         self.facts, self.locals, self.S, self.G, self.U = saved
-        self.rich = True
+        self.inner = False
         self.inlined += 1
+
+    def give(self, exprs) -> None:
+        """A return of exprs from the callee being written in place: its
+        first value goes to the site, and an early return leaves the
+        body's wrapper (see inline)."""
+        vals = [e.gen(self) if e.__class__ is not CallExpr
+                else e.gen(self, ONE if k == 0 and self.result else NONE)
+                for k, e in enumerate(exprs)]
+        if self.result is not None:
+            self.emit(f"{self.result} = {vals[0] if vals else 'NIL'}")
+        if self.early:
+            self.emit("break")
 
     def peel(self, body, head, iteration) -> None:
         """Open a loop with this body.  In a rich unit and when body has

@@ -113,13 +113,16 @@ class Closure:
 
 
 class NativeFunction:
-    """A host-provided callable. fn takes and returns lists of script values."""
+    """A host-provided callable. fn takes and returns lists of script values.
+    one, if given, is the same function of exactly one script value, which
+    returns one script value, for generated code to call (see nodes)."""
 
-    __slots__ = ("fn", "name", "__weakref__")
+    __slots__ = ("fn", "name", "one", "__weakref__")
 
-    def __init__(self, fn, name: str = "?"):
+    def __init__(self, fn, name: str = "?", one=None):
         self.fn = fn
         self.name = name
+        self.one = one
 
     def invoke(self, args: list) -> list:
         return self.fn(args)

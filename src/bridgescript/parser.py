@@ -189,6 +189,9 @@ class _Parser:
             if isinstance(expr, IndexExpr):
                 return AssignIndex(expr.obj, expr.key, value, line)
             raise ParseError(line, "an assignable target", "an expression")
+        if expr.__class__ is not CallExpr:
+            # as in Lua, only a call is an expression statement
+            self._error("'='")
         return ExprStat(expr, line)
 
     def _local_stat(self):

@@ -141,25 +141,38 @@ AS_IS = {FLOAT: float, TEXT: str, BOOLEAN: bool}
 _PLAIN = {**AS_IS, INTEGER: int}
 
 
-@dataclass(frozen=True, slots=True)
-class ClassTag:
-    name: str
+class _Interned:
+    """A tag made once per class and argument, its one slot, and shared
+    by every later call with that argument, so that it hashes and
+    compares by identity, as a PrimTag does."""
+
+    __slots__ = ()
+    _made: dict = {}
+
+    def __new__(cls, arg):
+        tag = _Interned._made.get((cls, arg))
+        if tag is None:
+            tag = _Interned._made[cls, arg] = object.__new__(cls)
+            setattr(tag, cls.__slots__[0], arg)
+        return tag
+
+
+class ClassTag(_Interned):
+    __slots__ = ("name",)
 
     def __repr__(self) -> str:
         return f"class:{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class InterfaceTag:
-    name: str
+class InterfaceTag(_Interned):
+    __slots__ = ("name",)
 
     def __repr__(self) -> str:
         return f"interface:{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class ArrayTag:
-    elem: object
+class ArrayTag(_Interned):
+    __slots__ = ("elem",)
 
     def __repr__(self) -> str:
         return f"array:{self.elem!r}"

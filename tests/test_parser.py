@@ -216,7 +216,12 @@ def test_rejected_forms(src):
     ("return 1,", 1, "expected an expression, found end of input"),
     ("x = -", 1, "expected an expression, found end of input"),
     ("for i = 1, 2", 1, "expected 'do', found end of input"),
-    ("a\nb = 3 )", 2, "expected an expression, found ')'"),
+    ("a\nb = 3 )", 2, "expected '=', found 'b'"),
+    # only a call is an expression statement
+    ("x = 3x", 1, "expected '=', found end of input"),
+    ("while i < 3 do\n  i i + 1\nend", 2, "expected '=', found 'i'"),
+    ("x = 1\nt.y\n", 2, "expected '=', found end of input"),
+    ("(f())", 1, "expected '=', found end of input"),
     ("x = not y", 1, "expected an expression, found 'not'"),
     ("1 = 2", 1, "expected an assignable target, found an expression"),
 ])

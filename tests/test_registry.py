@@ -645,6 +645,19 @@ def test_tag_round_trips():
     assert parse_tag("interface:I") == InterfaceTag("I")
 
 
+def test_one_object_per_tag():
+    # a tag is made once per name or element tag, so dict lookups keyed
+    # by one hash by identity, as a PrimTag's do
+    assert parse_tag("class:X") is ClassTag("X") is ClassTag("X")
+    assert parse_tag("interface:I") is InterfaceTag("I")
+    assert parse_tag("array:array:class:X") is ArrayTag(ArrayTag(ClassTag("X")))
+    assert ClassTag("X") is not InterfaceTag("X")
+    assert ArrayTag(INTEGER) is not ArrayTag(FLOAT)
+    for tag in (ClassTag("X"), InterfaceTag("I"), ArrayTag(INTEGER)):
+        assert hash(tag) == object.__hash__(tag)
+        assert not hasattr(tag, "__dict__")
+
+
 @pytest.mark.parametrize("bad", ["", "classX", "class:", "array:", 7, None])
 def test_bad_tags(bad):
     with pytest.raises(ManifestError):

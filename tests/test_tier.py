@@ -265,6 +265,60 @@ CASES = {
         "local pick = function(x) local r = 'no' "
         "if x then r = 'yes' end return r end\n"
         "return pick(a), pick(nil), pick(false), 0", 0.0),
+    # callees that return before their end, written in place
+    "inline_return_under_if": (
+        "local f = function(x) if x then return 'a' end return 'b' end\n"
+        "return f(a), f(nil), f(false), 0", True),
+    "inline_return_under_elseif_and_else": (
+        "local f = function(x)\n  if x == 1 then return 'one'\n"
+        "  elseif x == 2 then return 'two'\n  else return 'many' end\nend\n"
+        "return f(1), f(2), f(a), 0", 7.0),
+    "inline_return_in_nested_ifs": (
+        "local f = function(x, y)\n  if x then\n"
+        "    if y then return 'xy' end\n    return 'x'\n  end\n"
+        "  if y then return 'y' end\nend\n"
+        "return f(a, b), f(a, nil), f(nil, b), f(nil, nil), 0", 1.0, 2.0),
+    "inline_bare_return": (
+        "local n = 0\nlocal f = function(x)\n  if x then return end\n"
+        "  n = n + 1\n  return 'on'\nend\n"
+        "local r = f(a)\nreturn r, f(nil), n, f(a), 0", True),
+    "inline_early_return_of_several_values": (
+        "local n = 0\nlocal f = function(x)\n"
+        "  if x then return x, 'more', n + 1 end\n  return 'none', 'more'\n"
+        "end\nlocal r = f(a)\nlocal s = f(nil)\nreturn r, s, (f(a)), 0", "v"),
+    "inline_early_return_of_several_values_error": (
+        "local f = function(x)\n  if x then return 1, x + nil end\n"
+        "  return 2\nend\nlocal r = f(nil)\nr = f(a)", 1.0),
+    "inline_error_after_untaken_return": (
+        "local f = function(t)\n  if t == nil then return 0 end\n"
+        "  return t.x + 1\nend\nlocal r = f(nil)\nr = f(a)", "str"),
+    "inline_return_of_a_call": (
+        "local two = function(x) return x, x .. '!' end\n"
+        "local f = function(x)\n  if x == 'a' then return two(x) end\n"
+        "  return two('b')\nend\nlocal g = function(x) return two(x) end\n"
+        "local r = f(a)\nlocal s = g(a)\n"
+        "if b then return r, s, (f('z')), (g('y')), f(a) end\nreturn g(a)",
+        "a", True),
+    # native functions written in place by their one-value form
+    "native_type_and_tostring": (
+        "local t = {}\nlocal f = function() end\nreturn "
+        "type(nil), type(true), type(a), type('s'), type(t), type(f), "
+        "type(print), tostring(nil), tostring(false), tostring(true), "
+        "tostring(a), tostring(b), tostring(t) == tostring(t), "
+        "tostring(f) == tostring(f), tostring(print), 0", 1.5, "s"),
+    "native_wanting_all": ("return tostring(a)", 2.0),
+    "native_statement": ("tostring(a)\ntype(a)\nreturn type(a)", 2.0),
+    "native_other_arities": ("return type(), tostring(a, b), type(a, b), "
+                             "tostring(), 0", 1.0, "s"),
+    "native_in_a_callee": (
+        "local d = function(v)\n"
+        "  if type(v) == 'number' then return 'n' .. tostring(v) end\n"
+        "  return 't' .. v\nend\nreturn d(a), d(b), d('x') .. d(1), 0",
+        3.0, "s"),
+    "native_in_a_callee_error": (
+        "local d = function(v)\n"
+        "  if type(v) == 'number' then return 'n' .. tostring(v) end\n"
+        "  return 't' .. v\nend\nlocal r = d(a)\nr = d(b)", 3.0, True),
     # loops whose first iteration is peeled
     "peel_error_first": ("local t = a\nlocal n = 0\nwhile n < 3 do\n"
                          "  n = n + 1\n  local v = t.x\nend\nreturn n", 1.0),
@@ -438,15 +492,104 @@ def hot(interp, name: str, *args):
     ("inline_arity", 2), ("inline_statement_and_values", 4),
     ("inline_error", 1), ("inline_native_error", 1),
     ("inline_recursion", 1), ("inline_index_fallback", 3),
-    ("inline_globals_and_upvals", 2), ("inline_if_in_callee", 3)])
+    ("inline_globals_and_upvals", 2), ("inline_if_in_callee", 3),
+    ("inline_return_under_if", 3), ("inline_return_under_elseif_and_else", 3),
+    ("inline_return_in_nested_ifs", 4), ("inline_bare_return", 3),
+    ("inline_early_return_of_several_values", 3),
+    ("inline_early_return_of_several_values_error", 2),
+    ("inline_error_after_untaken_return", 2), ("inline_return_of_a_call", 4),
+    ("native_in_a_callee", 4)])
 def test_small_callees_are_written_in_place(name, sites):
+    assert inlined(hot_case(name)) == sites
+
+
+def hot_case(name: str) -> Closure:
+    """probe of CASES[name], called K + 1 times, so generated."""
     it, out = world()
     body, *args = CASES[name]
     it.run("function probe(a, b, c)\n" + body + "\nend")
     f = it.global_value("probe")
     for _ in range(K + 1):
         outcome(out, f, args)
-    assert generated(f) and inlined(f) == sites
+    assert generated(f)
+    return f
+
+
+def natives(f: Closure) -> int:
+    """How many native functions f's generated body calls by their
+    one-value form at some site, each held weakly in its globals."""
+    return sum(v.__class__ is weakref.ref
+               and getattr(v(), "one", None) is not None
+               for v in f.proto.body.__globals__.values())
+
+
+@pytest.mark.parametrize("name, held", [
+    ("native_type_and_tostring", 2), ("native_wanting_all", 1),
+    ("native_statement", 2), ("native_other_arities", 0),
+    ("native_in_a_callee", 2), ("native_in_a_callee_error", 2)])
+def test_natives_are_written_in_place(name, held):
+    # type() and type(a, b) stay generic; inside a callee written in
+    # place, type(v) and tostring(v) are written in place too
+    assert natives(hot_case(name)) == held
+
+
+def test_inlined_error_after_an_untaken_return_keeps_the_callee_line():
+    first, last = both_tiers(*CASES["inline_error_after_untaken_return"])
+    assert first == last == (
+        "error", "ScriptRuntimeError",
+        "ScriptRuntimeError (line 4): attempt to index a string value", 4, "")
+
+
+def test_natives_in_place_agree_on_host_proxies(interp):
+    interp.run("function probe(p, c)\n"
+               "  return type(p), tostring(p), type(c), tostring(c), 0\nend")
+    args = interp.run("return hostNewInstance('demo.Point', 1, 2), "
+                      "hostBindClass('demo.MathUtil')")
+    f = interp.global_value("probe")
+    first = f.invoke(args)
+    assert first[0] == "hostobject" and first[1].startswith("hostobject: ")
+    for _ in range(K):
+        last = f.invoke(args)
+    assert generated(f) and natives(f) == 2
+    assert last == first
+
+
+def test_rebound_native_falls_through_its_guard(bare_interp):
+    bare_interp.run("function probe(x)\n  return type(x) .. tostring(x)\nend")
+    assert hot(bare_interp, "probe", 1.0) == ["number1"]
+    probe = bare_interp.global_value("probe")
+    assert natives(probe) == 2
+    bare_interp.run("type = function(v) return 'mine:' end\n"
+                    "tostring = function(v) return '!' end")
+    assert probe.invoke([1.0]) == ["mine:!"]
+    bare_interp.run("tostring = print")  # which returns nothing
+    with pytest.raises(ScriptRuntimeError) as e:
+        probe.invoke([1.0])
+    assert (str(e.value), e.value.line) == (
+        "ScriptRuntimeError (line 2): attempt to concatenate a nil value", 2)
+    bare_interp.run("type = 5")
+    with pytest.raises(NotCallable) as e:
+        probe.invoke([1.0])
+    assert (str(e.value), e.value.line) == (
+        "NotCallable (line 2): attempt to call a number value", 2)
+
+
+def test_hot_unit_keeps_no_dropped_interpreters_native_alive():
+    chunk = parse_source("local d = function(v)\n"
+                         "  if type(v) == 'number' then return tostring(v) end\n"
+                         "  return v\nend\nreturn d(1), type('s'), 0")
+    first = Interpreter(out=io.StringIO())
+    for _ in range(K + 1):
+        assert eval_chunk(chunk, first.globals) == ["1", "string", 0.0]
+    (proto,) = [c.cell_contents for c in chunk.code().__closure__]
+    assert chunk_generated(chunk) and _held(proto.body) == 2
+    held = [weakref.ref(first.globals[k]) for k in ("type", "tostring")]
+    del first
+    gc.collect()
+    assert [h() for h in held] == [None, None]
+    second = Interpreter(out=io.StringIO())
+    second.run("function tostring(v) return 'mine' end")
+    assert eval_chunk(chunk, second.globals) == ["mine", "string", 0.0]
 
 
 def test_inlined_error_keeps_the_callee_line():
@@ -504,13 +647,21 @@ def test_callee_with_a_loop_or_function_literal_stays_a_call(bare_interp):
     bare_interp.run("function loop(x) while x > 0 do x = x - 1 end "
                     "return x end\n"
                     "function mk(x) return function() return x end end\n"
-                    "function early(x) if x then return 1 end return 2 end\n"
                     "function big(x) return x + x + x + x + x + x + x + x + x "
                     "+ x + x + x + x + x + x + x + x + x + x + x end\n"
                     "function probe(x) return loop(x), mk(x) ~= nil, "
-                    "early(x), big(x), 0 end")
-    assert hot(bare_interp, "probe", 2.0) == [0.0, True, 1.0, 40.0, 0.0]
+                    "big(x), 0 end")
+    assert hot(bare_interp, "probe", 2.0) == [0.0, True, 40.0, 0.0]
     assert inlined(bare_interp.global_value("probe")) == 0
+
+
+def test_callee_that_returns_early_is_written_in_place(bare_interp):
+    bare_interp.run("function early(x) if x then return 1 end return 2 end\n"
+                    "function probe(x) return early(x), early(nil), 0 end")
+    assert hot(bare_interp, "probe", 2.0) == [1.0, 2.0, 0.0]
+    probe = bare_interp.global_value("probe")
+    assert inlined(probe) == 2
+    assert probe.invoke([False]) == [2.0, 2.0, 0.0]
 
 
 def test_function_is_not_written_into_itself(bare_interp):

@@ -6,16 +6,17 @@ Sets up one workload of perfbench/workloads.py with the package under
 src/ of this checkout, runs its warm-up ops, each checked against
 perfbench/reference.py, and prints the source of every unit the second
 tier generated on the way, each under a header naming the line of its
-loop or function, the sites it inlined, the loops it peeled and the host
-crossings it wrote in place: calls of host methods whose chains have
+loop or function, the sites it inlined, the loops it peeled, the host
+crossings it wrote in place (calls of host methods whose chains have
 lone crossings of the call's arity, and reads and stores of instance
-fields and array elements, each site counted once per copy, so a
-crossing in a peeled loop counts twice.  A unit that Python refused rich
+fields and array elements) and the calls of native functions it wrote
+in place by their one-value form, inside inlined callees too, each site
+counted once per copy, so a crossing in a peeled loop counts twice.  A unit that Python refused rich
 and was generated plain is marked so.  The last line is one JSON object:
 the count of units generated and refused, of units generated plain, of
-inlined sites, of peeled loops and of host crossings in place, and one
-entry per generated unit ({"line", "params", "rich", "inlined",
-"peeled", "hosted"}), in the order made.  A chunk's unit is the one with
+inlined sites, of peeled loops, of host crossings and of natives in
+place, and one entry per generated unit ({"line", "params", "rich",
+"inlined", "peeled", "hosted", "natives"}), in the order made.  A chunk's unit is the one with
 line 1 and params "G, U".
 """
 
@@ -70,11 +71,11 @@ def main() -> None:
     for line, params, g in units:
         entries.append({"line": line, "params": params, "rich": g.rich,
                         "inlined": g.inlined, "peeled": g.peeled,
-                        "hosted": g.hosted})
+                        "hosted": g.hosted, "natives": g.natives})
         if not args.quiet:
             plain = "" if g.rich else ", generated plain"
             print(f"# line {line}: {g.inlined} inlined, {g.peeled} peeled, "
-                  f"{g.hosted} hosted{plain}")
+                  f"{g.hosted} hosted, {g.natives} natives{plain}")
             print(g.function(params))
     print(json.dumps({
         "workload": args.workload, "seed": args.seed,
@@ -83,6 +84,7 @@ def main() -> None:
         "inlined": sum(e["inlined"] for e in entries),
         "peeled": sum(e["peeled"] for e in entries),
         "hosted": sum(e["hosted"] for e in entries),
+        "natives": sum(e["natives"] for e in entries),
         "units": entries}))
 
 
