@@ -1,9 +1,10 @@
 """Recursive descent parser with precedence climbing for expressions.
 
-The grammar is a small table-and-closure language: assignments, local
-declarations, table constructors with named fields, function and method
-definitions, if/while/numeric-for, return, and expressions over the
-arithmetic, comparison and concatenation operators.  As in Lua, a
+The grammar is a small table-and-closure language: assignments, calls,
+local declarations, table constructors with named fields, function and
+method definitions, if/while/numeric-for, return, and expressions over
+the arithmetic, comparison and concatenation operators.  As in Lua, a
+call is the only expression that may stand as a statement.  As in Lua, a
 return statement ends its block: one ';' may follow it, then the
 block's end.
 
@@ -190,7 +191,6 @@ class _Parser:
                 return AssignIndex(expr.obj, expr.key, value, line)
             raise ParseError(line, "an assignable target", "an expression")
         if expr.__class__ is not CallExpr:
-            # as in Lua, only a call is an expression statement
             self._error("'='")
         return ExprStat(expr, line)
 
