@@ -46,11 +46,11 @@ _ENV = {"HostObject": HostObject, "HostException": HostException}
 
 
 def hold(g, obj, read=None, target=None) -> str:
-    """The local of g's unit that holds obj, a bridge object the unit
-    guards on.  The unit holds it weakly and takes it on entry, as _MISS,
-    which no guard matches, once it is gone.  Given read, an expression
-    over obj's local {k}, the local its value is bound to on entry
-    instead, or target, if given."""
+    """The local of g's unit that holds obj, a bridge object or native
+    function the unit guards on.  The unit holds it weakly and takes it
+    on entry, as _MISS, which no guard matches, once it is gone.  Given
+    read, an expression over obj's local {k}, the local its value is
+    bound to on entry instead, or target, if given."""
     held = g.held.get(obj)
     if held is None:
         g.n += 1

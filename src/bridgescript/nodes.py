@@ -1335,7 +1335,7 @@ class _Gen:
         self.S, self.G, self.U = "s", "G", "U"
         self.assigned = set()  # the slot names assign was given
         self.inlined = self.peeled = self.hosted = self.natives = 0
-        self.held = {}  # the bridge objects held (see inplace.hold)
+        self.held = {}  # the objects held (see inplace.hold)
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)

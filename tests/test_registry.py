@@ -650,7 +650,8 @@ def test_one_object_per_tag():
     # by one hash by identity, as a PrimTag's do
     assert parse_tag("class:X") is ClassTag("X") is ClassTag("X")
     assert parse_tag("interface:I") is InterfaceTag("I")
-    assert parse_tag("array:array:class:X") is ArrayTag(ArrayTag(ClassTag("X")))
+    nested = ArrayTag(ArrayTag(ClassTag("X")))
+    assert parse_tag("array:array:class:X") is nested
     assert ClassTag("X") is not InterfaceTag("X")
     assert ArrayTag(INTEGER) is not ArrayTag(FLOAT)
     for tag in (ClassTag("X"), InterfaceTag("I"), ArrayTag(INTEGER)):

@@ -575,9 +575,10 @@ def test_rebound_native_falls_through_its_guard(bare_interp):
 
 
 def test_hot_unit_keeps_no_dropped_interpreters_native_alive():
-    chunk = parse_source("local d = function(v)\n"
-                         "  if type(v) == 'number' then return tostring(v) end\n"
-                         "  return v\nend\nreturn d(1), type('s'), 0")
+    chunk = parse_source(
+        "local d = function(v)\n"
+        "  if type(v) == 'number' then return tostring(v) end\n"
+        "  return v\nend\nreturn d(1), type('s'), 0")
     first = Interpreter(out=io.StringIO())
     for _ in range(K + 1):
         assert eval_chunk(chunk, first.globals) == ["1", "string", 0.0]

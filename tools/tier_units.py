@@ -11,13 +11,14 @@ crossings it wrote in place (calls of host methods whose chains have
 lone crossings of the call's arity, and reads and stores of instance
 fields and array elements) and the calls of native functions it wrote
 in place by their one-value form, inside inlined callees too, each site
-counted once per copy, so a crossing in a peeled loop counts twice.  A unit that Python refused rich
-and was generated plain is marked so.  The last line is one JSON object:
-the count of units generated and refused, of units generated plain, of
-inlined sites, of peeled loops, of host crossings and of natives in
-place, and one entry per generated unit ({"line", "params", "rich",
-"inlined", "peeled", "hosted", "natives"}), in the order made.  A chunk's unit is the one with
-line 1 and params "G, U".
+counted once per copy, so a crossing in a peeled loop counts twice.  A
+unit that Python refused rich and was generated plain is marked so.
+The last line is one JSON object: the count of units generated and
+refused, of units generated plain, of inlined sites, of peeled loops,
+of host crossings and of natives in place, and one entry per generated
+unit ({"line", "params", "rich", "inlined", "peeled", "hosted",
+"natives"}), in the order made.  A chunk's unit is the one with line 1
+and params "G, U".
 """
 
 import argparse
