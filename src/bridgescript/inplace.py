@@ -26,11 +26,15 @@ Each runs behind a guard on the identity of that object, the callee or
 the table's fallback, and any other value, or a call that no crossing
 written takes, takes the site's generic path, which is what the site ran
 before.  A read keeps the lookup in the table's own entries first and
-counts its fallback fire under the member's key once its value has
-converted: an int of an integer member becomes a float in place, any
-other value goes through to_script.  An index out of bounds or not
-integral, a store the member's store refuses, an int too large for a
-float and a value that to_script refuses go to the fallback, so every
+counts its fallback fire in the member's cell (DispatchStats.cell) once
+its value has converted: an int of an integer member becomes a float in
+place, any other value goes through to_script.  A store converts the
+common value in place, by the rule of the member's store
+(Converter.storer): an integral number becomes an int for an integer
+member, and a value of the member's as_is class is stored as it is; any
+other value goes through the member's store.  An index out of bounds or
+not integral, a store the member's store refuses, an int too large for
+a float and a value that to_script refuses go to the fallback, so every
 error keeps its class, text and line.  The unit holds each object weakly
 and takes it, and what the crossing reads from it, once on entry (hold).
 """
@@ -168,8 +172,8 @@ def read(g, h, name, t: str, k: str, v: str, fallback: str) -> bool:
     place = _place(g, h, name, "index", t, k)
     if place is None:
         return False
-    guard, at, m, _ = place
-    to_script = hold(g, h, "{k}.reads[2]")
+    guard, at, m, key = place
+    to_script = hold(g, h, "{k}.reads[1]")
     g.emit(f"if {v} is _MISS:")
     g.emit(f"    if {guard}:")
     g.emit("        try:")
@@ -186,8 +190,8 @@ def read(g, h, name, t: str, k: str, v: str, fallback: str) -> bool:
     errors = "(BridgeScriptError, OverflowError)" if m.tag is INTEGER \
         else "BridgeScriptError"
     g.emit(f"        except {errors}: {fallback}")
-    g.emit(f"        else: {hold(g, h, '{k}.reads[1]')}"
-           f"[{g.const(m.fires_key)}] += 1")
+    g.emit(f"        else: {hold(g, h, f'{{k}}.reads[0][{key!r}].fire')}"
+           "[0] += 1")
     g.emit(f"    else: {fallback}")
     return True
 
@@ -200,9 +204,25 @@ def store(g, h, name, t: str, k: str, v: str, fallback: str) -> bool:
     place = _place(g, h, name, "newindex", t, k)
     if place is None:
         return False
-    guard, at, _, key = place
+    guard, at, m, key = place
     g.emit(f"if {guard}:")
-    g.emit(f"    try: {at} = {hold(g, h, f'{{k}}.reads[0][{key!r}].store')}"
+    kind = g.kind(v)
+    if kind is not None and kind is m.as_is:  # stored as it is
+        g.emit(f"    {at} = {v}")
+        return True
+    common = None  # the test and store of the common value, if any
+    if m.tag is INTEGER and kind in (None, float):  # an integral number
+        test = f"{v}.is_integer()" if kind else \
+            f"{v}.__class__ is float and {v}.is_integer()"
+        common = f"if {test}: {at} = int({v})"
+    elif m.as_is is not None and kind is None:
+        common = f"if {v}.__class__ is {m.as_is.__name__}: {at} = {v}"
+    pad = "    "
+    if common is not None:
+        g.emit(pad + common)
+        g.emit(pad + "else:")
+        pad += "    "
+    g.emit(f"{pad}try: {at} = {hold(g, h, f'{{k}}.reads[0][{key!r}].store')}"
            f"({v})")
-    g.emit(f"    except BridgeScriptError: {fallback}")
+    g.emit(f"{pad}except BridgeScriptError: {fallback}")
     return True

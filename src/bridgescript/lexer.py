@@ -1,16 +1,18 @@
 """Tokenizer for the scripting language.
 
 One findall pass over one pattern lexes the source.  Each match skips
-blanks, then takes one lexeme: an identifier, a number, a closed
-string, an operator, a comment with the newline that ends it, or any
-one other non-blank character, a newline included.  Its kind comes
-from the table of fixed lexemes (keywords, operators, marks), else from
-its first character.  A newline, and so a comment, counts a line and
-makes no token; one Python loop turns the rest into tokens, checking
-first whether a lexeme's kind is a token's, so the other kinds (a
-newline, an illegal character, an unterminated string) cost the common
-case nothing.  Identifiers and numbers are ASCII only.  Tokens are
-plain (kind, lexeme, line) tuples.
+blanks, then takes one lexeme: an identifier, a number with any
+letters, digits and '_' that run on after it (which the parser refuses
+as a malformed number, as Lua's lexer refuses 3x), a closed string, an
+operator, a comment with the newline that ends it, or any one other
+non-blank character, a newline included.  Its kind comes from the table
+of fixed lexemes (keywords, operators, marks), else from its first
+character.  A newline, and so a comment, counts a line and makes no
+token; one Python loop turns the rest into tokens, checking first
+whether a lexeme's kind is a token's, so the other kinds (a newline, an
+illegal character, an unterminated string) cost the common case
+nothing.  Identifiers and numbers are ASCII only.  Tokens are plain
+(kind, lexeme, line) tuples.
 """
 
 import re
@@ -40,7 +42,7 @@ _TOKEN = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*"
     r"|[(){}\[\],;:+*/\n]"
     r"|\"[^\"\\\n]*(?:\\.[^\"\\\n]*)*\""
-    r"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[A-Za-z0-9_]*"
     r"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
     r"|[=~<>]=?|\.\.?|--[^\n]*\n"
     r"|[^ \t\r])")

@@ -20,10 +20,12 @@ are never cached, so scripts always see current host state.  A value of
 a FLOAT, TEXT or BOOLEAN slot goes to the script as it is, any other
 through to_script.  Every read that reaches a member counts one
 fallback fire under (class name, member), and one that reaches an
-element or an array's length under (element tag, ELEMENTS or "length").
-A key that names no member is refused, and neither remembered nor
-counted in DispatchStats.  proxy_index and proxy_newindex call a
-proxy's own fallbacks.
+element or an array's length under (element tag, ELEMENTS or "length"),
+each key's count being one cell of DispatchStats that the member, or
+the array's fallbacks, hold, so a count is one increment.  A key that
+names no member is refused, and neither remembered nor counted in
+DispatchStats.  proxy_index and proxy_newindex call a proxy's own
+fallbacks.
 
 Dispatch.  Each (class, method) has one dispatcher, shared by every
 proxy of the class: it checks the receiver, chooses through the call
@@ -49,12 +51,12 @@ a call site that called it on closures runs, when the callee is that
 dispatcher, the text of each crossing that takes as many arguments as
 the site passes, read from the spelling and reads the dispatcher's
 function carries.  Likewise each fallback carries reads, (the member
-table, fallback_fires, to_script), whose field members and, for an
-array, the one member of its elements give what a read or store in
-place needs: the fire key, tag, as_is, store and whether the member is
-a field; a read or store that reached a proxy's fallback on closures
-then reads or writes the host value in place when the table has that
-fallback, with the same count.
+table, to_script), whose field members and, for an array, the one
+member of its elements give what a read or store in place needs: the
+fire cell, tag, as_is, store and whether the member is a field; a read
+or store that reached a proxy's fallback on closures then reads or
+writes the host value in place when the table has that fallback, with
+the same count in the same cell.
 
 Call sites.  Each method, and each class's constructors, choose through
 one registry.call_site over to_host, keyed by convert.shape (integral
@@ -81,7 +83,6 @@ expose instance members; an instance proxy knows no static name, and
 reading or storing one raises NoSuchMember.
 """
 
-from collections import defaultdict
 from functools import partial
 
 from .errors import (
@@ -112,37 +113,51 @@ class DispatchStats:
     """Counters used by tests to pin down when fallbacks fire.  A read
     that reaches a member counts under (class name, member), and one
     that reaches an array's element or length under (element tag,
-    ELEMENTS or "length"), so the entries are bounded by the members
-    scripts use, however many proxies they create."""
+    ELEMENTS or "length"), so the keys are bounded by the members
+    scripts use, however many proxies they create.  Each key's count is
+    one cell, a one-element list made once by cell(key) and held by the
+    members and fallbacks that count under it; fallback_fires is a
+    snapshot of the counts."""
 
-    __slots__ = ("fallback_fires", "dispatches")
+    __slots__ = ("cells", "dispatches")
 
     def __init__(self):
-        self.fallback_fires = defaultdict(int)  # (class name, member) -> count
+        self.cells: dict = {}  # fires key -> [count]
         self.dispatches = 0
+
+    def cell(self, key) -> list:
+        """The counter cell of the fires key key, made on first use."""
+        return self.cells.setdefault(key, [0])
+
+    @property
+    def fallback_fires(self) -> dict:
+        """A fresh {fires key: count} of every key counted at least once."""
+        return {key: c[0] for key, c in self.cells.items() if c[0]}
 
     def fires(self, proxy: Table, key) -> int:
         ref = proxy.entries["__hostref"]
         owner = ref.class_name if ref.__class__ is HostObject else \
             ref.elem_tag if ref.__class__ is HostArray else ref.name
-        return self.fallback_fires.get((owner, key), 0)
+        c = self.cells.get((owner, key))
+        return 0 if c is None else c[0]
 
 
 class _Member:
     """One member of one class, or the elements of arrays of one tag, as
-    the fallbacks use it: its fallback_fires key; method, a method's
-    shared dispatcher, or None for a field; tag, a field's tag, and
-    as_is, the class of its values that scripts take as they are;
-    values, the dict holding a static field; store(v), what the field
-    holds for the script value v, or a method's refusal to be assigned;
-    and field, whether its values live in each host object or array, as
-    an instance field's and elements' do."""
+    the fallbacks use it: fire, the counter cell of its fallback_fires
+    key (see DispatchStats.cell); method, a method's shared dispatcher,
+    or None for a field; tag, a field's tag, and as_is, the class of its
+    values that scripts take as they are; values, the dict holding a
+    static field; store(v), what the field holds for the script value v,
+    or a method's refusal to be assigned; and field, whether its values
+    live in each host object or array, as an instance field's and
+    elements' do."""
 
-    __slots__ = ("fires_key", "method", "tag", "as_is", "values", "store",
+    __slots__ = ("fire", "method", "tag", "as_is", "values", "store",
                  "field")
 
-    def __init__(self, fires_key, method, tag, values, store):
-        self.fires_key = fires_key
+    def __init__(self, fire, method, tag, values, store):
+        self.fire = fire
         self.method = method
         self.tag = tag
         self.as_is = AS_IS.get(tag)
@@ -227,12 +242,11 @@ class OutboundBridge:
         read and written here."""
         members: dict = {}
         build = partial(self._member, members, cname, static)
-        fires = self.stats.fallback_fires
         to_script = self.converter.to_script
 
         def index(proxy, key):
             m = members.get(key) or build(key)
-            fires[m.fires_key] += 1
+            m.fire[0] += 1
             f = m.method
             if f is not None:
                 proxy.entries[key] = f  # later reads find it there
@@ -250,18 +264,18 @@ class OutboundBridge:
                 m.values[key] = h
             else:
                 proxy.entries["__hostref"].fields[key] = h
-        index.reads = newindex.reads = members, fires, to_script
+        index.reads = newindex.reads = members, to_script
         return index, newindex
 
     def _array_fallbacks(self, tag):
         """The index and newindex fallbacks of the proxies of arrays of
         tag elements."""
-        fires = self.stats.fallback_fires
-        elements_key, length_key = (tag, ELEMENTS), (tag, "length")
+        elements_fire = self.stats.cell((tag, ELEMENTS))
+        length_fire = self.stats.cell((tag, "length"))
         to_script = self.converter.to_script
         as_is = AS_IS.get(tag)
         store = self.converter.storer(tag, "cannot store into the array")
-        members = {ELEMENTS: _Member(elements_key, None, tag, None, store)}
+        members = {ELEMENTS: _Member(elements_fire, None, tag, None, store)}
 
         def index(proxy, key):
             if key.__class__ is float:
@@ -269,12 +283,12 @@ class OutboundBridge:
                     i = int(key) - 1
                     elements = proxy.entries["__hostref"].elements
                     if 0 <= i < len(elements):
-                        fires[elements_key] += 1
+                        elements_fire[0] += 1
                         v = elements[i]
                         return v if v.__class__ is as_is else to_script(v)
                     raise index_error(render(key), len(elements))
             elif key == "length":
-                fires[length_key] += 1
+                length_fire[0] += 1
                 return float(len(proxy.entries["__hostref"].elements))
             raise NoSuchMember("array", render(key))
 
@@ -292,7 +306,7 @@ class OutboundBridge:
                 raise ReservedField("'__hostref' is reserved")
             else:
                 raise NoSuchMember("array", render(key))
-        index.reads = newindex.reads = members, fires, to_script
+        index.reads = newindex.reads = members, to_script
         return index, newindex
 
     # ------------------------------------------------------------- members
@@ -310,7 +324,8 @@ class OutboundBridge:
                 if static else None
             store = self.converter.storer(
                 spec.tag, f"cannot store into {cname}.{key}")
-            m = _Member((cname, key), None, spec.tag, values, store)
+            m = _Member(self.stats.cell((cname, key)), None, spec.tag,
+                        values, store)
         else:
             cands = flat.methods.get(key)
             if cands is None or cands[0].static != static:
@@ -371,5 +386,5 @@ class OutboundBridge:
             raise TypeMismatch(
                 f"{key!r} is a {'static method' if static else 'method'} "
                 f"of {cname!r} and cannot be assigned")
-        return _Member((cname, key), NativeFunction(dispatch, key), None,
-                       None, refuse)
+        return _Member(stats.cell((cname, key)),
+                       NativeFunction(dispatch, key), None, None, refuse)

@@ -38,7 +38,7 @@ names used by the functions nested in their body (captured), which is
 all the compiler needs to know which locals to keep in cells.
 """
 
-from .errors import ParseError
+from .errors import LexError, ParseError
 from .lexer import IDENT, NUMBER, STRING, tokenize
 from .nodes import (
     AssignIndex,
@@ -102,6 +102,17 @@ def parse_source(source: str) -> Chunk:
     return parse(tokenize(source))
 
 
+def _number(word: str, line: int) -> float:
+    """The value of the number lexeme word, or LexError if letters, digits
+    or '_' run on after the number, as in 3x (see lexer)."""
+    if "_" not in word:  # float() reads 1_0 as 10.0
+        try:
+            return float(word)
+        except ValueError:
+            pass
+    raise LexError(f"malformed number near {word!r}", line)
+
+
 def _decode_string(body: str) -> str:
     """The text of a string body that holds a backslash."""
     out = []
@@ -155,6 +166,8 @@ class _Parser:
 
     def _error(self, expected: str):
         tok = self.tok
+        if tok[0] == NUMBER:  # a malformed number is the lexer's error
+            _number(tok[1], tok[2])
         found = "end of input" if tok is self.end else f"'{tok[1]}'"
         raise ParseError(tok[2], expected, found)
 
@@ -297,7 +310,7 @@ class _Parser:
             left = VarExpr(word, line)
             self.tok = self._next()
         elif kind == NUMBER:
-            left = NumberLit(float(word), line)
+            left = NumberLit(_number(word, line), line)
             self.tok = self._next()
         elif kind == STRING:
             word = word[1:-1]

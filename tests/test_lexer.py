@@ -90,8 +90,10 @@ def test_empty_source():
     (".5", [(PUNCT, ".", 1), (NUMBER, "5", 1)]),
     ("a--b", [(IDENT, "a", 1)]),
     ("a\nb --", [(IDENT, "a", 1), (IDENT, "b", 2)]),
-    ("1e", [(NUMBER, "1", 1), (IDENT, "e", 1)]),
-    ("3x", [(NUMBER, "3", 1), (IDENT, "x", 1)]),
+    # letters, digits and '_' that run on after a number stay in its
+    # lexeme, which the parser refuses as malformed
+    ("1e", [(NUMBER, "1e", 1)]),
+    ("3x", [(NUMBER, "3x", 1)]),
     ("s = \"a -- \\\"b\\\" 'c'\" --x",
      [(IDENT, "s", 1), (OP, "=", 1), (STRING, "\"a -- \\\"b\\\" 'c'\"", 1)]),
     ("a\r\n\tb\r\n\t\tc", [(IDENT, "a", 1), (IDENT, "b", 2), (IDENT, "c", 3)]),

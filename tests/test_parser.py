@@ -8,7 +8,7 @@ is one named CallExpr whose callee is the receiver, written once.
 import pytest
 
 from bridgescript import nodes as N
-from bridgescript.errors import ParseError
+from bridgescript.errors import LexError, ParseError
 from bridgescript.parser import parse_source
 
 
@@ -218,7 +218,7 @@ def test_rejected_forms(src):
     ("for i = 1, 2", 1, "expected 'do', found end of input"),
     ("a\nb = 3 )", 2, "expected '=', found 'b'"),
     # only a call is an expression statement
-    ("x = 3x", 1, "expected '=', found end of input"),
+    ("x = 3 x", 1, "expected '=', found end of input"),
     ("while i < 3 do\n  i i + 1\nend", 2, "expected '=', found 'i'"),
     ("x = 1\nt.y\n", 2, "expected '=', found end of input"),
     ("(f())", 1, "expected '=', found end of input"),
@@ -232,11 +232,39 @@ def test_parse_error_text_and_line(src, line, message):
     assert e.value.line == line
 
 
+@pytest.mark.parametrize("src, line, near", [
+    ("x = 3x", 1, "3x"),
+    ("return 0x10", 1, "0x10"),
+    ("x = 1_0", 1, "1_0"),
+    ("x = 1e5_0", 1, "1e5_0"),
+    ("x = 1\ny = 2.5e", 2, "2.5e"),
+    ("x = 1e+x", 1, "1e"),
+    ("f(1 2x)", 1, "2x"),
+    ("local 3x = 1", 1, "3x"),
+    ("x = {y = 1, 7_}", 1, "7_"),
+])
+def test_malformed_number_is_a_lex_error(src, line, near):
+    """As Lua's lexer does, a number that a letter or '_' follows at once
+    is refused as malformed, wherever the parser meets it."""
+    with pytest.raises(LexError) as e:
+        parse_source(src)
+    assert str(e.value) == \
+        f"LexError (line {line}): malformed number near '{near}'"
+    assert e.value.line == line
+
+
+def test_numbers_next_to_other_lexemes_still_parse():
+    assert struct_eq(parse_source("x = 1e5 + 1E+2 + 2.5e-1 .. 3..4").block,
+                     parse_source("x = 100000 + 100 + 0.25 .. 3 .. 4").block)
+    assert struct_eq(parse_source("x = 3.x").block,
+                     parse_source("x = 3 .x").block)
+
+
 # ------------------------------------------------ return ends its block
 
 @pytest.mark.parametrize("src, line, message", [
     ("return 1 print(2)", 1, "expected '<eof>', found 'print'"),
-    ("return 0x10", 1, "expected '<eof>', found 'x10'"),
+    ("return 0 x10", 1, "expected '<eof>', found 'x10'"),
     ("return;;", 1, "expected '<eof>', found ';'"),
     ("function f()\n  return 1\n  x = 2\nend", 3,
      "expected 'end', found 'x'"),

@@ -33,12 +33,16 @@ from bridgescript.objects import (
     table_get,
     table_set,
 )
+from bridgescript.outbound import ELEMENTS
 from bridgescript.parser import parse_source
 from bridgescript.registry import (
+    BOOLEAN,
     FLOAT,
     INTEGER,
+    TEXT,
     VOID,
     ArrayTag,
+    ClassTag,
     FieldSpec,
     HostClassDescriptor,
     HostRegistry,
@@ -1263,6 +1267,176 @@ def test_hot_chunk_keeps_no_dropped_bridge_alive():
     second = _tally_world(reg)
     assert eval_chunk(chunk, second.globals) == [1.5, 2.0, 1.5, 3.0]
     assert second.outbound.stats.dispatches == 3  # U.ints, touch, bump
+    # the unit counted its reads into the second interpreter's cells
+    once = {("Util", "ints"): 1, ("Tally", "touch"): 1, ("Tally", "bump"): 1,
+            ("Tally", "n"): 2, ("Tally", "x"): 1, (INTEGER, ELEMENTS): 2}
+    assert second.outbound.stats.fallback_fires == once
+
+
+def test_hot_chunk_counts_into_the_interpreter_that_runs_it():
+    """A unit generated in one interpreter, run in a second while the
+    first lives, reads through the second's fallbacks and counts into its
+    cells, and moves none of the first's counts."""
+    reg = _tally_registry()
+    chunk = parse_source("local o = hostNewInstance('Tally')\n"
+                         "local a = U.ints(2)\n"
+                         "o.n = o.n + 1\na[2] = a[1] + 3\n"
+                         "return o.n, a.length, a[2]")
+    first = _tally_world(reg)
+    for _ in range(K + 1):
+        assert eval_chunk(chunk, first.globals) == [1.0, 2.0, 3.0]
+    assert chunk_generated(chunk)
+    counts = first.outbound.stats.fallback_fires
+    assert counts == {("Util", "ints"): 1, ("Tally", "n"): 2 * (K + 1),
+                      (INTEGER, ELEMENTS): 2 * (K + 1),
+                      (INTEGER, "length"): K + 1}
+    second = _tally_world(reg)
+    for n in (1, 2):
+        assert eval_chunk(chunk, second.globals) == [1.0, 2.0, 3.0]
+        assert second.outbound.stats.fallback_fires == {
+            ("Util", "ints"): 1, ("Tally", "n"): 2 * n,
+            (INTEGER, ELEMENTS): 2 * n, (INTEGER, "length"): n}
+    assert first.outbound.stats.fallback_fires == counts
+
+
+def test_fallback_fires_is_a_snapshot_of_the_counts():
+    """fallback_fires is a fresh dict of the keys counted at least once:
+    a member built by a store alone has none, an element or length read
+    counts under its tag's keys, and interpreters over one registry keep
+    counts of their own."""
+    reg = _tally_registry()
+    one, two = _tally_world(reg), _tally_world(reg)
+    stats = one.outbound.stats
+    one.run("o = hostNewInstance('Tally')\no.n = 3\na = U.ints(2)\n"
+            "a[1] = 5")
+    snapshot = stats.fallback_fires
+    assert type(snapshot) is dict and snapshot == {("Util", "ints"): 1}
+    o, a = one.global_value("o"), one.global_value("a")
+    assert stats.fires(o, "n") == 0 and stats.fires(a, ELEMENTS) == 0
+    assert one.run("return o.n, a[1], a[2], a.length, a.length") == [
+        3.0, 5.0, 0.0, 2.0, 2.0]
+    assert stats.fires(o, "n") == 1 and stats.fires(a, "length") == 2
+    assert snapshot == {("Util", "ints"): 1}  # taken before the reads
+    snapshot[("Tally", "n")] = 99  # a copy: the counts do not move
+    assert stats.fallback_fires == {
+        ("Util", "ints"): 1, ("Tally", "n"): 1, (INTEGER, ELEMENTS): 2,
+        (INTEGER, "length"): 2}
+    for key in ("p.nope", "p[1]", "a.nope", "a[3]"):
+        with pytest.raises(BridgeScriptError):
+            one.run("p = o\nreturn " + key)
+    assert stats.fallback_fires[("Tally", "n")] == 1
+    assert len(stats.fallback_fires) == 4
+    assert two.outbound.stats.fallback_fires == {}
+    two.run("return hostNewInstance('Tally').x")
+    assert two.outbound.stats.fallback_fires == {("Tally", "x"): 1}
+    assert ("Tally", "x") not in stats.fallback_fires
+
+
+def _slots_registry() -> HostRegistry:
+    """Slots: an integer field i, a float field f, a text field s, a
+    boolean field b and a field peer that holds a Slots."""
+    reg = HostRegistry()
+    fields = {"i": INTEGER, "f": FLOAT, "s": TEXT, "b": BOOLEAN,
+              "peer": ClassTag("Slots")}
+    reg.register_class(HostClassDescriptor(
+        name="Slots",
+        constructors=[MethodDescriptor("<init>", (), VOID, False, None)],
+        fields={name: FieldSpec(tag) for name, tag in fields.items()}))
+    reg.freeze()
+    return reg
+
+
+# the values stored, as script expressions; o is a Slots proxy
+STORED = ("2", "2.5", "1e300", "1/0", "0/0", '"7"', "true", "nil", "o")
+
+
+def test_stores_in_place_convert_as_the_fallback_does():
+    """A field or element store written in place converts the common
+    value itself, by its member's store rule, and sends any other value
+    through that store, or to the fallback: over every member kind and
+    value, a hot site and a cold one leave the same host value, of the
+    same class, or raise the same error class, text and line, and move
+    the counts alike.  A site stores a parameter, whose class the unit
+    does not know, or the literal value itself, whose class it does."""
+    reg = _slots_registry()
+    o = reg.instantiate("Slots", [])
+    arrays = {"ai": reg.array_new(INTEGER, 2), "af": reg.array_new(FLOAT, 2)}
+    # target -> (the store's target text, a value it takes, where the
+    # host value lands)
+    targets = {name: (f"o.{name}", value, o.fields, name) for name, value in
+               (("i", "1"), ("f", "0.5"), ("s", '"a"'), ("b", "false"),
+                ("peer", "nil"))}
+    targets.update({name: (f"{name}[1]", value, arr.elements, 0)
+                    for (name, arr), value in zip(arrays.items(),
+                                                  ("1", "0.5"))})
+    lines = []
+    for name, (target, _, _, _) in targets.items():
+        lines.append(f"function put_{name}(v)\n  {target} = v\nend")
+        lines += [f"function lit_{name}_{j}()\n  {target} = {value}\nend"
+                  for j, value in enumerate(STORED)]
+    hot, cold = Interpreter(reg, out=io.StringIO()), \
+        Interpreter(reg, out=io.StringIO())
+    for it in (hot, cold):
+        it.define_global("o", it.converter.to_script(o))
+        for name, arr in arrays.items():
+            it.define_global(name, it.converter.to_script(arr))
+        it.run("\n".join(lines))
+
+    def outcome(it, fname, args, at):
+        holder, slot = at
+        holder[slot] = "unset"
+        before = it.outbound.stats.dispatches, it.outbound.stats.fallback_fires
+        try:
+            it.global_value(fname).invoke(args)
+            h = holder[slot]
+            out = (h.__class__.__name__, repr(h))
+        except BridgeScriptError as e:
+            out = (type(e).__name__, str(e), e.line)
+        after = it.outbound.stats.dispatches, it.outbound.stats.fallback_fires
+        return out, after[0] - before[0], {
+            k: n - before[1].get(k, 0) for k, n in after[1].items()
+            if n != before[1].get(k, 0)}
+
+    ends = {}
+    for name, (_, warm, holder, slot) in targets.items():
+        sites = [(f"put_{name}", [hot.run("return " + v)[0]], v)
+                 for v in STORED]
+        sites += [(f"lit_{name}_{j}", [], v) for j, v in enumerate(STORED)]
+        warm_value = hot.run("return " + warm)
+        for fname in {f for f, _, _ in sites}:
+            f = hot.global_value(fname)
+            for _ in range(K + 1):
+                try:
+                    f.invoke(warm_value if fname.startswith("put") else [])
+                except BridgeScriptError:
+                    pass  # a literal the member refuses
+            assert generated(f) and _held(f.proto.body) == 1, fname
+        for fname, args, text in sites:
+            cold_args = [cold.run("return " + text)[0]] if args else []
+            want = outcome(cold, fname, cold_args, (holder, slot))
+            assert not generated(cold.global_value(fname))
+            assert outcome(hot, fname, args, (holder, slot)) == want, \
+                (fname, text)
+            ends[fname[:3], name, text] = want[0]
+    assert len(ends) == 2 * len(targets) * len(STORED)
+    stored = {(name, text) for (_, name, text), end in ends.items()
+              if end[0] != "TypeMismatch"}
+    assert stored == {
+        ("i", "2"), ("i", "1e300"), ("f", "2"), ("f", "2.5"), ("f", "1e300"),
+        ("f", "1/0"), ("f", "0/0"), ("s", '"7"'), ("b", "true"),
+        ("peer", "nil"), ("peer", "o"), ("ai", "2"), ("ai", "1e300"),
+        ("af", "2"), ("af", "2.5"), ("af", "1e300"), ("af", "1/0"),
+        ("af", "0/0")}
+    for site in ("put", "lit"):
+        assert [ends[site, name, text] for name, text in (
+            ("i", "2"), ("ai", "1e300"), ("f", "2"), ("s", '"7"'),
+            ("b", "true"), ("peer", "nil"))] == [
+            ("int", "2"), ("int", repr(int(1e300))), ("float", "2.0"),
+            ("str", "'7'"), ("bool", "True"), ("NoneType", "None")]
+        error, text, line = ends[site, "i", "2.5"]
+        assert (error, text) == ("TypeMismatch", f"TypeMismatch (line {line}):"
+                                 " cannot store into Slots.i: 2.5 has a "
+                                 "fractional part")
 
 
 def test_integer_reads_in_place_convert_as_the_fallback_does():

@@ -47,10 +47,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the lines of ROADMAP's per-op table, and the element read and write
+# the lines of ROADMAP's per-op table, a float field's write, and the
+# element read and write
 LINES = ("", "c:empty()", "c:inc()", "f()", "t:hello()", "x = c.count",
-         "y = p.x", "c.count = 1", "m.twice(2)", "m.describe(2)",
-         'm.describe("s")', "p:move(1, 2)", "x = a[1]", "a[1] = 1")
+         "y = p.x", "c.count = 1", "p.x = 1.5", "m.twice(2)",
+         "m.describe(2)", 'm.describe("s")', "p:move(1, 2)", "x = a[1]",
+         "a[1] = 1")
 
 # the bridge lines that must run the registry's lone form -> the global
 # and member whose dispatcher the line leaves behind, and the host calls
@@ -64,6 +66,7 @@ LONE_LINES = {"c:empty()": ("counter", "empty"), "c:inc()": ("counter", "inc"),
 # the fallback of its proxy that the line's unit guards on
 FIELD_LINES = {"x = c.count": ("counter", "index_handler"),
                "c.count = 1": ("counter", "newindex_handler"),
+               "p.x = 1.5": ("point", "newindex_handler"),
                "x = a[1]": ("arr", "index_handler"),
                "a[1] = 1": ("arr", "newindex_handler")}
 LONE_HOST = {"src.fireAction() into the script listener":
